@@ -52,11 +52,14 @@ scale-smoke:
 	LILY_SCALE_PROFILE=gen100k LILY_SCALE_BUDGET_S=60 \
 		$(GO) test -run TestScaleSmoke -v -timeout 600s -count=1 .
 
-# Single-iteration pass over the engine + obs benchmarks so they keep
-# compiling and running (BenchmarkDisabledTracer reports allocs/op).
+# Single-iteration pass over the engine, obs and equivalence-check
+# benchmarks so they keep compiling and running (BenchmarkDisabledTracer
+# reports allocs/op; BenchmarkCheck covers the BDD budget-exhaustion path
+# on C5315 and a BDD proof on duke2).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
+	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x ./internal/equiv/
 
 # Performance snapshot: run the hot-path benchmarks (full Table 1, the
 # C5315 pipeline, the engine suite) once each plus the in-process
@@ -100,12 +103,14 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
-# Short fuzz smoke over the parser and cover-algebra targets; the seed
-# corpus under internal/logic/testdata/fuzz always replays in plain
-# `go test`, this target additionally explores for a few seconds.
+# Short fuzz smoke over the parser, cover-algebra and BDD-manager
+# targets; the seed corpora (internal/logic/testdata/fuzz, and
+# FuzzManager's generated seeds) always replay in plain `go test`, this
+# target additionally explores for a few seconds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseBLIF -fuzztime 10s ./internal/logic/
 	$(GO) test -run '^$$' -fuzz FuzzSOP -fuzztime 10s ./internal/logic/
+	$(GO) test -run '^$$' -fuzz FuzzManager -fuzztime 10s ./internal/bdd/
 
 $(BIN)/lilylint: FORCE
 	@mkdir -p $(BIN)

@@ -1,9 +1,18 @@
 // Package bdd is a reduced ordered binary decision diagram engine used for
 // formal equivalence checking between the source Boolean network and the
 // mapped netlist. It is deliberately small: a unique table for canonicity,
-// an ITE operation cache, and a node budget that turns exponential blowup
+// an ITE computed cache, and a node budget that turns exponential blowup
 // into a clean "unknown" answer the caller can fall back from (package
 // equiv then resorts to randomized simulation).
+//
+// Both tables are flat arrays in the Brace–Rudell–Bryant layout. The
+// unique table is open-addressed over node indices and doubles as it
+// fills. The computed cache is direct-mapped, sized from the node count,
+// and may lose entries to collisions. Nodes are never freed, so a cached
+// result is never stale, and a lost entry only costs a recomputation that
+// finds every node it needs already in the unique table: node numbering,
+// NumNodes and the operation that hits the budget do not depend on what
+// the cache happened to keep.
 package bdd
 
 import (
@@ -21,6 +30,10 @@ const (
 	True  Ref = 1
 )
 
+// limitRef is the internal ITE result for a budget failure; it is never a
+// valid node index.
+const limitRef Ref = -1
+
 // ErrNodeLimit is returned when a build exceeds the manager's node budget.
 var ErrNodeLimit = errors.New("bdd: node limit exceeded")
 
@@ -29,26 +42,45 @@ type node struct {
 	lo, hi Ref
 }
 
+// cacheEntry is one computed-cache slot: ITE(f, g, h) = r. A zero f marks
+// an empty slot; it never matches because ITE with a terminal f returns
+// before the cache is consulted.
+type cacheEntry struct {
+	f, g, h, r Ref
+}
+
+// minTable is the initial unique-table length (a power of two).
+const minTable = 1 << 10
+
 // Manager owns the node store for one variable ordering.
 type Manager struct {
 	numVars  int
 	maxNodes int
 	nodes    []node
-	unique   map[[3]int32]Ref
-	iteCache map[[3]Ref]Ref
+	// unique holds node indices under linear probing; 0 marks an empty
+	// slot (terminals are never entered). Its length is a power of two at
+	// least twice the node count.
+	unique []Ref
+	// cache is the direct-mapped ITE computed table, half the unique
+	// table's length.
+	cache []cacheEntry
 }
 
 // New creates a manager over numVars variables with the given node budget
 // (0 means one million nodes).
-func New(numVars, maxNodes int) *Manager {
+func New(numVars, maxNodes int) *Manager { return newSized(numVars, maxNodes, minTable) }
+
+// newSized is New with the initial unique-table length (a power of two,
+// at least 4) given.
+func newSized(numVars, maxNodes, table int) *Manager {
 	if maxNodes <= 0 {
 		maxNodes = 1_000_000
 	}
 	m := &Manager{
 		numVars:  numVars,
 		maxNodes: maxNodes,
-		unique:   make(map[[3]int32]Ref),
-		iteCache: make(map[[3]Ref]Ref),
+		unique:   make([]Ref, table),
+		cache:    make([]cacheEntry, table/2),
 	}
 	term := int32(numVars)
 	m.nodes = append(m.nodes, node{level: term}, node{level: term})
@@ -63,72 +95,119 @@ func (m *Manager) Var(i int) (Ref, error) {
 	if i < 0 || i >= m.numVars {
 		return False, fmt.Errorf("bdd: variable %d out of range [0,%d)", i, m.numVars)
 	}
-	return m.mk(int32(i), False, True)
+	return result(m.mk(int32(i), False, True))
+}
+
+func result(r Ref) (Ref, error) {
+	if r == limitRef {
+		return False, ErrNodeLimit
+	}
+	return r, nil
 }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
-func (m *Manager) mk(level int32, lo, hi Ref) (Ref, error) {
+// hash3 mixes a triple into 64 bits. Callers keep the low bits as a table
+// index; the final fold brings the well-mixed high bits down into them.
+func hash3(a, b, c Ref) uint64 {
+	h := uint64(uint32(a))*0x9e3779b97f4a7c15 ^ uint64(uint32(b))*0xc2b2ae3d27d4eb4f ^ uint64(uint32(c))*0x165667b19e3779f9
+	return h ^ h>>32
+}
+
+func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
-		return lo, nil
+		return lo
 	}
-	key := [3]int32{level, int32(lo), int32(hi)}
-	if r, ok := m.unique[key]; ok {
-		return r, nil
+	mask := uint64(len(m.unique) - 1)
+	i := hash3(Ref(level), lo, hi) & mask
+	for {
+		r := m.unique[i]
+		if r == 0 {
+			break
+		}
+		if n := &m.nodes[r]; n.lo == lo && n.hi == hi && n.level == level {
+			return r
+		}
+		i = (i + 1) & mask
 	}
 	if len(m.nodes) >= m.maxNodes {
-		return False, ErrNodeLimit
+		return limitRef
 	}
+	r := Ref(len(m.nodes))
 	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
-	r := Ref(len(m.nodes) - 1)
-	m.unique[key] = r
-	return r, nil
+	m.unique[i] = r
+	if 2*len(m.nodes) > len(m.unique) {
+		m.grow()
+	}
+	return r
+}
+
+// grow doubles the unique table and the computed cache. Nodes are
+// re-entered in index order; cached results move to their new slots.
+func (m *Manager) grow() {
+	unique := make([]Ref, 2*len(m.unique))
+	mask := uint64(len(unique) - 1)
+	for r := 2; r < len(m.nodes); r++ {
+		n := &m.nodes[r]
+		i := hash3(Ref(n.level), n.lo, n.hi) & mask
+		for unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		unique[i] = Ref(r)
+	}
+	m.unique = unique
+	cache := make([]cacheEntry, len(unique)/2)
+	cmask := uint64(len(cache) - 1)
+	for _, e := range m.cache {
+		if e.f != 0 {
+			cache[hash3(e.f, e.g, e.h)&cmask] = e
+		}
+	}
+	m.cache = cache
 }
 
 // ITE computes if-then-else(f, g, h), the universal BDD operation.
-func (m *Manager) ITE(f, g, h Ref) (Ref, error) {
+func (m *Manager) ITE(f, g, h Ref) (Ref, error) { return result(m.ite(f, g, h)) }
+
+// ite is ITE without the error value: limitRef reports a budget failure.
+func (m *Manager) ite(f, g, h Ref) Ref {
 	switch {
 	case f == True:
-		return g, nil
+		return g
 	case f == False:
-		return h, nil
+		return h
 	case g == h:
-		return g, nil
+		return g
 	case g == True && h == False:
-		return f, nil
+		return f
 	}
-	key := [3]Ref{f, g, h}
-	if r, ok := m.iteCache[key]; ok {
-		return r, nil
+	hk := hash3(f, g, h)
+	if e := &m.cache[hk&uint64(len(m.cache)-1)]; e.f == f && e.g == g && e.h == h {
+		return e.r
 	}
-	top := m.level(f)
-	if l := m.level(g); l < top {
-		top = l
+	nf, ng, nh := m.nodes[f], m.nodes[g], m.nodes[h]
+	top := min(nf.level, ng.level, nh.level)
+	f0, f1 := cofactors(f, nf, top)
+	g0, g1 := cofactors(g, ng, top)
+	h0, h1 := cofactors(h, nh, top)
+	lo := m.ite(f0, g0, h0)
+	if lo == limitRef {
+		return limitRef
 	}
-	if l := m.level(h); l < top {
-		top = l
+	hi := m.ite(f1, g1, h1)
+	if hi == limitRef {
+		return limitRef
 	}
-	f0, f1 := m.cofactors(f, top)
-	g0, g1 := m.cofactors(g, top)
-	h0, h1 := m.cofactors(h, top)
-	lo, err := m.ITE(f0, g0, h0)
-	if err != nil {
-		return False, err
+	r := m.mk(top, lo, hi)
+	if r == limitRef {
+		return limitRef
 	}
-	hi, err := m.ITE(f1, g1, h1)
-	if err != nil {
-		return False, err
-	}
-	r, err := m.mk(top, lo, hi)
-	if err != nil {
-		return False, err
-	}
-	m.iteCache[key] = r
-	return r, nil
+	// The cache may have grown during the recursion: index it afresh.
+	m.cache[hk&uint64(len(m.cache)-1)] = cacheEntry{f, g, h, r}
+	return r
 }
 
-func (m *Manager) cofactors(r Ref, level int32) (lo, hi Ref) {
-	n := m.nodes[r]
+func cofactors(r Ref, n node, level int32) (lo, hi Ref) {
 	if n.level != level {
 		return r, r
 	}

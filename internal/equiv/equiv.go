@@ -7,6 +7,7 @@ package equiv
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -74,14 +75,22 @@ func Check(src *logic.Network, nl *netlist.Netlist, opt Options) (*Result, error
 	if err := sameInterfaces(src, nl, piNames); err != nil {
 		return nil, err
 	}
-	res, err := checkBDD(src, nl, piNames, opt.MaxBDDNodes)
+	srcOrder, err := src.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	nlOrder, err := nl.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	res, err := checkBDD(src, nl, srcOrder, nlOrder, piNames, opt.MaxBDDNodes)
 	if err == nil {
 		return res, nil
 	}
 	if err != bdd.ErrNodeLimit {
 		return nil, err
 	}
-	return checkSim(src, nl, opt)
+	return checkSim(src, nl, srcOrder, nlOrder, opt), nil
 }
 
 func sortedPINames(src *logic.Network) []string {
@@ -93,38 +102,58 @@ func sortedPINames(src *logic.Network) []string {
 	return names
 }
 
+// sameInterfaces requires the netlist to read exactly the source's inputs
+// and drive exactly its outputs.
 func sameInterfaces(src *logic.Network, nl *netlist.Netlist, piNames []string) error {
-	for _, name := range piNames {
-		if nl.PIIndex(name) < 0 {
-			return fmt.Errorf("equiv: netlist lacks input %q", name)
+	if err := sameNames("input", piNames, nl.PINames); err != nil {
+		return err
+	}
+	poNames := make([]string, len(nl.POs))
+	for i, po := range nl.POs {
+		poNames[i] = po.Name
+	}
+	return sameNames("output", src.PONames, poNames)
+}
+
+// sameNames requires got to list exactly the names in want, and each name
+// to appear once on both sides.
+func sameNames(kind string, want, got []string) error {
+	inSrc := make(map[string]bool, len(want))
+	for _, n := range want {
+		if inSrc[n] {
+			return fmt.Errorf("equiv: source %s %q listed twice", kind, n)
 		}
+		inSrc[n] = true
 	}
-	srcPOs := make(map[string]bool, len(src.PONames))
-	for _, n := range src.PONames {
-		srcPOs[n] = true
-	}
-	for _, po := range nl.POs {
-		if !srcPOs[po.Name] {
-			return fmt.Errorf("equiv: netlist output %q not in source", po.Name)
+	inNl := make(map[string]bool, len(got))
+	for _, n := range got {
+		if !inSrc[n] {
+			return fmt.Errorf("equiv: netlist %s %q not in source", kind, n)
 		}
+		if inNl[n] {
+			return fmt.Errorf("equiv: netlist %s %q listed twice", kind, n)
+		}
+		inNl[n] = true
 	}
-	if len(nl.POs) != len(src.PONames) {
-		return fmt.Errorf("equiv: output counts differ (%d vs %d)", len(nl.POs), len(src.PONames))
+	for _, n := range want {
+		if !inNl[n] {
+			return fmt.Errorf("equiv: netlist lacks %s %q", kind, n)
+		}
 	}
 	return nil
 }
 
-func checkBDD(src *logic.Network, nl *netlist.Netlist, piNames []string, budget int) (*Result, error) {
+func checkBDD(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, nlOrder []int, piNames []string, budget int) (*Result, error) {
 	m := bdd.New(len(piNames), budget)
 	varOf := make(map[string]int, len(piNames))
 	for i, n := range piNames {
 		varOf[n] = i
 	}
-	srcPO, err := networkBDDs(m, src, varOf)
+	srcPO, err := networkBDDs(m, src, srcOrder, varOf)
 	if err != nil {
 		return nil, err
 	}
-	nlPO, err := netlistBDDs(m, nl, varOf)
+	nlPO, err := netlistBDDs(m, nl, nlOrder, varOf)
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +191,7 @@ func checkBDD(src *logic.Network, nl *netlist.Netlist, piNames []string, budget 
 }
 
 // networkBDDs builds PO BDDs for a logic network.
-func networkBDDs(m *bdd.Manager, src *logic.Network, varOf map[string]int) (map[string]bdd.Ref, error) {
-	order, err := src.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+func networkBDDs(m *bdd.Manager, src *logic.Network, order []logic.NodeID, varOf map[string]int) (map[string]bdd.Ref, error) {
 	refs := make([]bdd.Ref, len(src.Nodes))
 	for _, id := range order {
 		nd := src.Nodes[id]
@@ -196,11 +221,7 @@ func networkBDDs(m *bdd.Manager, src *logic.Network, varOf map[string]int) (map[
 }
 
 // netlistBDDs builds PO BDDs for a mapped netlist.
-func netlistBDDs(m *bdd.Manager, nl *netlist.Netlist, varOf map[string]int) (map[string]bdd.Ref, error) {
-	order, err := nl.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+func netlistBDDs(m *bdd.Manager, nl *netlist.Netlist, order []int, varOf map[string]int) (map[string]bdd.Ref, error) {
 	piRef := make([]bdd.Ref, len(nl.PINames))
 	for i, name := range nl.PINames {
 		r, err := m.Var(varOf[name])
@@ -269,40 +290,119 @@ func coverBDD(m *bdd.Manager, cover logic.SOP, ins []bdd.Ref) (bdd.Ref, error) {
 	return acc, nil
 }
 
-// checkSim is the randomized fallback.
-func checkSim(src *logic.Network, nl *netlist.Netlist, opt Options) (*Result, error) {
+// checkSim is the randomized fallback. It draws opt.SimVectors random
+// input vectors, vector by vector and within a vector in src.PIs order,
+// and simulates both circuits on 64 vectors per word. The verdict names
+// the first failing vector and, among the outputs that differ on it, the
+// first in sorted order.
+func checkSim(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, nlOrder []int, opt Options) *Result {
 	//lint:impure generator is seeded from opt.Seed (caller-fixed), so the vector sequence is reproducible
 	rng := rand.New(rand.NewSource(opt.Seed))
 	res := &Result{Equivalent: true, Method: MethodSimulation, Vectors: opt.SimVectors}
-	for k := 0; k < opt.SimVectors; k++ {
-		in := make(map[string]bool, len(src.PIs))
+	nlPI := make(map[string]int, len(nl.PINames))
+	for i, name := range nl.PINames {
+		nlPI[name] = i
+	}
+	// Outputs in sorted name order, each as its source node and netlist driver.
+	type output struct {
+		name   string
+		src    logic.NodeID
+		driver netlist.Ref
+	}
+	outs := make([]output, len(src.POs))
+	nlDriver := make(map[string]netlist.Ref, len(nl.POs))
+	for _, po := range nl.POs {
+		nlDriver[po.Name] = po.Driver
+	}
+	for i, po := range src.POs {
+		outs[i] = output{src.PONames[i], po, nlDriver[src.PONames[i]]}
+	}
+	sort.Slice(outs, func(i, j int) bool { return outs[i].name < outs[j].name })
+
+	srcVal := make([]uint64, len(src.Nodes))
+	piVal := make([]uint64, len(nl.PINames))
+	cellVal := make([]uint64, len(nl.Cells))
+	nlVal := func(r netlist.Ref) uint64 {
+		if r.IsPI {
+			return piVal[r.Index]
+		}
+		return cellVal[r.Index]
+	}
+	var ins []uint64
+	for base := 0; base < opt.SimVectors; base += 64 {
+		n := min(64, opt.SimVectors-base)
 		for _, pi := range src.PIs {
-			in[src.Nodes[pi].Name] = rng.Intn(2) == 1
+			srcVal[pi] = 0
 		}
-		want, err := src.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		got, err := nl.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		// Iterate outputs in sorted order so the reported FailingOutput is
-		// deterministic when several outputs disagree on the same vector
-		// (map order would pick an arbitrary one per run).
-		names := make([]string, 0, len(want))
-		for name := range want {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if want[name] != got[name] {
-				res.Equivalent = false
-				res.FailingOutput = name
-				res.Counterexample = in
-				return res, nil
+		for k := 0; k < n; k++ {
+			for _, pi := range src.PIs {
+				if rng.Intn(2) == 1 {
+					srcVal[pi] |= 1 << k
+				}
 			}
 		}
+		for _, pi := range src.PIs {
+			piVal[nlPI[src.Nodes[pi].Name]] = srcVal[pi]
+		}
+		for _, id := range srcOrder {
+			nd := src.Nodes[id]
+			if nd.Kind != logic.KindLogic {
+				continue
+			}
+			ins = ins[:0]
+			for _, f := range nd.Fanins {
+				ins = append(ins, srcVal[f])
+			}
+			srcVal[id] = evalSOP(nd.Cover, ins)
+		}
+		for _, ci := range nlOrder {
+			c := nl.Cells[ci]
+			ins = ins[:0]
+			for _, r := range c.Inputs {
+				ins = append(ins, nlVal(r))
+			}
+			cellVal[ci] = evalSOP(c.Gate.Cover, ins)
+		}
+		valid := ^uint64(0) >> (64 - n)
+		var fail uint64
+		for _, o := range outs {
+			fail |= (srcVal[o.src] ^ nlVal(o.driver)) & valid
+		}
+		if fail == 0 {
+			continue
+		}
+		bit := uint64(1) << bits.TrailingZeros64(fail)
+		for _, o := range outs {
+			if (srcVal[o.src]^nlVal(o.driver))&bit != 0 {
+				res.FailingOutput = o.name
+				break
+			}
+		}
+		res.Equivalent = false
+		res.Counterexample = make(map[string]bool, len(src.PIs))
+		for _, pi := range src.PIs {
+			res.Counterexample[src.Nodes[pi].Name] = srcVal[pi]&bit != 0
+		}
+		return res
 	}
-	return res, nil
+	return res
+}
+
+// evalSOP evaluates a cover on 64 input vectors at once: bit k of ins[i]
+// is input i in vector k, bit k of the result the output.
+func evalSOP(cover logic.SOP, ins []uint64) uint64 {
+	var out uint64
+	for _, cube := range cover.Cubes {
+		term := ^uint64(0)
+		for i, l := range cube {
+			switch l {
+			case logic.LitPos:
+				term &= ins[i]
+			case logic.LitNeg:
+				term &^= ins[i]
+			}
+		}
+		out |= term
+	}
+	return out
 }

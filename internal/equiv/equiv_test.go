@@ -11,7 +11,7 @@ import (
 	"lily/internal/netlist"
 )
 
-func mapped(t *testing.T, name string) (*logic.Network, *netlist.Netlist) {
+func mapped(t testing.TB, name string) (*logic.Network, *netlist.Netlist) {
 	t.Helper()
 	p, ok := bench.ProfileByName(name)
 	if !ok {
@@ -127,5 +127,50 @@ func TestSimulationDetectsGrossBug(t *testing.T) {
 	}
 	if res.Equivalent {
 		t.Error("simulation missed a gross bug")
+	}
+}
+
+// A netlist that reads an input the source lacks must be rejected, not
+// checked with the extra input aliased to some source input. The moved
+// pin read the sorted-first input, which an unknown name used to alias
+// to, so the tampered netlist would even have been proved equivalent.
+func TestExtraInputRejected(t *testing.T) {
+	src, nl := mapped(t, "misex1")
+	first := nl.PIIndex(sortedPINames(src)[0])
+	nl.PINames = append(nl.PINames, "zz_extra")
+	nl.PIPos = append(nl.PIPos, nl.PIPos[0])
+	moved := false
+	for _, c := range nl.Cells {
+		for i, r := range c.Inputs {
+			if r.IsPI && r.Index == first && !moved {
+				c.Inputs[i] = netlist.Ref{IsPI: true, Index: len(nl.PINames) - 1}
+				moved = true
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("no cell reads the sorted-first input")
+	}
+	if res, err := Check(src, nl, DefaultOptions()); err == nil {
+		t.Errorf("netlist with extra input zz_extra accepted: %+v", res)
+	}
+}
+
+func TestDuplicateNamesRejected(t *testing.T) {
+	src, nl := mapped(t, "misex1")
+	nl.PINames[1] = nl.PINames[0]
+	if _, err := Check(src, nl, DefaultOptions()); err == nil {
+		t.Error("netlist listing an input twice accepted")
+	}
+	src, nl = mapped(t, "misex1")
+	nl.POs[len(nl.POs)-1].Name = nl.POs[0].Name
+	if _, err := Check(src, nl, DefaultOptions()); err == nil {
+		t.Error("netlist listing an output twice accepted")
+	}
+	src, nl = mapped(t, "misex1")
+	src.MarkPO(src.POs[0], src.PONames[0])
+	nl.POs = append(nl.POs, nl.POs[0])
+	if _, err := Check(src, nl, DefaultOptions()); err == nil {
+		t.Error("source listing an output twice accepted")
 	}
 }
