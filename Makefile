@@ -5,7 +5,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test lint lint-selfcheck race soak smoke cluster-smoke scale-smoke bench perf perfcheck cover fuzz fmt clean
+.PHONY: all build test lint lint-selfcheck race soak smoke service-smoke scale-smoke bench perf perfcheck cover fuzz fmt clean
 
 all: build test lint
 
@@ -15,11 +15,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-sensitive packages (engine, cluster,
-# server, the top-level flow API) without paying for -race on the whole
-# suite.
+# Race-check the concurrency-sensitive packages (engine, server, the
+# top-level flow API) without paying for -race on the whole suite.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/cluster/ ./internal/server/ .
+	$(GO) test -race ./internal/engine/ ./internal/server/ .
 
 # Job-lifecycle soak: registry-bound + eviction tests under -race,
 # repeated to surface scheduling-order flakes (see DESIGN.md §8).
@@ -32,16 +31,14 @@ soak:
 smoke:
 	./scripts/obs-smoke.sh
 
-# Cluster smoke test (DESIGN.md §12): three in-process nodes serve the
+# Service smoke test: one in-process engine + HTTP server serves the
 # benchmark suite through the batch API; every mapped-BLIF SHA-256 must
-# match testdata/golden.json no matter which node or cache tier served
-# it, and a killed owner must degrade to local compute with the spill
-# visible in the survivor's counters. The cluster unit suites run under
-# -race first.
-cluster-smoke:
-	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestThreeNode|TestCachePeek|TestClusterJob|TestBatch' ./internal/server/
-	$(GO) test -race -run TestClusterSmoke .
+# match testdata/golden.json, a repeat of the batch must come entirely
+# from the result cache with the same hashes, and the lut4 suite must
+# match its goldens. The server's batch tests run under -race first.
+service-smoke:
+	$(GO) test -race -run 'TestBatch' ./internal/server/
+	$(GO) test -race -run TestServiceSmoke .
 
 # Frontier-scale smoke (ROADMAP "production scale"): the seeded
 # 100k-gate generated circuit through the complete pipeline twice, each
@@ -77,8 +74,8 @@ perf:
 perfcheck:
 	$(GO) run ./scripts/benchperf -baseline BENCH_PR5.json
 
-# The fifteen mapping packages (front end through verification) plus the
-# cluster tier and the lint suite itself must stay at or above 70%
+# The mapping packages (front end through verification) plus the lint
+# suite itself must stay at or above 70%
 # statement coverage. The remaining pure-infrastructure packages
 # (engine, server, obs) are covered by their own suites and the
 # race/soak targets, so they are deliberately outside this floor.
@@ -86,7 +83,7 @@ COVER_PKGS := ./internal/logic/ ./internal/decomp/ ./internal/library/ \
 	./internal/match/ ./internal/cut/ ./internal/cover/ ./internal/mis/ ./internal/core/ \
 	./internal/place/ ./internal/wire/ ./internal/geom/ ./internal/netlist/ \
 	./internal/layout/ ./internal/timing/ ./internal/fanout/ ./internal/equiv/ \
-	./internal/cluster/ ./internal/lint/
+	./internal/lint/
 COVER_FLOOR := 70.0
 
 comma := ,

@@ -19,25 +19,15 @@
 // net/http/pprof. Logs are structured (log/slog); -log-format selects
 // text or json.
 //
-// Cluster mode: -node-id names this node and -peers lists the other
-// members (id=url pairs). N lilyd processes launched with the same
-// membership become one logical service: each request's content digest
-// has a single owner under rendezvous hashing, non-owners peek the
-// owner's cache (GET /v1/cache/{digest}) or proxy the compute to it, and
-// an owner that is down or shedding spills the request down the HRW
-// order — local compute is always the final fallback. Results are
-// byte-identical no matter which node computes them, so the tiers are
-// interchangeable.
+// One lilyd process serves one engine. Results are deterministic, so the
+// same request always yields the same bytes; the result cache keys on the
+// request digest (Status.Digest) and answers repeats without recomputing.
+// POST /v1/batches submits a whole suite in one round trip and streams
+// per-job results back as NDJSON.
 //
 // Usage:
 //
 //	lilyd -addr :8080 -workers 8 -cache 256 -timeout 5m -max-jobs 4096 -retain 1h
-//
-// Three-node localhost cluster:
-//
-//	lilyd -addr :8081 -node-id n1 -peers 'n2=http://localhost:8082,n3=http://localhost:8083'
-//	lilyd -addr :8082 -node-id n2 -peers 'n1=http://localhost:8081,n3=http://localhost:8083'
-//	lilyd -addr :8083 -node-id n3 -peers 'n1=http://localhost:8081,n2=http://localhost:8082'
 //
 // Example session:
 //
@@ -58,18 +48,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"lily"
-	"lily/internal/cluster"
 	"lily/internal/engine"
-	"lily/internal/obs"
 	"lily/internal/server"
 )
 
@@ -92,11 +78,6 @@ func main() {
 	logRequests := flag.Bool("log-requests", false, "log one record per HTTP request")
 	debugAddr := flag.String("debug-addr", "",
 		"separate listen address for net/http/pprof (empty = disabled)")
-	nodeID := flag.String("node-id", "",
-		"stable cluster node ID (required with -peers; standalone default \"solo\")")
-	peersFlag := flag.String("peers", "",
-		"comma-separated cluster peers as id=url pairs, e.g. 'n2=http://host2:8080,n3=http://host3:8080'")
-	probeEvery := flag.Duration("probe-interval", 2*time.Second, "peer health-probe cadence")
 	targetFlag := flag.String("target", "asic",
 		"technology target for jobs that don't set options.target: asic, lut4, or lut6")
 	mlThreshold := flag.Int("multilevel-threshold", 0,
@@ -115,35 +96,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	peers, err := parsePeers(*peersFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lilyd: %v\n", err)
-		os.Exit(2)
-	}
-	if len(peers) > 0 && *nodeID == "" {
-		fmt.Fprintln(os.Stderr, "lilyd: -peers requires -node-id")
-		os.Exit(2)
-	}
-
-	// One registry across engine, flow, cluster, and HTTP layers: a
-	// single /metrics scrape sees peer health next to queue depth.
-	var clu *cluster.Cluster
-	reg := obs.NewRegistry()
-	if len(peers) > 0 {
-		clu, err = cluster.New(cluster.Config{
-			Self:          *nodeID,
-			Peers:         peers,
-			ProbeInterval: *probeEvery,
-			Metrics:       reg,
-			Logger:        logger,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lilyd: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	engCfg := engine.Config{
+	// The server registers its HTTP metrics on the engine's registry, so
+	// a single /metrics scrape covers the engine, flow, and HTTP layers.
+	eng := engine.New(engine.Config{
 		Workers:         *workers,
 		Parallelism:     *parallelism,
 		QueueDepth:      *queue,
@@ -151,7 +106,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		MaxRetainedJobs: *maxJobs,
 		RetainFor:       *retain,
-		Metrics:         reg,
 		Trace:           *trace,
 		// A network service must never park a connection on a full
 		// queue; shed load and let the handler answer 429 + Retry-After.
@@ -169,20 +123,11 @@ func main() {
 				slog.Duration("run_time", st.RunTime),
 			)
 		},
-	}
-	if clu != nil {
-		engCfg.Remote = clu.Remote
-	}
-	eng := engine.New(engCfg)
+	})
 
 	srvOpts := []server.Option{server.WithDefaultTarget(defaultTarget)}
 	if *mlThreshold != 0 {
 		srvOpts = append(srvOpts, server.WithDefaultMultilevelThreshold(*mlThreshold))
-	}
-	if clu != nil {
-		srvOpts = append(srvOpts, server.WithCluster(clu))
-	} else if *nodeID != "" {
-		srvOpts = append(srvOpts, server.WithNodeID(*nodeID))
 	}
 	handler := server.New(eng, srvOpts...)
 	if *logRequests {
@@ -216,12 +161,6 @@ func main() {
 		slog.Duration("retain", *retain),
 		slog.Bool("trace", *trace),
 	)
-	if clu != nil {
-		logger.Info("cluster mode",
-			slog.String("node_id", clu.Self()),
-			slog.Any("ring", clu.Nodes()),
-		)
-	}
 
 	// pprof lives on its own listener so profiling endpoints are never
 	// reachable through the public API address. Handlers are registered
@@ -267,39 +206,7 @@ func main() {
 	if err := eng.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("engine shutdown", slog.String("error", err.Error()))
 	}
-	if clu != nil {
-		clu.Close()
-	}
 	logger.Info("bye")
-}
-
-// parsePeers parses the -peers flag: comma-separated id=url pairs. An
-// empty string means standalone mode.
-func parsePeers(s string) ([]cluster.Node, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var nodes []cluster.Node
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, u, ok := strings.Cut(part, "=")
-		id, u = strings.TrimSpace(id), strings.TrimSpace(u)
-		if !ok || id == "" || u == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want id=url)", part)
-		}
-		if _, err := url.ParseRequestURI(u); err != nil {
-			return nil, fmt.Errorf("bad -peers URL for %s: %w", id, err)
-		}
-		nodes = append(nodes, cluster.Node{ID: id, URL: strings.TrimRight(u, "/")})
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("-peers set but no id=url pairs parsed from %q", s)
-	}
-	return nodes, nil
 }
 
 // newLogger builds the process logger in the requested format.

@@ -15,9 +15,8 @@ import (
 // options, and the output-artifact flags. Two submissions with structurally
 // identical circuits and semantically identical options collide on the same
 // key, so repeats are served from cache and identical in-flight runs are
-// deduped. The same key is the cluster routing digest: rendezvous hashing
-// on it sends every copy of a request to the same owner node (see
-// internal/cluster), so the format is pinned by TestRequestDigestFormat.
+// deduped. Clients correlate jobs on it (Status.Digest), so the format is
+// pinned by TestRequestDigestFormat.
 func requestKey(blif []byte, opt lily.FlowOptions, renderSVG, emitBLIF bool) string {
 	h := sha256.New()
 	h.Write(blif)
@@ -29,10 +28,8 @@ func requestKey(blif []byte, opt lily.FlowOptions, renderSVG, emitBLIF bool) str
 
 // RequestDigest computes the content-addressed digest of a request without
 // submitting it: the cache key a job for req would carry (Job.Key,
-// Status.Digest). Peers use it to agree on request ownership — every node
-// computes the same digest for the same request, so rendezvous hashing
-// routes all copies to one owner — and the proxy endpoint recomputes it to
-// detect version skew between nodes.
+// Status.Digest). A client can compute it ahead of time to recognise
+// repeats of a request it has already submitted.
 func RequestDigest(req Request) (string, error) {
 	_, blif, err := resolveCircuit(req)
 	if err != nil {
@@ -69,8 +66,7 @@ func normalizeOptions(opt lily.FlowOptions) lily.FlowOptions {
 	}
 	// Parallelism is a throughput knob: the wave-parallel mapper and the
 	// placement reduction trees are bit-identical at every setting
-	// (DESIGN.md §13), so it must not fragment the cache or reshuffle
-	// cluster ownership.
+	// (DESIGN.md §13), so it must not fragment the cache.
 	opt.Parallelism = 0
 	// MultilevelThreshold is semantically significant (placements differ
 	// across thresholds), but every negative value spells "disabled".
@@ -134,14 +130,6 @@ func (c *lruCache) add(key string, out *Outcome) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// PeekCache looks up a finished outcome by request digest. It is the
-// cluster cache-peek surface (GET /v1/cache/{digest} in internal/server):
-// a peer that owns a digest answers from here without spending a worker.
-// The lookup counts as a use for LRU recency.
-func (e *Engine) PeekCache(digest string) (*Outcome, bool) {
-	return e.cache.get(digest)
 }
 
 func (c *lruCache) len() int {

@@ -20,12 +20,11 @@ const digestFixtureBLIF = `.model pinned
 `
 
 // TestRequestDigestFormat pins the exported request-digest format. The
-// digest is the cluster's routing and cache key: every node must derive
-// the same value for the same request, and a change to the key
-// derivation silently invalidates every cache tier and reshuffles job
-// ownership. If this test fails you have changed the wire format —
-// that's allowed, but it must be deliberate: update the constant AND
-// bump the cluster protocol note in DESIGN.md §12.
+// digest is the cache key clients see in Status.Digest: a change to the
+// key derivation silently invalidates every cached result and every
+// digest a client has recorded. If this test fails you have changed the
+// format — that's allowed, but it must be deliberate: update the
+// constant and say so in CHANGES.md.
 func TestRequestDigestFormat(t *testing.T) {
 	req := Request{
 		BLIF: []byte(digestFixtureBLIF),
@@ -54,7 +53,7 @@ func TestRequestDigestFormat(t *testing.T) {
 
 // TestRequestDigestSensitivity checks which request fields are (and are
 // not) part of the digest. Artifact selection changes the outcome, so it
-// must change the key; LocalOnly is pure routing and must not.
+// must change the key; throughput knobs must not.
 func TestRequestDigestSensitivity(t *testing.T) {
 	base := Request{
 		BLIF:    []byte(digestFixtureBLIF),
@@ -77,11 +76,6 @@ func TestRequestDigestSensitivity(t *testing.T) {
 	}
 	if ds, _ := RequestDigest(svg); func() string { d, _ := RequestDigest(emit); return d }() == ds {
 		t.Fatalf("SVG and EmitBLIF digests collide")
-	}
-	local := base
-	local.LocalOnly = true
-	if d, _ := RequestDigest(local); d != d0 {
-		t.Fatalf("LocalOnly changed digest: routing flags must not affect the cache key")
 	}
 	par := base
 	par.Options.Parallelism = 8
@@ -124,7 +118,7 @@ func TestRequestDigestSensitivity(t *testing.T) {
 
 // TestStatusExposesDigest checks the satellite contract: a submitted
 // job's Status carries the same digest RequestDigest computes, so
-// clients can correlate jobs with cluster ownership and cache entries.
+// clients can correlate jobs with cache entries.
 func TestStatusExposesDigest(t *testing.T) {
 	e := New(Config{Workers: 1, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
 		return fakeOutcome(req.Benchmark), nil

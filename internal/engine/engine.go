@@ -37,22 +37,6 @@ var ErrQueueFull = errors.New("engine: queue full")
 // the lily pipeline; tests inject fakes to exercise scheduling behavior.
 type RunFunc func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error)
 
-// RemoteFunc consults the cluster tier for a job this node does not own.
-// It is called by the singleflight leader after a local cache miss, with
-// the job's digest (Job.Key) and its resolved circuit. Three outcomes:
-//
-//   - (out, nil): the request was served remotely — from the owner's
-//     cache or by proxied compute. The engine caches it locally and
-//     finishes the job without running the pipeline.
-//   - (nil, nil): this node owns the digest (or chose not to go remote);
-//     compute locally.
-//   - (nil, err): the remote tier failed (owner down, shedding, slow).
-//     The engine degrades to local compute — a broken cluster never
-//     fails a job, it only costs the work.
-//
-// The hook is skipped for requests marked LocalOnly (proxied-in work).
-type RemoteFunc func(ctx context.Context, digest string, c *lily.Circuit, req Request) (*Outcome, error)
-
 // Config tunes an Engine.
 type Config struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
@@ -101,10 +85,6 @@ type Config struct {
 	Parallelism int
 	// Run overrides the job executor (tests); nil runs the lily pipeline.
 	Run RunFunc
-	// Remote, when set, is consulted before local compute for jobs whose
-	// digest another cluster node owns (see RemoteFunc). cmd/lilyd wires
-	// internal/cluster's Remote here; nil keeps the engine single-node.
-	Remote RemoteFunc
 }
 
 // Stats is a point-in-time snapshot of engine counters. QueueLen is the
@@ -124,7 +104,6 @@ type Stats struct {
 	Evicted      uint64        `json:"evicted"`
 	CacheHits    uint64        `json:"cache_hits"`
 	CacheMisses  uint64        `json:"cache_misses"`
-	RemoteHits   uint64        `json:"cache_remote_hits"`
 	Deduped      uint64        `json:"deduped"`
 	DedupReruns  uint64        `json:"dedup_reruns"`
 	Panics       uint64        `json:"panics"`
@@ -502,14 +481,7 @@ func (e *Engine) execute(j *Job) {
 		return
 	}
 
-	if out, ok := e.cache.get(j.key); ok {
-		j.markCacheHit()
-		e.markTrivialTrace(j, "cache_hit")
-		e.mu.Lock()
-		e.stats.CacheHits++
-		e.mu.Unlock()
-		e.metrics.cacheHits.Inc()
-		e.finishJob(j, StateDone, out, nil)
+	if e.serveFromCache(j) {
 		return
 	}
 	e.mu.Lock()
@@ -528,12 +500,7 @@ func (e *Engine) execute(j *Job) {
 		if deduped {
 			// A concurrent leader may have completed and populated the
 			// cache between rounds.
-			if out, ok := e.cache.get(j.key); ok {
-				j.markCacheHit()
-				e.mu.Lock()
-				e.stats.CacheHits++
-				e.mu.Unlock()
-				e.finishJob(j, StateDone, out, nil)
+			if e.serveFromCache(j) {
 				return
 			}
 		}
@@ -572,7 +539,7 @@ func (e *Engine) execute(j *Job) {
 		}
 		e.mu.Unlock()
 
-		out, err := e.runRemoteOrLocal(j)
+		out, err := e.runGuarded(j)
 		f.out, f.err = out, err
 		e.mu.Lock()
 		delete(e.inflight, j.key)
@@ -587,6 +554,25 @@ func (e *Engine) execute(j *Job) {
 		e.finishJob(j, StateDone, out, nil)
 		return
 	}
+}
+
+// serveFromCache finishes j from the result cache if its key is there.
+// Both cache-hit sites in execute (the first lookup and a dedup
+// follower's re-check) go through here, so the stats counter, the
+// metric and the job's trace always agree.
+func (e *Engine) serveFromCache(j *Job) bool {
+	out, ok := e.cache.get(j.key)
+	if !ok {
+		return false
+	}
+	j.markCacheHit()
+	e.markTrivialTrace(j, "cache_hit")
+	e.mu.Lock()
+	e.stats.CacheHits++
+	e.mu.Unlock()
+	e.metrics.cacheHits.Inc()
+	e.finishJob(j, StateDone, out, nil)
+	return true
 }
 
 // classify maps an execution error to a terminal state.
@@ -608,26 +594,6 @@ func (e *Engine) markTrivialTrace(j *Job, how string) {
 	root.SetStr("id", j.id)
 	root.SetStr("source", how)
 	root.End()
-}
-
-// runRemoteOrLocal is the singleflight leader's executor: consult the
-// cluster tier first (owner's cache or proxied compute), fall through to
-// the guarded local pipeline. Remote failures are deliberately invisible
-// to the job — the cluster only ever adds capacity, never a failure mode;
-// determinism makes the substitution safe (same digest, same bytes).
-func (e *Engine) runRemoteOrLocal(j *Job) (*Outcome, error) {
-	if e.cfg.Remote != nil && !j.req.LocalOnly {
-		if out, err := e.cfg.Remote(j.ctx, j.key, j.circuit, j.req); err == nil && out != nil {
-			j.markRemoteHit()
-			e.markTrivialTrace(j, "remote")
-			e.mu.Lock()
-			e.stats.RemoteHits++
-			e.mu.Unlock()
-			e.metrics.remoteHits.Inc()
-			return out, nil
-		}
-	}
-	return e.runGuarded(j)
 }
 
 // runGuarded executes the job body under its timeout with panic recovery:

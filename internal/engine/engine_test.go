@@ -405,3 +405,37 @@ func TestJobsOrderedBySubmitSequence(t *testing.T) {
 		}
 	}
 }
+
+// TestSVGEmitBLIFExclusive pins the submit-time validation.
+func TestSVGEmitBLIFExclusive(t *testing.T) {
+	e := New(Config{Workers: 1, Run: instantRunner})
+	defer shutdown(t, e)
+	_, err := e.Submit(context.Background(), Request{
+		Benchmark: "misex1", RenderSVG: true, EmitBLIF: true,
+	})
+	if err == nil {
+		t.Fatalf("Submit accepted RenderSVG+EmitBLIF")
+	}
+}
+
+// TestEmitBLIFProducesMappedNetlist runs the real pipeline once and
+// checks the artifact plumbing end to end: the outcome carries a
+// non-empty mapped BLIF and the result is intact.
+func TestEmitBLIFProducesMappedNetlist(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer shutdown(t, e)
+	out, err := e.Run(context.Background(), Request{
+		Benchmark: "misex1",
+		Options:   lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea},
+		EmitBLIF:  true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(out.MappedBLIF) == 0 {
+		t.Fatalf("EmitBLIF run produced no mapped netlist")
+	}
+	if out.Result == nil || out.Result.Gates == 0 {
+		t.Fatalf("bad result alongside mapped BLIF: %+v", out.Result)
+	}
+}

@@ -70,11 +70,6 @@ type Request struct {
 	// portfolio does not apply. Part of the cache key. Mutually exclusive
 	// with RenderSVG.
 	EmitBLIF bool
-	// LocalOnly forces local compute: the engine's Remote hook is skipped.
-	// Set on requests a peer proxied here so routing never chains — the
-	// owner either computes or sheds, it does not forward. Not part of the
-	// cache key (the result is the same bytes either way).
-	LocalOnly bool
 	// Timeout bounds this job's run time, overriding the engine's
 	// DefaultTimeout; 0 means use the default.
 	Timeout time.Duration
@@ -88,7 +83,7 @@ type Outcome struct {
 	SVG []byte
 	// MappedBLIF is the mapped, placed netlist when the request set
 	// EmitBLIF — the deterministic byte stream whose SHA-256 the golden
-	// harness (and the cluster smoke test) pins.
+	// harness (and the service smoke test) pins.
 	MappedBLIF []byte
 }
 
@@ -120,7 +115,6 @@ type Job struct {
 	err       error
 	cacheHit  bool
 	deduped   bool
-	remoteHit bool
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -174,15 +168,13 @@ type Status struct {
 	State string `json:"state"`
 	// Digest is the content-addressed request digest (SHA-256 of the
 	// canonical BLIF + normalized options + artifact flags): the cache
-	// key, the singleflight key, and the cluster routing key. Clients and
-	// peers correlate work on it — two jobs with equal digests have
-	// byte-identical outcomes.
+	// key and the singleflight key. Clients correlate work on it — two
+	// jobs with equal digests have byte-identical outcomes.
 	Digest      string        `json:"digest"`
 	Benchmark   string        `json:"benchmark,omitempty"`
 	Circuit     string        `json:"circuit,omitempty"`
 	CacheHit    bool          `json:"cache_hit,omitempty"`
 	Deduped     bool          `json:"deduped,omitempty"`
-	RemoteHit   bool          `json:"remote_hit,omitempty"`
 	SubmittedAt time.Time     `json:"submitted_at"`
 	StartedAt   time.Time     `json:"started_at"`
 	FinishedAt  time.Time     `json:"finished_at"`
@@ -202,7 +194,6 @@ func (j *Job) Status() Status {
 		Benchmark:   j.req.Benchmark,
 		CacheHit:    j.cacheHit,
 		Deduped:     j.deduped,
-		RemoteHit:   j.remoteHit,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
@@ -261,11 +252,5 @@ func (j *Job) markCacheHit() {
 func (j *Job) markDeduped() {
 	j.mu.Lock()
 	j.deduped = true
-	j.mu.Unlock()
-}
-
-func (j *Job) markRemoteHit() {
-	j.mu.Lock()
-	j.remoteHit = true
 	j.mu.Unlock()
 }

@@ -290,6 +290,75 @@ func TestFollowerStaysCanceledWithDeadContext(t *testing.T) {
 	}
 }
 
+// TestDedupCacheAccountingAgrees: however a job ends up served — first
+// cache lookup, a dedup follower's cache re-check after its leader timed
+// out, piggybacking on a rerun leader, or rerunning itself — the cache
+// counters in Stats and in the metrics registry must agree, and every
+// finished job must have a trace explaining where its result came from.
+// Which path each follower takes after the leader's timeout depends on
+// scheduling, so the scenario runs several rounds on distinct keys.
+func TestDedupCacheAccountingAgrees(t *testing.T) {
+	const rounds, followers = 5, 4
+	e := New(Config{Workers: followers + 1, CacheEntries: 16, Trace: true,
+		Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
+			if _, leader := ctx.Deadline(); leader {
+				<-ctx.Done() // leader: hang until its per-job timeout fires
+				return nil, ctx.Err()
+			}
+			return fakeOutcome(req.Benchmark), nil
+		}})
+	defer shutdown(t, e)
+
+	ctx := context.Background()
+	var jobs []*Job
+	recheckHits := 0
+	for r := 0; r < rounds; r++ {
+		// WireWeight is part of the digest, so each round has its own key.
+		opt := lily.FlowOptions{WireWeight: float64(r + 2)}
+		leader, err := e.Submit(ctx, Request{Benchmark: "misex1", Options: opt, Timeout: 250 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("round %d: submit leader: %v", r, err)
+		}
+		waitFor(t, "leader running", func() bool { return leader.Status().State == "running" })
+		round := []*Job{leader}
+		for i := 0; i < followers; i++ {
+			j, err := e.Submit(ctx, Request{Benchmark: "misex1", Options: opt})
+			if err != nil {
+				t.Fatalf("round %d: submit follower: %v", r, err)
+			}
+			round = append(round, j)
+		}
+		want := uint64((r + 1) * followers)
+		waitFor(t, "followers deduped", func() bool { return e.Stats().Deduped == want })
+		if _, err := leader.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: leader error = %v, want DeadlineExceeded", r, err)
+		}
+		for _, j := range round[1:] {
+			if _, err := j.Wait(ctx); err != nil {
+				t.Fatalf("round %d: follower %s: %v", r, j.ID(), err)
+			}
+			if st := j.Status(); st.CacheHit && st.Deduped {
+				recheckHits++
+			}
+		}
+		jobs = append(jobs, round...)
+	}
+	t.Logf("%d of %d followers served by the cache re-check", recheckHits, rounds*followers)
+
+	st := e.Stats()
+	if got := e.metrics.cacheHits.Value(); got != st.CacheHits {
+		t.Errorf("lily_cache_hits_total = %d, Stats().CacheHits = %d", got, st.CacheHits)
+	}
+	if got := e.metrics.cacheMisses.Value(); got != st.CacheMisses {
+		t.Errorf("lily_cache_misses_total = %d, Stats().CacheMisses = %d", got, st.CacheMisses)
+	}
+	for _, j := range jobs {
+		if st := j.Status(); st.State == "done" && len(j.Trace()) == 0 {
+			t.Errorf("done job %s (cache_hit=%v deduped=%v) has no trace", j.ID(), st.CacheHit, st.Deduped)
+		}
+	}
+}
+
 // TestSoakRegistryStaysBounded submits 10× MaxRetainedJobs jobs and
 // asserts the registry never accumulates more than the bound — the
 // memory-leak regression behind this whole layer.

@@ -19,7 +19,6 @@ const (
 	metricQueueWait     = "lily_queue_wait_seconds"
 	metricCacheHits     = "lily_cache_hits_total"
 	metricCacheMisses   = "lily_cache_misses_total"
-	metricRemoteHits    = "lily_cache_remote_hits_total"
 	metricDeduped       = "lily_dedup_total"
 	metricDedupReruns   = "lily_dedup_reruns_total"
 	metricShed          = "lily_shed_total"
@@ -41,7 +40,6 @@ type engineMetrics struct {
 	submitted    *obs.Counter
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
-	remoteHits   *obs.Counter
 	deduped      *obs.Counter
 	dedupReruns  *obs.Counter
 	shed         *obs.Counter
@@ -65,9 +63,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) *engineMetrics {
 		submitted:   r.Counter(metricSubmitted, "Jobs accepted by Submit."),
 		cacheHits:   r.Counter(metricCacheHits, "Jobs answered from the local result cache."),
 		cacheMisses: r.Counter(metricCacheMisses, "Jobs that missed the local result cache."),
-		remoteHits: r.Counter(metricRemoteHits,
-			"Jobs served by a cluster peer (owner cache hit or proxied compute)."),
-		deduped: r.Counter(metricDeduped, "Jobs that piggybacked on an in-flight leader."),
+		deduped:     r.Counter(metricDeduped, "Jobs that piggybacked on an in-flight leader."),
 		dedupReruns: r.Counter(metricDedupReruns,
 			"Dedup followers that re-executed after a leader-only cancellation."),
 		shed:    r.Counter(metricShed, "Submissions shed with ErrQueueFull (load-shed mode)."),

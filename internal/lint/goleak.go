@@ -7,9 +7,9 @@ import (
 )
 
 // GoLeakAnalyzer demands a provable stop path for every `go` statement
-// in the concurrent packages (engine, cluster, server). A goroutine that
-// outlives its owner — a probe loop still ticking after Close, a GC
-// sweep after Shutdown — is exactly the failure mode the lifecycle
+// in the concurrent packages (engine, server). A goroutine that outlives
+// its owner — a GC sweep after Shutdown, a batch-stream waiter after
+// its client disconnects — is exactly the failure mode the lifecycle
 // tests race to catch dynamically; this pins it statically.
 //
 // Accepted stop-path evidence, looked for in the spawned function body
@@ -26,7 +26,6 @@ import (
 // naming the joining mechanism.
 var GoLeakAnalyzer = GoLeakAnalyzerFor(
 	ModulePath+"/internal/engine",
-	ModulePath+"/internal/cluster",
 	ModulePath+"/internal/server",
 )
 

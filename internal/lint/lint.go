@@ -24,7 +24,7 @@
 //     mapping pipeline's root set may read the wall clock, the process
 //     environment, or global rand, iterate a map unordered, or compare
 //     floats exactly.
-//   - goleak: every `go` statement in engine/cluster/server needs a
+//   - goleak: every `go` statement in engine/server needs a
 //     provable stop path (signal-channel receive or WaitGroup pairing).
 //   - httpcontract: HTTP handlers write exactly one status per path,
 //     429s carry Retry-After, and no body follows an error status.
@@ -173,9 +173,6 @@ var DeterministicPackages = []string{
 	"internal/place", "internal/wire", "internal/timing", "internal/fanout",
 	"internal/layout", "internal/opt", "internal/mis", "internal/core",
 	"internal/netlist", "internal/library", "internal/equiv",
-	// cluster replays jobs through the shared result cache; an
-	// order-dependent walk there reorders batch scheduling decisions.
-	"internal/cluster",
 }
 
 // CostPackages lists the packages computing float costs and arrival

@@ -63,7 +63,6 @@ func TestAnalyzersForScoping(t *testing.T) {
 	}{
 		{"lily/internal/cover", []string{"ctxloop", "floateq", "lockheld", "maporder"}},
 		{"lily/internal/opt", []string{"ctxloop", "lockheld", "maporder"}},
-		{"lily/internal/cluster", []string{"ctxloop", "lockheld", "maporder"}},
 		{"lily/internal/engine", []string{"ctxloop", "lockheld"}},
 		{"lily/internal/server", []string{"ctxloop", "lockheld"}},
 		{"lily", []string{"ctxloop", "lockheld"}},

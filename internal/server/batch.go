@@ -1,10 +1,8 @@
 // Batch API: submit a whole suite of jobs in one round trip and stream
 // per-job results as they land. POST /v1/batches fans the jobs out
-// across the engine (and, in cluster mode, across the peer ring — each
-// job routes to its digest's owner independently); GET /v1/batches/{id}
-// answers NDJSON, one line per job in completion order, flushed as each
-// result arrives, so a suite client overlaps its processing with the
-// cluster's compute. cmd/tables -server uses exactly this path.
+// across the engine's workers; GET /v1/batches/{id} answers NDJSON, one
+// line per job in completion order, flushed as each result arrives, so a
+// suite client overlaps its processing with the engine's compute.
 
 package server
 
@@ -166,8 +164,8 @@ type BatchSummary struct {
 // BatchResult is one NDJSON line of GET /v1/batches/{id}: a finished
 // job's identity, provenance flags, and result. BLIFSHA256 is present
 // when the job was submitted with emit_blif — it is the same hash the
-// golden harness pins, so a suite client can assert cluster-wide
-// determinism line by line.
+// golden harness pins, so a suite client can assert determinism line by
+// line.
 type BatchResult struct {
 	Index      int              `json:"index"`
 	JobID      string           `json:"job_id"`
@@ -175,7 +173,6 @@ type BatchResult struct {
 	Digest     string           `json:"digest"`
 	State      string           `json:"state"`
 	CacheHit   bool             `json:"cache_hit,omitempty"`
-	RemoteHit  bool             `json:"remote_hit,omitempty"`
 	Error      string           `json:"error,omitempty"`
 	BLIFSHA256 string           `json:"blif_sha256,omitempty"`
 	Result     *lily.FlowResult `json:"result,omitempty"`
@@ -345,7 +342,6 @@ func batchResult(e batchEntry) BatchResult {
 		Digest:    st.Digest,
 		State:     st.State,
 		CacheHit:  st.CacheHit,
-		RemoteHit: st.RemoteHit,
 		Error:     st.Error,
 	}
 	if out := e.job.Outcome(); out != nil {

@@ -12,19 +12,15 @@
 //	GET    /v1/batches         list batch summaries
 //	GET    /v1/batches/{id}    stream per-job results as NDJSON, as they land
 //	GET    /v1/benchmarks      list the built-in benchmark suite
-//	GET    /v1/stats           node ID, engine counters, cache tiers, cluster health
-//	GET    /v1/cache/{digest}  cluster cache peek: cached outcome by request digest
-//	POST   /v1/cluster/jobs    cluster proxy: execute a peer-forwarded request locally
-//	GET    /metrics            Prometheus text exposition (engine + flow + cluster + HTTP)
+//	GET    /v1/stats           engine counters (engine.Stats)
+//	GET    /metrics            Prometheus text exposition (engine + flow + HTTP)
 //	GET    /healthz            liveness probe
 //
 // Lifecycle semantics: the engine retains only a bounded number of
 // terminal jobs, so an ID that was once issued but has since been
 // evicted (or DELETEd) answers 410 Gone rather than 404. When the
 // engine runs in load-shed mode a full queue answers 429 Too Many
-// Requests with a Retry-After hint instead of blocking the connection —
-// including on the cluster proxy endpoint, where 429 tells the calling
-// peer to spill the request to the next node in its HRW order.
+// Requests with a Retry-After hint instead of blocking the connection.
 package server
 
 import (
@@ -39,7 +35,6 @@ import (
 	"time"
 
 	"lily"
-	"lily/internal/cluster"
 	"lily/internal/engine"
 	"lily/internal/obs"
 )
@@ -74,11 +69,9 @@ type serverMetrics struct {
 
 // Server routes lilyd's API onto an engine.
 type Server struct {
-	eng    *engine.Engine
-	mux    *http.ServeMux
-	reg    *obs.Registry
-	nodeID string
-	clu    *cluster.Cluster // nil outside cluster mode
+	eng *engine.Engine
+	mux *http.ServeMux
+	reg *obs.Registry
 
 	// defaultTarget fills JobOptions.Target when a request leaves it
 	// empty. Zero value is TargetASIC, the historical behavior.
@@ -101,10 +94,6 @@ type Server struct {
 // Option customizes a Server at construction.
 type Option func(*Server)
 
-// WithNodeID sets the stable node identifier reported in /v1/stats and
-// batch results. Defaults to "solo" outside cluster mode.
-func WithNodeID(id string) Option { return func(s *Server) { s.nodeID = id } }
-
 // WithDefaultTarget sets the technology target substituted into jobs
 // that do not name one (lilyd -target). The substitution happens before
 // option validation — and therefore before digest computation, so a node
@@ -122,11 +111,6 @@ func WithDefaultMultilevelThreshold(n int) Option {
 	return func(s *Server) { s.defaultMLThreshold = n }
 }
 
-// WithCluster attaches the peer layer: /v1/stats grows a cluster health
-// block and the node ID defaults to the cluster's self ID. The cache-peek
-// and proxy endpoints are served regardless — they only need the engine.
-func WithCluster(c *cluster.Cluster) Option { return func(s *Server) { s.clu = c } }
-
 // New builds the HTTP handler for an engine. The handler's own metrics
 // are registered on the engine's registry so a single GET /metrics
 // scrape covers the HTTP, engine, and flow layers.
@@ -134,13 +118,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	s := &Server{eng: eng, mux: http.NewServeMux(), reg: eng.Registry()}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.nodeID == "" {
-		if s.clu != nil {
-			s.nodeID = s.clu.Self()
-		} else {
-			s.nodeID = "solo"
-		}
 	}
 	s.metrics = serverMetrics{
 		requests: s.reg.CounterVec(metricHTTPRequests,
@@ -164,8 +141,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	s.route("GET /v1/batches/{id}", s.handleBatchStream)
 	s.route("GET /v1/benchmarks", s.handleBenchmarks)
 	s.route("GET /v1/stats", s.handleStats)
-	s.route("GET /v1/cache/{digest}", s.handleCachePeek)
-	s.route("POST /v1/cluster/jobs", s.handleClusterJob)
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /healthz", s.handleHealth)
 	return s
@@ -576,130 +551,8 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, lily.BenchmarkNames())
 }
 
-// CacheTierStats partitions terminal job sources across the cache tiers:
-// LocalHits answered from this node's LRU, RemoteHits served by a peer
-// (owner cache or proxied compute), Misses computed locally from scratch.
-type CacheTierStats struct {
-	LocalHits  uint64 `json:"local_hits"`
-	RemoteHits uint64 `json:"remote_hits"`
-	Misses     uint64 `json:"misses"`
-}
-
-// StatsResponse is the GET /v1/stats body: a stable node identity, the
-// engine counters (flattened, field-compatible with the pre-cluster
-// response), the cache-tier breakdown, and — in cluster mode — peer
-// health and routing counters.
-type StatsResponse struct {
-	NodeID string `json:"node_id"`
-	engine.Stats
-	CacheTier CacheTierStats `json:"cache_tier"`
-	Cluster   *cluster.Info  `json:"cluster,omitempty"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.Stats()
-	resp := StatsResponse{
-		NodeID: s.nodeID,
-		Stats:  st,
-		CacheTier: CacheTierStats{
-			LocalHits:  st.CacheHits,
-			RemoteHits: st.RemoteHits,
-			// The engine counts a remote-served job as a local miss first
-			// (it did miss this node's LRU); subtract so the tiers
-			// partition.
-			Misses: st.CacheMisses - st.RemoteHits,
-		},
-	}
-	if s.clu != nil {
-		info := s.clu.Info()
-		resp.Cluster = &info
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleCachePeek serves the cluster cache-peek protocol: the cached
-// outcome for a request digest, or 404 on a miss. Peers call it before
-// proxying compute, making every node's LRU one tier of a shared,
-// content-addressed result cache.
-func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	if len(digest) != 64 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("malformed digest %q (want 64 hex chars)", digest))
-		return
-	}
-	out, ok := s.eng.PeekCache(digest)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("digest %.12s… not cached here", digest))
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.WireOutcome{
-		Digest:     digest,
-		Result:     out.Result,
-		SVG:        out.SVG,
-		MappedBLIF: out.MappedBLIF,
-	})
-}
-
-// handleClusterJob executes a peer-forwarded request locally and answers
-// with its outcome in one round trip. The request is marked LocalOnly so
-// routing never chains: this node either computes or sheds (429 — the
-// caller spills to the next node in its HRW order). The digest is
-// recomputed and must match the sender's — disagreement means the two
-// nodes run different mapper versions, and a 409 makes the caller fall
-// back to local compute instead of mixing outputs.
-func (s *Server) handleClusterJob(w http.ResponseWriter, r *http.Request) {
-	var wj cluster.WireJob
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&wj); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad wire job: %w", err))
-		return
-	}
-	if wj.TimeoutMS < 0 || wj.BLIF == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("wire job needs blif and timeout_ms >= 0"))
-		return
-	}
-	req := engine.Request{
-		BLIF:      []byte(wj.BLIF),
-		Options:   wj.Options,
-		RenderSVG: wj.SVG,
-		EmitBLIF:  wj.EmitBLIF,
-		Timeout:   time.Duration(wj.TimeoutMS) * time.Millisecond,
-		LocalOnly: true,
-	}
-	digest, err := engine.RequestDigest(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if digest != wj.Digest {
-		writeError(w, http.StatusConflict, fmt.Errorf(
-			"digest mismatch: sender %.12s…, here %.12s… (mapper version skew?)", wj.Digest, digest))
-		return
-	}
-	// Synchronous: the proxying peer holds one connection for the whole
-	// run, and its disconnect (or deadline) cancels the job through
-	// r.Context(). The job still flows through the engine — cache,
-	// singleflight, admission control, metrics all apply.
-	out, err := s.eng.Run(r.Context(), req)
-	if err != nil {
-		switch {
-		case errors.Is(err, engine.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, engine.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusUnprocessableEntity, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.WireOutcome{
-		Digest:     digest,
-		Result:     out.Result,
-		SVG:        out.SVG,
-		MappedBLIF: out.MappedBLIF,
-	})
+	writeJSON(w, http.StatusOK, s.eng.Stats())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
