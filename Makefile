@@ -1,11 +1,11 @@
 # Lily build/test/lint entry points. Everything is stdlib-only Go; the
 # lint target builds the project's own analysis suite (cmd/lilylint,
-# DESIGN.md §9) and runs it through the go vet driver.
+# DESIGN.md §9) and runs it over the whole module.
 
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test lint lint-selfcheck race soak smoke service-smoke scale-smoke bench perf perfcheck cover fuzz fmt clean
+.PHONY: all build test lint race soak smoke service-smoke scale-smoke bench perf perfcheck cover fuzz fmt clean
 
 all: build test lint
 
@@ -116,16 +116,9 @@ $(BIN)/lilylint: FORCE
 FORCE:
 
 lint: $(BIN)/lilylint
-	$(GO) vet -vettool=$(abspath $(BIN)/lilylint) ./...
+	$(BIN)/lilylint ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
-
-# Standalone selfcheck: the offline loader drives the same analyzer set
-# (per-package + the cross-package purity/goleak/httpcontract suite)
-# over the whole module without going through the go vet driver, so a
-# vet-protocol regression cannot mask a finding. CI gates on both.
-lint-selfcheck: $(BIN)/lilylint
-	$(BIN)/lilylint ./...
 
 fmt:
 	gofmt -w .

@@ -1,16 +1,16 @@
-// Command lilylint is the project's static-analysis suite. It runs in
-// two modes:
+// Command lilylint is the project's static-analysis suite:
 //
-//	lilylint ./...                         standalone, offline loader
-//	go vet -vettool=$(which lilylint) ./... vet driver (unitchecker protocol)
+//	lilylint [package pattern ...]   (default ./...)
 //
-// The suite enforces the invariants documented in DESIGN.md: map
-// iteration determinism in mapping packages (maporder), context
-// cancellation in long-running loops (ctxloop), float-equality hygiene
-// in cost packages (floateq), lock discipline for methods documented
-// `requires e.mu` (lockheld), plus three cross-package analyzers over
-// the whole-program call graph: the determinism fence (purity),
-// goroutine stop paths (goleak), and HTTP response discipline
+// It loads the whole module offline, runs every analyzer, and prints the
+// findings in the requested packages. The suite enforces the invariants
+// documented in DESIGN.md §9: context cancellation in long-running loops
+// (ctxloop) and lock discipline for methods documented `requires e.mu`
+// (lockheld) in every package, plus three cross-package analyzers over
+// the whole-program call graph: the determinism fence (purity: no wall
+// clock, environment, global rand, order-dependent map iteration or
+// exact float comparison in the mapping packages or anything they
+// reach), goroutine stop paths (goleak), and HTTP response discipline
 // (httpcontract).
 //
 // Exit codes: 0 clean, 1 findings, 2 operational error.
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"lily/internal/lint"
 )
@@ -31,61 +30,31 @@ func main() {
 
 func run(argv []string) int {
 	progname := filepath.Base(argv[0])
-	args := argv[1:]
-
-	// go vet driver handshake: the go command probes the tool's
-	// identity (-V=full, folded into the build cache key) and its flag
-	// set (-flags, a JSON array) before sending package configs.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			// Shape required by the go command's tool-ID parser:
-			// "<name> version <non-devel-version>".
-			fmt.Printf("%s version 1.0.0\n", progname)
-			return 0
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return 0
-		case a == "-h" || a == "-help" || a == "--help":
-			fmt.Fprintf(os.Stderr, "usage: %s [package pattern ...]\n", progname)
-			fmt.Fprintf(os.Stderr, "   or: go vet -vettool=$(which %s) ./...\n", progname)
-			fmt.Fprintf(os.Stderr, "\nAnalyzers:\n")
-			for _, an := range lint.Analyzers {
-				doc := an.Doc
-				if i := strings.IndexByte(doc, '\n'); i >= 0 {
-					doc = doc[:i]
-				}
-				fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, doc)
-			}
-			fmt.Fprintf(os.Stderr, "\nCross-package analyzers (whole-program call graph):\n")
-			for _, an := range lint.ProgramAnalyzers {
-				doc := an.Doc
-				if i := strings.IndexByte(doc, '\n'); i >= 0 {
-					doc = doc[:i]
-				}
-				fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, doc)
-			}
+	patterns := argv[1:]
+	for _, a := range patterns {
+		if a == "-h" || a == "-help" || a == "--help" {
+			usage(progname)
 			return 0
 		}
 	}
-
-	// Unitchecker mode: a single *.cfg argument written by the go
-	// command describes one package unit.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		code, err := lint.RunUnit(args[0], os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-		}
-		return code
-	}
-
-	patterns := args
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	code, err := lint.RunStandalone(".", patterns, os.Stdout)
+	code, err := lint.Run(".", patterns, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 	}
 	return code
+}
+
+func usage(progname string) {
+	fmt.Fprintf(os.Stderr, "usage: %s [package pattern ...]   (default ./...)\n", progname)
+	fmt.Fprintf(os.Stderr, "\nAnalyzers (every package in the module):\n")
+	for _, an := range lint.Analyzers {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, an.Doc)
+	}
+	fmt.Fprintf(os.Stderr, "\nCross-package analyzers (whole-program call graph):\n")
+	for _, an := range lint.ProgramAnalyzers {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, an.Doc)
+	}
 }

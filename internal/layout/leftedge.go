@@ -21,6 +21,7 @@ func AssignTracks(spans []Span) (tracks []int, numTracks int) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
+		//lint:exact comparator tie-break: equal Lo falls through to Hi; exact != keeps the order strict-weak
 		if spans[order[a]].Lo != spans[order[b]].Lo {
 			return spans[order[a]].Lo < spans[order[b]].Lo
 		}
@@ -58,6 +59,7 @@ func spanDensity(spans []Span) int {
 		evs = append(evs, ev{s.Lo, 1}, ev{s.Hi, -1})
 	}
 	sort.Slice(evs, func(a, b int) bool {
+		//lint:exact comparator tie-break: events at one x fall through to opens-first; exact != keeps the order strict-weak
 		if evs[a].x != evs[b].x {
 			return evs[a].x < evs[b].x
 		}

@@ -6,12 +6,13 @@ import (
 	"go/types"
 )
 
-// FloatEqAnalyzer flags `==` and `!=` between floating-point expressions
-// in cost and arrival-time code. Exact float equality makes tie-breaking
-// depend on rounding noise: two mapping candidates whose costs differ
-// only in the last ulp compare differently across architectures and
-// evaluation orders, which breaks the byte-identical-tables guarantee.
-// Use an epsilon comparison or the deterministic tie-break helpers.
+// checkFloatEq is the fence's float-equality engine. It flags `==` and
+// `!=` between floating-point expressions under root. Exact float
+// equality makes tie-breaking depend on rounding noise: two mapping
+// candidates whose costs differ only in the last ulp compare
+// differently across architectures and evaluation orders, which breaks
+// the byte-identical-tables guarantee. Use an epsilon comparison or the
+// deterministic tie-break helpers.
 //
 // Allowed without justification:
 //   - comparison against an exact constant sentinel: literal 0 (the
@@ -21,23 +22,6 @@ import (
 //   - comparisons where either operand is a constant expression.
 //
 // Justify a deliberate exact comparison with `//lint:exact <why>`.
-var FloatEqAnalyzer = &Analyzer{
-	Name:          "floateq",
-	Doc:           "flags exact ==/!= between floats in cost/arrival-time code",
-	Justification: "exact",
-	Run:           runFloatEq,
-}
-
-func runFloatEq(pass *Pass) error {
-	for _, f := range pass.Files {
-		checkFloatEq(pass, f)
-	}
-	return nil
-}
-
-// checkFloatEq flags exact float ==/!= under root. It is shared with the
-// purity program analyzer, which applies it to every function reachable
-// from the deterministic root set regardless of package.
 func checkFloatEq(pass *Pass, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		bin, ok := n.(*ast.BinaryExpr)

@@ -30,13 +30,12 @@ var GoLeakAnalyzer = GoLeakAnalyzerFor(
 )
 
 // GoLeakAnalyzerFor builds a goleak analyzer scoped to the given import
-// paths (which are also its anchors).
+// paths.
 func GoLeakAnalyzerFor(importPaths ...string) *ProgramAnalyzer {
 	a := &ProgramAnalyzer{
 		Name:          "goleak",
 		Doc:           "every go statement needs a provable stop path (signal-channel receive or WaitGroup pairing)",
 		Justification: "stopped",
-		Anchors:       importPaths,
 	}
 	a.Run = func(pass *ProgramPass) error {
 		for _, path := range importPaths {

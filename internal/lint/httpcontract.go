@@ -38,13 +38,12 @@ import (
 var HTTPContractAnalyzer = HTTPContractAnalyzerFor(ModulePath + "/internal/server")
 
 // HTTPContractAnalyzerFor builds an httpcontract analyzer scoped to the
-// given import paths (which are also its anchors).
+// given import paths.
 func HTTPContractAnalyzerFor(importPaths ...string) *ProgramAnalyzer {
 	a := &ProgramAnalyzer{
 		Name:          "httpcontract",
 		Doc:           "handlers write exactly one status per path, 429s carry Retry-After, no body after an error status",
 		Justification: "response",
-		Anchors:       importPaths,
 	}
 	a.Run = func(pass *ProgramPass) error {
 		c := &contractChecker{

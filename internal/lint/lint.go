@@ -1,50 +1,44 @@
 // Package lint is lily's domain-specific static-analysis suite: a small
 // stdlib-only reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus seven analyzers that turn
-// the repo's determinism house rules into mechanically checked invariants.
+// vocabulary (Analyzer, Pass, Diagnostic) plus five analyzers that turn
+// the repo's house rules into mechanically checked invariants.
 //
-// Four are per-package checks:
+// Two are per-package checks, applied to every package of the module:
 //
-//   - maporder: no order-dependent iteration over Go maps in the
-//     deterministic mapping packages (map iteration order is randomized;
-//     a cost loop keyed on it makes Tables 1–2 unreproducible).
 //   - ctxloop: unbounded loops in context-accepting functions must stay
 //     cancellable (a ctx.Err()/ctx.Done() checkpoint or a ctx-forwarding
 //     call), like the PR-1 checkpoints in place, cg, and the cone loop.
-//   - floateq: no raw ==/!= between floating-point cost or arrival-time
-//     expressions in the cost packages; use epsilon compares and the
-//     deterministic tie-break helpers instead.
 //   - lockheld: methods documented "requires x.mu" must only be called
 //     with the mutex held, and sync.Mutex values must not be copied.
 //
 // Three are cross-package ProgramAnalyzers over the whole-program CHA
 // call graph (callgraph.go):
 //
-//   - purity: the determinism fence — nothing reachable from the
-//     mapping pipeline's root set may read the wall clock, the process
-//     environment, or global rand, iterate a map unordered, or compare
-//     floats exactly.
+//   - purity: the determinism fence and the suite's one set of
+//     determinism rules — nothing in the deterministic mapping packages,
+//     or reachable from them or the flow entry point, may read the wall
+//     clock, the process environment, or global rand, iterate a map in
+//     an order-dependent way, or compare floats exactly.
 //   - goleak: every `go` statement in engine/server needs a
 //     provable stop path (signal-channel receive or WaitGroup pairing).
 //   - httpcontract: HTTP handlers write exactly one status per path,
 //     429s carry Retry-After, and no body follows an error status.
 //
-// The suite runs three ways: the lint.Analyzers and lint.ProgramAnalyzers
-// slices feed the cmd/lilylint multichecker (standalone package
-// patterns), the same binary speaks the `go vet -vettool` unitchecker
-// protocol (program analyzers run at their anchor units), and the
-// package's own TestAllAnalyzers self-run keeps the tree lint-clean as
-// part of `go test ./...`.
+// Run is the one driver: cmd/lilylint calls it with the command-line
+// package patterns, and the package's own TestAllAnalyzers self-run
+// calls it over ./... so `go test ./...` keeps the tree lint-clean.
+// Program analyzers always see the whole module; findings are reported
+// for the requested packages.
 //
 // Diagnostics can be suppressed with a justification comment on the
-// flagged line (or the line above): `//lint:sorted <why>` (maporder),
-// `//lint:bounded <why>` (ctxloop), `//lint:exact <why>` (floateq),
-// `//lint:locked <why>` (lockheld), `//lint:impure <why>` (purity),
+// flagged line (or the line above): `//lint:bounded <why>` (ctxloop),
+// `//lint:locked <why>` (lockheld), `//lint:sorted <why>`,
+// `//lint:exact <why>` or `//lint:impure <why>` (purity),
 // `//lint:stopped <why>` (goleak), `//lint:response <why>`
-// (httpcontract). The justification word is the analyzer's invariant,
-// not its name: the comment asserts the invariant holds for reasons the
-// analyzer cannot see. For the three program analyzers the <why> text
-// is mandatory — a bare marker suppresses nothing.
+// (httpcontract). The justification word is the invariant, not the
+// analyzer's name: the comment asserts the invariant holds for reasons
+// the analyzer cannot see. The <why> text is mandatory — a bare marker
+// suppresses nothing.
 package lint
 
 import (
@@ -52,13 +46,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
 // Analyzer is one static check, mirroring x/tools' analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -checks flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -88,31 +85,52 @@ type Pass struct {
 	// Report receives diagnostics. The driver installs it.
 	Report func(Diagnostic)
 
-	// justifications maps file -> line -> lint words present on that line.
-	justifications map[string]map[int][]string
+	justifications justifications
 }
 
 // Reportf reports a diagnostic at pos with a formatted message, unless a
-// justification comment suppresses it.
+// justification comment carrying the analyzer's word suppresses it.
 func (p *Pass) Reportf(pos token.Pos, suggestion, format string, args ...any) {
-	if p.Justified(pos) {
+	if p.justifications.has(p.Fset, pos, p.Analyzer.Justification) {
 		return
 	}
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Suggestion: suggestion})
 }
 
-// Justified reports whether pos carries this analyzer's justification
-// word on its own line or the line immediately above.
-func (p *Pass) Justified(pos token.Pos) bool {
-	word := p.Analyzer.Justification
+// justifications maps file -> line -> the //lint: words on that line.
+type justifications map[string]map[int][]string
+
+// add indexes every `//lint:<word> <why>` marker in files. Markers
+// without a justification text are ignored: the escape hatch must carry
+// an argument.
+func (j justifications) add(fset *token.FileSet, files []*ast.File) {
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				word, ok := justificationWord(c.Text)
+				if !ok {
+					continue
+				}
+				posn := fset.Position(c.Pos())
+				byLine := j[posn.Filename]
+				if byLine == nil {
+					byLine = make(map[int][]string)
+					j[posn.Filename] = byLine
+				}
+				byLine[posn.Line] = append(byLine[posn.Line], word)
+			}
+		}
+	}
+}
+
+// has reports whether pos carries word on its own line or the line
+// immediately above.
+func (j justifications) has(fset *token.FileSet, pos token.Pos, word string) bool {
 	if word == "" || !pos.IsValid() {
 		return false
 	}
-	position := p.Fset.Position(pos)
-	lines, ok := p.justifications[position.Filename]
-	if !ok {
-		return false
-	}
+	position := fset.Position(pos)
+	lines := j[position.Filename]
 	for _, l := range []int{position.Line, position.Line - 1} {
 		for _, w := range lines[l] {
 			if w == word {
@@ -123,90 +141,41 @@ func (p *Pass) Justified(pos token.Pos) bool {
 	return false
 }
 
-// indexJustifications scans comments for //lint:<word> markers.
-func (p *Pass) indexJustifications() {
-	p.justifications = make(map[string]map[int][]string)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "lint:") {
-					continue
-				}
-				word := strings.TrimPrefix(text, "lint:")
-				if i := strings.IndexAny(word, " \t"); i >= 0 {
-					word = word[:i]
-				}
-				if word == "" {
-					continue
-				}
-				posn := p.Fset.Position(c.Pos())
-				byLine := p.justifications[posn.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]string)
-					p.justifications[posn.Filename] = byLine
-				}
-				byLine[posn.Line] = append(byLine[posn.Line], word)
-			}
-		}
+// justificationWord extracts the word of a `//lint:<word> <why>`
+// comment. The trailing justification text is mandatory: a bare
+// `//lint:sorted` suppresses nothing.
+func justificationWord(comment string) (string, bool) {
+	rest, ok := strings.CutPrefix(strings.TrimPrefix(comment, "//"), "lint:")
+	if !ok {
+		return "", false
 	}
+	i := strings.IndexAny(rest, " \t")
+	if i < 0 {
+		return "", false // no justification text
+	}
+	word, why := rest[:i], strings.TrimSpace(rest[i:])
+	if word == "" || why == "" {
+		return "", false
+	}
+	return word, true
 }
 
-// Analyzers is the full suite, in reporting order. It feeds the
-// cmd/lilylint multichecker, the vet-mode unit checker, and the
-// TestAllAnalyzers self-run.
+// Analyzers is the per-package suite, in reporting order.
 var Analyzers = []*Analyzer{
-	MapOrderAnalyzer,
 	CtxLoopAnalyzer,
-	FloatEqAnalyzer,
 	LockHeldAnalyzer,
 }
 
 // ModulePath is the import path of the module the suite guards.
 const ModulePath = "lily"
 
-// DeterministicPackages lists the packages whose iteration order feeds
-// mapping results (covers, placements, wire-cost tables): maporder
-// applies here. Paths are relative to the module root.
-var DeterministicPackages = []string{
-	"internal/logic", "internal/decomp", "internal/match", "internal/cut", "internal/cover",
-	"internal/place", "internal/wire", "internal/timing", "internal/fanout",
-	"internal/layout", "internal/opt", "internal/mis", "internal/core",
-	"internal/netlist", "internal/library", "internal/equiv",
-}
-
-// CostPackages lists the packages computing float costs and arrival
-// times: floateq applies here.
-var CostPackages = []string{
-	"internal/cover", "internal/wire", "internal/timing", "internal/place",
-}
-
-func inList(importPath string, rel []string) bool {
-	for _, r := range rel {
-		if importPath == ModulePath+"/"+r {
-			return true
-		}
-	}
-	return false
-}
-
-// AnalyzersFor returns the analyzers that apply to importPath:
-// ctxloop and lockheld run module-wide; maporder only in the
-// deterministic packages; floateq only in the cost packages. Packages
-// outside the module get nothing.
+// AnalyzersFor returns the per-package analyzers that apply to
+// importPath: all of them inside the module, none outside it.
 func AnalyzersFor(importPath string) []*Analyzer {
 	if importPath != ModulePath && !strings.HasPrefix(importPath, ModulePath+"/") {
 		return nil
 	}
-	out := []*Analyzer{CtxLoopAnalyzer, LockHeldAnalyzer}
-	if inList(importPath, DeterministicPackages) {
-		out = append(out, MapOrderAnalyzer)
-	}
-	if inList(importPath, CostPackages) {
-		out = append(out, FloatEqAnalyzer)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return Analyzers
 }
 
 // Finding pairs a diagnostic with its analyzer and resolved position,
@@ -229,14 +198,17 @@ func (f Finding) String() string {
 // RunAnalyzers executes each analyzer over the package and returns the
 // findings sorted by position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+	just := make(justifications)
+	just.add(pkg.Fset, pkg.Files)
 	var findings []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
+			Analyzer:       a,
+			Fset:           pkg.Fset,
+			Files:          pkg.Files,
+			Pkg:            pkg.Types,
+			TypesInfo:      pkg.Info,
+			justifications: just,
 		}
 		pass.Report = func(d Diagnostic) {
 			findings = append(findings, Finding{
@@ -246,11 +218,16 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 				Suggest:  d.Suggestion,
 			})
 		}
-		pass.indexJustifications()
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 	}
+	sortFindings(findings)
+	return findings, nil
+}
+
+// sortFindings orders findings by position, then analyzer name.
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		pi, pj := findings[i].Posn, findings[j].Posn
 		if pi.Filename != pj.Filename {
@@ -264,5 +241,85 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 		}
 		return findings[i].Analyzer < findings[j].Analyzer
 	})
-	return findings, nil
+}
+
+// Run is the suite's driver. It loads the whole module containing dir
+// with the offline Loader, runs the per-package analyzers over the
+// packages matched by patterns and the program analyzers over the whole
+// module, and prints the findings that fall in the matched packages to
+// w, sorted by position. It returns the exit code: 0 clean, 1 findings,
+// 2 operational error (err is then non-nil). A type error anywhere in
+// the module is an operational error: analysis over partial type
+// information could miss findings.
+func Run(dir string, patterns []string, w io.Writer) (int, error) {
+	root, err := findModuleRoot(dir)
+	if err != nil {
+		return 2, err
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		return 2, err
+	}
+	requested, err := loader.Load(patterns...)
+	if err != nil {
+		return 2, err
+	}
+	all, err := loader.Load("./...")
+	if err != nil {
+		return 2, err
+	}
+	for _, pkg := range all {
+		if len(pkg.TypeErrors) > 0 {
+			return 2, fmt.Errorf("type-checking %s: %w", pkg.Path, pkg.TypeErrors[0])
+		}
+	}
+
+	var findings []Finding
+	inRequest := make(map[*Package]bool, len(requested))
+	for _, pkg := range requested {
+		inRequest[pkg] = true
+		fs, err := RunAnalyzers(pkg, AnalyzersFor(pkg.Path))
+		if err != nil {
+			return 2, err
+		}
+		findings = append(findings, fs...)
+	}
+	prog := BuildProgram(all)
+	progFindings, err := RunProgramAnalyzers(prog, ProgramAnalyzers)
+	if err != nil {
+		return 2, err
+	}
+	for _, f := range progFindings {
+		if inRequest[prog.PackageOfFile(f.Posn.Filename)] {
+			findings = append(findings, f)
+		}
+	}
+
+	sortFindings(findings)
+	for _, f := range findings {
+		fmt.Fprintln(w, f.String())
+	}
+	if len(findings) > 0 {
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// findModuleRoot walks up from dir to the nearest directory containing
+// go.mod.
+func findModuleRoot(dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for d := abs; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("lint: no go.mod found above %s", abs)
+		}
+		d = parent
+	}
 }

@@ -17,16 +17,22 @@ func fixture(t *testing.T, name string) string {
 	return abs
 }
 
+// TestMapOrder runs the fence over the map-order fixture: every function
+// of the fixture package is a root, as in the deterministic packages.
 func TestMapOrder(t *testing.T) {
-	linttest.Run(t, lint.MapOrderAnalyzer, fixture(t, "maporder"))
+	a := lint.PurityAnalyzerFor(lint.PurityConfig{RootPackages: []string{"maporder"}})
+	linttest.RunProgram(t, a, fixture(t, "maporder"))
 }
 
 func TestCtxLoop(t *testing.T) {
 	linttest.Run(t, lint.CtxLoopAnalyzer, fixture(t, "ctxloop"))
 }
 
+// TestFloatEq runs the fence over the float-equality fixture, rooted
+// like TestMapOrder.
 func TestFloatEq(t *testing.T) {
-	linttest.Run(t, lint.FloatEqAnalyzer, fixture(t, "floateq"))
+	a := lint.PurityAnalyzerFor(lint.PurityConfig{RootPackages: []string{"floateq"}})
+	linttest.RunProgram(t, a, fixture(t, "floateq"))
 }
 
 func TestLockHeld(t *testing.T) {
@@ -36,7 +42,6 @@ func TestLockHeld(t *testing.T) {
 func TestPurity(t *testing.T) {
 	a := lint.PurityAnalyzerFor(lint.PurityConfig{
 		RootFuncs: []string{"purity.Root"},
-		Anchors:   []string{"purity"},
 	})
 	linttest.RunProgram(t, a, fixture(t, "purity"))
 }
@@ -61,8 +66,7 @@ func TestAnalyzersForScoping(t *testing.T) {
 		path string
 		want []string
 	}{
-		{"lily/internal/cover", []string{"ctxloop", "floateq", "lockheld", "maporder"}},
-		{"lily/internal/opt", []string{"ctxloop", "lockheld", "maporder"}},
+		{"lily/internal/cover", []string{"ctxloop", "lockheld"}},
 		{"lily/internal/engine", []string{"ctxloop", "lockheld"}},
 		{"lily/internal/server", []string{"ctxloop", "lockheld"}},
 		{"lily", []string{"ctxloop", "lockheld"}},

@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// MapOrderAnalyzer flags `range` statements over map types whose loop
-// body is order-dependent. Go randomizes map iteration order, so any
-// such loop in the deterministic mapping packages can change covers,
-// placements, or wire-cost tables from run to run.
+// mapOrderVisitFunc is the fence's map-order proof engine. It flags
+// `range` statements over map types directly inside body whose loop
+// body is order-dependent: Go randomizes map iteration order, so any
+// such loop in the mapping pipeline can change covers, placements, or
+// wire-cost tables from run to run.
 //
 // A map range is accepted without justification when its body is
 // provably order-insensitive:
@@ -26,26 +27,7 @@ import (
 //     conditions) around those effects.
 //
 // Anything else needs sorted keys or a `//lint:sorted <why>` comment
-// asserting order-insensitivity the analyzer cannot prove.
-var MapOrderAnalyzer = &Analyzer{
-	Name:          "maporder",
-	Doc:           "flags order-dependent iteration over maps in deterministic packages",
-	Justification: "sorted",
-	Run:           runMapOrder,
-}
-
-func runMapOrder(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				mapOrderVisitFunc(pass, fn.Body)
-			}
-		}
-	}
-	return nil
-}
-
-// mapOrderVisitFunc checks map ranges directly inside body; nested
+// asserting order-insensitivity the engine cannot prove. Nested
 // function literals are visited with their own body as the enclosing
 // scope (their appends can't be sorted by the outer function).
 func mapOrderVisitFunc(pass *Pass, body *ast.BlockStmt) {

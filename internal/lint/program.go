@@ -2,34 +2,23 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"sort"
-	"strings"
 )
 
 // ProgramAnalyzer is a cross-package check: where an Analyzer sees one
 // type-checked package, a ProgramAnalyzer sees the whole module and the
 // call graph over it. The three shipped instances are purity (the
-// determinism fence over the mapping pipeline's reachable closure),
-// goleak (provable stop paths for every spawned goroutine), and
-// httpcontract (response-write discipline in the HTTP layer).
+// determinism fence over the mapping packages and their reachable
+// closure), goleak (provable stop paths for every spawned goroutine),
+// and httpcontract (response-write discipline in the HTTP layer).
 type ProgramAnalyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Justification is the //lint: word that suppresses this analyzer's
-	// diagnostics on a line. Unlike per-package analyzers, the word must
-	// be followed by a non-empty justification text to count.
+	// diagnostics on a line.
 	Justification string
-	// Anchors are the import paths that trigger this analyzer: the
-	// standalone driver runs it once when any anchor is among the
-	// requested packages; the vet driver runs it when visiting an anchor
-	// unit (reporting, at each anchor, the findings that belong to that
-	// anchor's package plus any findings outside every anchor, so the
-	// aggregate over ./... contains each finding exactly once).
-	Anchors []string
 	// Run executes the analyzer over the program.
 	Run func(*ProgramPass) error
 }
@@ -42,9 +31,8 @@ type ProgramPass struct {
 	// Report receives diagnostics. The driver installs it.
 	Report func(Diagnostic)
 
-	// justifications maps file -> line -> lint words, indexed over every
-	// file of every loaded package.
-	justifications map[string]map[int][]string
+	// justifications indexes every file of every loaded package.
+	justifications justifications
 }
 
 // Fset returns the program's shared file set.
@@ -55,114 +43,29 @@ func (p *ProgramPass) Fset() *token.FileSet {
 // Reportf reports a diagnostic at pos unless a justification comment
 // suppresses it.
 func (p *ProgramPass) Reportf(pos token.Pos, suggestion, format string, args ...any) {
-	if p.JustifiedWith(pos, p.Analyzer.Justification) {
+	if p.justifications.has(p.Fset(), pos, p.Analyzer.Justification) {
 		return
 	}
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Suggestion: suggestion})
 }
 
-// JustifiedWith reports whether pos carries `//lint:<word> <why>` (the
-// justification text is mandatory) on its own line or the line above.
-func (p *ProgramPass) JustifiedWith(pos token.Pos, word string) bool {
-	if word == "" || !pos.IsValid() {
-		return false
-	}
-	position := p.Fset().Position(pos)
-	lines, ok := p.justifications[position.Filename]
-	if !ok {
-		return false
-	}
-	for _, l := range []int{position.Line, position.Line - 1} {
-		for _, w := range lines[l] {
-			if w == word {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// indexJustifications scans every loaded file for //lint:<word> <why>
-// markers. Markers without a justification text are ignored: the escape
-// hatch must carry an argument.
-func (p *ProgramPass) indexJustifications() {
-	p.justifications = make(map[string]map[int][]string)
-	for _, pkg := range p.Prog.Packages {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					word, ok := justificationWord(c.Text)
-					if !ok {
-						continue
-					}
-					posn := pkg.Fset.Position(c.Pos())
-					byLine := p.justifications[posn.Filename]
-					if byLine == nil {
-						byLine = make(map[int][]string)
-						p.justifications[posn.Filename] = byLine
-					}
-					byLine[posn.Line] = append(byLine[posn.Line], word)
-				}
-			}
-		}
-	}
-}
-
-// justificationWord extracts the word of a `//lint:<word> <why>`
-// comment. The trailing justification text is mandatory: a bare
-// `//lint:impure` suppresses nothing.
-func justificationWord(comment string) (string, bool) {
-	text := strings.TrimPrefix(comment, "//")
-	rest, ok := strings.CutPrefix(text, "lint:")
-	if !ok {
-		return "", false
-	}
-	i := strings.IndexAny(rest, " \t")
-	if i < 0 {
-		return "", false // no justification text
-	}
-	word, why := rest[:i], strings.TrimSpace(rest[i:])
-	if word == "" || why == "" {
-		return "", false
-	}
-	return word, true
-}
-
-// ProgramAnalyzers is the cross-package suite, in reporting order. Like
-// Analyzers it feeds the standalone driver, the vet-mode unit checker,
-// and the TestAllAnalyzers self-run.
+// ProgramAnalyzers is the cross-package suite, in reporting order.
 var ProgramAnalyzers = []*ProgramAnalyzer{
 	PurityAnalyzer,
 	GoLeakAnalyzer,
 	HTTPContractAnalyzer,
 }
 
-// ProgramAnalyzersFor returns the program analyzers triggered by the
-// requested import paths: each analyzer runs (once) when any of its
-// anchors is requested.
-func ProgramAnalyzersFor(importPaths []string) []*ProgramAnalyzer {
-	requested := make(map[string]bool, len(importPaths))
-	for _, p := range importPaths {
-		requested[p] = true
-	}
-	var out []*ProgramAnalyzer
-	for _, a := range ProgramAnalyzers {
-		for _, anchor := range a.Anchors {
-			if requested[anchor] {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // RunProgramAnalyzers executes each program analyzer over the program
 // and returns the findings sorted by position.
 func RunProgramAnalyzers(prog *Program, analyzers []*ProgramAnalyzer) ([]Finding, error) {
+	just := make(justifications)
+	for _, pkg := range prog.Packages {
+		just.add(pkg.Fset, pkg.Files)
+	}
 	var findings []Finding
 	for _, a := range analyzers {
-		pass := &ProgramPass{Analyzer: a, Prog: prog}
+		pass := &ProgramPass{Analyzer: a, Prog: prog, justifications: just}
 		pass.Report = func(d Diagnostic) {
 			findings = append(findings, Finding{
 				Analyzer: a.Name,
@@ -171,59 +74,10 @@ func RunProgramAnalyzers(prog *Program, analyzers []*ProgramAnalyzer) ([]Finding
 				Suggest:  d.Suggestion,
 			})
 		}
-		pass.indexJustifications()
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sortFindings(findings)
 	return findings, nil
-}
-
-// sortFindings orders findings by position, then analyzer name.
-func sortFindings(findings []Finding) {
-	sort.Slice(findings, func(i, j int) bool {
-		pi, pj := findings[i].Posn, findings[j].Posn
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return findings[i].Analyzer < findings[j].Analyzer
-	})
-}
-
-// packagePass builds a lightweight per-package Pass so program analyzers
-// can reuse the per-package helpers (map-order proofs, float-equality
-// checks) against one package's type info, with reports forwarded to the
-// program pass and suppression honoring both the reused analyzer's word
-// and this analyzer's own escape hatch.
-func (p *ProgramPass) packagePass(pkg *Package, borrowed *Analyzer) *Pass {
-	sub := &Pass{
-		Analyzer:  borrowed,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-	}
-	sub.Report = func(d Diagnostic) {
-		if p.JustifiedWith(d.Pos, p.Analyzer.Justification) {
-			return
-		}
-		p.Report(d)
-	}
-	sub.indexJustifications()
-	return sub
-}
-
-// declBody returns the body of a node's declaration, or nil.
-func declBody(n *CGNode) *ast.BlockStmt {
-	if n == nil || n.Decl == nil {
-		return nil
-	}
-	return n.Decl.Body
 }

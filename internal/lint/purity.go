@@ -12,42 +12,47 @@ import (
 // reachability walk, and which packages are exempt from it.
 type PurityConfig struct {
 	// RootPackages are import paths whose every declared function is a
-	// root of the reachable set.
+	// root of the reachable set, and so is scanned whether or not the
+	// flow calls it.
 	RootPackages []string
-	// RootFuncs are additional roots by FullName, e.g. "lily.RunFlowContext"
-	// or "lily/internal/core.mapPlaced". A listed root that does not
-	// resolve is an error: the fence must not silently shrink when a
-	// root is renamed.
+	// RootFuncs are additional roots by FullName, e.g. "lily.RunFlowContext".
+	// A listed root that does not resolve is an error: the fence must not
+	// silently shrink when a root is renamed.
 	RootFuncs []string
 	// ExemptPackages are never entered nor scanned (observability reads
 	// the wall clock by design and feeds no mapping decision).
 	ExemptPackages []string
-	// Anchors seed ProgramAnalyzer.Anchors for the constructed analyzer.
-	Anchors []string
 }
 
-// defaultPurityConfig is the shipped fence: everything the mapping
-// pipeline can execute. The cost packages (cover, wire, timing, place)
-// plus opt are roots wholesale; mapPlaced and RunFlowContext pull in the
-// rest of the flow (core match enumeration, decomposition, netlist
-// construction, layout, routing).
+// defaultPurityConfig is the shipped fence and the suite's one scope
+// list for determinism: the sixteen packages whose results feed covers,
+// placements, wire-cost tables and the mapped netlist are roots
+// wholesale, and RunFlowContext pulls in the rest of the flow.
 var defaultPurityConfig = PurityConfig{
 	RootPackages: []string{
-		ModulePath + "/internal/cover",
+		ModulePath + "/internal/logic",
+		ModulePath + "/internal/decomp",
+		ModulePath + "/internal/match",
 		ModulePath + "/internal/cut",
+		ModulePath + "/internal/cover",
+		ModulePath + "/internal/place",
 		ModulePath + "/internal/wire",
 		ModulePath + "/internal/timing",
-		ModulePath + "/internal/place",
+		ModulePath + "/internal/fanout",
+		ModulePath + "/internal/layout",
 		ModulePath + "/internal/opt",
+		ModulePath + "/internal/mis",
+		ModulePath + "/internal/core",
+		ModulePath + "/internal/netlist",
+		ModulePath + "/internal/library",
+		ModulePath + "/internal/equiv",
 	},
 	RootFuncs: []string{
 		ModulePath + ".RunFlowContext",
-		ModulePath + "/internal/core.mapPlaced",
 	},
 	ExemptPackages: []string{
 		ModulePath + "/internal/obs",
 	},
-	Anchors: []string{ModulePath},
 }
 
 // DefaultPurityConfig returns the shipped fence configuration, so tests
@@ -55,11 +60,11 @@ var defaultPurityConfig = PurityConfig{
 func DefaultPurityConfig() PurityConfig { return defaultPurityConfig }
 
 // PurityAnalyzer is the determinism fence over the mapping pipeline.
-// Every function reachable from the root set (the cover DP, wire/timing
-// estimators, placement, optimization, and the whole flow behind
-// RunFlowContext) must be deterministic: no wall clock, no process
-// environment, no global rand, no unordered map iteration, no exact
-// float comparison. See PurityAnalyzerFor for the rules.
+// Every function in the deterministic packages, and every function
+// reachable from them or from RunFlowContext, must be deterministic: no
+// wall clock, no process environment, no global rand, no unordered map
+// iteration, no exact float comparison. See PurityAnalyzerFor for the
+// rules.
 var PurityAnalyzer = PurityAnalyzerFor(defaultPurityConfig)
 
 // PurityAnalyzerFor builds a purity analyzer for the given fence. The
@@ -73,19 +78,18 @@ var PurityAnalyzer = PurityAnalyzerFor(defaultPurityConfig)
 //     generator's seed provenance is documented at exactly one
 //     `//lint:impure` site;
 //   - ranging over a map is flagged unless the body is provably
-//     order-insensitive or carries `//lint:sorted` (the maporder proof
-//     engine is reused verbatim);
-//   - exact float ==/!= is flagged under the floateq rules, everywhere
-//     reachable, not just in the blessed cost packages.
+//     order-insensitive (mapOrderVisitFunc) or carries
+//     `//lint:sorted <why>`;
+//   - exact float ==/!= is flagged (checkFloatEq) unless it carries
+//     `//lint:exact <why>`.
 //
 // `//lint:impure <why>` on the offending line (or the line above)
-// suppresses any purity finding; the why text is mandatory.
+// suppresses any purity finding.
 func PurityAnalyzerFor(cfg PurityConfig) *ProgramAnalyzer {
 	a := &ProgramAnalyzer{
 		Name:          "purity",
-		Doc:           "determinism fence: no clock/rand/env/map-order/float-eq reachable from the mapping pipeline",
+		Doc:           "determinism fence: no clock/rand/env/map-order/float-eq in or reachable from the mapping packages",
 		Justification: "impure",
-		Anchors:       cfg.Anchors,
 	}
 	a.Run = func(pass *ProgramPass) error { return runPurity(pass, cfg) }
 	return a
@@ -109,37 +113,37 @@ func runPurity(pass *ProgramPass, cfg PurityConfig) error {
 
 	reach := g.Reachable(roots, skip)
 
-	// Scan in deterministic order. The per-package shim passes borrow
-	// the maporder and floateq helpers so `//lint:sorted` / `//lint:exact`
-	// keep working inside the fence, with `//lint:impure` accepted as
-	// the uniform escape hatch on top.
-	sortedShim := &Analyzer{Name: "purity", Justification: "sorted"}
-	exactShim := &Analyzer{Name: "purity", Justification: "exact"}
-	shims := make(map[*Package][2]*Pass)
-
 	var nodes []*CGNode
 	for _, n := range reach {
 		if n.Decl != nil && n.Decl.Body != nil {
 			nodes = append(nodes, n)
 		}
 	}
-	//lint:sorted collect-then-sort: scan order pinned by FullName
+	// Scan in deterministic order.
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Fn.FullName() < nodes[j].Fn.FullName() })
 
 	for _, n := range nodes {
-		pair, ok := shims[n.Pkg]
-		if !ok {
-			pair = [2]*Pass{
-				pass.packagePass(n.Pkg, sortedShim),
-				pass.packagePass(n.Pkg, exactShim),
-			}
-			shims[n.Pkg] = pair
-		}
 		checkImpureRefs(pass, n)
-		mapOrderVisitFunc(pair[0], n.Decl.Body)
-		checkFloatEq(pair[1], n.Decl.Body)
+		mapOrderVisitFunc(fencePass(pass, n.Pkg, "sorted"), n.Decl.Body)
+		checkFloatEq(fencePass(pass, n.Pkg, "exact"), n.Decl.Body)
 	}
 	return nil
+}
+
+// fencePass is the per-package Pass through which the fence runs one of
+// its proof engines (map order, float equality) against pkg's type
+// info. The engine's own word (sorted, exact) suppresses its findings,
+// and so does the fence's uniform `//lint:impure` escape hatch.
+func fencePass(pass *ProgramPass, pkg *Package, word string) *Pass {
+	return &Pass{
+		Analyzer:       &Analyzer{Name: pass.Analyzer.Name, Justification: word},
+		Fset:           pkg.Fset,
+		Files:          pkg.Files,
+		Pkg:            pkg.Types,
+		TypesInfo:      pkg.Info,
+		Report:         func(d Diagnostic) { pass.Reportf(d.Pos, d.Suggestion, "%s", d.Message) },
+		justifications: pass.justifications,
+	}
 }
 
 // purityRoots resolves the configured root set, failing loudly when a

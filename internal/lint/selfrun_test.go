@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"bytes"
 	"go/types"
 	"io/fs"
 	"os"
@@ -11,66 +12,19 @@ import (
 	"lily/internal/lint"
 )
 
-// TestAllAnalyzers is the self-run: every package in the module must be
-// clean under its applicable analyzers, so `go test ./...` fails the
-// moment someone introduces an unsorted map range into internal/cover,
-// an uncancellable solver loop, a raw float cost comparison, or an
-// unlocked call to a `requires mu` method. This is the repo-level
-// enforcement the CI lint job mirrors via `go vet -vettool`.
+// TestAllAnalyzers is the self-run: the tree must be clean under the
+// same driver entry point cmd/lilylint calls, so `go test ./...` fails
+// the moment someone introduces an unsorted map range into
+// internal/cover, an uncancellable solver loop, a raw float cost
+// comparison, an unlocked call to a `requires mu` method, or a type
+// error the offline loader cannot resolve. The CI lint job runs the
+// same driver through `lilylint ./...`.
 func TestAllAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages from %s; loader pattern expansion looks broken", len(pkgs), root)
-	}
-	sawDeterministic := false
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			// The tree builds (tier-1 guarantees it), so any type error here
-			// is a loader defect worth failing loudly on.
-			t.Errorf("%s: type error: %v", pkg.Path, terr)
-		}
-		analyzers := lint.AnalyzersFor(pkg.Path)
-		if len(analyzers) == 0 {
-			continue
-		}
-		if strings.Contains(pkg.Path, "internal/cover") {
-			sawDeterministic = true
-		}
-		findings, err := lint.RunAnalyzers(pkg, analyzers)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.Path, err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
-	}
-	if !sawDeterministic {
-		t.Error("self-run never visited internal/cover; package walk is broken")
-	}
-
-	// The cross-package suite runs over the same load: the whole tree
-	// must be clean under purity, goleak, and httpcontract too.
-	prog := lint.BuildProgram(pkgs)
-	progFindings, err := lint.RunProgramAnalyzers(prog, lint.ProgramAnalyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range progFindings {
-		t.Errorf("%s", f)
+	if code, out := runLint(t, moduleRoot(t), "./..."); code != 0 {
+		t.Errorf("lint.Run(./...) exit %d, want 0:\n%s", code, out)
 	}
 }
 
@@ -157,71 +111,128 @@ func TestPurityRootSetReachability(t *testing.T) {
 	}
 }
 
-// TestPurityCatchesMutations is the negative proof the fence demands:
-// injecting a time.Now() call into internal/wire and deleting a
-// `//lint:sorted` justification in internal/core must both produce
-// purity findings. The module is copied into a temp dir, mutated there,
-// reloaded, and re-analyzed — the working tree is never touched.
+// TestPurityCatchesMutations is the negative proof the fence demands.
+// Four planted defects must each produce a purity finding through the
+// driver:
+//
+//  1. a time.Now() call in a new file in internal/wire;
+//  2. deletion of a `//lint:sorted` justification in internal/core;
+//  3. an order-dependent map range in a new, uncalled function in
+//     internal/logic — only the package-wide root scope sees it;
+//  4. deletion of a `//lint:exact` justification in
+//     internal/layout/leftedge.go, whose comparators no flow path calls.
+//
+// The module is copied into a temp dir, mutated there, and re-analyzed;
+// the working tree is never touched.
 func TestPurityCatchesMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a module copy; skipped in -short")
 	}
 	tmp := t.TempDir()
 	copyModule(t, moduleRoot(t), tmp)
+	plantWallClock(t, tmp)
+	deleteFirstMarker(t, filepath.Join(tmp, "internal", "core", "core.go"), "//lint:sorted")
+	writeFile(t, filepath.Join(tmp, "internal", "logic", "zz_maporder.go"),
+		"package logic\n\n"+
+			"func injectedMapOrder(m map[string]int) []string {\n"+
+			"\tvar out []string\n"+
+			"\tfor k := range m {\n\t\tout = append(out, k)\n\t}\n"+
+			"\treturn out\n}\n")
+	deleteFirstMarker(t, filepath.Join(tmp, "internal", "layout", "leftedge.go"), "//lint:exact")
 
-	// Mutation 1: a wall-clock read in internal/wire. Every wire
-	// function is a purity root, so it is reachable by construction.
-	injected := filepath.Join(tmp, "internal", "wire", "zz_injected.go")
-	src := "package wire\n\nimport \"time\"\n\n" +
-		"func injectedWallClock() time.Time { return time.Now() }\n"
-	if err := os.WriteFile(injected, []byte(src), 0o644); err != nil {
+	code, out := runLint(t, tmp, "./...")
+	if code != 1 {
+		t.Fatalf("lint.Run exit %d, want 1:\n%s", code, out)
+	}
+	for _, plant := range []struct{ file, message string }{
+		{filepath.Join("internal", "wire", "zz_injected.go"), "wall clock"},
+		{filepath.Join("internal", "core", "core.go"), "order-dependent"},
+		{filepath.Join("internal", "logic", "zz_maporder.go"), "order-dependent"},
+		{filepath.Join("internal", "layout", "leftedge.go"), "exact !="},
+	} {
+		if !reported(out, plant.file, plant.message) {
+			t.Errorf("purity missed the %q plant in %s:\n%s", plant.message, plant.file, out)
+		}
+	}
+}
+
+// TestRunSubsetKeepsFence runs the driver on one package: the fence
+// still covers it, because program analyzers always load the whole
+// module and report the findings that fall in the requested packages.
+func TestRunSubsetKeepsFence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	tmp := t.TempDir()
+	copyModule(t, moduleRoot(t), tmp)
+	plantWallClock(t, tmp)
+
+	code, out := runLint(t, tmp, "./internal/wire/")
+	if code != 1 {
+		t.Fatalf("lint.Run(./internal/wire/) exit %d, want 1:\n%s", code, out)
+	}
+	if !reported(out, filepath.Join("internal", "wire", "zz_injected.go"), "wall clock") {
+		t.Errorf("subset run missed the planted time.Now() in internal/wire:\n%s", out)
+	}
+}
+
+// runLint runs the driver over the module at root and returns its exit
+// code and printed findings.
+func runLint(t *testing.T, root string, patterns ...string) (int, string) {
+	t.Helper()
+	var out bytes.Buffer
+	code, err := lint.Run(root, patterns, &out)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return code, out.String()
+}
 
-	// Mutation 2: delete the first //lint:sorted justification in
-	// internal/core/core.go, un-suppressing an order-dependent map range
-	// inside the mapper.
-	corePath := filepath.Join(tmp, "internal", "core", "core.go")
-	data, err := os.ReadFile(corePath)
+// reported reports whether out holds a finding in a file ending in
+// file whose message contains message.
+func reported(out, file, message string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if i := strings.Index(line, ".go:"); i >= 0 &&
+			strings.HasSuffix(line[:i+3], file) && strings.Contains(line, message) {
+			return true
+		}
+	}
+	return false
+}
+
+// plantWallClock adds a wall-clock read to internal/wire under root.
+// Every wire function is a purity root, so it is in the fence by
+// construction.
+func plantWallClock(t *testing.T, root string) {
+	t.Helper()
+	writeFile(t, filepath.Join(root, "internal", "wire", "zz_injected.go"),
+		"package wire\n\nimport \"time\"\n\n"+
+			"func injectedWallClock() time.Time { return time.Now() }\n")
+}
+
+// deleteFirstMarker removes the first line of path containing marker,
+// un-suppressing the finding it justified.
+func deleteFirstMarker(t *testing.T, path, marker string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(string(data), "\n")
-	removed := false
 	for i, l := range lines {
-		if strings.Contains(l, "//lint:sorted") {
+		if strings.Contains(l, marker) {
 			lines = append(lines[:i], lines[i+1:]...)
-			removed = true
-			break
+			writeFile(t, path, strings.Join(lines, "\n"))
+			return
 		}
 	}
-	if !removed {
-		t.Fatal("internal/core/core.go carries no //lint:sorted annotation to delete; update the mutation")
-	}
-	if err := os.WriteFile(corePath, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Fatalf("%s carries no %s annotation to delete; update the mutation", path, marker)
+}
 
-	prog := loadProgram(t, tmp)
-	findings, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{lint.PurityAnalyzer})
-	if err != nil {
+func writeFile(t *testing.T, path, src string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	sawWire, sawCore := false, false
-	for _, f := range findings {
-		if strings.Contains(f.Posn.Filename, "zz_injected.go") && strings.Contains(f.Message, "wall clock") {
-			sawWire = true
-		}
-		if strings.HasSuffix(f.Posn.Filename, filepath.Join("internal", "core", "core.go")) &&
-			strings.Contains(f.Message, "order-dependent") {
-			sawCore = true
-		}
-	}
-	if !sawWire {
-		t.Error("purity missed the injected time.Now() in internal/wire")
-	}
-	if !sawCore {
-		t.Error("purity missed the un-justified map range in internal/core")
 	}
 }
 

@@ -134,7 +134,7 @@ func pickBestJustified(costs map[nodeID]float64) nodeID {
 	best := nodeID(-1)
 	bestCost := 1e18
 	for id, c := range costs { //lint:sorted max with total tie-break on id is order-insensitive
-		if c < bestCost || (c == bestCost && id < best) {
+		if c < bestCost || (c == bestCost && id < best) { // want `exact == between float expressions`
 			best, bestCost = id, c
 		}
 	}
