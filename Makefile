@@ -5,7 +5,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test lint race soak smoke service-smoke scale-smoke bench perf perfcheck cover fuzz fmt clean
+.PHONY: all build test lint race soak smoke service-smoke scale-smoke bench cover fuzz fmt clean
 
 all: build test lint
 
@@ -57,22 +57,6 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x ./internal/equiv/
-
-# Performance snapshot: run the hot-path benchmarks (full Table 1, the
-# C5315 pipeline, the engine suite) once each plus the in-process
-# wire-cost-evaluation probe, and write BENCH_PR5.json at the repo root
-# (DESIGN.md §11). Commit the refreshed file when a PR intentionally
-# changes performance.
-perf:
-	$(GO) run ./scripts/benchperf -out BENCH_PR5.json
-
-# Regression gate against the committed snapshot: deterministic metrics
-# (allocs/op, wire-cost evaluations) may not regress more than 10%;
-# ns/op not more than 50%, checked per benchmark above a 0.5s floor and
-# in aggregate over the whole suite (slack for machine variance). CI
-# runs this on every push.
-perfcheck:
-	$(GO) run ./scripts/benchperf -baseline BENCH_PR5.json
 
 # The mapping packages (front end through verification) plus the lint
 # suite itself must stay at or above 70%

@@ -6,11 +6,14 @@
 //	lilymap -circuit C432                       # Lily, area mode
 //	lilymap -circuit C5315 -mapper mis -mode delay
 //	lilymap -blif design.blif -lambda 0.5 -verify
+//	lilymap -circuit C1908 -mode delay -period 100   # slack report, exit 1 on violation
+//	lilymap -circuit C432 -svg c432.svg -svg-nets 50 # draw the finished layout
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -37,6 +40,9 @@ func main() {
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	showPath := flag.Bool("path", false, "print the critical path")
 	outBLIF := flag.String("o", "", "write the mapped, placed netlist as .gate BLIF to this path")
+	period := flag.Float64("period", 0, "clock period in ns: print the slack report, exit 1 on a violation (0 = skip)")
+	svgPath := flag.String("svg", "", "render the finished layout (rows, pads, nets) as SVG to this path")
+	svgNets := flag.Int("svg-nets", 0, "with -svg, draw the N longest nets (0 = none)")
 	flag.Parse()
 
 	if *list {
@@ -64,6 +70,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *outBLIF != "" && *svgPath != "" {
+		fmt.Fprintln(os.Stderr, "lilymap: -o and -svg are exclusive")
+		os.Exit(2)
+	}
+	if *period < 0 {
+		fatal(fmt.Errorf("negative clock period %g", *period))
+	}
 
 	opt := lily.FlowOptions{
 		WireWeight:          *lambda,
@@ -72,6 +85,7 @@ func main() {
 		VerifyEquivalence:   *verify,
 		Parallelism:         *parallelism,
 		MultilevelThreshold: *mlThreshold,
+		ClockPeriodNS:       *period,
 	}
 	switch *mapper {
 	case "lily":
@@ -126,16 +140,16 @@ func main() {
 		c.Name(), st.PIs, st.POs, st.Nodes, st.Depth)
 
 	var res *lily.FlowResult
-	if *outBLIF != "" {
-		f, ferr := os.Create(*outBLIF)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		res, err = lily.WriteMappedBLIF(c, opt, f)
-		if cerr := f.Close(); err == nil && cerr != nil {
-			fatal(cerr)
-		}
-	} else {
+	switch {
+	case *outBLIF != "":
+		res, err = writeFile(*outBLIF, func(w io.Writer) (*lily.FlowResult, error) {
+			return lily.WriteMappedBLIF(c, opt, w)
+		})
+	case *svgPath != "":
+		res, err = writeFile(*svgPath, func(w io.Writer) (*lily.FlowResult, error) {
+			return lily.RenderLayoutSVG(c, opt, w, lily.SVGOptions{DrawNets: *svgNets > 0, MaxNets: *svgNets})
+		})
+	default:
 		res, err = lily.RunFlow(c, opt)
 	}
 	if err != nil {
@@ -167,6 +181,29 @@ func main() {
 		fmt.Printf(" %s:%d", g, res.GateHistogram[g])
 	}
 	fmt.Println()
+	if *period > 0 {
+		fmt.Printf("clock period      %.3f ns\n", *period)
+		fmt.Printf("worst slack       %+.3f ns\n", res.WorstSlackNS)
+		if res.ViolatingCells > 0 {
+			fmt.Printf("VIOLATED          %d cells with negative slack\n", res.ViolatingCells)
+			os.Exit(1)
+		}
+		fmt.Println("met               all cells have non-negative slack")
+	}
+}
+
+// writeFile creates path, runs the flow writing into it, and closes it,
+// reporting the first error.
+func writeFile(path string, run func(io.Writer) (*lily.FlowResult, error)) (*lily.FlowResult, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	res, err := run(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
 
 func lastOf(path []string) string {

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"math"
 	"testing"
 
 	"lily"
@@ -31,17 +30,8 @@ var scaleGoldenCircuits = []string{"mid5k", "mid10k"}
 // scaleGoldenCases is the (objective, target) grid pinned per carrier:
 // area mode at every technology target. Delay mode at these sizes is
 // covered by the determinism soak, not a golden.
-func scaleGoldenCases(circuit string) []struct {
-	obj lily.Objective
-	tgt lily.TechnologyTarget
-	key string
-} {
-	type gc = struct {
-		obj lily.Objective
-		tgt lily.TechnologyTarget
-		key string
-	}
-	return []gc{
+func scaleGoldenCases(circuit string) []goldenCase {
+	return []goldenCase{
 		{lily.ObjectiveArea, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveArea)},
 		{lily.ObjectiveArea, lily.TargetLUT4, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4)},
 		{lily.ObjectiveArea, lily.TargetLUT6, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT6)},
@@ -50,53 +40,9 @@ func scaleGoldenCases(circuit string) []struct {
 
 // TestGoldenScaleMapping extends the golden harness to the midsize
 // generated circuits: mapped, equivalence-verified, and pinned by BLIF
-// hash and cost metrics.
+// hash, cost metrics and work counters.
 func TestGoldenScaleMapping(t *testing.T) {
-	if *updateGolden {
-		goldens := make(map[string]goldenEntry)
-		for _, circuit := range scaleGoldenCircuits {
-			for _, c := range scaleGoldenCases(circuit) {
-				goldens[c.key] = mapGolden(t, circuit, c.obj, c.tgt)
-			}
-		}
-		mergeGoldens(t, goldens)
-		return
-	}
-
-	goldens := loadGoldens(t)
-	for _, circuit := range scaleGoldenCircuits {
-		for _, c := range scaleGoldenCases(circuit) {
-			circuit, c := circuit, c
-			t.Run(c.key, func(t *testing.T) {
-				if testing.Short() && circuit == "mid10k" {
-					t.Skip("skipping mid10k under -short (covered by the full run)")
-				}
-				want, ok := goldens[c.key]
-				if !ok {
-					t.Fatalf("no golden for %s (refresh with -update-golden)", c.key)
-				}
-				got := mapGolden(t, circuit, c.obj, c.tgt)
-				if got.BLIFSHA256 != want.BLIFSHA256 {
-					t.Errorf("mapped BLIF hash drifted: got %s want %s\n"+
-						"the mapper's output changed — if intentional, refresh with -update-golden",
-						got.BLIFSHA256, want.BLIFSHA256)
-				}
-				if got.Gates != want.Gates {
-					t.Errorf("gates = %d, want %d", got.Gates, want.Gates)
-				}
-				check := func(name string, got, want float64) {
-					if math.Abs(got-want) > goldenTol {
-						t.Errorf("%s = %.12f, want %.12f (|Δ| = %g > %g)",
-							name, got, want, math.Abs(got-want), goldenTol)
-					}
-				}
-				check("active_area_mm2", got.ActiveAreaMM2, want.ActiveAreaMM2)
-				check("chip_area_mm2", got.ChipAreaMM2, want.ChipAreaMM2)
-				check("wirelength_mm", got.WirelengthMM, want.WirelengthMM)
-				check("delay_ns", got.DelayNS, want.DelayNS)
-			})
-		}
-	}
+	runGoldenMappings(t, scaleGoldenCircuits, scaleGoldenCases, func(circuit string) bool { return circuit == "mid10k" })
 }
 
 // genGoldenEntry pins a scale generator's output: the SHA-256 of the

@@ -1,11 +1,14 @@
 // Golden equivalence tests: every benchmark circuit is mapped in both Area
 // and Delay mode, formally verified against its subject graph (the flow's
 // VerifyEquivalence step runs internal/equiv), and compared against pinned
-// goldens: the SHA-256 of the mapped, placed BLIF output and the paper's
-// cost metrics to 1e-9. The BLIF hash catches any behavioral drift in the
-// mapper — the hot-path optimizations of the cover DP must keep output
+// goldens: the SHA-256 of the mapped, placed BLIF output, the paper's
+// cost metrics to 1e-9, and the mapper's deterministic work counters
+// exactly. The BLIF hash catches any behavioral drift in the mapper —
+// the hot-path optimizations of the cover DP must keep output
 // byte-identical — while the metric goldens catch cost regressions that a
-// purely functional check would miss.
+// purely functional check would miss. The wire-cost evaluation and cone
+// counts pin how much work the cover DP did to get there, and the
+// verification method pins whether the output was proved or only sampled.
 //
 // Refresh the goldens (only after an intentional mapper change) with
 //
@@ -14,6 +17,7 @@ package lily_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -26,6 +30,7 @@ import (
 	"testing"
 
 	"lily"
+	"lily/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -37,6 +42,14 @@ type goldenEntry struct {
 	BLIFSHA256 string `json:"blif_sha256"`
 	// Gates is the mapped cell count.
 	Gates int `json:"gates"`
+	// WireEvals is the cover DP's wire-cost evaluation count (one per
+	// candidate match considered) and Cones its committed-cone count.
+	// Both are deterministic, so they are pinned exactly.
+	WireEvals uint64 `json:"wire_evals,omitempty"`
+	Cones     int    `json:"cones,omitempty"`
+	// VerifyMethod is how equivalence was established: "bdd" (proved)
+	// or "simulation" (sampled after the BDD budget ran out).
+	VerifyMethod string `json:"verify_method,omitempty"`
 	// The paper's cost metrics, asserted to 1e-9.
 	ActiveAreaMM2 float64 `json:"active_area_mm2"`
 	ChipAreaMM2   float64 `json:"chip_area_mm2"`
@@ -118,14 +131,17 @@ func mergeGoldens(t *testing.T, entries map[string]goldenEntry) {
 
 // mapGolden runs the Lily pipeline for one (circuit, objective, target)
 // with formal equivalence checking enabled and returns the pinned entry.
+// A private flow-metrics bundle reads back the DP's wire-cost count.
 func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.TechnologyTarget) goldenEntry {
 	t.Helper()
 	c, err := lily.GenerateBenchmark(circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fm := obs.RegisterFlowMetrics(obs.NewRegistry())
+	ctx := obs.ContextWithFlowMetrics(context.Background(), fm)
 	var buf bytes.Buffer
-	res, err := lily.WriteMappedBLIF(c, lily.FlowOptions{
+	res, err := lily.WriteMappedBLIFContext(ctx, c, lily.FlowOptions{
 		Mapper:            lily.MapperLily,
 		Objective:         obj,
 		Target:            tgt,
@@ -138,6 +154,9 @@ func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.Techno
 	return goldenEntry{
 		BLIFSHA256:    hex.EncodeToString(sum[:]),
 		Gates:         res.Gates,
+		WireEvals:     fm.WireEvals.Value(),
+		Cones:         res.LilyConesProcessed,
+		VerifyMethod:  res.VerifyMethod,
 		ActiveAreaMM2: res.ActiveAreaMM2,
 		ChipAreaMM2:   res.ChipAreaMM2,
 		WirelengthMM:  res.WirelengthMM,
@@ -145,21 +164,20 @@ func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.Techno
 	}
 }
 
+// goldenCase is one pinned (objective, target) mapping of a circuit under
+// its golden key.
+type goldenCase struct {
+	obj lily.Objective
+	tgt lily.TechnologyTarget
+	key string
+}
+
 // goldenCases enumerates the pinned (objective, target, key) grid: the
 // ASIC target at both objectives (the paper's tables), and each LUT
 // target in area mode (LUT count is the FPGA resource metric; delay-mode
 // LUT output is covered by the determinism soak).
-func goldenCases(circuit string) []struct {
-	obj lily.Objective
-	tgt lily.TechnologyTarget
-	key string
-} {
-	type gc = struct {
-		obj lily.Objective
-		tgt lily.TechnologyTarget
-		key string
-	}
-	return []gc{
+func goldenCases(circuit string) []goldenCase {
+	return []goldenCase{
 		{lily.ObjectiveArea, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveArea)},
 		{lily.ObjectiveDelay, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveDelay)},
 		{lily.ObjectiveArea, lily.TargetLUT4, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4)},
@@ -167,16 +185,16 @@ func goldenCases(circuit string) []struct {
 	}
 }
 
-// TestGoldenMapping is the table-driven golden harness: every benchmark
-// circuit, both objectives, every technology target, verified and pinned.
-func TestGoldenMapping(t *testing.T) {
-	circuits := lily.BenchmarkNames()
-	sort.Strings(circuits)
-
+// runGoldenMappings is the shared golden harness: it maps every circuit
+// at each of its cases and compares against the stored entry in a subtest
+// named by the golden key, or with -update-golden merges fresh entries
+// into the golden file. skip names circuits to skip under -short.
+func runGoldenMappings(t *testing.T, circuits []string, cases func(string) []goldenCase, skip func(string) bool) {
+	t.Helper()
 	if *updateGolden {
 		goldens := make(map[string]goldenEntry)
 		for _, circuit := range circuits {
-			for _, c := range goldenCases(circuit) {
+			for _, c := range cases(circuit) {
 				goldens[c.key] = mapGolden(t, circuit, c.obj, c.tgt)
 			}
 		}
@@ -186,36 +204,61 @@ func TestGoldenMapping(t *testing.T) {
 
 	goldens := loadGoldens(t)
 	for _, circuit := range circuits {
-		for _, c := range goldenCases(circuit) {
+		for _, c := range cases(circuit) {
 			circuit, c := circuit, c
 			t.Run(c.key, func(t *testing.T) {
-				if testing.Short() && shortSkip[circuit] {
+				if testing.Short() && skip(circuit) {
 					t.Skipf("skipping %s under -short (covered by the full run)", circuit)
 				}
 				want, ok := goldens[c.key]
 				if !ok {
 					t.Fatalf("no golden for %s (refresh with -update-golden)", c.key)
 				}
-				got := mapGolden(t, circuit, c.obj, c.tgt)
-				if got.BLIFSHA256 != want.BLIFSHA256 {
-					t.Errorf("mapped BLIF hash drifted: got %s want %s\n"+
-						"the mapper's output changed — if intentional, refresh with -update-golden",
-						got.BLIFSHA256, want.BLIFSHA256)
-				}
-				if got.Gates != want.Gates {
-					t.Errorf("gates = %d, want %d", got.Gates, want.Gates)
-				}
-				check := func(name string, got, want float64) {
-					if math.Abs(got-want) > goldenTol {
-						t.Errorf("%s = %.12f, want %.12f (|Δ| = %g > %g)",
-							name, got, want, math.Abs(got-want), goldenTol)
-					}
-				}
-				check("active_area_mm2", got.ActiveAreaMM2, want.ActiveAreaMM2)
-				check("chip_area_mm2", got.ChipAreaMM2, want.ChipAreaMM2)
-				check("wirelength_mm", got.WirelengthMM, want.WirelengthMM)
-				check("delay_ns", got.DelayNS, want.DelayNS)
+				compareGolden(t, c.key, mapGolden(t, circuit, c.obj, c.tgt), want)
 			})
 		}
 	}
+}
+
+// compareGolden reports every field of got that differs from the pinned
+// entry want: the BLIF hash, gate count, work counters and verification
+// method exactly, the cost metrics to goldenTol.
+func compareGolden(t *testing.T, key string, got, want goldenEntry) {
+	t.Helper()
+	if got.BLIFSHA256 != want.BLIFSHA256 {
+		t.Errorf("%s: mapped BLIF hash drifted: got %s want %s\n"+
+			"the mapper's output changed — if intentional, refresh with -update-golden",
+			key, got.BLIFSHA256, want.BLIFSHA256)
+	}
+	if got.Gates != want.Gates {
+		t.Errorf("%s: gates = %d, want %d", key, got.Gates, want.Gates)
+	}
+	if got.WireEvals != want.WireEvals {
+		t.Errorf("%s: wire_evals = %d, want %d (the cover DP considered a different number of candidates)",
+			key, got.WireEvals, want.WireEvals)
+	}
+	if got.Cones != want.Cones {
+		t.Errorf("%s: cones = %d, want %d", key, got.Cones, want.Cones)
+	}
+	if got.VerifyMethod != want.VerifyMethod {
+		t.Errorf("%s: verify_method = %q, want %q", key, got.VerifyMethod, want.VerifyMethod)
+	}
+	check := func(name string, got, want float64) {
+		if math.Abs(got-want) > goldenTol {
+			t.Errorf("%s: %s = %.12f, want %.12f (|Δ| = %g > %g)",
+				key, name, got, want, math.Abs(got-want), goldenTol)
+		}
+	}
+	check("active_area_mm2", got.ActiveAreaMM2, want.ActiveAreaMM2)
+	check("chip_area_mm2", got.ChipAreaMM2, want.ChipAreaMM2)
+	check("wirelength_mm", got.WirelengthMM, want.WirelengthMM)
+	check("delay_ns", got.DelayNS, want.DelayNS)
+}
+
+// TestGoldenMapping is the table-driven golden harness: every benchmark
+// circuit, both objectives, every technology target, verified and pinned.
+func TestGoldenMapping(t *testing.T) {
+	circuits := lily.BenchmarkNames()
+	sort.Strings(circuits)
+	runGoldenMappings(t, circuits, goldenCases, func(circuit string) bool { return shortSkip[circuit] })
 }

@@ -366,6 +366,10 @@ type FlowResult struct {
 	WorstSlackNS        float64 // against ClockPeriodNS (when set)
 	ViolatingCells      int     // cells with negative slack (when set)
 	EstimatorDivergence float64 // |constructive - routed| / routed wirelength (Lily only)
+	// VerifyMethod records how VerifyEquivalence reached its verdict:
+	// "bdd" (proved) or "simulation" (sampled after the BDD budget ran
+	// out). Empty when verification is off.
+	VerifyMethod string
 }
 
 func (r *FlowResult) String() string {
@@ -655,9 +659,11 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		fsp.End()
 	}
 
+	var verifyMethod string
 	if opt.VerifyEquivalence {
 		_, vsp := obs.StartSpan(ctx, "verify")
-		if err := verifyEquivalent(c.net, nl); err != nil {
+		verifyMethod, err = verifyEquivalent(c.net, nl)
+		if err != nil {
 			vsp.SetError(err)
 			vsp.End()
 			return nil, nil, err
@@ -721,6 +727,7 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		LilyReincarnations: lilyStats.Reincarnations,
 		LilyConesProcessed: lilyStats.ConesProcessed,
 		BuffersInserted:    buffersInserted,
+		VerifyMethod:       verifyMethod,
 	}
 	if slackRep != nil {
 		out.WorstSlackNS = slackRep.WorstSlack
@@ -807,15 +814,16 @@ func placedPremap(ctx context.Context, net *logic.Network, lib *library.Library,
 }
 
 // verifyEquivalent checks the mapped netlist against the source formally
-// (BDD, with a simulation fallback for circuits that blow the node budget).
-func verifyEquivalent(src *logic.Network, nl *netlist.Netlist) error {
+// (BDD, with a simulation fallback for circuits that blow the node budget)
+// and returns the method that reached the verdict.
+func verifyEquivalent(src *logic.Network, nl *netlist.Netlist) (string, error) {
 	res, err := equiv.Check(src, nl, equiv.DefaultOptions())
 	if err != nil {
-		return err
+		return "", err
 	}
 	if !res.Equivalent {
-		return fmt.Errorf("lily: mapped netlist differs from source at output %q (found by %v, counterexample %v)",
+		return "", fmt.Errorf("lily: mapped netlist differs from source at output %q (found by %v, counterexample %v)",
 			res.FailingOutput, res.Method, res.Counterexample)
 	}
-	return nil
+	return res.Method.String(), nil
 }

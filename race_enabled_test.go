@@ -3,8 +3,9 @@
 package lily_test
 
 // raceEnabled reports whether the race detector is compiled in. The
-// scale smoke test excludes itself under -race: the detector's ~10x
-// slowdown on a 100k-gate pipeline tells us nothing the race-lifecycle
-// CI job (which runs the concurrency suites under -race directly)
-// doesn't, and would blow the wall-clock budget the test exists to pin.
+// scale smoke test and the parallel-speedup floor exclude themselves
+// under -race: the detector's ~10x slowdown turns a wall-clock budget or
+// floor into a measurement of the detector, and tells us nothing the
+// race-lifecycle CI job (which runs the concurrency suites under -race
+// directly) doesn't.
 const raceEnabled = true
