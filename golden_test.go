@@ -47,6 +47,10 @@ type goldenEntry struct {
 	// Both are deterministic, so they are pinned exactly.
 	WireEvals uint64 `json:"wire_evals,omitempty"`
 	Cones     int    `json:"cones,omitempty"`
+	// Pruned counts the candidates among WireEvals that the area-mode
+	// lower bound skipped; it is deterministic at any Parallelism, so it
+	// is pinned exactly too (absent, i.e. 0, for delay mode).
+	Pruned uint64 `json:"pruned,omitempty"`
 	// VerifyMethod is how equivalence was established: "bdd" (proved)
 	// or "simulation" (sampled after the BDD budget ran out).
 	VerifyMethod string `json:"verify_method,omitempty"`
@@ -155,6 +159,7 @@ func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.Techno
 		BLIFSHA256:    hex.EncodeToString(sum[:]),
 		Gates:         res.Gates,
 		WireEvals:     fm.WireEvals.Value(),
+		Pruned:        fm.Pruned.Value(),
 		Cones:         res.LilyConesProcessed,
 		VerifyMethod:  res.VerifyMethod,
 		ActiveAreaMM2: res.ActiveAreaMM2,
@@ -236,6 +241,10 @@ func compareGolden(t *testing.T, key string, got, want goldenEntry) {
 	if got.WireEvals != want.WireEvals {
 		t.Errorf("%s: wire_evals = %d, want %d (the cover DP considered a different number of candidates)",
 			key, got.WireEvals, want.WireEvals)
+	}
+	if got.Pruned != want.Pruned {
+		t.Errorf("%s: pruned = %d, want %d (the cover DP's lower bound skipped a different number of candidates)",
+			key, got.Pruned, want.Pruned)
 	}
 	if got.Cones != want.Cones {
 		t.Errorf("%s: cones = %d, want %d", key, got.Cones, want.Cones)

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lily/internal/cover"
@@ -252,6 +253,7 @@ func mapPlaced(ctx context.Context, sub *logic.Network, lib *library.Library, pl
 		lm.trace = make([]Transition, 0, 4*len(sub.Nodes))
 	}
 	res, err := lm.run()
+	lm.fm.Pruned.Add(lm.pruned)
 	if err != nil {
 		span.SetError(err)
 		return nil, err
@@ -262,6 +264,7 @@ func mapPlaced(ctx context.Context, sub *logic.Network, lib *library.Library, pl
 		span.SetInt("doves", int64(res.Stats.Doves))
 		span.SetInt("reincarnations", int64(res.Stats.Reincarnations))
 		span.SetInt("replacements", int64(res.Stats.Replacements))
+		span.SetInt("pruned", int64(lm.pruned))
 	}
 	return res, nil
 }
@@ -432,6 +435,8 @@ type lily struct {
 	arrBuf    []timing.Arrival
 	evalBlock *timing.BlockArrival
 	bestBlock *timing.BlockArrival
+	// pruned counts the candidates the area bound let evaluateArea skip.
+	pruned uint64
 
 	stats LifecycleStats
 	trace []Transition
@@ -875,39 +880,62 @@ func (lm *lily) wireIncrement(g *matchGeometry, i int) float64 {
 	return length / float64(sinks)
 }
 
+// areaCost is the §3 area-mode objective: gate area plus λ-weighted
+// routing area (wire length × routing pitch). The exact cost and the
+// lower bound both go through it, and the explicit float64 conversion
+// forbids fusing the multiply-add into an FMA on any GOARCH, so the two
+// round identically and areaBound ≤ cost holds bit for bit.
+func (lm *lily) areaCost(area, wlen float64) float64 {
+	return area + float64(lm.opt.WireWeight*lm.lib.WirePitch*wlen)
+}
+
+// areaBound is the geometry-free lower bound on match m's area cost: the
+// evaluateArea accumulation with every wireIncrement dropped, over the
+// same distinct non-PI, non-hawk inputs in the same first-occurrence
+// order. Increments are non-negative and IEEE addition and multiplication
+// by a non-negative constant are monotone, so the bound never exceeds the
+// cost (DESIGN.md §11). A nestling input without a match makes m
+// infeasible: the bound is +Inf and m is never evaluated. PIs are never
+// evaluated, so their best is always nil: the node's kind (a cold load)
+// is read only for inputs without a match.
+func (lm *lily) areaBound(m *match.Match) float64 {
+	area := m.Gate.Area
+	wlen := 0.0
+	for j, vi := range m.Inputs {
+		if lm.state[vi] == StateHawk || slices.Contains(m.Inputs[:j], vi) {
+			continue
+		}
+		if lm.best[vi] == nil {
+			if lm.sub.Nodes[vi].Kind == logic.KindPI {
+				continue
+			}
+			return math.Inf(1)
+		}
+		area += lm.areaSum[vi]
+		wlen += lm.wCost[vi]
+	}
+	return lm.areaCost(area, wlen)
+}
+
 // evaluateArea implements the §3 cost: aCost(v,m) plus λ-weighted routing
-// area (wire length × routing pitch), both recursively accumulated.
+// area (wire length × routing pitch), both recursively accumulated. It is
+// an exact branch and bound: a candidate whose areaBound is not below the
+// running best cannot win — a later candidate needs a strictly lower cost
+// — so it is skipped without building its geometry. The winner is the
+// first minimum of the match list, exactly as a full strict-< scan picks.
 func (lm *lily) evaluateArea(v logic.NodeID, matches []*match.Match) error {
 	bestCost := math.Inf(1)
 	var bm *match.Match
 	var bmPos geom.Point
 	var bmW, bmA float64
 	for _, m := range matches {
-		g := lm.geometry(v, m)
-		area := m.Gate.Area
-		wlen := 0.0
-		feasible := true
-		for i, vi := range g.distinctIn {
-			wlen += lm.wireIncrement(g, i)
-			switch {
-			case lm.sub.Nodes[vi].Kind == logic.KindPI:
-			case lm.state[vi] == StateHawk:
-				// Committed: its area and wiring are already paid for.
-			default:
-				if lm.best[vi] == nil {
-					feasible = false
-					break
-				}
-				area += lm.areaSum[vi]
-				wlen += lm.wCost[vi]
-			}
-		}
-		if !feasible {
+		if lm.areaBound(m) >= bestCost {
+			lm.pruned++
 			continue
 		}
-		cost := area + lm.opt.WireWeight*lm.lib.WirePitch*wlen
+		cost, wlen, area, pos := lm.areaMatchCost(v, m)
 		if cost < bestCost {
-			bestCost, bm, bmPos, bmW, bmA = cost, m, g.gatePos, wlen, area
+			bestCost, bm, bmPos, bmW, bmA = cost, m, pos, wlen, area
 		}
 	}
 	if bm == nil {
@@ -919,6 +947,24 @@ func (lm *lily) evaluateArea(v logic.NodeID, matches []*match.Match) error {
 	lm.areaSum[v] = bmA
 	lm.mapPos[v] = bmPos
 	return nil
+}
+
+// areaMatchCost positions a feasible match m at v and returns its exact
+// area-mode cost with the parts the DP records: the accumulated wire
+// length and gate area, and the gate position.
+func (lm *lily) areaMatchCost(v logic.NodeID, m *match.Match) (cost, wlen, area float64, pos geom.Point) {
+	g := lm.geometry(v, m)
+	area = m.Gate.Area
+	for j, vi := range g.distinctIn {
+		wlen += lm.wireIncrement(g, j)
+		// PIs and committed hawks: their area and wiring are already
+		// paid for.
+		if lm.sub.Nodes[vi].Kind != logic.KindPI && lm.state[vi] != StateHawk {
+			area += lm.areaSum[vi]
+			wlen += lm.wCost[vi]
+		}
+	}
+	return lm.areaCost(area, wlen), wlen, area, g.gatePos
 }
 
 // evaluateDelay implements the §4.4 procedure: for each candidate match the

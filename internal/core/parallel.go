@@ -136,6 +136,7 @@ func (lm *lily) newWorker() *lily {
 	w.arrBuf = nil
 	w.evalBlock = new(timing.BlockArrival)
 	w.bestBlock = new(timing.BlockArrival)
+	w.pruned = 0
 	w.trace = make([]Transition, 0, 64)
 	w.reawakened = nil
 	return w
@@ -180,6 +181,7 @@ func (lm *lily) runConesParallel(order []int) error {
 	defer func() {
 		for _, w := range workers {
 			wire.Put(w.ws)
+			lm.pruned += w.pruned
 		}
 	}()
 	for i := 0; i < nw; i++ {

@@ -20,6 +20,7 @@ package cut
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"lily/internal/library"
@@ -385,29 +386,32 @@ func (e *Enumerator) truthTable(v logic.NodeID, leaves []logic.NodeID) uint64 {
 // lutGate returns the synthesized LUT cell for a k-input truth table in
 // this enumerator's K-LUT tile, cached per (arity, function) so equal
 // cuts share one gate instance. The cover is the table's minterm
-// expansion — exact, and at most 2^k cubes — and the name encodes arity
-// plus the table in hex, so mapped BLIF is self-describing and
-// byte-stable.
+// expansion — exact, and at most 2^k cubes, all cut from one backing
+// array — and the name encodes arity plus the table in hex, so mapped
+// BLIF is self-describing and byte-stable.
 func (e *Enumerator) lutGate(k int, tt uint64) *library.Gate {
 	key := gateKey{k: k, tt: tt}
 	if g, ok := e.gates[key]; ok {
 		return g
 	}
-	cover := logic.NewSOP(k)
+	n := bits.OnesCount64(tt)
+	lits := make([]logic.Lit, n*k)
+	cover := logic.SOP{NumInputs: k, Cubes: make([]logic.Cube, 0, n)}
 	rows := 1 << uint(k)
 	for r := 0; r < rows; r++ {
 		if tt>>uint(r)&1 == 0 {
 			continue
 		}
-		cube := make(logic.Cube, k)
-		for i := 0; i < k; i++ {
+		cube := lits[:k:k]
+		lits = lits[k:]
+		for i := range cube {
 			if r>>uint(i)&1 == 1 {
 				cube[i] = logic.LitPos
 			} else {
 				cube[i] = logic.LitNeg
 			}
 		}
-		cover.AddCube(cube)
+		cover.Cubes = append(cover.Cubes, cube)
 	}
 	hexWidth := rows / 4
 	if hexWidth < 1 {

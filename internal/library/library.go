@@ -296,11 +296,12 @@ const (
 // synthesized on demand by the cut enumerator in internal/cut, not
 // matched structurally), and their delay model is pin-uniform: the
 // select tree gives every input the same path to the output, with
-// intrinsic delay growing in the tree depth tileK.
+// intrinsic delay growing in the tree depth tileK. Pin unateness comes
+// from the cover's truth table, a few word operations per pin.
 func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
 	k := cover.NumInputs
-	if tileK < k {
-		panic(fmt.Sprintf("library: %d-input cover does not fit a %d-LUT tile", k, tileK))
+	if tileK < k || tileK > len(cofactorMask) {
+		panic(fmt.Sprintf("library: %d-input cover in a %d-LUT tile, want k <= tileK <= 6", k, tileK))
 	}
 	width := lutBaseWidthUm + lutBitWidthUm*float64(uint(1)<<tileK)
 	g := &Gate{
@@ -311,8 +312,8 @@ func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
 		Area:      width * rowHeightUm,
 		InputCap:  inputCapPF,
 		Cover:     cover,
+		Unate:     truthTableUnateness(k, coverTruthTable(cover)),
 	}
-	g.Unate = computeUnateness(g.Cover)
 	for i := 0; i < k; i++ {
 		g.Timing = append(g.Timing, PinTiming{
 			IntrinsicRise: baseIntr * (0.6 + 0.3*float64(tileK)) * 1.1,
@@ -322,6 +323,64 @@ func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
 		})
 	}
 	return g
+}
+
+// cofactorMask[i] selects the truth-table rows with input i clear.
+var cofactorMask = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// coverTruthTable returns the truth table of a cover of at most six
+// inputs, row r holding the output for the assignment where input i
+// takes bit i of r: each cube is the AND of its literals' row masks, and
+// the function is the OR of its cubes. Rows at or above 2^k are zero.
+func coverTruthTable(cover logic.SOP) uint64 {
+	all := ^uint64(0)
+	if k := cover.NumInputs; k < 6 {
+		all = uint64(1)<<(uint(1)<<uint(k)) - 1
+	}
+	var tt uint64
+	for _, c := range cover.Cubes {
+		rows := all
+		for i, l := range c {
+			switch l {
+			case logic.LitPos:
+				rows &^= cofactorMask[i]
+			case logic.LitNeg:
+				rows &= cofactorMask[i]
+			}
+		}
+		tt |= rows
+	}
+	return tt
+}
+
+// truthTableUnateness is computeUnateness on a k-input truth table whose
+// rows at or above 2^k are zero, one word operation per pin instead of
+// 2^k cover evaluations: with m_i the rows that have input i clear, the
+// negative cofactor is f0 = tt & m_i and the positive one, shifted onto
+// the same rows, f1 = (tt >> 2^i) & m_i. The output can rise with input
+// i iff some row has f0 = 0 and f1 = 1, and fall iff some row has f0 = 1
+// and f1 = 0.
+func truthTableUnateness(k int, tt uint64) []Unateness {
+	out := make([]Unateness, k)
+	for i := range out {
+		m := cofactorMask[i]
+		f0 := tt & m
+		f1 := (tt >> (uint(1) << uint(i))) & m
+		canRise := ^f0&f1&m != 0
+		canFall := f0&^f1&m != 0
+		switch {
+		case canRise && canFall:
+			out[i] = Binate
+		case canFall:
+			out[i] = UnateNeg
+		default:
+			out[i] = UnatePos
+		}
+	}
+	return out
 }
 
 // buildBuffer constructs the pattern-less buffer cell. A buffer's

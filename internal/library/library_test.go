@@ -1,6 +1,7 @@
 package library
 
 import (
+	"math/rand"
 	"testing"
 
 	"lily/internal/logic"
@@ -184,5 +185,91 @@ func TestDriveStrengthOrdersResistance(t *testing.T) {
 	n6 := lib.GateByName("nand6")
 	if inv.Timing[0].ResistFall >= n6.Timing[0].ResistFall {
 		t.Error("weak wide gate should have higher output resistance than inv")
+	}
+}
+
+// checkLUTUnateness builds the LUT cell for a cover and checks that the
+// cover's truth table agrees with the cover on every row and that the
+// word-parallel unateness equals computeUnateness.
+func checkLUTUnateness(t *testing.T, cover logic.SOP) {
+	t.Helper()
+	k := cover.NumInputs
+	tt := coverTruthTable(cover)
+	vals := make([]bool, k)
+	for r := 0; r < 1<<k; r++ {
+		for i := range vals {
+			vals[i] = r>>i&1 == 1
+		}
+		if got, want := tt>>r&1 == 1, cover.Eval(vals); got != want {
+			t.Fatalf("k=%d tt=%#x: row %d = %v, cover says %v", k, tt, r, got, want)
+		}
+	}
+	if k < 6 && tt>>(1<<k) != 0 {
+		t.Fatalf("k=%d tt=%#x: rows above 2^k set", k, tt)
+	}
+	g := NewLUT("lut", cover, 6)
+	want := computeUnateness(cover)
+	for i := range want {
+		if g.Unate[i] != want[i] {
+			t.Fatalf("k=%d tt=%#x: pin %d unateness %v, want %v", k, tt, i, g.Unate[i], want[i])
+		}
+	}
+}
+
+// mintermCover returns the minterm expansion of a k-input truth table.
+func mintermCover(k int, tt uint64) logic.SOP {
+	cover := logic.NewSOP(k)
+	for r := 0; r < 1<<k; r++ {
+		if tt>>r&1 == 0 {
+			continue
+		}
+		cube := make(logic.Cube, k)
+		for i := range cube {
+			cube[i] = logic.LitNeg
+			if r>>i&1 == 1 {
+				cube[i] = logic.LitPos
+			}
+		}
+		cover.AddCube(cube)
+	}
+	return cover
+}
+
+// TestLUTUnatenessExhaustive checks the truth-table unateness against
+// computeUnateness on the minterm cover of every 1- to 4-input function.
+func TestLUTUnatenessExhaustive(t *testing.T) {
+	for k := 1; k <= 4; k++ {
+		for tt := uint64(0); tt < 1<<(1<<k); tt++ {
+			checkLUTUnateness(t, mintermCover(k, tt))
+		}
+	}
+}
+
+// TestLUTUnatenessRandom checks 20,000 seeded 5- and 6-input covers.
+// Half are minterm covers of uniform tables (almost always binate in
+// every pin); half are ORs of a few random cubes with don't-care
+// literals, which leave many pins unate.
+func TestLUTUnatenessRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	lits := []logic.Lit{logic.LitDC, logic.LitPos, logic.LitNeg}
+	for iter := 0; iter < 20000; iter++ {
+		k := 5 + iter%2
+		if rng.Intn(2) == 0 {
+			tt := rng.Uint64()
+			if k < 6 {
+				tt &= uint64(1)<<(1<<k) - 1
+			}
+			checkLUTUnateness(t, mintermCover(k, tt))
+			continue
+		}
+		cover := logic.NewSOP(k)
+		for c := rng.Intn(3) + 1; c > 0; c-- {
+			cube := make(logic.Cube, k)
+			for i := range cube {
+				cube[i] = lits[rng.Intn(len(lits))]
+			}
+			cover.AddCube(cube)
+		}
+		checkLUTUnateness(t, cover)
 	}
 }

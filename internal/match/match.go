@@ -5,10 +5,10 @@
 package match
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
+	"strings"
 
 	"lily/internal/decomp"
 	"lily/internal/library"
@@ -176,11 +176,11 @@ func (mt *Matcher) atNode(v logic.NodeID) []*Match {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Gate.Name != out[j].Gate.Name {
-			return out[i].Gate.Name < out[j].Gate.Name
+	slices.SortFunc(out, func(a, b *Match) int {
+		if c := strings.Compare(a.Gate.Name, b.Gate.Name); c != 0 {
+			return c
 		}
-		return decimalLess(out[i].Inputs, out[j].Inputs)
+		return compareBindings(a.Inputs, b.Inputs)
 	})
 	return out
 }
@@ -197,30 +197,79 @@ func equalIDs(a, b []logic.NodeID) bool {
 	return true
 }
 
-// decimalLess orders two equal-length input bindings exactly as the
+// compareBindings orders two equal-length input bindings exactly as the
 // historical fmt-rendered match key ("gate:[12 34]") did: element-wise,
 // each ID compared as its decimal string followed by the separator the
 // rendering would emit (' ' between elements, ']' after the last). The
 // decimal-string order differs from numeric order (e.g. "10" < "9"), and
 // the DP breaks cost ties by match-list position, so preserving it keeps
-// mapped output byte-identical to the string-keyed implementation.
-func decimalLess(a, b []logic.NodeID) bool {
+// mapped output byte-identical to the string-keyed implementation. It
+// works on the integers directly and never allocates.
+func compareBindings(a, b []logic.NodeID) int {
 	for i := range a {
-		if a[i] == b[i] {
-			continue
+		if a[i] != b[i] {
+			return compareDecimal(int64(a[i]), int64(b[i]), i == len(a)-1)
 		}
-		var abuf, bbuf [24]byte
-		as := strconv.AppendInt(abuf[:0], int64(a[i]), 10)
-		bs := strconv.AppendInt(bbuf[:0], int64(b[i]), 10)
-		sep := byte(' ')
-		if i == len(a)-1 {
-			sep = ']'
-		}
-		as = append(as, sep)
-		bs = append(bs, sep)
-		return bytes.Compare(as, bs) < 0
 	}
-	return false
+	return 0
+}
+
+// pow10 holds 10^0 … 10^19, every power of ten a uint64 can hold.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// numDigits returns the length of x's decimal rendering.
+func numDigits(x uint64) int {
+	n := 1
+	for n < len(pow10) && x >= pow10[n] {
+		n++
+	}
+	return n
+}
+
+// compareDecimal compares two distinct IDs as their decimal strings
+// followed by the separator (' ' mid-binding, ']' on the last element).
+// A minus sign sorts before every digit; between two negatives the equal
+// signs drop out and the magnitudes compare as digit strings. Equal-length
+// digit strings compare numerically; otherwise the longer one's leading
+// digits compare against the shorter, and on a proper prefix the shorter
+// string's separator meets a digit: ' ' sorts before it, ']' after it.
+func compareDecimal(x, y int64, last bool) int {
+	if (x < 0) != (y < 0) {
+		if x < 0 {
+			return -1
+		}
+		return 1
+	}
+	mx, my := uint64(x), uint64(y)
+	if x < 0 {
+		mx, my = uint64(-x), uint64(-y) // two's complement: exact even for MinInt64
+	}
+	nx, ny := numDigits(mx), numDigits(my)
+	switch {
+	case nx < ny:
+		if c := cmp.Compare(mx, my/pow10[ny-nx]); c != 0 {
+			return c
+		}
+		if last {
+			return 1
+		}
+		return -1
+	case nx > ny:
+		if c := cmp.Compare(mx/pow10[nx-ny], my); c != 0 {
+			return c
+		}
+		if last {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(mx, my)
 }
 
 // match attempts to embed pattern node p at subject node v, invoking cont

@@ -2,6 +2,9 @@ package match
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"lily/internal/bench"
@@ -201,10 +204,28 @@ func TestAtNodeMemoized(t *testing.T) {
 	}
 }
 
+// stringOrder is the reference order compareBindings must reproduce: the
+// sign of the lexicographic comparison of the bindings' %v renderings.
+func stringOrder(a, b []logic.NodeID) int {
+	return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
+}
+
+// checkBindingOrder fails t unless compareBindings orders a and b, both
+// ways round, exactly as their %v renderings compare.
+func checkBindingOrder(t *testing.T, a, b []logic.NodeID) {
+	t.Helper()
+	if got, want := compareBindings(a, b), stringOrder(a, b); got != want {
+		t.Errorf("compareBindings(%v, %v) = %d, want %d", a, b, got, want)
+	}
+	if got, want := compareBindings(b, a), stringOrder(b, a); got != want {
+		t.Errorf("compareBindings(%v, %v) = %d, want %d", b, a, got, want)
+	}
+}
+
 // TestDecimalLessMatchesStringOrder pins the sort order of AtNode against
-// the historical fmt-rendered key ("gate:[12 34]"): decimalLess must order
-// input bindings exactly as lexicographic comparison of their %v rendering
-// would, because the DP breaks cost ties by match-list position.
+// the historical fmt-rendered key ("gate:[12 34]"): compareBindings must
+// order input bindings exactly as lexicographic comparison of their %v
+// rendering would, because the DP breaks cost ties by match-list position.
 func TestDecimalLessMatchesStringOrder(t *testing.T) {
 	cases := [][2][]logic.NodeID{
 		{{9}, {10}},          // "9]" > "10]" in string order
@@ -214,18 +235,72 @@ func TestDecimalLessMatchesStringOrder(t *testing.T) {
 		{{12, 34}, {12, 34}}, // equal
 		{{3, 4}, {3, 5}},
 		{{-1, 4}, {0, 4}}, // unbound sentinel renders as "-1"
+		{{-1}, {-10}},     // two negatives: magnitudes compare as strings
+		{{math.MinInt64, 0}, {math.MaxInt64, 0}},
+		{{99999, 3}, {100000, 3}},
 	}
 	for _, c := range cases {
-		a, b := c[0], c[1]
-		wantAB := fmt.Sprintf("%v", a) < fmt.Sprintf("%v", b)
-		wantBA := fmt.Sprintf("%v", b) < fmt.Sprintf("%v", a)
-		if got := decimalLess(a, b); got != wantAB {
-			t.Errorf("decimalLess(%v, %v) = %v, want %v", a, b, got, wantAB)
-		}
-		if got := decimalLess(b, a); got != wantBA {
-			t.Errorf("decimalLess(%v, %v) = %v, want %v", b, a, got, wantBA)
-		}
+		checkBindingOrder(t, c[0], c[1])
 	}
+}
+
+// randomID draws a node ID whose decimal length varies from 1 to 19
+// digits, with small values (and shared prefixes) over-represented, plus
+// the unbound sentinel -1.
+func randomID(rng *rand.Rand) logic.NodeID {
+	switch rng.Intn(8) {
+	case 0:
+		return logic.InvalidNode
+	case 1:
+		return logic.NodeID(rng.Int63())
+	default:
+		return logic.NodeID(rng.Int63n(int64(pow10[rng.Intn(7)+1])))
+	}
+}
+
+// TestCompareBindingsRandom checks compareBindings against the %v string
+// order on seeded random bindings of one to six inputs. Half the pairs
+// share a prefix of the binding, and half of the differing elements are
+// a decimal prefix of each other, so every branch of the comparison runs.
+func TestCompareBindingsRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for iter := 0; iter < 20000; iter++ {
+		n := 1 + rng.Intn(6)
+		a := make([]logic.NodeID, n)
+		b := make([]logic.NodeID, n)
+		for i := range a {
+			a[i] = randomID(rng)
+			b[i] = randomID(rng)
+		}
+		if rng.Intn(2) == 0 {
+			copy(b, a[:rng.Intn(n)])
+		}
+		if i := rng.Intn(n); rng.Intn(2) == 0 && a[i] >= 0 {
+			// Make b[i] extend a[i]'s decimal string by a few digits.
+			x := int64(a[i])
+			for d := rng.Intn(3) + 1; d > 0 && x < math.MaxInt64/10; d-- {
+				x = x*10 + rng.Int63n(10)
+			}
+			b[i] = logic.NodeID(x)
+		}
+		checkBindingOrder(t, a, b)
+	}
+}
+
+// FuzzMatchOrder checks compareBindings against the %v string order on
+// arbitrary two-input bindings (the seeds replay in plain go test).
+func FuzzMatchOrder(f *testing.F) {
+	f.Add(int64(9), int64(1), int64(10), int64(1))
+	f.Add(int64(1), int64(9), int64(1), int64(10))
+	f.Add(int64(-1), int64(4), int64(0), int64(4))
+	f.Add(int64(12), int64(34), int64(12), int64(34))
+	f.Add(int64(math.MinInt64), int64(7), int64(-7), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, a0, a1, b0, b1 int64) {
+		a := []logic.NodeID{logic.NodeID(a0), logic.NodeID(a1)}
+		b := []logic.NodeID{logic.NodeID(b0), logic.NodeID(b1)}
+		checkBindingOrder(t, a, b)
+		checkBindingOrder(t, a[1:], b[1:])
+	})
 }
 
 func TestNoMatchAtPI(t *testing.T) {

@@ -12,6 +12,7 @@ const (
 	MetricPhaseDuration = "lily_phase_duration_seconds"
 	MetricConesMapped   = "lily_cones_mapped_total"
 	MetricWireEvals     = "lily_wire_cost_evaluations_total"
+	MetricPruned        = "lily_cover_candidates_pruned_total"
 	MetricCGIterations  = "lily_place_cg_iterations_total"
 	MetricReplacements  = "lily_place_replacements_total"
 )
@@ -34,9 +35,12 @@ type FlowMetrics struct {
 	PhaseDuration *HistogramVec
 	// ConesMapped counts committed cones across all jobs.
 	ConesMapped *Counter
-	// WireEvals counts wire-cost evaluations (one per candidate match
-	// considered by the DP).
+	// WireEvals counts wire-cost evaluations: one per candidate match
+	// considered by the DP, the ones Pruned skips included.
 	WireEvals *Counter
+	// Pruned counts the candidates among WireEvals that the area-mode
+	// lower bound ruled out before their wire cost was computed.
+	Pruned *Counter
 	// CGIterations counts conjugate-gradient solver iterations.
 	CGIterations *Counter
 	// Replacements counts §3.2 periodic global re-placements.
@@ -53,6 +57,8 @@ func RegisterFlowMetrics(r *Registry) *FlowMetrics {
 			"Logic cones committed by the Lily mapper."),
 		WireEvals: r.Counter(MetricWireEvals,
 			"Wire-cost evaluations performed by the mapper DP."),
+		Pruned: r.Counter(MetricPruned,
+			"Candidate matches the area-mode cover DP skipped by its lower bound."),
 		CGIterations: r.Counter(MetricCGIterations,
 			"Conjugate-gradient iterations spent in global placement."),
 		Replacements: r.Counter(MetricReplacements,
@@ -66,6 +72,7 @@ func RegisterFlowMetrics(r *Registry) *FlowMetrics {
 var noopFlow = &FlowMetrics{
 	ConesMapped:  &Counter{},
 	WireEvals:    &Counter{},
+	Pruned:       &Counter{},
 	CGIterations: &Counter{},
 	Replacements: &Counter{},
 }

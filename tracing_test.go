@@ -115,8 +115,22 @@ func TestPortfolioTraceIncludesLosers(t *testing.T) {
 	}
 }
 
+// findSpan returns the first span named name in a depth-first walk.
+func findSpan(nodes []*obs.SpanNode, name string) *obs.SpanNode {
+	for _, n := range nodes {
+		if n.Name == name {
+			return n
+		}
+		if s := findSpan(n.Children, name); s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
 // TestFlowMetricsCount asserts the mapper feeds the flow counters when a
-// FlowMetrics bundle is installed in the context.
+// FlowMetrics bundle is installed in the context, and that the cover
+// span's pruned attribute matches the pruned counter.
 func TestFlowMetricsCount(t *testing.T) {
 	c, err := GenerateBenchmark("misex1")
 	if err != nil {
@@ -124,7 +138,8 @@ func TestFlowMetricsCount(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	fm := obs.RegisterFlowMetrics(r)
-	ctx := obs.ContextWithFlowMetrics(context.Background(), fm)
+	tr := obs.NewTracer()
+	ctx := obs.WithTracer(obs.ContextWithFlowMetrics(context.Background(), fm), tr)
 	if _, err := RunFlowContext(ctx, c, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +148,17 @@ func TestFlowMetricsCount(t *testing.T) {
 	}
 	if fm.WireEvals.Value() == 0 {
 		t.Error("no wire-cost evaluations counted")
+	}
+	if fm.Pruned.Value() == 0 || fm.Pruned.Value() >= fm.WireEvals.Value() {
+		t.Errorf("pruned = %d of %d candidates, want a proper nonzero share",
+			fm.Pruned.Value(), fm.WireEvals.Value())
+	}
+	cover := findSpan(tr.Tree(), "cover")
+	if cover == nil {
+		t.Fatal("no cover span")
+	}
+	if got := cover.Attrs["pruned"]; got != int64(fm.Pruned.Value()) {
+		t.Errorf("cover span pruned = %v, want %d", got, fm.Pruned.Value())
 	}
 	if fm.CGIterations.Value() == 0 {
 		t.Error("no CG iterations counted")
