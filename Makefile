@@ -84,16 +84,19 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
-# Short fuzz smoke over the parser, cover-algebra, BDD-manager and
-# match-order targets; the seed corpora (internal/logic/testdata/fuzz,
-# FuzzManager's generated seeds and FuzzMatchOrder's f.Add seeds) always
-# replay in plain `go test`, this
-# target additionally explores for a few seconds.
+# Short fuzz smoke over the parser, cover-algebra, BDD-manager,
+# match-order and submit-options targets; the seed corpora
+# (internal/logic/testdata/fuzz, FuzzManager's generated seeds and the
+# f.Add seeds of FuzzMatchOrder and FuzzSubmitOptions) always replay in
+# plain `go test`, this target additionally explores for a few seconds.
+# FuzzSubmitOptions feeds hostile JSON options through the server's
+# option boundary and checks FlowOptions.Normalize against the digest.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseBLIF -fuzztime 10s ./internal/logic/
 	$(GO) test -run '^$$' -fuzz FuzzSOP -fuzztime 10s ./internal/logic/
 	$(GO) test -run '^$$' -fuzz FuzzManager -fuzztime 10s ./internal/bdd/
 	$(GO) test -run '^$$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/match/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitOptions -fuzztime 10s ./internal/server/
 
 $(BIN)/lilylint: FORCE
 	@mkdir -p $(BIN)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,11 +25,12 @@ import (
 func main() {
 	circuit := flag.String("circuit", "", "benchmark name (see -list)")
 	blif := flag.String("blif", "", "path to a combinational BLIF file")
-	mapper := flag.String("mapper", "lily", "mapper: lily or mis")
+	mapper := flag.String("mapper", "lily", "mapper: lily or mis (alias mis2.1)")
 	mode := flag.String("mode", "area", "objective: area or delay")
 	target := flag.String("target", "asic", "technology target: asic, lut4, or lut6")
 	libChoice := flag.String("lib", "big", "library: big (≤6-input) or tiny (≤3-input)")
-	lambda := flag.Float64("lambda", 1.0, "Lily wire-cost weight λ")
+	defaults, _ := lily.FlowOptions{}.Normalize() // the zero options are valid
+	lambda := flag.Float64("lambda", defaults.WireWeight, "Lily wire-cost weight λ")
 	update := flag.String("update", "cm-of-fans", "Lily placement update: cm-of-fans, cm-of-merged, median")
 	estimator := flag.String("wire", "hpwl", "Lily wire estimator: hpwl or rmst")
 	noOrder := flag.Bool("no-cone-order", false, "disable §3.5 cone ordering")
@@ -74,10 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lilymap: -o and -svg are exclusive")
 		os.Exit(2)
 	}
-	if *period < 0 {
-		fatal(fmt.Errorf("negative clock period %g", *period))
-	}
-
 	opt := lily.FlowOptions{
 		WireWeight:          *lambda,
 		DisableConeOrdering: *noOrder,
@@ -87,53 +85,19 @@ func main() {
 		MultilevelThreshold: *mlThreshold,
 		ClockPeriodNS:       *period,
 	}
-	switch *mapper {
-	case "lily":
-		opt.Mapper = lily.MapperLily
-	case "mis":
-		opt.Mapper = lily.MapperMIS
-	default:
-		fatal(fmt.Errorf("unknown mapper %q", *mapper))
-	}
-	switch *mode {
-	case "area":
-		opt.Objective = lily.ObjectiveArea
-	case "delay":
-		opt.Objective = lily.ObjectiveDelay
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
-	switch *libChoice {
-	case "big":
-		opt.Library = lily.LibraryBig
-	case "tiny":
-		opt.Library = lily.LibraryTiny
-	default:
-		fatal(fmt.Errorf("unknown library %q", *libChoice))
-	}
-	switch *update {
-	case "cm-of-fans":
-		opt.Update = lily.UpdateCMOfFans
-	case "cm-of-merged":
-		opt.Update = lily.UpdateCMOfMerged
-	case "median":
-		opt.Update = lily.UpdateMedianFans
-	default:
-		fatal(fmt.Errorf("unknown update rule %q", *update))
-	}
-	switch *estimator {
-	case "hpwl":
-		opt.Estimator = lily.WireHPWLSteiner
-	case "rmst":
-		opt.Estimator = lily.WireSpanningTree
-	default:
-		fatal(fmt.Errorf("unknown estimator %q", *estimator))
-	}
-	tgt, err := lily.ParseTechnologyTarget(*target)
-	if err != nil {
+	var errs [6]error
+	opt.Mapper, errs[0] = lily.ParseMapper(*mapper)
+	opt.Objective, errs[1] = lily.ParseObjective(*mode)
+	opt.Library, errs[2] = lily.ParseLibraryChoice(*libChoice)
+	opt.Update, errs[3] = lily.ParsePlacementUpdate(*update)
+	opt.Estimator, errs[4] = lily.ParseWireEstimator(*estimator)
+	opt.Target, errs[5] = lily.ParseTechnologyTarget(*target)
+	if err := errors.Join(errs[:]...); err != nil {
 		fatal(err)
 	}
-	opt.Target = tgt
+	if opt, err = opt.Normalize(); err != nil {
+		fatal(err)
+	}
 
 	st := c.Stats()
 	fmt.Printf("circuit %s: %d PIs, %d POs, %d nodes, depth %d\n",

@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -216,7 +217,8 @@ func MapContext(ctx context.Context, sub *logic.Network, lib *library.Library, o
 }
 
 // MapPlaced runs Lily against an existing global placement of the subject
-// graph (so callers can share one placement across ablation runs).
+// graph (so callers can share one placement across ablation runs). The run
+// never modifies pl.
 func MapPlaced(sub *logic.Network, lib *library.Library, pl *place.Result, opt Options) (*Result, error) {
 	return MapPlacedContext(context.Background(), sub, lib, pl, opt)
 }
@@ -273,6 +275,14 @@ func mapPlaced(ctx context.Context, sub *logic.Network, lib *library.Library, pl
 // the lifecycle bookkeeping, and the scratch buffers the hot path reuses.
 func newLily(ctx context.Context, sub *logic.Network, lib *library.Library, pl *place.Result, opt Options, loadHints map[logic.NodeID]float64) *lily {
 	n := len(sub.Nodes)
+	if opt.ReplaceEvery > 0 {
+		// replaceGlobal rewrites logic positions, and callers may share
+		// pl across runs (MapPlaced): the run moves its own copy, which
+		// Result.Placement reports.
+		own := *pl
+		own.Pos = maps.Clone(pl.Pos)
+		pl = &own
+	}
 	// Dense mirrors of the placement maps: the cover DP reads a position
 	// for every fanin/fanout of every candidate match, and the map lookups
 	// dominated the profile. posArr is refreshed by replaceGlobal; the PO

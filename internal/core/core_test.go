@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lily/internal/bench"
@@ -9,6 +11,7 @@ import (
 	"lily/internal/library"
 	"lily/internal/logic"
 	"lily/internal/netlist"
+	"lily/internal/place"
 	"lily/internal/wire"
 )
 
@@ -292,6 +295,49 @@ func TestReplaceKeepsPads(t *testing.T) {
 		if base.Netlist.POs[i].Pad != repl.Netlist.POs[i].Pad {
 			t.Errorf("PO %s pad moved", base.Netlist.POs[i].Name)
 		}
+	}
+}
+
+// TestMapPlacedSharedPlacement: callers may share one placement across
+// MapPlaced runs, so periodic re-placement must move the run's own copy
+// of the positions, while Result.Placement still reports where the run
+// left them.
+func TestMapPlacedSharedPlacement(t *testing.T) {
+	_, sub := subjectFor(t, "duke2")
+	lib := library.Big()
+	pl, err := place.Global(sub, baseWidth(sub, lib), lib.RowHeight, place.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := maps.Clone(pl.Pos)
+	opt := DefaultOptions(ModeArea)
+	opt.ReplaceEvery = 4
+	var blif [2]string
+	for i := range blif {
+		res, err := MapPlaced(sub, lib, pl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := netlist.WriteBLIF(&sb, res.Netlist); err != nil {
+			t.Fatal(err)
+		}
+		blif[i] = sb.String()
+		if maps.Equal(res.Placement.Pos, seed) {
+			t.Fatalf("run %d: Result.Placement does not report the re-placed positions", i)
+		}
+	}
+	if !maps.Equal(pl.Pos, seed) {
+		moved := 0
+		for id, p := range seed {
+			if pl.Pos[id] != p {
+				moved++
+			}
+		}
+		t.Fatalf("MapPlaced rewrote %d of the caller's %d positions", moved, len(seed))
+	}
+	if blif[0] != blif[1] {
+		t.Fatalf("two MapPlaced runs on one placement produced different BLIF")
 	}
 }
 

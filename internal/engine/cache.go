@@ -12,18 +12,27 @@ import (
 
 // requestKey derives the content-addressed cache key of a job: the SHA-256
 // of the circuit's canonical BLIF serialization, the normalized flow
-// options, and the output-artifact flags. Two submissions with structurally
-// identical circuits and semantically identical options collide on the same
-// key, so repeats are served from cache and identical in-flight runs are
-// deduped. Clients correlate jobs on it (Status.Digest), so the format is
-// pinned by TestRequestDigestFormat.
-func requestKey(blif []byte, opt lily.FlowOptions, renderSVG, emitBLIF bool) string {
+// options (lily.FlowOptions.Normalize), and the output-artifact flags. Two
+// submissions with structurally identical circuits and semantically
+// identical options collide on the same key, so repeats are served from
+// cache and identical in-flight runs are deduped. Options Normalize
+// rejects have no key. Clients correlate jobs on it (Status.Digest), so
+// the format is pinned by TestRequestDigestFormat.
+func requestKey(blif []byte, opt lily.FlowOptions, renderSVG, emitBLIF bool) (string, error) {
+	opt, err := opt.Normalize()
+	if err != nil {
+		return "", err
+	}
+	// Parallelism is a throughput knob: the wave-parallel mapper and the
+	// placement reduction trees are bit-identical at every setting
+	// (DESIGN.md §13), so it must not fragment the cache.
+	opt.Parallelism = 0
 	h := sha256.New()
 	h.Write(blif)
 	// FlowOptions contains only value-typed fields, so its %+v rendering
 	// is deterministic and injective over the normalized option space.
-	fmt.Fprintf(h, "\x00opt=%+v\x00svg=%t\x00blif=%t", normalizeOptions(opt), renderSVG, emitBLIF)
-	return hex.EncodeToString(h.Sum(nil))
+	fmt.Fprintf(h, "\x00opt=%+v\x00svg=%t\x00blif=%t", opt, renderSVG, emitBLIF)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // RequestDigest computes the content-addressed digest of a request without
@@ -35,45 +44,11 @@ func RequestDigest(req Request) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return requestKey(blif, req.Options, req.RenderSVG, req.EmitBLIF), nil
-}
-
-// normalizeOptions canonicalizes option settings that the pipeline treats
-// as equivalent, so the cache does not fragment across spellings of the
-// same flow.
-func normalizeOptions(opt lily.FlowOptions) lily.FlowOptions {
-	if opt.WireWeight == 0 {
-		opt.WireWeight = 1.0 // runPipeline's default
+	key, err := requestKey(blif, req.Options, req.RenderSVG, req.EmitBLIF)
+	if err != nil {
+		return "", fmt.Errorf("engine: %w", err)
 	}
-	if !opt.FanoutOptimize {
-		opt.MaxFanout = 0 // ignored unless fanout optimization is on
-	} else if opt.MaxFanout < 2 {
-		opt.MaxFanout = 6 // fanout.DefaultOptions default
-	}
-	if opt.Mapper != lily.MapperLily {
-		// Lily-only knobs are ignored by the MIS flow.
-		opt.AutoTune = false
-		opt.WireWeight = 1.0
-		opt.Update = 0
-		opt.Estimator = 0
-		opt.DisableConeOrdering = false
-		opt.ReplaceEvery = 0
-		opt.NaivePads = false
-		opt.TwoPassDelay = false
-	}
-	if opt.Mapper != lily.MapperMIS {
-		opt.TreeMode = false // MIS-only knob
-	}
-	// Parallelism is a throughput knob: the wave-parallel mapper and the
-	// placement reduction trees are bit-identical at every setting
-	// (DESIGN.md §13), so it must not fragment the cache.
-	opt.Parallelism = 0
-	// MultilevelThreshold is semantically significant (placements differ
-	// across thresholds), but every negative value spells "disabled".
-	if opt.MultilevelThreshold < 0 {
-		opt.MultilevelThreshold = -1
-	}
-	return opt
+	return key, nil
 }
 
 // lruCache is a size-bounded LRU map from request key to Outcome.

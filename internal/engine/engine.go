@@ -80,8 +80,8 @@ type Config struct {
 	// that leave FlowOptions.Parallelism unset (0). The knob is pure
 	// throughput — results are bit-identical at every setting and the
 	// request digest excludes it — so the server can raise it fleet-wide
-	// without invalidating caches. 0 leaves requests untouched
-	// (sequential mapping).
+	// without invalidating caches. 0 (or negative) leaves requests
+	// untouched (sequential mapping).
 	Parallelism int
 	// Run overrides the job executor (tests); nil runs the lily pipeline.
 	Run RunFunc
@@ -161,6 +161,11 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.MaxRetainedJobs == 0 {
 		cfg.MaxRetainedJobs = DefaultMaxRetainedJobs
+	}
+	if cfg.Parallelism < 0 {
+		// A negative default means sequential, like 0: the jobs that
+		// inherit it must still pass FlowOptions.Normalize.
+		cfg.Parallelism = 0
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -275,12 +280,16 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	key, err := requestKey(blif, req.Options, req.RenderSVG, req.EmitBLIF)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	jctx, cancel := context.WithCancel(ctx)
 	seq := e.seq.Add(1)
 	j := &Job{
 		id:        fmt.Sprintf("job-%06d", seq),
 		seq:       seq,
-		key:       requestKey(blif, req.Options, req.RenderSVG, req.EmitBLIF),
+		key:       key,
 		req:       req,
 		circuit:   circ,
 		ctx:       jctx,

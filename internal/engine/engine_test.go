@@ -318,6 +318,16 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestNegativeParallelismDefault: a negative engine-wide default means
+// sequential; it must not fail the jobs that inherit it.
+func TestNegativeParallelismDefault(t *testing.T) {
+	e := New(Config{Workers: 1, Parallelism: -4})
+	defer shutdown(t, e)
+	if _, err := e.Run(context.Background(), Request{Benchmark: "misex1"}); err != nil {
+		t.Fatalf("job under Parallelism -4: %v", err)
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer shutdown(t, e)
@@ -331,6 +341,10 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if _, err := e.Submit(ctx, Request{Benchmark: "no-such-circuit"}); err == nil {
 		t.Fatalf("unknown benchmark accepted")
+	}
+	bad := Request{Benchmark: "misex1", Options: lily.FlowOptions{Mapper: lily.MapperMIS, Target: lily.TargetLUT4}}
+	if _, err := e.Submit(ctx, bad); err == nil || !strings.Contains(err.Error(), "requires the lily mapper") {
+		t.Fatalf("Submit accepted options Normalize rejects (err %v)", err)
 	}
 	if _, ok := e.Job("job-999999"); ok {
 		t.Fatalf("lookup of unknown job succeeded")
@@ -350,25 +364,36 @@ func TestKeyNormalization(t *testing.T) {
 		}
 		blif = []byte(sb.String())
 	}
+	key := func(opt lily.FlowOptions, svg bool) string {
+		t.Helper()
+		k, err := requestKey(blif, opt, svg, false)
+		if err != nil {
+			t.Fatalf("requestKey(%+v): %v", opt, err)
+		}
+		return k
+	}
 	base := lily.FlowOptions{Mapper: lily.MapperLily}
 	weighted := base
 	weighted.WireWeight = 1.0
-	if requestKey(blif, base, false, false) != requestKey(blif, weighted, false, false) {
+	if key(base, false) != key(weighted, false) {
 		t.Fatalf("WireWeight 0 and 1.0 should share a cache key")
 	}
 	reduced := base
 	reduced.WireWeight = 0.5
-	if requestKey(blif, base, false, false) == requestKey(blif, reduced, false, false) {
+	if key(base, false) == key(reduced, false) {
 		t.Fatalf("different wire weights must not collide")
 	}
-	if requestKey(blif, base, false, false) == requestKey(blif, base, true, false) {
+	if key(base, false) == key(base, true) {
 		t.Fatalf("SVG flag must be part of the key")
 	}
 	mis := lily.FlowOptions{Mapper: lily.MapperMIS}
 	misTuned := mis
 	misTuned.ReplaceEvery = 7 // Lily-only knob: ignored by the MIS flow
-	if requestKey(blif, mis, false, false) != requestKey(blif, misTuned, false, false) {
+	if key(mis, false) != key(misTuned, false) {
 		t.Fatalf("Lily-only knobs should normalize away under MIS")
+	}
+	if _, err := requestKey(blif, lily.FlowOptions{Parallelism: -1}, false, false); err == nil {
+		t.Fatalf("options Normalize rejects must have no key")
 	}
 }
 

@@ -196,18 +196,8 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	// in the middle cannot leave half a batch running.
 	ereqs := make([]engine.Request, len(req.Jobs))
 	for i, jr := range req.Jobs {
-		if jr.Options.Target == "" {
-			jr.Options.Target = s.defaultTarget.String()
-		}
-		if jr.Options.MultilevelThreshold == 0 {
-			jr.Options.MultilevelThreshold = s.defaultMLThreshold
-		}
-		opt, err := jr.Options.ToFlowOptions()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
-			return
-		}
-		if ereqs[i], err = jr.toEngineRequest(opt); err != nil {
+		var err error
+		if ereqs[i], err = s.resolve(jr); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
 			return
 		}

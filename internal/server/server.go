@@ -223,7 +223,7 @@ type SubmitRequest struct {
 
 // JobOptions is the JSON surface of lily.FlowOptions.
 type JobOptions struct {
-	Mapper                    string  `json:"mapper,omitempty"`    // "lily" (default) | "mis"
+	Mapper                    string  `json:"mapper,omitempty"`    // "lily" (default) | "mis" | "mis2.1"
 	Objective                 string  `json:"objective,omitempty"` // "area" (default) | "delay"
 	Library                   string  `json:"library,omitempty"`   // "big" (default) | "tiny"
 	Target                    string  `json:"target,omitempty"`    // "asic" (default) | "lut4" | "lut6"
@@ -251,68 +251,54 @@ type JobOptions struct {
 	MultilevelThreshold int `json:"multilevel_threshold,omitempty"`
 }
 
-// ToFlowOptions validates and converts the JSON options.
+// ToFlowOptions converts the JSON options and validates them with
+// lily.FlowOptions.Normalize. The options come back as spelled: the
+// engine keys its cache on their canonical form.
 func (o JobOptions) ToFlowOptions() (lily.FlowOptions, error) {
-	var opt lily.FlowOptions
-	switch o.Mapper {
-	case "", "lily":
-		opt.Mapper = lily.MapperLily
-	case "mis", "mis2.1":
-		opt.Mapper = lily.MapperMIS
-	default:
-		return opt, fmt.Errorf("unknown mapper %q (want \"lily\" or \"mis\")", o.Mapper)
+	opt := lily.FlowOptions{
+		WireWeight:                o.WireWeight,
+		AutoTune:                  o.AutoTune,
+		VerifyEquivalence:         o.Verify,
+		PreOptimize:               o.PreOptimize,
+		TwoPassDelay:              o.TwoPassDelay,
+		FanoutOptimize:            o.FanoutOptimize,
+		MaxFanout:                 o.MaxFanout,
+		AnnealPlacement:           o.AnnealPlacement,
+		ClockPeriodNS:             o.ClockPeriodNS,
+		ReplaceEvery:              o.ReplaceEvery,
+		TreeMode:                  o.TreeMode,
+		LayoutDrivenDecomposition: o.LayoutDrivenDecomposition,
+		Parallelism:               o.Parallelism,
+		MultilevelThreshold:       o.MultilevelThreshold,
 	}
-	switch o.Objective {
-	case "", "area":
-		opt.Objective = lily.ObjectiveArea
-	case "delay":
-		opt.Objective = lily.ObjectiveDelay
-	default:
-		return opt, fmt.Errorf("unknown objective %q (want \"area\" or \"delay\")", o.Objective)
+	var errs [4]error
+	opt.Mapper, errs[0] = lily.ParseMapper(o.Mapper)
+	opt.Objective, errs[1] = lily.ParseObjective(o.Objective)
+	opt.Library, errs[2] = lily.ParseLibraryChoice(o.Library)
+	opt.Target, errs[3] = lily.ParseTechnologyTarget(o.Target)
+	if err := errors.Join(errs[:]...); err != nil {
+		return lily.FlowOptions{}, err
 	}
-	switch o.Library {
-	case "", "big":
-		opt.Library = lily.LibraryBig
-	case "tiny":
-		opt.Library = lily.LibraryTiny
-	default:
-		return opt, fmt.Errorf("unknown library %q (want \"big\" or \"tiny\")", o.Library)
+	if _, err := opt.Normalize(); err != nil {
+		return lily.FlowOptions{}, err
 	}
-	target, err := lily.ParseTechnologyTarget(o.Target)
-	if err != nil {
-		return opt, err
-	}
-	if target != lily.TargetASIC && opt.Mapper != lily.MapperLily {
-		return opt, fmt.Errorf("target %q requires the lily mapper", o.Target)
-	}
-	opt.Target = target
-	if o.WireWeight < 0 {
-		return opt, fmt.Errorf("wire_weight must be >= 0")
-	}
-	opt.WireWeight = o.WireWeight
-	opt.AutoTune = o.AutoTune
-	opt.VerifyEquivalence = o.Verify
-	opt.PreOptimize = o.PreOptimize
-	opt.TwoPassDelay = o.TwoPassDelay
-	opt.FanoutOptimize = o.FanoutOptimize
-	opt.MaxFanout = o.MaxFanout
-	opt.AnnealPlacement = o.AnnealPlacement
-	opt.ClockPeriodNS = o.ClockPeriodNS
-	opt.ReplaceEvery = o.ReplaceEvery
-	opt.TreeMode = o.TreeMode
-	opt.LayoutDrivenDecomposition = o.LayoutDrivenDecomposition
-	if o.Parallelism < 0 {
-		return opt, fmt.Errorf("parallelism must be >= 0")
-	}
-	opt.Parallelism = o.Parallelism
-	opt.MultilevelThreshold = o.MultilevelThreshold
 	return opt, nil
 }
 
-// toEngineRequest converts a validated SubmitRequest body (options already
-// resolved by ToFlowOptions) into the engine's request form. Shared by the
-// single-job and batch submission paths.
-func (req SubmitRequest) toEngineRequest(opt lily.FlowOptions) (engine.Request, error) {
+// resolve turns a submitted job into the engine's request form: it fills
+// the server-wide defaults into the options, then validates them and the
+// artifact flags. Shared by the single-job and batch submission paths.
+func (s *Server) resolve(req SubmitRequest) (engine.Request, error) {
+	if req.Options.Target == "" {
+		req.Options.Target = s.defaultTarget.String()
+	}
+	if req.Options.MultilevelThreshold == 0 {
+		req.Options.MultilevelThreshold = s.defaultMLThreshold
+	}
+	opt, err := req.Options.ToFlowOptions()
+	if err != nil {
+		return engine.Request{}, err
+	}
 	if req.TimeoutMS < 0 {
 		// A negative duration would silently disable the engine's
 		// per-job timeout instead of bounding it.
@@ -356,18 +342,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if req.Options.Target == "" {
-		req.Options.Target = s.defaultTarget.String()
-	}
-	if req.Options.MultilevelThreshold == 0 {
-		req.Options.MultilevelThreshold = s.defaultMLThreshold
-	}
-	opt, err := req.Options.ToFlowOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ereq, err := req.toEngineRequest(opt)
+	ereq, err := s.resolve(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -18,7 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 
 	"lily/internal/bench"
@@ -138,12 +141,16 @@ const (
 	MapperMIS
 )
 
-func (m Mapper) String() string {
-	if m == MapperMIS {
-		return "mis2.1"
-	}
-	return "lily"
-}
+// mapperNames also takes "mis", the short spelling lilymap and lilyd
+// have always accepted for the baseline.
+var mapperNames = enumNames[Mapper]{kind: "mapper", names: []string{"lily", "mis2.1"},
+	alias: map[string]Mapper{"mis": MapperMIS}}
+
+func (m Mapper) String() string { return mapperNames.name(m) }
+
+// ParseMapper maps the CLI/API spelling of a mapper to its value; the
+// empty string is MapperLily.
+func ParseMapper(s string) (Mapper, error) { return mapperNames.parse(s) }
 
 // Objective selects the optimization target.
 type Objective int
@@ -155,12 +162,13 @@ const (
 	ObjectiveDelay
 )
 
-func (o Objective) String() string {
-	if o == ObjectiveDelay {
-		return "delay"
-	}
-	return "area"
-}
+var objectiveNames = enumNames[Objective]{kind: "objective", names: []string{"area", "delay"}}
+
+func (o Objective) String() string { return objectiveNames.name(o) }
+
+// ParseObjective maps the CLI/API spelling of an objective to its value;
+// the empty string is ObjectiveArea.
+func ParseObjective(s string) (Objective, error) { return objectiveNames.parse(s) }
 
 // TechnologyTarget selects the implementation technology of the mapped
 // netlist: the standard-cell library (the paper's flow) or K-input LUTs
@@ -177,33 +185,15 @@ const (
 	TargetLUT6
 )
 
-func (t TechnologyTarget) String() string {
-	switch t {
-	case TargetLUT4:
-		return "lut4"
-	case TargetLUT6:
-		return "lut6"
-	default:
-		return "asic"
-	}
-}
+var targetNames = enumNames[TechnologyTarget]{kind: "target", names: []string{"asic", "lut4", "lut6"}}
+
+func (t TechnologyTarget) String() string { return targetNames.name(t) }
 
 // ParseTechnologyTarget maps the CLI/API spelling of a target to its
 // value; the empty string is TargetASIC. The error lists the accepted
 // values, so the lilyd/tables/lilymap flags and the HTTP 400 path share
 // one message.
-func ParseTechnologyTarget(s string) (TechnologyTarget, error) {
-	switch s {
-	case "", "asic":
-		return TargetASIC, nil
-	case "lut4":
-		return TargetLUT4, nil
-	case "lut6":
-		return TargetLUT6, nil
-	default:
-		return TargetASIC, fmt.Errorf("unknown target %q (want \"asic\", \"lut4\", or \"lut6\")", s)
-	}
-}
+func ParseTechnologyTarget(s string) (TechnologyTarget, error) { return targetNames.parse(s) }
 
 // LibraryChoice selects the target cell library.
 type LibraryChoice int
@@ -215,14 +205,19 @@ const (
 	LibraryTiny
 )
 
-func (l LibraryChoice) String() string {
-	if l == LibraryTiny {
-		return "tiny"
-	}
-	return "big"
-}
+var libraryNames = enumNames[LibraryChoice]{kind: "library", names: []string{"big", "tiny"}}
+
+func (l LibraryChoice) String() string { return libraryNames.name(l) }
+
+// ParseLibraryChoice maps the CLI/API spelling of a library to its value;
+// the empty string is LibraryBig.
+func ParseLibraryChoice(s string) (LibraryChoice, error) { return libraryNames.parse(s) }
 
 // PlacementUpdate selects Lily's dynamic position update rule (§3.2).
+//
+// PlacementUpdate and WireEstimator deliberately have no String method:
+// the engine's request digest hashes the %+v rendering of FlowOptions,
+// which prints these two as integers.
 type PlacementUpdate int
 
 const (
@@ -236,6 +231,12 @@ const (
 	UpdateMedianFans
 )
 
+var updateNames = enumNames[PlacementUpdate]{kind: "update rule", names: []string{"cm-of-fans", "cm-of-merged", "median"}}
+
+// ParsePlacementUpdate maps the CLI spelling of an update rule to its
+// value; the empty string is UpdateCMOfFans.
+func ParsePlacementUpdate(s string) (PlacementUpdate, error) { return updateNames.parse(s) }
+
 // WireEstimator selects the net-length model (§3.4).
 type WireEstimator int
 
@@ -245,6 +246,63 @@ const (
 	// WireSpanningTree uses a rectilinear spanning tree.
 	WireSpanningTree
 )
+
+var estimatorNames = enumNames[WireEstimator]{kind: "estimator", names: []string{"hpwl", "rmst"}}
+
+// ParseWireEstimator maps the CLI spelling of a wire estimator to its
+// value; the empty string is WireHPWLSteiner.
+func ParseWireEstimator(s string) (WireEstimator, error) { return estimatorNames.parse(s) }
+
+// enumNames is the one spelling table of an option enum: names[v] is the
+// canonical spelling of value v, which String prints and Parse accepts
+// along with the aliases and the empty string (the zero value).
+type enumNames[E ~int] struct {
+	kind  string
+	names []string
+	alias map[string]E
+}
+
+func (t enumNames[E]) valid(v E) bool { return v >= 0 && int(v) < len(t.names) }
+
+func (t enumNames[E]) name(v E) string {
+	if !t.valid(v) {
+		return fmt.Sprintf("%s(%d)", t.kind, int(v))
+	}
+	return t.names[v]
+}
+
+func (t enumNames[E]) parse(s string) (E, error) {
+	if s == "" {
+		return 0, nil
+	}
+	for v, n := range t.names {
+		if s == n {
+			return E(v), nil
+		}
+	}
+	if v, ok := t.alias[s]; ok {
+		return v, nil
+	}
+	want := make([]string, len(t.names))
+	for i, n := range t.names {
+		want[i] = strconv.Quote(n)
+	}
+	last := len(want) - 1
+	list := strings.Join(want[:last], ", ")
+	if last > 1 {
+		list += ","
+	}
+	list += " or " + want[last]
+	return 0, fmt.Errorf("unknown %s %q (want %s)", t.kind, s, list)
+}
+
+// check rejects a value outside the table, which no spelling produces.
+func (t enumNames[E]) check(v E) error {
+	if !t.valid(v) {
+		return fmt.Errorf("unknown %s %d", t.kind, int(v))
+	}
+	return nil
+}
 
 // FlowOptions configures a full synthesis → layout run.
 type FlowOptions struct {
@@ -333,6 +391,69 @@ type FlowOptions struct {
 	MultilevelThreshold int
 }
 
+// Normalize validates the options and returns their canonical form. It is
+// the one definition of the flow's defaults and of which settings the
+// pipeline treats as equivalent: every pipeline entry point runs it
+// first, and the engine's cache keys on its result, so options with equal
+// canonical forms produce identical bytes. Normalize is idempotent and
+// keeps Parallelism, which never changes the output.
+func (opt FlowOptions) Normalize() (FlowOptions, error) {
+	for _, err := range []error{
+		mapperNames.check(opt.Mapper),
+		objectiveNames.check(opt.Objective),
+		libraryNames.check(opt.Library),
+		targetNames.check(opt.Target),
+		updateNames.check(opt.Update),
+		estimatorNames.check(opt.Estimator),
+	} {
+		if err != nil {
+			return FlowOptions{}, err
+		}
+	}
+	if opt.Target != TargetASIC && opt.Mapper != MapperLily {
+		return FlowOptions{}, fmt.Errorf("target %q requires the lily mapper", opt.Target.String())
+	}
+	if !finiteNonNegative(opt.WireWeight) {
+		return FlowOptions{}, fmt.Errorf("wire weight must be finite and >= 0 (got %g)", opt.WireWeight)
+	}
+	if !finiteNonNegative(opt.ClockPeriodNS) {
+		return FlowOptions{}, fmt.Errorf("clock period must be finite and >= 0 (got %g)", opt.ClockPeriodNS)
+	}
+	if opt.Parallelism < 0 {
+		return FlowOptions{}, fmt.Errorf("parallelism must be >= 0 (got %d)", opt.Parallelism)
+	}
+
+	if opt.WireWeight == 0 {
+		opt.WireWeight = 1
+	}
+	if !opt.FanoutOptimize {
+		opt.MaxFanout = 0 // read only by fanout optimization
+	} else if opt.MaxFanout < 2 {
+		opt.MaxFanout = fanout.DefaultOptions().MaxFanout
+	}
+	if opt.Mapper != MapperLily {
+		// Knobs only the Lily flow reads.
+		opt.AutoTune = false
+		opt.WireWeight = 1
+		opt.Update = UpdateCMOfFans
+		opt.Estimator = WireHPWLSteiner
+		opt.DisableConeOrdering = false
+		opt.ReplaceEvery = 0
+		opt.NaivePads = false
+		opt.TwoPassDelay = false
+	}
+	if opt.Mapper != MapperMIS {
+		opt.TreeMode = false // MIS-only knob
+	}
+	// Every negative threshold spells "multilevel placement disabled".
+	if opt.MultilevelThreshold < 0 {
+		opt.MultilevelThreshold = -1
+	}
+	return opt, nil
+}
+
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // FlowResult reports a completed pipeline run with the paper's metrics.
 type FlowResult struct {
 	Circuit   string
@@ -394,7 +515,11 @@ func RunFlow(c *Circuit, opt FlowOptions) (*FlowResult, error) {
 // callers — notably the concurrent flow engine — can bound and cancel
 // in-flight pipeline runs.
 func RunFlowContext(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult, error) {
-	if opt.AutoTune && opt.Mapper == MapperLily {
+	opt, err := opt.Normalize()
+	if err != nil {
+		return nil, fmt.Errorf("lily: %w", err)
+	}
+	if opt.AutoTune {
 		return runPortfolio(ctx, c, opt)
 	}
 	return runFlowOnce(ctx, c, opt)
@@ -532,22 +657,14 @@ func runFlowOnce(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 }
 
 func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult, *layout.Result, error) {
+	opt, err := opt.Normalize()
+	if err != nil {
+		return nil, nil, fmt.Errorf("lily: %w", err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if opt.Target < TargetASIC || opt.Target > TargetLUT6 {
-		return nil, nil, fmt.Errorf("lily: unknown target %d", opt.Target)
-	}
-	if opt.Target != TargetASIC && opt.Mapper != MapperLily {
-		return nil, nil, fmt.Errorf("lily: target %s requires the lily mapper", opt.Target)
-	}
-	lib := library.Big()
-	if opt.Library == LibraryTiny {
-		lib = library.Tiny()
-	}
-	if opt.WireWeight == 0 {
-		opt.WireWeight = 1.0
-	}
+	lib := libraries[opt.Library]()
 	srcNet := c.net
 	if opt.PreOptimize {
 		// Optimize a copy so the caller's Circuit is untouched.
@@ -563,7 +680,6 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	}
 
 	var pre *decomp.Result
-	var err error
 	pctx, sp := obs.StartSpan(ctx, "premap")
 	if opt.LayoutDrivenDecomposition {
 		pre, err = placedPremap(pctx, c.net, lib, opt)
@@ -588,11 +704,11 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	var lilyStats core.LifecycleStats
 	switch opt.Mapper {
 	case MapperLily:
-		copt := core.DefaultOptions(coreMode(opt.Objective))
-		copt.Target = coreTarget(opt.Target)
+		copt := core.DefaultOptions(coreModes[opt.Objective])
+		copt.Target = coreTargets[opt.Target]
 		copt.WireWeight = opt.WireWeight
-		copt.Update = coreUpdate(opt.Update)
-		copt.WireModel = wireModel(opt.Estimator)
+		copt.Update = coreUpdates[opt.Update]
+		copt.WireModel = wireModels[opt.Estimator]
 		copt.OrderCones = !opt.DisableConeOrdering
 		copt.ReplaceEvery = opt.ReplaceEvery
 		copt.Place.NaivePads = opt.NaivePads
@@ -611,7 +727,7 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		// cover phase of the pipeline.
 		_, msp := obs.StartSpan(ctx, "cover")
 		msp.SetStr("mapper", "mis2.1")
-		mopt := mis.DefaultOptions(misMode(opt.Objective))
+		mopt := mis.DefaultOptions(misModes[opt.Objective])
 		mopt.TreeMode = opt.TreeMode
 		nl, err = mis.Map(sub, lib, mopt)
 		if err != nil {
@@ -620,8 +736,6 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 			return nil, nil, err
 		}
 		msp.End()
-	default:
-		return nil, nil, fmt.Errorf("lily: unknown mapper %d", opt.Mapper)
 	}
 
 	if opt.RePlaceMapped {
@@ -645,9 +759,7 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 			}
 		}
 		fopt := fanout.DefaultOptions()
-		if opt.MaxFanout >= 2 {
-			fopt.MaxFanout = opt.MaxFanout
-		}
+		fopt.MaxFanout = opt.MaxFanout
 		fst, err := fanout.Optimize(nl, lib, fopt)
 		if err != nil {
 			fsp.SetError(err)
@@ -744,48 +856,17 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	return out, lres, nil
 }
 
-func coreMode(o Objective) core.Mode {
-	if o == ObjectiveDelay {
-		return core.ModeDelay
-	}
-	return core.ModeArea
-}
-
-func misMode(o Objective) mis.Mode {
-	if o == ObjectiveDelay {
-		return mis.ModeDelay
-	}
-	return mis.ModeArea
-}
-
-func coreTarget(t TechnologyTarget) core.Target {
-	switch t {
-	case TargetLUT4:
-		return core.TargetLUT4
-	case TargetLUT6:
-		return core.TargetLUT6
-	default:
-		return core.TargetASIC
-	}
-}
-
-func coreUpdate(u PlacementUpdate) core.UpdateRule {
-	switch u {
-	case UpdateCMOfMerged:
-		return core.CMOfMerged
-	case UpdateMedianFans:
-		return core.MedianFans
-	default:
-		return core.CMOfFans
-	}
-}
-
-func wireModel(e WireEstimator) wire.Model {
-	if e == WireSpanningTree {
-		return wire.ModelSpanningTree
-	}
-	return wire.ModelHPWLSteiner
-}
+// The internal settings of each option value, indexed by the enums
+// (runPipeline normalizes first, so every index is in range).
+var (
+	libraries   = [...]func() *library.Library{LibraryBig: library.Big, LibraryTiny: library.Tiny}
+	coreModes   = [...]core.Mode{ObjectiveArea: core.ModeArea, ObjectiveDelay: core.ModeDelay}
+	misModes    = [...]mis.Mode{ObjectiveArea: mis.ModeArea, ObjectiveDelay: mis.ModeDelay}
+	coreTargets = [...]core.Target{TargetASIC: core.TargetASIC, TargetLUT4: core.TargetLUT4, TargetLUT6: core.TargetLUT6}
+	coreUpdates = [...]core.UpdateRule{UpdateCMOfFans: core.CMOfFans, UpdateCMOfMerged: core.CMOfMerged,
+		UpdateMedianFans: core.MedianFans}
+	wireModels = [...]wire.Model{WireHPWLSteiner: wire.ModelHPWLSteiner, WireSpanningTree: wire.ModelSpanningTree}
+)
 
 // applyMultilevel resolves FlowOptions.MultilevelThreshold onto one
 // placement config: positive overrides the default, negative disables
