@@ -13,7 +13,6 @@ package lily
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -186,27 +185,6 @@ func BenchmarkPipelineC5315(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := RunFlow(c, FlowOptions{Mapper: MapperLily})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.SubjectNodes), "inchoate-nodes")
-		b.ReportMetric(float64(res.Gates), "mapped-gates")
-	}
-}
-
-// BenchmarkPipelineC5315Parallel is the same pipeline with the intra-job
-// worker pool at NumCPU (DESIGN.md §13). TestParallelSpeedupFloor holds
-// its ratio against the sequential run to at least 1.8x on hosts with 4
-// or more CPUs; the output is bit-identical
-// (TestMappedBLIFGOMAXPROCSInvariant sweeps the knob), so only the wall
-// clock may differ.
-func BenchmarkPipelineC5315Parallel(b *testing.B) {
-	c, err := GenerateBenchmark("C5315")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(c, FlowOptions{Mapper: MapperLily, Parallelism: runtime.NumCPU()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,8 +62,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size")
-	parallelism := flag.Int("parallelism", 0,
-		"intra-job worker default for jobs that don't set options.parallelism (0 = sequential; bit-identical output at any setting)")
 	queue := flag.Int("queue", 0, "submit-queue capacity (0 = 4x workers)")
 	cache := flag.Int("cache", 256, "result-cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "default per-job timeout (0 = none)")
@@ -100,7 +98,6 @@ func main() {
 	// a single /metrics scrape covers the engine, flow, and HTTP layers.
 	eng := engine.New(engine.Config{
 		Workers:         *workers,
-		Parallelism:     *parallelism,
 		QueueDepth:      *queue,
 		CacheEntries:    *cache,
 		DefaultTimeout:  *timeout,

@@ -36,7 +36,6 @@ func main() {
 	noOrder := flag.Bool("no-cone-order", false, "disable §3.5 cone ordering")
 	tree := flag.Bool("tree", false, "MIS: DAGON tree-covering mode")
 	verify := flag.Bool("verify", false, "verify mapped netlist against source")
-	parallelism := flag.Int("parallelism", 0, "intra-run worker bound (0 = sequential; output is identical at any setting)")
 	mlThreshold := flag.Int("multilevel-threshold", 0,
 		"movable-cell count above which placement uses the multilevel V-cycle (0 = default 25000, negative disables)")
 	list := flag.Bool("list", false, "list benchmark names and exit")
@@ -81,7 +80,6 @@ func main() {
 		DisableConeOrdering: *noOrder,
 		TreeMode:            *tree,
 		VerifyEquivalence:   *verify,
-		Parallelism:         *parallelism,
 		MultilevelThreshold: *mlThreshold,
 		ClockPeriodNS:       *period,
 	}

@@ -37,8 +37,6 @@ func main() {
 	verify := flag.Bool("verify", false, "verify mapped netlists against the source circuits")
 	autotune := flag.Bool("autotune", false, "let Lily retry with the paper's §5 remedies and keep the best run")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "flow-engine worker-pool size")
-	parallelism := flag.Int("parallelism", 0,
-		"intra-job workers for the cover DP and placement solves (0 = sequential; results are bit-identical at any setting)")
 	target := flag.String("target", "asic",
 		"add FPGA columns mapped at this technology target: asic (none), lut4, or lut6")
 	flag.Parse()
@@ -67,7 +65,7 @@ func main() {
 		objective = lily.ObjectiveDelay
 	}
 
-	eng := engine.New(engine.Config{Workers: *workers, Parallelism: *parallelism})
+	eng := engine.New(engine.Config{Workers: *workers})
 	defer func() { _ = eng.Shutdown(context.Background()) }()
 	rows := submitSuite(eng, names, objective, tgt, *verify, *autotune)
 

@@ -157,7 +157,7 @@ func TestMappedBLIFGOMAXPROCSInvariant(t *testing.T) {
 		// winner selection must also be schedule-independent.
 		{"misex1", lily.FlowOptions{Mapper: lily.MapperLily, AutoTune: true}},
 		{"b9", lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea}},
-		// The LUT backend shares the wave-parallel commit machinery, so
+		// The LUT backend shares the cover DP and its commit path, so
 		// both tile sizes get the same byte-identity soak as ASIC.
 		{"b9", lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea, Target: lily.TargetLUT4}},
 		{"b9", lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveDelay, Target: lily.TargetLUT6}},
@@ -171,27 +171,20 @@ func TestMappedBLIFGOMAXPROCSInvariant(t *testing.T) {
 		var want []byte
 		for _, procs := range levels {
 			runtime.GOMAXPROCS(procs)
-			// The intra-job Parallelism knob must be invisible in the
-			// bytes at every scheduler width — that is the contract that
-			// lets the engine digest exclude it.
-			for _, par := range levels {
-				opt := tc.opt
-				opt.Parallelism = par
-				got := mappedBytes(t, tc.name, opt)
-				if want == nil {
-					want = got
-					continue
-				}
-				if !bytes.Equal(want, got) {
-					t.Errorf("%s/%v@%v: GOMAXPROCS=%d Parallelism=%d changed the mapped BLIF (%d vs %d bytes)",
-						tc.name, tc.opt.Objective, tc.opt.Target, procs, par, len(want), len(got))
-				}
+			got := mappedBytes(t, tc.name, tc.opt)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(want, got) {
+				t.Errorf("%s/%v@%v: GOMAXPROCS=%d changed the mapped BLIF (%d vs %d bytes)",
+					tc.name, tc.opt.Objective, tc.opt.Target, procs, len(want), len(got))
 			}
 		}
 	}
 }
 
-// dedupLevels drops repeated parallelism levels (NumCPU is often 1 or 2)
+// dedupLevels drops repeated GOMAXPROCS levels (NumCPU is often 1 or 2)
 // while preserving order.
 func dedupLevels(in []int) []int {
 	var out []int
@@ -207,15 +200,23 @@ func dedupLevels(in []int) []int {
 	return out
 }
 
-// TestConcurrentParallelRuns is the pooled-scratch regression for the
-// wave-parallel mapper: several parallel-mode pipelines run at once, so
-// wire.Scratch buffers are borrowed concurrently by overlapping worker
-// pools. Every run must still emit the sequential bytes — and under
-// -race (CI's race-lifecycle job) any scratch object shared between two
-// borrowers is a hard failure, not just a byte mismatch.
-func TestConcurrentParallelRuns(t *testing.T) {
-	opt := lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea}
-	want := mappedBytes(t, "misex1", opt)
+// TestConcurrentRuns covers the concurrency the engine really has:
+// whole pipelines running side by side on its workers, sharing the
+// wire.Scratch pool. Six runs across ASIC area, ASIC delay, lut4 and
+// lut6 execute at once, and each must emit the bytes of its own solo
+// run. Under -race (CI's race-lifecycle job) any state shared between
+// two runs is a hard failure, not just a byte mismatch.
+func TestConcurrentRuns(t *testing.T) {
+	configs := []lily.FlowOptions{
+		{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea},
+		{Mapper: lily.MapperLily, Objective: lily.ObjectiveDelay},
+		{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea, Target: lily.TargetLUT4},
+		{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea, Target: lily.TargetLUT6},
+	}
+	solo := make([][]byte, len(configs))
+	for k, opt := range configs {
+		solo[k] = mappedBytes(t, "misex1", opt)
+	}
 
 	const runs = 6
 	outs := make([][]byte, runs)
@@ -230,10 +231,8 @@ func TestConcurrentParallelRuns(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			popt := opt
-			popt.Parallelism = 2 + i%3
 			var buf bytes.Buffer
-			if _, err := lily.WriteMappedBLIF(c, popt, &buf); err != nil {
+			if _, err := lily.WriteMappedBLIF(c, configs[i%len(configs)], &buf); err != nil {
 				errs[i] = err
 				return
 			}
@@ -245,9 +244,10 @@ func TestConcurrentParallelRuns(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])
 		}
-		if !bytes.Equal(outs[i], want) {
-			t.Errorf("run %d (Parallelism=%d): bytes diverge from sequential (%d vs %d)",
-				i, 2+i%3, len(outs[i]), len(want))
+		opt := configs[i%len(configs)]
+		if want := solo[i%len(configs)]; !bytes.Equal(outs[i], want) {
+			t.Errorf("run %d (%v@%v): bytes diverge from the solo run (%d vs %d)",
+				i, opt.Objective, opt.Target, len(outs[i]), len(want))
 		}
 	}
 }

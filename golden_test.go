@@ -48,8 +48,8 @@ type goldenEntry struct {
 	WireEvals uint64 `json:"wire_evals,omitempty"`
 	Cones     int    `json:"cones,omitempty"`
 	// Pruned counts the candidates among WireEvals that the area-mode
-	// lower bound skipped; it is deterministic at any Parallelism, so it
-	// is pinned exactly too (absent, i.e. 0, for delay mode).
+	// lower bound skipped; it is deterministic, so it is pinned exactly
+	// too (absent, i.e. 0, for delay mode).
 	Pruned uint64 `json:"pruned,omitempty"`
 	// VerifyMethod is how equivalence was established: "bdd" (proved)
 	// or "simulation" (sampled after the BDD budget ran out).

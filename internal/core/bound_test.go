@@ -8,7 +8,6 @@ import (
 	"lily/internal/library"
 	"lily/internal/logic"
 	"lily/internal/match"
-	"lily/internal/obs"
 	"lily/internal/place"
 )
 
@@ -64,42 +63,6 @@ func TestAreaBoundNeverExceedsCost(t *testing.T) {
 			if probe.checks == 0 || lm.pruned == 0 {
 				t.Errorf("%s: %d bounds checked, %d candidates pruned; want both > 0",
 					probe.name, probe.checks, lm.pruned)
-			}
-		}
-	}
-}
-
-// TestPrunedParallelismInvariant: the pruned count is a deterministic
-// work counter — the wave-parallel schedule evaluates every node against
-// the same state as the sequential one, so each worker prunes exactly
-// the candidates the sequential run would, and the per-worker counts sum
-// to the sequential total.
-func TestPrunedParallelismInvariant(t *testing.T) {
-	lib := library.Big()
-	for _, name := range []string{"b9", "C432"} {
-		_, sub := subjectFor(t, name)
-		pl, err := place.Global(sub, baseWidth(sub, lib), lib.RowHeight, place.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tgt := range []Target{TargetASIC, TargetLUT6} {
-			var want uint64
-			for _, par := range []int{1, 2, 4} {
-				opt := DefaultOptions(ModeArea)
-				opt.Target = tgt
-				opt.Parallelism = par
-				fm := obs.RegisterFlowMetrics(obs.NewRegistry())
-				ctx := obs.ContextWithFlowMetrics(context.Background(), fm)
-				if _, err := MapPlacedContext(ctx, sub, lib, pl, opt); err != nil {
-					t.Fatal(err)
-				}
-				got := fm.Pruned.Value()
-				if par == 1 {
-					want = got
-				} else if got != want {
-					t.Errorf("%s/%s: Parallelism %d pruned %d candidates, sequential %d",
-						name, tgt, par, got, want)
-				}
 			}
 		}
 	}

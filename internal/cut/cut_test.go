@@ -110,9 +110,8 @@ func TestKFeasibilityProperties(t *testing.T) {
 	}
 }
 
-// TestMatchesMemoized pins the Backend contract the wave-parallel
-// scheduler relies on: after the first call, MatchesAt is a pure read
-// returning the identical slice.
+// TestMatchesMemoized pins the Backend contract the cover DP relies on:
+// after the first call, MatchesAt returns the identical slice.
 func TestMatchesMemoized(t *testing.T) {
 	sub := subjectFor(t, "b9")
 	e := NewEnumerator(sub, library.Big(), 4)

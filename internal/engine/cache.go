@@ -23,10 +23,6 @@ func requestKey(blif []byte, opt lily.FlowOptions, renderSVG, emitBLIF bool) (st
 	if err != nil {
 		return "", err
 	}
-	// Parallelism is a throughput knob: the wave-parallel mapper and the
-	// placement reduction trees are bit-identical at every setting
-	// (DESIGN.md §13), so it must not fragment the cache.
-	opt.Parallelism = 0
 	h := sha256.New()
 	h.Write(blif)
 	// FlowOptions contains only value-typed fields, so its %+v rendering

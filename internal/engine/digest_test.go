@@ -80,7 +80,7 @@ func TestRequestDigestSensitivity(t *testing.T) {
 	par := base
 	par.Options.Parallelism = 8
 	if d, _ := RequestDigest(par); d != d0 {
-		t.Fatalf("Parallelism changed digest: the output is bit-identical at any setting, so the throughput knob must not fragment the cache")
+		t.Fatalf("Parallelism changed digest: the field is ignored, so it must not fragment the cache")
 	}
 	ml := base
 	ml.Options.MultilevelThreshold = 5000

@@ -76,13 +76,6 @@ type Config struct {
 	// terminal state via a worker (the lilyd job-log middleware). It
 	// runs on the worker goroutine; keep it fast.
 	OnTerminal func(Status)
-	// Parallelism is the intra-job worker default applied to requests
-	// that leave FlowOptions.Parallelism unset (0). The knob is pure
-	// throughput — results are bit-identical at every setting and the
-	// request digest excludes it — so the server can raise it fleet-wide
-	// without invalidating caches. 0 (or negative) leaves requests
-	// untouched (sequential mapping).
-	Parallelism int
 	// Run overrides the job executor (tests); nil runs the lily pipeline.
 	Run RunFunc
 }
@@ -161,11 +154,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.MaxRetainedJobs == 0 {
 		cfg.MaxRetainedJobs = DefaultMaxRetainedJobs
-	}
-	if cfg.Parallelism < 0 {
-		// A negative default means sequential, like 0: the jobs that
-		// inherit it must still pass FlowOptions.Normalize.
-		cfg.Parallelism = 0
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -644,14 +632,7 @@ func (e *Engine) runGuarded(j *Job) (out *Outcome, err error) {
 			root.SetError(err)
 		}
 	}()
-	req := j.req
-	if req.Options.Parallelism == 0 {
-		// Apply the engine-wide intra-job parallelism default on a local
-		// copy: the job's stored request (and its digest) stay as
-		// submitted, since the knob does not change the output.
-		req.Options.Parallelism = e.cfg.Parallelism
-	}
-	out, err = e.run(ctx, j.circuit, req)
+	out, err = e.run(ctx, j.circuit, j.req)
 	root.SetError(err)
 	return out, err
 }

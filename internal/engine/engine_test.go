@@ -318,16 +318,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestNegativeParallelismDefault: a negative engine-wide default means
-// sequential; it must not fail the jobs that inherit it.
-func TestNegativeParallelismDefault(t *testing.T) {
-	e := New(Config{Workers: 1, Parallelism: -4})
-	defer shutdown(t, e)
-	if _, err := e.Run(context.Background(), Request{Benchmark: "misex1"}); err != nil {
-		t.Fatalf("job under Parallelism -4: %v", err)
-	}
-}
-
 func TestRequestValidation(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer shutdown(t, e)
@@ -392,7 +382,7 @@ func TestKeyNormalization(t *testing.T) {
 	if key(mis, false) != key(misTuned, false) {
 		t.Fatalf("Lily-only knobs should normalize away under MIS")
 	}
-	if _, err := requestKey(blif, lily.FlowOptions{Parallelism: -1}, false, false); err == nil {
+	if _, err := requestKey(blif, lily.FlowOptions{WireWeight: -1}, false, false); err == nil {
 		t.Fatalf("options Normalize rejects must have no key")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // entry is one off-diagonal coefficient of the quadratic system.
@@ -30,9 +29,6 @@ type quadSystem struct {
 	adj  [][]entry
 	rhsX []float64
 	rhsY []float64
-	// par bounds the mat-vec/reduction worker count; the solve is
-	// bit-identical at any value (elementwise rows, fixed-block sums).
-	par int
 }
 
 func newQuadSystem(n int) *quadSystem {
@@ -63,23 +59,15 @@ func (q *quadSystem) addFixed(i int, w, x, y float64) {
 	q.rhsY[i] += w * y
 }
 
-// multiply computes out = A v. Rows are independent (each out[i] is one
-// flat sum over row i), so the row range splits across workers without
-// changing a single float operation.
+// multiply computes out = A v.
 func (q *quadSystem) multiply(v, out []float64) {
-	par := q.par
-	if q.n < parallelGrain {
-		par = 1
-	}
-	parallelFor(q.n, par, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := q.diag[i] * v[i]
-			for _, e := range q.adj[i] {
-				s += e.w * v[e.j]
-			}
-			out[i] = s
+	for i := 0; i < q.n; i++ {
+		s := q.diag[i] * v[i]
+		for _, e := range q.adj[i] {
+			s += e.w * v[e.j]
 		}
-	})
+		out[i] = s
+	}
 }
 
 // solve runs Jacobi-preconditioned conjugate gradient for one axis,
@@ -108,7 +96,7 @@ func (q *quadSystem) solve(ctx context.Context, rhs, x0 []float64, tol float64, 
 		p[i] = z[i]
 		rr += r[i] * z[i]
 	}
-	norm0 := math.Sqrt(dotPar(r, r, q.par))
+	norm0 := math.Sqrt(dot(r, r))
 	if norm0 < tol {
 		return 0, nil
 	}
@@ -119,7 +107,7 @@ func (q *quadSystem) solve(ctx context.Context, rhs, x0 []float64, tol float64, 
 			}
 		}
 		q.multiply(p, ap)
-		pap := dotPar(p, ap, q.par)
+		pap := dot(p, ap)
 		if pap <= 0 {
 			return it, fmt.Errorf("place: CG breakdown (pAp=%v)", pap)
 		}
@@ -128,7 +116,7 @@ func (q *quadSystem) solve(ctx context.Context, rhs, x0 []float64, tol float64, 
 			x0[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 		}
-		if math.Sqrt(dotPar(r, r, q.par)) < tol*(1+norm0) {
+		if math.Sqrt(dot(r, r)) < tol*(1+norm0) {
 			return it + 1, nil
 		}
 		rrNew := 0.0
@@ -145,79 +133,24 @@ func (q *quadSystem) solve(ctx context.Context, rhs, x0 []float64, tol float64, 
 	return maxIter, nil
 }
 
-// dotBlock is the fixed partial-sum width of dot. It is a property of
-// the algorithm, not of the machine: the reduction tree (block sums
-// folded in block order) is the same at every worker count, which is
-// what keeps the CG trajectory bit-identical under parallelism. Vectors
-// up to one block sum exactly as the historical flat loop did.
+// dotBlock is the fixed partial-sum width of dot. The reduction order
+// (block sums folded in block order) is part of the placement's float
+// contract: the goldens pin the CG trajectory it produces. Vectors up to
+// one block sum as a flat loop does.
 const dotBlock = 4096
 
-func dot(a, b []float64) float64 { return dotPar(a, b, 1) }
-
-// dotPar computes a·b over fixed dotBlock-wide partial sums, evaluating
-// the blocks on up to par workers and folding them in block order.
-func dotPar(a, b []float64, par int) float64 {
+// dot computes a·b over fixed dotBlock-wide partial sums, folding each
+// block's sum into the total in block order.
+func dot(a, b []float64) float64 {
 	n := len(a)
-	if n <= dotBlock {
+	total := 0.0
+	for lo := 0; lo < n; lo += dotBlock {
+		hi := min(lo+dotBlock, n)
 		s := 0.0
-		for i := range a {
+		for i := lo; i < hi; i++ {
 			s += a[i] * b[i]
 		}
-		return s
-	}
-	nb := (n + dotBlock - 1) / dotBlock
-	sums := make([]float64, nb)
-	parallelFor(nb, par, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			end := (bi + 1) * dotBlock
-			if end > n {
-				end = n
-			}
-			s := 0.0
-			for i := bi * dotBlock; i < end; i++ {
-				s += a[i] * b[i]
-			}
-			sums[bi] = s
-		}
-	})
-	total := 0.0
-	for _, s := range sums {
 		total += s
 	}
 	return total
-}
-
-// parallelGrain is the smallest elementwise range worth splitting:
-// below it the goroutine hand-off costs more than the loop body saves.
-// It guards only the fine-grained callers (mat-vec rows); coarse items
-// like region splits parallelize at any count. Splitting never changes
-// results (callers are elementwise), so the cutoff is a pure throughput
-// heuristic.
-const parallelGrain = 2048
-
-// parallelFor runs fn over [0,n) split into up to par contiguous
-// chunks. fn must only write state indexed within its own range. With
-// par <= 1 it degenerates to one inline call.
-func parallelFor(n, par int, fn func(lo, hi int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 || n == 0 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + par - 1) / par
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

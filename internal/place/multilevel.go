@@ -15,7 +15,7 @@ import (
 // cluster map, and runs one bounded anchored CG solve before the
 // partition continues splitting the expanded regions. Every step visits
 // vertices and nets in fixed ascending order with explicit tie-breaks, so
-// the V-cycle is byte-deterministic at any Parallelism x GOMAXPROCS.
+// the V-cycle is byte-deterministic at any GOMAXPROCS.
 
 // mlRefineIters caps the conjugate-gradient iteration budget of the
 // per-uncluster refinement solve; the continuation solves inside

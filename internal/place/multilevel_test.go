@@ -2,7 +2,6 @@ package place
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"lily/internal/bench"
@@ -288,39 +287,6 @@ func TestMultilevelPlacesInsideDie(t *testing.T) {
 	}
 	if same {
 		t.Fatal("multilevel placement identical to flat: V-cycle did not engage")
-	}
-}
-
-// TestMultilevelDeterministicAcrossParallelism: the V-cycle must be
-// byte-identical at every Parallelism setting (DESIGN.md §13 extended to
-// §15's coarsening and refinement stages).
-func TestMultilevelDeterministicAcrossParallelism(t *testing.T) {
-	base := DefaultConfig()
-	base.MultilevelThreshold = 200
-	var ref *Result
-	var refNet *logic.Network
-	for _, par := range []int{1, 2, runtime.NumCPU()} {
-		cfg := base
-		cfg.Parallelism = par
-		sub, pr := placeWithConfig(t, "C499", cfg)
-		if ref == nil {
-			ref, refNet = pr, sub
-			continue
-		}
-		for _, nd := range refNet.Nodes {
-			if nd == nil {
-				continue
-			}
-			id2 := sub.NodeByName(nd.Name).ID
-			if ref.Pos[nd.ID] != pr.Pos[id2] {
-				t.Fatalf("par=%d: node %s at %v, want %v (bit-exact)", par, nd.Name, pr.Pos[id2], ref.Pos[nd.ID])
-			}
-		}
-		for name, pt := range ref.POPads {
-			if pr.POPads[name] != pt {
-				t.Fatalf("par=%d: PO pad %s moved", par, name)
-			}
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"lily/internal/geom"
 	"lily/internal/logic"
@@ -39,11 +38,7 @@ type Config struct {
 	// paper's §5 remark that the initial pad placement influences how
 	// much wire reduction Lily can achieve.
 	NaivePads bool
-	// Parallelism bounds the worker count for the CG mat-vec, the two
-	// per-axis solves, the per-level region splits, and the HPWL
-	// reduction (DESIGN.md §13). Every parallel path is elementwise or
-	// folds partial sums in a fixed partition order, so the placement is
-	// bit-identical at any setting; 0 or 1 runs sequentially.
+	// Deprecated: ignored; removed with the next benchmark PR.
 	Parallelism int
 	// MultilevelThreshold engages the multilevel V-cycle (DESIGN.md §15)
 	// when the movable-cell count reaches it: seeded heavy-edge matching
@@ -304,9 +299,9 @@ type placer struct {
 	cgIters  int
 	mlLevels int
 
-	// scratch pools the movable->local projection arrays used by
-	// splitRegion, one per partition worker instead of one per region.
-	scratch sync.Pool
+	// scratch is the movable->local projection reused by every
+	// splitRegion call instead of one per region.
+	scratch regionScratch
 
 	x, y []float64
 }
@@ -391,13 +386,10 @@ func clampTo(pt geom.Point, r geom.Rect) geom.Point {
 	return pt
 }
 
-// solveQP solves both axes with optional per-cell anchors (region centers).
-// The axes share the system matrix but are otherwise independent, so with
-// Parallelism > 1 they solve concurrently; iteration counts still
-// accumulate in X-then-Y order.
+// solveQP solves both axes with optional per-cell anchors (region
+// centers); the axes share the system matrix.
 func (p *placer) solveQP(anchor []geom.Point, anchorW float64) error {
 	q := newQuadSystem(p.n)
-	q.par = p.cfg.Parallelism
 	for _, nd := range p.nets {
 		k := len(nd.pins)
 		if k <= 8 {
@@ -419,23 +411,6 @@ func (p *placer) solveQP(anchor []geom.Point, anchorW float64) error {
 		for i := 0; i < p.n; i++ {
 			q.addFixed(i, anchorW, anchor[i].X, anchor[i].Y)
 		}
-	}
-	if p.cfg.Parallelism > 1 {
-		var itY int
-		var errY error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			itY, errY = q.solve(p.ctx, q.rhsY, p.y, p.cfg.CGTol, p.cfg.CGMaxIter)
-		}()
-		itX, errX := q.solve(p.ctx, q.rhsX, p.x, p.cfg.CGTol, p.cfg.CGMaxIter)
-		<-done
-		p.cgIters += itX
-		if errX != nil {
-			return errX
-		}
-		p.cgIters += itY
-		return errY
 	}
 	itX, err := q.solve(p.ctx, q.rhsX, p.x, p.cfg.CGTol, p.cfg.CGMaxIter)
 	p.cgIters += itX
@@ -595,30 +570,13 @@ func (p *placer) partitionFrom(regions []*region, startLevel, maxLevel int) ([]*
 		}
 		split := false
 		var next []*region
-		// Each split reads only the frozen solution (p.x/p.y/p.nets) and
-		// writes region-local state, so a level's splits run concurrently;
-		// the results are assembled in region order either way.
-		type splitPair struct{ a, b *region }
-		pairs := make([]splitPair, len(regions))
-		parallelFor(len(regions), p.cfg.Parallelism, func(lo, hi int) {
-			scr, _ := p.scratch.Get().(*regionScratch)
-			if scr == nil {
-				scr = &regionScratch{}
-			}
-			for ri := lo; ri < hi; ri++ {
-				if len(regions[ri].cells) > p.cfg.MinRegion {
-					a, b := p.splitRegion(regions[ri], scr)
-					pairs[ri] = splitPair{a, b}
-				}
-			}
-			p.scratch.Put(scr)
-		})
-		for ri, r := range regions {
-			if pairs[ri].a == nil {
+		for _, r := range regions {
+			if len(r.cells) <= p.cfg.MinRegion {
 				next = append(next, r)
 				continue
 			}
-			next = append(next, pairs[ri].a, pairs[ri].b)
+			a, b := p.splitRegion(r)
+			next = append(next, a, b)
 			split = true
 		}
 		regions = next
@@ -654,7 +612,7 @@ func anchorWeight(level int) float64 {
 // projected into the region, and the rectangle is split proportionally to
 // the resulting side areas. Children inherit the parent's net list, keeping
 // only nets with at least two pins on their side.
-func (p *placer) splitRegion(r *region, scr *regionScratch) (*region, *region) {
+func (p *placer) splitRegion(r *region) (*region, *region) {
 	horiz := r.rect.Width() >= r.rect.Height() // split along x if wide
 	cells := append([]int(nil), r.cells...)
 	sort.SliceStable(cells, func(a, b int) bool {
@@ -688,8 +646,9 @@ func (p *placer) splitRegion(r *region, scr *regionScratch) (*region, *region) {
 
 	// Local FM refinement on the hypergraph projected from the region's
 	// own net list. The point→local translation is an epoch-stamped
-	// scratch (-1 = outside the region) shared across the worker's
-	// regions: this projection is the hottest loop of the partition.
+	// scratch (-1 = outside the region) shared across all regions: this
+	// projection is the hottest loop of the partition.
+	scr := &p.scratch
 	scr.begin(p.n)
 	for li, c := range cells {
 		scr.set(c, int32(li))
@@ -774,40 +733,25 @@ func rectOf(llx, lly, urx, ury float64) geom.Rect {
 // Quality metrics for tests and reporting.
 
 // TotalHPWL sums the half-perimeter length over all nets at the placed
-// positions.
+// positions, folding the per-net lengths in driver order.
 func (r *Result) TotalHPWL(net *logic.Network) float64 {
-	return r.TotalHPWLParallel(net, 1)
-}
-
-// TotalHPWLParallel is TotalHPWL with a bounded worker count: the
-// per-net lengths are computed elementwise into a slice partitioned by
-// driver index and folded in that fixed order, so the sum is
-// bit-identical to the sequential one at any par (DESIGN.md §13).
-func (r *Result) TotalHPWLParallel(net *logic.Network, par int) float64 {
-	vals := make([]float64, len(net.Nodes))
-	parallelFor(len(net.Nodes), par, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			nd := net.Nodes[id]
-			if nd == nil {
-				continue
-			}
-			pts := []geom.Point{r.Pos[nd.ID]}
-			for _, fo := range dedup(net.Fanouts(nd.ID)) {
-				pts = append(pts, r.Pos[fo])
-			}
-			for i, po := range net.POs {
-				if po == nd.ID {
-					pts = append(pts, r.POPads[net.PONames[i]])
-				}
-			}
-			if len(pts) >= 2 {
-				vals[id] = geom.Enclosing(pts).HalfPerimeter()
+	total := 0.0
+	for _, nd := range net.Nodes {
+		if nd == nil {
+			continue
+		}
+		pts := []geom.Point{r.Pos[nd.ID]}
+		for _, fo := range dedup(net.Fanouts(nd.ID)) {
+			pts = append(pts, r.Pos[fo])
+		}
+		for i, po := range net.POs {
+			if po == nd.ID {
+				pts = append(pts, r.POPads[net.PONames[i]])
 			}
 		}
-	})
-	total := 0.0
-	for _, v := range vals {
-		total += v
+		if len(pts) >= 2 {
+			total += geom.Enclosing(pts).HalfPerimeter()
+		}
 	}
 	return total
 }

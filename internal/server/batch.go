@@ -180,11 +180,8 @@ type BatchResult struct {
 
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r.Body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Jobs) == 0 || len(req.Jobs) > maxBatchJobs {

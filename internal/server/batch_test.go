@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lily"
@@ -153,6 +154,21 @@ func TestBatchRejectsInvalidWholesale(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("case %d: status = %d, want 400", i, resp.StatusCode)
+		}
+	}
+	// Bodies the strict decoder refuses before any job is resolved.
+	for _, body := range []string{
+		`{"jobs":[{"benchmark":"misex1"}]} {{{`,
+		`{"jobs":[{"benchmark":"misex1"}]}{"jobs":[]}`,
+		`{"jobs":[{"benchmark":"misex1","options":{"parallelism":2}}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", body, resp.StatusCode)
 		}
 	}
 	if st := eng.Stats(); st.Submitted != 0 {

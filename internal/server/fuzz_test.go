@@ -1,7 +1,8 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
 	"testing"
 
 	"lily"
@@ -12,7 +13,8 @@ import (
 const fuzzBLIF = ".model f\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
 
 // FuzzSubmitOptions feeds hostile JSON to the option boundary: decoding
-// into a SubmitRequest and converting its options must never panic, and
+// into a SubmitRequest through the server's strict body decoder and
+// converting its options must never panic, and
 // any options ToFlowOptions accepts must have an idempotent canonical
 // form that digests exactly like the options as spelled. The seeds replay
 // in plain `go test`; `make fuzz` explores further.
@@ -21,16 +23,18 @@ func FuzzSubmitOptions(f *testing.F) {
 		`{"benchmark":"misex1","options":{"mapper":"lily","objective":"area","target":"asic"}}`,
 		`{"options":{"mapper":"mis","target":"lut4"}}`,
 		`{"options":{"mapper":"mis2.1","tree_mode":true,"replace_every":4,"wire_weight":0.5,"autotune":true}}`,
-		`{"options":{"fanout_optimize":true,"max_fanout":1,"multilevel_threshold":-3,"parallelism":2}}`,
+		`{"options":{"fanout_optimize":true,"max_fanout":1,"multilevel_threshold":-3}}`,
 		`{"options":{"objective":"delay","library":"tiny","target":"lut6","two_pass_delay":true}}`,
-		`{"options":{"parallelism":-1,"clock_period_ns":-2,"wire_weight":1e308}}`,
+		`{"options":{"clock_period_ns":-2,"wire_weight":1e308}}`,
+		`{"options":{"parallelism":2}}`,
+		`{"benchmark":"misex1"} trailing-garbage`,
 		`{"options":{"mapper":"LILY","objective":7}}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SubmitRequest
-		if json.Unmarshal(data, &req) != nil {
+		if decodeBody(nil, io.NopCloser(bytes.NewReader(data)), &req) != nil {
 			return
 		}
 		raw, err := req.Options.ToFlowOptions()

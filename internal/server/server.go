@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -239,11 +240,6 @@ type JobOptions struct {
 	ReplaceEvery              int     `json:"replace_every,omitempty"`
 	TreeMode                  bool    `json:"tree_mode,omitempty"`
 	LayoutDrivenDecomposition bool    `json:"layout_driven_decomposition,omitempty"`
-	// Parallelism bounds intra-job workers for the cover DP and the
-	// placement solves. Throughput only: the result is bit-identical at
-	// any setting and the request digest excludes it. 0 defers to the
-	// server-wide default (lilyd -parallelism).
-	Parallelism int `json:"parallelism,omitempty"`
 	// MultilevelThreshold sets the movable-cell count above which global
 	// placement switches to the multilevel V-cycle (DESIGN.md §15). 0
 	// keeps the default (25000), negative disables multilevel placement.
@@ -268,7 +264,6 @@ func (o JobOptions) ToFlowOptions() (lily.FlowOptions, error) {
 		ReplaceEvery:              o.ReplaceEvery,
 		TreeMode:                  o.TreeMode,
 		LayoutDrivenDecomposition: o.LayoutDrivenDecomposition,
-		Parallelism:               o.Parallelism,
 		MultilevelThreshold:       o.MultilevelThreshold,
 	}
 	var errs [4]error
@@ -333,13 +328,25 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// decodeBody reads a request body of at most maxBodyBytes holding exactly
+// one JSON value into v. Unknown fields and anything but whitespace after
+// the value are errors. w may be nil outside an HTTP handler.
+func decodeBody(w http.ResponseWriter, body io.ReadCloser, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("bad request body: data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r.Body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ereq, err := s.resolve(req)

@@ -181,6 +181,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad objective", `{"benchmark":"misex1","options":{"objective":"speed"}}`, http.StatusBadRequest},
 		{"unknown field", `{"benchmark":"misex1","bogus":1}`, http.StatusBadRequest},
 		{"garbage", `{{{`, http.StatusBadRequest},
+		{"trailing garbage", `{"benchmark":"misex1"} trailing-garbage`, http.StatusBadRequest},
+		{"second value", `{"benchmark":"misex1"}{"benchmark":"nope","bogus":1}`, http.StatusBadRequest},
+		{"removed parallelism key", `{"benchmark":"misex1","options":{"parallelism":2}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

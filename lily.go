@@ -375,11 +375,7 @@ type FlowOptions struct {
 	// placement proximity, preserving the mapper's option to split large
 	// matches along spatial cluster boundaries.
 	LayoutDrivenDecomposition bool
-	// Parallelism bounds the intra-run worker count for Lily's
-	// wave-parallel cone mapping and the placer's partitioned solves
-	// (DESIGN.md §13). It is a throughput knob only: the mapped output
-	// is byte-identical at every setting, so it does not participate in
-	// the engine's request digest. 0 or 1 runs sequentially.
+	// Deprecated: ignored; removed with the next benchmark PR.
 	Parallelism int
 	// MultilevelThreshold sets the movable-cell count above which every
 	// global placement in the flow (the mapper's seed placement, its
@@ -396,7 +392,7 @@ type FlowOptions struct {
 // pipeline treats as equivalent: every pipeline entry point runs it
 // first, and the engine's cache keys on its result, so options with equal
 // canonical forms produce identical bytes. Normalize is idempotent and
-// keeps Parallelism, which never changes the output.
+// zeroes the ignored Parallelism field.
 func (opt FlowOptions) Normalize() (FlowOptions, error) {
 	for _, err := range []error{
 		mapperNames.check(opt.Mapper),
@@ -419,10 +415,8 @@ func (opt FlowOptions) Normalize() (FlowOptions, error) {
 	if !finiteNonNegative(opt.ClockPeriodNS) {
 		return FlowOptions{}, fmt.Errorf("clock period must be finite and >= 0 (got %g)", opt.ClockPeriodNS)
 	}
-	if opt.Parallelism < 0 {
-		return FlowOptions{}, fmt.Errorf("parallelism must be >= 0 (got %d)", opt.Parallelism)
-	}
 
+	opt.Parallelism = 0
 	if opt.WireWeight == 0 {
 		opt.WireWeight = 1
 	}
@@ -713,8 +707,6 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		copt.ReplaceEvery = opt.ReplaceEvery
 		copt.Place.NaivePads = opt.NaivePads
 		copt.TwoPassDelay = opt.TwoPassDelay
-		copt.Parallelism = opt.Parallelism
-		copt.Place.Parallelism = opt.Parallelism
 		applyMultilevel(&copt.Place, opt)
 		res, err := core.MapContext(ctx, sub, lib, copt)
 		if err != nil {
@@ -788,7 +780,6 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	}
 	lopt := layout.DefaultOptions()
 	lopt.Anneal = opt.AnnealPlacement
-	lopt.Place.Parallelism = opt.Parallelism
 	applyMultilevel(&lopt.Place, opt)
 	_, lsp := obs.StartSpan(ctx, "layout")
 	lres, err := layout.Place(nl, lib, lopt)

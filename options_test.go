@@ -23,7 +23,6 @@ func TestNormalizeRejects(t *testing.T) {
 		{"negative clock period", FlowOptions{ClockPeriodNS: -1}, "clock period must be finite and >= 0 (got -1)"},
 		{"NaN clock period", FlowOptions{ClockPeriodNS: math.NaN()}, "clock period must be finite and >= 0 (got NaN)"},
 		{"+Inf clock period", FlowOptions{ClockPeriodNS: math.Inf(1)}, "clock period must be finite and >= 0 (got +Inf)"},
-		{"negative parallelism", FlowOptions{Parallelism: -4}, "parallelism must be >= 0 (got -4)"},
 		{"mapper out of range", FlowOptions{Mapper: 2}, "unknown mapper 2"},
 		{"negative mapper", FlowOptions{Mapper: -1}, "unknown mapper -1"},
 		{"objective out of range", FlowOptions{Objective: 2}, "unknown objective 2"},
@@ -85,8 +84,8 @@ func TestNormalizeIdempotent(t *testing.T) {
 				if err != nil || twice != once {
 					t.Fatalf("Normalize not idempotent on %+v:\n once %+v\ntwice %+v (err %v)", opt, once, twice, err)
 				}
-				if once.Parallelism != opt.Parallelism {
-					t.Fatalf("Normalize dropped Parallelism %d", opt.Parallelism)
+				if once.Parallelism != 0 {
+					t.Fatalf("Normalize kept the ignored Parallelism %d", once.Parallelism)
 				}
 			}
 		}

@@ -61,10 +61,7 @@ func suiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
 			req.Jobs = append(req.Jobs, server.SubmitRequest{
 				Benchmark: circuit,
 				EmitBLIF:  true,
-				// Parallelism exercises the wave-parallel mapper through
-				// the whole service path; the golden hashes below prove
-				// it changes nothing in the bytes.
-				Options: server.JobOptions{Mapper: "lily", Objective: obj.name, Parallelism: 2},
+				Options:   server.JobOptions{Mapper: "lily", Objective: obj.name},
 			})
 			keys = append(keys, goldenKey(circuit, obj.obj))
 		}
@@ -89,8 +86,7 @@ func lutSuiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
 		req.Jobs = append(req.Jobs, server.SubmitRequest{
 			Benchmark: circuit,
 			EmitBLIF:  true,
-			Options: server.JobOptions{
-				Mapper: "lily", Objective: "area", Target: "lut4", Parallelism: 2},
+			Options:   server.JobOptions{Mapper: "lily", Objective: "area", Target: "lut4"},
 		})
 		keys = append(keys, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4))
 	}
