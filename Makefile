@@ -49,14 +49,18 @@ scale-smoke:
 	LILY_SCALE_PROFILE=gen100k LILY_SCALE_BUDGET_S=60 \
 		$(GO) test -run TestScaleSmoke -v -timeout 600s -count=1 .
 
-# Single-iteration pass over the engine, obs and equivalence-check
-# benchmarks so they keep compiling and running (BenchmarkDisabledTracer
-# reports allocs/op; BenchmarkCheck covers the BDD budget-exhaustion path
-# on C5315 and a BDD proof on duke2).
+# Single-iteration pass over the engine, obs, equivalence-check and
+# candidate-generator benchmarks so they keep compiling and running
+# (BenchmarkDisabledTracer reports allocs/op; BenchmarkCheck covers the
+# BDD budget-exhaustion path on C5315 and a BDD proof on duke2; the
+# structural matcher and the LUT cut pipeline print allocs/op via
+# -benchmem).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x ./internal/equiv/
+	$(GO) test -run '^$$' -bench BenchmarkMatcherAllNodes -benchtime=1x -benchmem ./internal/match/
+	$(GO) test -run '^$$' -bench '^BenchmarkPipelineC5315LUT6$$' -benchtime=1x -benchmem .
 
 # The mapping packages (front end through verification) plus the lint
 # suite itself must stay at or above 70%

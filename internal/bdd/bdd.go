@@ -82,10 +82,19 @@ func newSized(numVars, maxNodes, table int) *Manager {
 		unique:   make([]Ref, table),
 		cache:    make([]cacheEntry, table/2),
 	}
+	m.nodes = make([]node, 2, m.nodeCap())
 	term := int32(numVars)
-	m.nodes = append(m.nodes, node{level: term}, node{level: term})
+	m.nodes[0] = node{level: term}
+	m.nodes[1] = node{level: term}
 	return m
 }
+
+// nodeCap is the node array's capacity for the current unique table.
+// mk grows the table as soon as the node count passes half its length,
+// so the count never exceeds half the length plus one, nor the budget
+// (nor two, the terminals): the array is reallocated only in grow, in
+// lockstep with the table.
+func (m *Manager) nodeCap() int { return min(len(m.unique)/2+1, max(m.maxNodes, 2)) }
 
 // NumNodes returns the number of live nodes including terminals.
 func (m *Manager) NumNodes() int { return len(m.nodes) }
@@ -142,8 +151,9 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	return r
 }
 
-// grow doubles the unique table and the computed cache. Nodes are
-// re-entered in index order; cached results move to their new slots.
+// grow doubles the unique table, the node array's capacity and the
+// computed cache. Nodes are re-entered in index order; cached results
+// move to their new slots.
 func (m *Manager) grow() {
 	unique := make([]Ref, 2*len(m.unique))
 	mask := uint64(len(unique) - 1)
@@ -156,6 +166,9 @@ func (m *Manager) grow() {
 		unique[i] = Ref(r)
 	}
 	m.unique = unique
+	nodes := make([]node, len(m.nodes), m.nodeCap())
+	copy(nodes, m.nodes)
+	m.nodes = nodes
 	cache := make([]cacheEntry, len(unique)/2)
 	cmask := uint64(len(cache) - 1)
 	for _, e := range m.cache {

@@ -380,6 +380,8 @@ type lily struct {
 	// reawakened lists prior doves re-evaluated in the current cone; ones
 	// the commit does not claim revert to dove.
 	reawakened []logic.NodeID
+	// dfs is the cone walk's scratch, reused by every processCone.
+	dfs logic.DFSScratch
 	// loadHints holds per-node output loads recorded by a previous delay
 	// pass (TwoPassDelay); nil on the first pass.
 	loadHints map[logic.NodeID]float64
@@ -546,7 +548,7 @@ func (lm *lily) coneOrder() []int {
 // depth-first-search order.
 func (lm *lily) processCone(root logic.NodeID) error {
 	lm.reawakened = lm.reawakened[:0]
-	for _, v := range lm.sub.ReverseDFS(root) {
+	for _, v := range lm.sub.ReverseDFS(root, &lm.dfs) {
 		nd := lm.sub.Nodes[v]
 		if nd.Kind != logic.KindLogic || lm.state[v] == StateHawk {
 			continue
@@ -1112,7 +1114,10 @@ func (lm *lily) commitCone(root logic.NodeID) error {
 		if lm.everDove[v] {
 			lm.stats.Reincarnations++
 		}
-		for _, vi := range dedupIDs(lm.best[v].Inputs) {
+		for j, vi := range lm.best[v].Inputs {
+			if slices.Contains(lm.best[v].Inputs[:j], vi) {
+				continue // a signal bound to several pins is one consumer
+			}
 			lm.hawkConsumers[vi] = append(lm.hawkConsumers[vi], hawkRef{hawk: v, gate: lm.best[v].Gate})
 			// Signal vi gained a hawk consumer: its cached list is stale.
 			lm.fanVer[vi]++
@@ -1169,16 +1174,4 @@ func recordedLoads(sub *logic.Network, lib *library.Library, first *Result, mode
 		}
 	}
 	return loads
-}
-
-func dedupIDs(ids []logic.NodeID) []logic.NodeID {
-	seen := make(map[logic.NodeID]bool, len(ids))
-	out := make([]logic.NodeID, 0, len(ids))
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -132,7 +132,7 @@ func TestLifecycleTransitionsLegal(t *testing.T) {
 		if got := cur[tr.Node]; got != tr.From {
 			t.Fatalf("trace inconsistent at node %d: recorded from %v, actual %v", tr.Node, tr.From, got)
 		}
-		if !legalTransitions[[2]State{tr.From, tr.To}] {
+		if !legalTransitions[tr.From][tr.To] {
 			t.Fatalf("illegal transition %v->%v", tr.From, tr.To)
 		}
 		cur[tr.Node] = tr.To

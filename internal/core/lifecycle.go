@@ -58,16 +58,16 @@ func (s LifecycleStats) String() string {
 		s.Hawks, s.Doves, s.Reincarnations, s.ConesProcessed)
 }
 
-// legalTransitions encodes the automaton of Figure 2.2. Dove → nestling is
-// the reincarnation arc (the paper routes it through egg; the intermediate
-// egg state is instantaneous and not observable).
-var legalTransitions = map[[2]State]bool{
-	{StateEgg, StateNestling}:      true,
-	{StateNestling, StateHawk}:     true,
-	{StateNestling, StateDove}:     true,
-	{StateDove, StateNestling}:     true, // reincarnation via egg
-	{StateDove, StateHawk}:         true, // merged node needed by a later cone commit
-	{StateNestling, StateNestling}: true, // revisited within overlapping cones
+// legalTransitions encodes the automaton of Figure 2.2, indexed
+// [from][to]. Dove → nestling is the reincarnation arc (the paper routes
+// it through egg; the intermediate egg state is instantaneous and not
+// observable).
+var legalTransitions = [4][4]bool{
+	StateEgg: {StateNestling: true},
+	// Nestling → nestling: revisited within overlapping cones.
+	StateNestling: {StateNestling: true, StateHawk: true, StateDove: true},
+	// Dove → hawk: a merged node needed by a later cone commit.
+	StateDove: {StateNestling: true, StateHawk: true},
 }
 
 // record validates and logs a transition.
@@ -76,7 +76,7 @@ func (lm *lily) setState(v logic.NodeID, to State) error {
 	if from == to {
 		return nil
 	}
-	if !legalTransitions[[2]State{from, to}] {
+	if !legalTransitions[from][to] {
 		return fmt.Errorf("core: illegal life-cycle transition %v -> %v at node %d", from, to, v)
 	}
 	lm.state[v] = to

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lily/internal/geom"
 	"lily/internal/logic"
@@ -37,13 +38,17 @@ func (lm *lily) replaceGlobal() error {
 		switch lm.state[v] {
 		case StateHawk:
 			m := lm.committed[v]
-			for _, in := range dedupIDs(m.Inputs) {
-				fanins = append(fanins, sig[in])
+			for j, in := range m.Inputs {
+				if !slices.Contains(m.Inputs[:j], in) {
+					fanins = append(fanins, sig[in])
+				}
 			}
 			width = m.Gate.Width
 		default: // eggs and doves keep the subject structure
-			for _, f := range dedupIDs(nd.Fanins) {
-				fanins = append(fanins, sig[f])
+			for j, f := range nd.Fanins {
+				if !slices.Contains(nd.Fanins[:j], f) {
+					fanins = append(fanins, sig[f])
+				}
 			}
 			if lm.state[v] == StateDove {
 				width = 1 // placeholder footprint: the logic lives inside a hawk

@@ -19,9 +19,10 @@
 package cut
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"lily/internal/library"
 	"lily/internal/logic"
@@ -72,6 +73,32 @@ type Enumerator struct {
 	ttStamp   []uint32
 	tt        []uint64
 	stamp     uint32
+	stack     []logic.NodeID
+
+	// Per-node build scratch, reused across nodes: leafBuf holds merged
+	// candidate leaf sets back to back, cand indexes them, and coneBuf
+	// gathers the Merged lists of a node's matches. Survivors are copied
+	// out at exact size.
+	leafBuf []logic.NodeID
+	cand    []leafSet
+	coneBuf []logic.NodeID
+}
+
+// leafSet is a candidate cut: its sorted leaves and their signature, the
+// OR of bit (id mod 64) over the leaves. a ⊆ b implies sig(a) ⊆ sig(b),
+// so a signature test rejects most non-subsets before isSubset runs.
+type leafSet struct {
+	leaves []logic.NodeID
+	sig    uint64
+}
+
+// signature returns the leafSet signature of a leaf list.
+func signature(leaves []logic.NodeID) uint64 {
+	var s uint64
+	for _, l := range leaves {
+		s |= 1 << (uint64(l) & 63)
+	}
+	return s
 }
 
 type gateKey struct {
@@ -118,20 +145,35 @@ func (e *Enumerator) MatchesAt(v logic.NodeID) []*match.Match {
 	return out
 }
 
+// matchesAt builds v's match list: one Match slab, one pointer list and
+// one shared backing for the Merged lists. Inputs alias the memoized cut
+// leaf sets, which are immutable once built.
 func (e *Enumerator) matchesAt(v logic.NodeID) []*match.Match {
 	if t := e.cls.Type(v); t != match.TypeNand2 && t != match.TypeInv {
 		return nil
 	}
-	var out []*match.Match
-	for _, leaves := range e.nodeCuts(v) {
-		if len(leaves) == 1 && leaves[0] == v {
-			continue // the trivial cut exists only to seed fanout merges
+	cuts := e.nodeCuts(v)[1:] // the trivial cut exists only to seed fanout merges
+	if len(cuts) == 0 {
+		return nil
+	}
+	slab := make([]match.Match, len(cuts))
+	e.coneBuf = e.coneBuf[:0]
+	for i, leaves := range cuts {
+		slab[i].Gate = e.lutGate(len(leaves), e.truthTable(v, leaves))
+		slab[i].Inputs = leaves
+		e.coneBuf = e.cone(e.coneBuf, v, leaves)
+	}
+	merged := slices.Clone(e.coneBuf)
+	out := make([]*match.Match, len(cuts))
+	for i := range slab {
+		// Each cone is root first: v opens the next one.
+		n := 1 + slices.Index(merged[1:], v)
+		if n == 0 {
+			n = len(merged)
 		}
-		out = append(out, &match.Match{
-			Gate:   e.lutGate(len(leaves), e.truthTable(v, leaves)),
-			Inputs: leaves,
-			Merged: e.cone(v, leaves),
-		})
+		slab[i].Merged = merged[:n:n]
+		merged = merged[n:]
+		out[i] = &slab[i]
 	}
 	return out
 }
@@ -143,64 +185,89 @@ func (e *Enumerator) nodeCuts(v logic.NodeID) [][]logic.NodeID {
 	if e.cutsOK[v] {
 		return e.cuts[v]
 	}
-	trivial := []logic.NodeID{v}
-	var merged [][]logic.NodeID
+	var out [][]logic.NodeID
 	switch e.cls.Type(v) {
 	case match.TypeInv:
-		f := e.net.Nodes[v].Fanins[0]
 		// Every cut of the fanin is a cut of v (same leaves, one more
-		// interior node). Copy the slice headers, not the leaf arrays:
+		// interior node). The candidates alias the fanin's leaf arrays:
 		// cut leaf sets are immutable once built.
-		merged = append(merged, e.nodeCuts(f)[0:]...)
+		fc := e.nodeCuts(e.net.Nodes[v].Fanins[0])
+		e.cand = e.cand[:0]
+		for _, c := range fc {
+			e.cand = append(e.cand, leafSet{leaves: c, sig: signature(c)})
+		}
+		kept := selectCuts(pruneCuts(e.cand), e.k)
+		out = make([][]logic.NodeID, 1+len(kept))
+		out[0] = []logic.NodeID{v}
+		for i, c := range kept {
+			out[1+i] = c.leaves
+		}
 	case match.TypeNand2:
 		f := e.net.Nodes[v].Fanins
 		c0, c1 := e.nodeCuts(f[0]), e.nodeCuts(f[1])
+		// Candidates are merged back to back into leafBuf. A candidate
+		// keeps pointing at the array it was merged into if a later
+		// append moves leafBuf; nothing below a candidate is rewritten.
+		e.leafBuf = e.leafBuf[:0]
+		e.cand = e.cand[:0]
 		for _, a := range c0 {
 			for _, b := range c1 {
-				if u, ok := mergeLeaves(a, b, e.k); ok {
-					merged = append(merged, u)
+				at := len(e.leafBuf)
+				var ok bool
+				if e.leafBuf, ok = mergeLeaves(e.leafBuf, a, b, e.k); ok {
+					u := e.leafBuf[at:len(e.leafBuf):len(e.leafBuf)]
+					e.cand = append(e.cand, leafSet{leaves: u, sig: signature(u)})
 				}
 			}
 		}
+		kept := selectCuts(pruneCuts(e.cand), e.k)
+		// Copy the survivors and the trivial cut into one exact backing.
+		n := 1
+		for _, c := range kept {
+			n += len(c.leaves)
+		}
+		backing := make([]logic.NodeID, n)
+		backing[0] = v
+		out = make([][]logic.NodeID, 1+len(kept))
+		out[0] = backing[0:1:1]
+		at := 1
+		for i, c := range kept {
+			end := at + copy(backing[at:], c.leaves)
+			out[1+i] = backing[at:end:end]
+			at = end
+		}
 	default:
 		// PIs and foreign nodes contribute only themselves as a leaf.
-		e.cuts[v] = [][]logic.NodeID{trivial}
-		e.cutsOK[v] = true
-		return e.cuts[v]
+		out = [][]logic.NodeID{{v}}
 	}
-	merged = selectCuts(pruneCuts(merged), e.k)
-	e.cuts[v] = append([][]logic.NodeID{trivial}, merged...)
+	e.cuts[v] = out
 	e.cutsOK[v] = true
-	return e.cuts[v]
+	return out
 }
 
 // selectCuts enforces the maxCuts cap with leaf-count diversity: cuts
 // (already in (leaf count, leaf IDs) order from pruneCuts) are taken
 // round-robin across leaf-count groups until the cap fills, then the
-// survivors are returned in the original order.
-func selectCuts(cuts [][]logic.NodeID, k int) [][]logic.NodeID {
+// survivors are returned in the original order. Each group is a
+// contiguous run and round r takes a group's r-th cut, so the survivors
+// are a prefix of every group: counting the takes per group is enough,
+// and the result is compacted in place.
+func selectCuts(cuts []leafSet, k int) []leafSet {
 	if len(cuts) <= maxCuts {
 		return cuts
 	}
-	// groups[w] indexes the first cut with w+1 leaves; cuts are sorted by
-	// length, so each group is a contiguous run.
-	type span struct{ start, end int }
-	groups := make([]span, k)
-	for i, c := range cuts {
-		w := len(c) - 1
-		if groups[w].end == 0 {
-			groups[w].start = i
-		}
-		groups[w].end = i + 1
+	var start, size, take [MaxK]int
+	for i := len(cuts) - 1; i >= 0; i-- {
+		w := len(cuts[i].leaves) - 1
+		start[w] = i
+		size[w]++
 	}
-	keep := make([]bool, len(cuts))
 	kept := 0
 	for round := 0; kept < maxCuts; round++ {
 		took := false
 		for w := 0; w < k && kept < maxCuts; w++ {
-			g := groups[w]
-			if i := g.start + round; i < g.end {
-				keep[i] = true
+			if round < size[w] {
+				take[w]++
 				kept++
 				took = true
 			}
@@ -210,55 +277,54 @@ func selectCuts(cuts [][]logic.NodeID, k int) [][]logic.NodeID {
 		}
 	}
 	out := cuts[:0]
-	for i, c := range cuts {
-		if keep[i] {
-			out = append(out, c)
-		}
+	for w := 0; w < k; w++ {
+		out = append(out, cuts[start[w]:start[w]+take[w]]...)
 	}
 	return out
 }
 
-// mergeLeaves unions two sorted leaf sets, rejecting results wider than k.
-// The inputs are never mutated; the result is freshly allocated.
-func mergeLeaves(a, b []logic.NodeID, k int) ([]logic.NodeID, bool) {
-	out := make([]logic.NodeID, 0, len(a)+len(b))
+// mergeLeaves appends the union of two sorted leaf sets to dst,
+// rejecting unions wider than k: a rejected merge returns dst unchanged.
+// The inputs are never mutated.
+func mergeLeaves(dst, a, b []logic.NodeID, k int) ([]logic.NodeID, bool) {
+	base := len(dst)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		case a[i] > b[j]:
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
-		if len(out) > k {
-			return nil, false
+		if len(dst)-base > k {
+			return dst[:base], false
 		}
 	}
-	if len(out)+len(a)-i+len(b)-j > k {
-		return nil, false
+	if len(dst)-base+len(a)-i+len(b)-j > k {
+		return dst[:base], false
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, true
+	dst = append(dst, a[i:]...)
+	dst = append(dst, b[j:]...)
+	return dst, true
 }
 
 // pruneCuts sorts cuts by (leaf count, leaf IDs) and removes duplicates
-// and dominated cuts (supersets of an earlier, smaller cut). Sorting
-// shorter sets first means any dominating cut precedes its supersets, so
-// a single forward pass suffices.
-func pruneCuts(cuts [][]logic.NodeID) [][]logic.NodeID {
-	sort.Slice(cuts, func(i, j int) bool { return leavesLess(cuts[i], cuts[j]) })
+// and dominated cuts (supersets of an earlier, smaller cut), in place.
+// Sorting shorter sets first means any dominating cut precedes its
+// supersets, so a single forward pass suffices.
+func pruneCuts(cuts []leafSet) []leafSet {
+	slices.SortFunc(cuts, func(a, b leafSet) int { return compareLeaves(a.leaves, b.leaves) })
 	out := cuts[:0]
 	for _, c := range cuts {
 		dominated := false
 		for _, kept := range out {
-			if isSubset(kept, c) {
+			if kept.sig&^c.sig == 0 && isSubset(kept.leaves, c.leaves) {
 				dominated = true
 				break
 			}
@@ -270,17 +336,17 @@ func pruneCuts(cuts [][]logic.NodeID) [][]logic.NodeID {
 	return out
 }
 
-// leavesLess orders leaf sets by size, then element-wise by node ID.
-func leavesLess(a, b []logic.NodeID) bool {
+// compareLeaves orders leaf sets by size, then element-wise by node ID.
+func compareLeaves(a, b []logic.NodeID) int {
 	if len(a) != len(b) {
-		return len(a) < len(b)
+		return cmp.Compare(len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return a[i] < b[i]
+			return cmp.Compare(a[i], b[i])
 		}
 	}
-	return false
+	return 0
 }
 
 // isSubset reports a ⊆ b for sorted slices (equality included).
@@ -314,71 +380,86 @@ func (e *Enumerator) bumpStamp() {
 	}
 }
 
-// cone collects the cut's interior nodes — everything reachable from v
-// without crossing a leaf — in deterministic preorder, root first (the
-// match.Match Merged convention). The cut property guarantees every
+// cone appends the cut's interior nodes — everything reachable from v
+// without crossing a leaf — to dst in deterministic preorder, root first
+// (the match.Match Merged convention). The explicit stack pushes fanins
+// in reverse and tests a node when it pops, so it visits exactly as the
+// recursive preorder walk does. The cut property guarantees every
 // interior node is a NAND2/INV whose function the leaves determine.
-func (e *Enumerator) cone(v logic.NodeID, leaves []logic.NodeID) []logic.NodeID {
+func (e *Enumerator) cone(dst []logic.NodeID, v logic.NodeID, leaves []logic.NodeID) []logic.NodeID {
 	e.bumpStamp()
 	for _, l := range leaves {
 		e.leafStamp[l] = e.stamp
 	}
-	var out []logic.NodeID
-	var walk func(u logic.NodeID)
-	walk = func(u logic.NodeID) {
+	stack := append(e.stack[:0], v)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if e.leafStamp[u] == e.stamp || e.ttStamp[u] == e.stamp {
-			return // leaf, or interior node already collected
+			continue // leaf, or interior node already collected
 		}
 		e.ttStamp[u] = e.stamp
-		out = append(out, u)
-		for _, f := range e.net.Nodes[u].Fanins {
-			walk(f)
+		dst = append(dst, u)
+		f := e.net.Nodes[u].Fanins
+		for i := len(f) - 1; i >= 0; i-- {
+			stack = append(stack, f[i])
 		}
 	}
-	walk(v)
-	return out
+	e.stack = stack
+	return dst
+}
+
+// varTT[i] is the truth table of input variable i over 2^MaxK rows: bit
+// r is bit i of r.
+var varTT = [MaxK]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
 }
 
 // truthTable computes the cut function as a truth table over the leaves
 // (leaf i is input variable i; row r holds the output for the assignment
 // where leaf i takes bit i of r), by 64-bit parallel simulation of the
-// cone: every interior NAND2/INV evaluates once on whole-table words.
+// cone: every interior NAND2/INV evaluates once on whole-table words,
+// in the postorder of an explicit stack. Rows past 2^k are don't-cares
+// that the final mask clears; every operation is bitwise, so they never
+// reach the kept rows.
 func (e *Enumerator) truthTable(v logic.NodeID, leaves []logic.NodeID) uint64 {
-	k := len(leaves)
-	rows := 1 << uint(k)
 	e.bumpStamp()
 	for i, l := range leaves {
-		e.leafStamp[l] = e.stamp
-		var t uint64
-		for r := 0; r < rows; r++ {
-			if r>>uint(i)&1 == 1 {
-				t |= 1 << uint(r)
-			}
-		}
-		e.tt[l] = t
+		e.tt[l] = varTT[i]
 		e.ttStamp[l] = e.stamp
 	}
-	var eval func(u logic.NodeID) uint64
-	eval = func(u logic.NodeID) uint64 {
+	stack := append(e.stack[:0], v)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
 		if e.ttStamp[u] == e.stamp {
-			return e.tt[u]
+			stack = stack[:len(stack)-1]
+			continue
 		}
 		f := e.net.Nodes[u].Fanins
-		var t uint64
-		if len(f) == 1 {
-			t = ^eval(f[0])
-		} else {
-			t = ^(eval(f[0]) & eval(f[1]))
+		ready := true
+		for _, x := range f {
+			if e.ttStamp[x] != e.stamp {
+				stack = append(stack, x)
+				ready = false
+			}
 		}
-		e.tt[u] = t
+		if !ready {
+			continue // u stays below its fanins and evaluates after them
+		}
+		stack = stack[:len(stack)-1]
+		if len(f) == 1 {
+			e.tt[u] = ^e.tt[f[0]]
+		} else {
+			e.tt[u] = ^(e.tt[f[0]] & e.tt[f[1]])
+		}
 		e.ttStamp[u] = e.stamp
-		return t
 	}
-	mask := ^uint64(0)
-	if rows < 64 {
-		mask = (uint64(1) << uint(rows)) - 1
+	e.stack = stack
+	if rows := 1 << uint(len(leaves)); rows < 64 {
+		return e.tt[v] & (uint64(1)<<uint(rows) - 1)
 	}
-	return eval(v) & mask
+	return e.tt[v]
 }
 
 // lutGate returns the synthesized LUT cell for a k-input truth table in

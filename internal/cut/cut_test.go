@@ -82,7 +82,7 @@ func TestKFeasibilityProperties(t *testing.T) {
 						t.Fatalf("%s K=%d node %s: cone must start at the root, got %v", name, k, nd.Name, m.Merged)
 					}
 					// Deterministic (leaf count, leaf IDs) order.
-					if i > 0 && !leavesLess(ms[i-1].Inputs, m.Inputs) {
+					if i > 0 && compareLeaves(ms[i-1].Inputs, m.Inputs) >= 0 {
 						t.Fatalf("%s K=%d node %s: match order violated at %d: %v !< %v",
 							name, k, nd.Name, i, ms[i-1].Inputs, m.Inputs)
 					}
@@ -148,21 +148,22 @@ func TestGateCachePointerStability(t *testing.T) {
 }
 
 func TestPruneCutsDropsSupersetsAndDuplicates(t *testing.T) {
-	n := func(ids ...logic.NodeID) []logic.NodeID { return ids }
-	got := pruneCuts([][]logic.NodeID{
+	n := func(ids ...logic.NodeID) leafSet { return leafSet{leaves: ids, sig: signature(ids)} }
+	got := pruneCuts([]leafSet{
 		n(1, 2, 3), // dominated by {1,2}
 		n(1, 2),
 		n(1, 2), // duplicate
 		n(2, 3),
 		n(4, 5, 6), // untouched
+		n(65, 66),  // {1,2}'s signature, not a superset of it
 	})
-	want := [][]logic.NodeID{n(1, 2), n(2, 3), n(4, 5, 6)}
+	want := []leafSet{n(1, 2), n(2, 3), n(65, 66), n(4, 5, 6)}
 	if len(got) != len(want) {
 		t.Fatalf("pruneCuts kept %d cuts, want %d: %v", len(got), len(want), got)
 	}
 	for i := range want {
-		if leavesLess(got[i], want[i]) || leavesLess(want[i], got[i]) {
-			t.Fatalf("cut %d = %v, want %v", i, got[i], want[i])
+		if compareLeaves(got[i].leaves, want[i].leaves) != 0 {
+			t.Fatalf("cut %d = %v, want %v", i, got[i].leaves, want[i].leaves)
 		}
 	}
 }
@@ -170,14 +171,14 @@ func TestPruneCutsDropsSupersetsAndDuplicates(t *testing.T) {
 // TestSelectCutsDiversity: the cap must keep cuts of every leaf count,
 // not just the narrowest — wide cuts are how a 6-LUT earns its keep.
 func TestSelectCutsDiversity(t *testing.T) {
-	var cuts [][]logic.NodeID
+	var cuts []leafSet
 	for w := 1; w <= 4; w++ {
 		for i := 0; i < 10; i++ {
 			c := make([]logic.NodeID, w)
 			for j := range c {
 				c[j] = logic.NodeID(100*w + 10*i + j)
 			}
-			cuts = append(cuts, c)
+			cuts = append(cuts, leafSet{leaves: c, sig: signature(c)})
 		}
 	}
 	got := selectCuts(cuts, 4)
@@ -186,7 +187,7 @@ func TestSelectCutsDiversity(t *testing.T) {
 	}
 	byWidth := map[int]int{}
 	for _, c := range got {
-		byWidth[len(c)]++
+		byWidth[len(c.leaves)]++
 	}
 	for w := 1; w <= 4; w++ {
 		if byWidth[w] == 0 {
@@ -198,14 +199,22 @@ func TestSelectCutsDiversity(t *testing.T) {
 func TestMergeLeavesRejectsWide(t *testing.T) {
 	a := []logic.NodeID{1, 3, 5}
 	b := []logic.NodeID{2, 4, 6}
-	if u, ok := mergeLeaves(a, b, 6); !ok || len(u) != 6 {
+	if u, ok := mergeLeaves(nil, a, b, 6); !ok || len(u) != 6 {
 		t.Fatalf("mergeLeaves(k=6) = %v, %v", u, ok)
 	}
-	if _, ok := mergeLeaves(a, b, 5); ok {
+	if _, ok := mergeLeaves(nil, a, b, 5); ok {
 		t.Fatalf("mergeLeaves(k=5) accepted a 6-leaf union")
 	}
-	if u, ok := mergeLeaves(a, a, 3); !ok || len(u) != 3 {
+	if u, ok := mergeLeaves(nil, a, a, 3); !ok || len(u) != 3 {
 		t.Fatalf("mergeLeaves(self) = %v, %v (duplicates must collapse)", u, ok)
+	}
+	// The union is appended to dst; a rejected merge leaves dst as it was.
+	dst := []logic.NodeID{9}
+	if u, ok := mergeLeaves(dst, a, b, 6); !ok || len(u) != 7 || u[0] != 9 || u[1] != 1 {
+		t.Fatalf("mergeLeaves(dst, k=6) = %v, %v", u, ok)
+	}
+	if u, ok := mergeLeaves(dst, a, b, 5); ok || len(u) != 1 || u[0] != 9 {
+		t.Fatalf("rejected mergeLeaves(dst) = %v, %v", u, ok)
 	}
 }
 

@@ -331,7 +331,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 // the registry. The job is finished as canceled, counted (shed jobs on
 // their own counter), and dropped.
 func (e *Engine) abandon(j *Job, err error) {
-	j.finish(StateCanceled, nil, err)
+	_, first := j.finish(StateCanceled, nil, err)
 	e.mu.Lock()
 	e.countTerminalLocked(StateCanceled)
 	if errors.Is(err, ErrQueueFull) {
@@ -340,6 +340,9 @@ func (e *Engine) abandon(j *Job, err error) {
 	}
 	delete(e.byID, j.id)
 	e.mu.Unlock()
+	if first {
+		j.wake()
+	}
 	e.jobWG.Done()
 }
 
@@ -650,6 +653,7 @@ func (e *Engine) finishJob(j *Job, state State, out *Outcome, err error) {
 	e.countTerminalLocked(state)
 	e.retireLocked(j, time.Now())
 	e.mu.Unlock()
+	j.wake()
 	if e.cfg.OnTerminal != nil {
 		e.cfg.OnTerminal(j.Status())
 	}

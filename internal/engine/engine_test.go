@@ -241,6 +241,49 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
+// TestWakeAfterAccounting: a job wakes its waiters only after the engine
+// has counted it, so a caller woken by Done, Wait or Run always finds its
+// own job in Stats. The test holds the engine lock while a deduped
+// follower is canceled: the follower can mark itself terminal, but it
+// must not wake its waiters before it can take the lock and count itself.
+func TestWakeAfterAccounting(t *testing.T) {
+	release := make(chan struct{})
+	e := New(Config{Workers: 2, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
+		<-release
+		return fakeOutcome(req.Benchmark), nil
+	}})
+	defer shutdown(t, e)
+	defer close(release)
+
+	ctx := context.Background()
+	leader, err := e.Submit(ctx, Request{Benchmark: "b9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := e.Submit(ctx, Request{Benchmark: "b9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the follower to join the leader", func() bool { return e.Stats().Deduped == 1 })
+
+	e.mu.Lock()
+	follower.Cancel()
+	select {
+	case <-follower.Done():
+		e.mu.Unlock()
+		t.Fatal("follower woke its waiters before the engine counted it")
+	case <-time.After(100 * time.Millisecond):
+	}
+	e.mu.Unlock()
+	<-follower.Done()
+	if st := e.Stats(); st.Canceled != 1 {
+		t.Fatalf("woken follower not counted: stats = %+v, want 1 canceled", st)
+	}
+	if st := leader.Status(); st.State != "running" {
+		t.Fatalf("leader state = %s, want running", st.State)
+	}
+}
+
 func TestShutdownDrainsInFlightJobs(t *testing.T) {
 	var runs atomic.Int64
 	e := New(Config{Workers: 2, CacheEntries: -1, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {

@@ -224,7 +224,10 @@ func (j *Job) start(now time.Time) time.Duration {
 
 // finish moves the job to a terminal state exactly once, returning the
 // run time (zero if the job never started) and whether this call was the
-// transitioning one (false if the job was already terminal).
+// transitioning one (false if the job was already terminal). It does not
+// wake waiters: the transitioning caller updates the engine's counters
+// first and then calls wake, so a caller woken by Done or Wait always
+// sees its own job in Stats.
 func (j *Job) finish(state State, out *Outcome, err error) (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -235,13 +238,16 @@ func (j *Job) finish(state State, out *Outcome, err error) (time.Duration, bool)
 	j.outcome = out
 	j.err = err
 	j.finished = time.Now()
-	close(j.done)
 	j.cancel() // release the context's resources
 	if j.started.IsZero() {
 		return 0, true
 	}
 	return j.finished.Sub(j.started), true
 }
+
+// wake releases the job's waiters; the transitioning finish's caller
+// calls it once, after accounting for the job.
+func (j *Job) wake() { close(j.done) }
 
 func (j *Job) markCacheHit() {
 	j.mu.Lock()

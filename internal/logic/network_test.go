@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -150,7 +151,10 @@ func TestDuplicateNamePanics(t *testing.T) {
 
 func TestConeMembers(t *testing.T) {
 	n := buildAdder(t)
-	cone := n.Cone(n.NodeByName("sum").ID)
+	cone := make(map[NodeID]bool)
+	for _, id := range n.ReverseDFS(n.NodeByName("sum").ID, nil) {
+		cone[id] = true
+	}
 	for _, want := range []string{"sum", "axb", "a", "b", "cin"} {
 		if !cone[n.NodeByName(want).ID] {
 			t.Errorf("cone(sum) missing %s", want)
@@ -165,7 +169,7 @@ func TestConeMembers(t *testing.T) {
 
 func TestReverseDFSOrder(t *testing.T) {
 	n := buildAdder(t)
-	order := n.ReverseDFS(n.NodeByName("cout").ID)
+	order := n.ReverseDFS(n.NodeByName("cout").ID, nil)
 	pos := make(map[NodeID]int)
 	for i, id := range order {
 		pos[id] = i
@@ -179,6 +183,22 @@ func TestReverseDFSOrder(t *testing.T) {
 	}
 	if order[len(order)-1] != n.NodeByName("cout").ID {
 		t.Error("root not last in reverse DFS")
+	}
+}
+
+// TestReverseDFSScratchReuse: a walk through a reused scratch returns
+// exactly the fresh walk's order, whatever walks the scratch made before.
+func TestReverseDFSScratchReuse(t *testing.T) {
+	n := buildAdder(t)
+	var s DFSScratch
+	for round := 0; round < 3; round++ {
+		for _, po := range n.POs {
+			want := n.ReverseDFS(po, nil)
+			got := n.ReverseDFS(po, &s)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d, root %d: scratch walk %v, fresh walk %v", round, po, got, want)
+			}
+		}
 	}
 }
 

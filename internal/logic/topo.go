@@ -5,26 +5,19 @@ import (
 	mathbits "math/bits"
 )
 
-// Cone returns the transitive fanin of root (including root itself, and
-// including PIs) as a set keyed by node ID. This is the "logic cone" K_i of
-// the paper when root is a primary output.
-func (n *Network) Cone(root NodeID) map[NodeID]bool {
-	seen := make(map[NodeID]bool)
-	stack := []NodeID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		for _, f := range n.Nodes[id].Fanins {
-			if !seen[f] {
-				stack = append(stack, f)
-			}
-		}
-	}
-	return seen
+// DFSScratch is reusable state for ReverseDFS: a visit stamp per node
+// (node v is visited iff stamp[v] == epoch, so starting a walk costs no
+// clear), the DFS stack and the output order. The zero value is ready.
+type DFSScratch struct {
+	stamp []uint32
+	epoch uint32
+	stack []dfsFrame
+	order []NodeID
+}
+
+type dfsFrame struct {
+	id  NodeID
+	idx int
 }
 
 // ReverseDFS returns the nodes of the cone rooted at root in reverse
@@ -33,30 +26,42 @@ func (n *Network) Cone(root NodeID) map[NodeID]bool {
 // programming cover (paper §2: "we start from the primary inputs of the
 // logic cone and recursively process nodes in a reversed depth first search
 // order toward the primary output").
-func (n *Network) ReverseDFS(root NodeID) []NodeID {
-	var order []NodeID
-	seen := make(map[NodeID]bool)
-	type frame struct {
-		id  NodeID
-		idx int
+//
+// With a non-nil scratch the walk reuses its arrays and the result
+// aliases scratch: it is valid until the scratch's next walk. A nil
+// scratch walks with fresh arrays.
+func (n *Network) ReverseDFS(root NodeID, s *DFSScratch) []NodeID {
+	if s == nil {
+		s = &DFSScratch{}
 	}
-	stack := []frame{{root, 0}}
-	seen[root] = true
+	if len(s.stamp) < len(n.Nodes) {
+		s.stamp = make([]uint32, len(n.Nodes))
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: reset the stamps once per 2^32 walks
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	order := s.order[:0]
+	stack := append(s.stack[:0], dfsFrame{root, 0})
+	s.stamp[root] = s.epoch
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		nd := n.Nodes[f.id]
 		if f.idx < len(nd.Fanins) {
 			child := nd.Fanins[f.idx]
 			f.idx++
-			if !seen[child] {
-				seen[child] = true
-				stack = append(stack, frame{child, 0})
+			if s.stamp[child] != s.epoch {
+				s.stamp[child] = s.epoch
+				stack = append(stack, dfsFrame{child, 0})
 			}
 			continue
 		}
 		order = append(order, f.id)
 		stack = stack[:len(stack)-1]
 	}
+	s.order, s.stack = order, stack
 	return order
 }
 
@@ -115,11 +120,23 @@ func (n *Network) Sweep() int {
 			n.ReplaceFanin(fo, nd.ID, src)
 		}
 	}
-	// Mark reachable from POs.
-	live := make(map[NodeID]bool)
+	// Mark reachable from POs: one DFS seeded with every PO.
+	live := make([]bool, len(n.Nodes))
+	stack := make([]NodeID, 0, len(n.POs))
 	for _, po := range n.POs {
-		for id := range n.Cone(po) {
-			live[id] = true
+		if !live[po] {
+			live[po] = true
+			stack = append(stack, po)
+		}
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, f := range n.Nodes[id].Fanins {
+			if !live[f] {
+				live[f] = true
+				stack = append(stack, f)
+			}
 		}
 	}
 	// Delete dead logic nodes in reverse topological order so fanout lists

@@ -63,8 +63,7 @@ func (c *Classifier) Type(id logic.NodeID) NodeType { return c.types[id] }
 // Match is one way to implement the subject node rooted at its last Merged
 // entry with a library gate.
 type Match struct {
-	Gate    *library.Gate
-	Pattern *library.Pattern
+	Gate *library.Gate
 	// Inputs lists the subject nodes bound to each gate input pin
 	// (positional; these are the paper's inputs(v, m)).
 	Inputs []logic.NodeID
@@ -86,8 +85,11 @@ func (m *Match) String() string {
 // reads), so AtNode computes each node's match list exactly once.
 type Matcher struct {
 	net *logic.Network
-	lib *library.Library
 	cls *Classifier
+	// gates is the library's gate list in name order. AtNode's output is
+	// ordered by (gate name, binding), so visiting gates in this order
+	// leaves only each gate's own candidates to sort.
+	gates []*library.Gate
 
 	// scratch state for the backtracking search
 	bind   []logic.NodeID
@@ -96,6 +98,16 @@ type Matcher struct {
 	// the current pattern interior iff mergedStamp[v] == stamp.
 	mergedStamp []uint32
 	stamp       uint32
+	// gate is the gate whose patterns the search is embedding; accept is
+	// the search's continuation, mt.acceptBinding bound once.
+	gate   *library.Gate
+	accept func()
+	// cand and ids gather one node's distinct candidates: candidate c
+	// binds ids[c.at:c.at+NumInputs] and merges the c.merged IDs after
+	// them. Both are reused across nodes; atNode copies the finished
+	// list out at exact size.
+	cand []candidate
+	ids  []logic.NodeID
 
 	// memo holds the per-node AtNode results; memoOK marks computed
 	// entries (a nil slice is a valid result for unmatchable nodes).
@@ -103,17 +115,26 @@ type Matcher struct {
 	memoOK []bool
 }
 
+// candidate is one match under construction, addressed into Matcher.ids.
+type candidate struct {
+	gate       *library.Gate
+	at, merged int
+}
+
 // NewMatcher builds a matcher for the subject graph.
 func NewMatcher(net *logic.Network, lib *library.Library) *Matcher {
 	n := len(net.Nodes)
-	return &Matcher{
+	mt := &Matcher{
 		net:         net,
-		lib:         lib,
 		cls:         Classify(net),
+		gates:       slices.Clone(lib.Gates),
 		mergedStamp: make([]uint32, n),
 		memo:        make([][]*Match, n),
 		memoOK:      make([]bool, n),
 	}
+	slices.SortStableFunc(mt.gates, func(a, b *library.Gate) int { return strings.Compare(a.Name, b.Name) })
+	mt.accept = mt.acceptBinding
+	return mt
 }
 
 // Classifier exposes the matcher's node classification.
@@ -133,12 +154,19 @@ func (mt *Matcher) AtNode(v logic.NodeID) []*Match {
 	return out
 }
 
+// atNode enumerates v's matches into the scratch candidate list, one
+// gate at a time in name order, sorting each gate's candidates by
+// binding, and copies the list out: one Match slab, one pointer list
+// and one shared ID backing, whatever the match count.
 func (mt *Matcher) atNode(v logic.NodeID) []*Match {
 	if t := mt.cls.Type(v); t != TypeNand2 && t != TypeInv {
 		return nil
 	}
-	var out []*Match
-	for _, g := range mt.lib.Gates {
+	mt.cand = mt.cand[:0]
+	mt.ids = mt.ids[:0]
+	for _, g := range mt.gates {
+		first := len(mt.cand)
+		mt.gate = g
 		for _, p := range g.Patterns {
 			if cap(mt.bind) < g.NumInputs {
 				mt.bind = make([]logic.NodeID, g.NumInputs)
@@ -149,40 +177,56 @@ func (mt *Matcher) atNode(v logic.NodeID) []*Match {
 			}
 			mt.merged = mt.merged[:0]
 			mt.clearMerged()
-			mt.match(v, p.Root, func() {
-				// A gate input must be a signal that survives outside the
-				// match: reject bindings where a pin lands on a node the
-				// pattern interior consumed.
-				for _, b := range mt.bind {
-					if mt.inMerged(b) {
-						return
-					}
-				}
-				// Deduplicate by (gate, bound inputs) with a linear scan —
-				// match lists are small, and the structural comparison
-				// replaces the old fmt-formatted string key without
-				// allocating. First occurrence wins, as before.
-				for _, prev := range out {
-					if prev.Gate == g && equalIDs(prev.Inputs, mt.bind) {
-						return
-					}
-				}
-				out = append(out, &Match{
-					Gate:    g,
-					Pattern: p,
-					Inputs:  append([]logic.NodeID(nil), mt.bind...),
-					Merged:  append([]logic.NodeID(nil), mt.merged...),
-				})
+			mt.match(v, p.Root, mt.accept)
+		}
+		if own := mt.cand[first:]; len(own) > 1 {
+			slices.SortFunc(own, func(a, b candidate) int {
+				return compareBindings(mt.inputs(a), mt.inputs(b))
 			})
 		}
 	}
-	slices.SortFunc(out, func(a, b *Match) int {
-		if c := strings.Compare(a.Gate.Name, b.Gate.Name); c != 0 {
-			return c
-		}
-		return compareBindings(a.Inputs, b.Inputs)
-	})
+	if len(mt.cand) == 0 {
+		return nil
+	}
+	ids := slices.Clone(mt.ids)
+	slab := make([]Match, len(mt.cand))
+	out := make([]*Match, len(mt.cand))
+	for i, c := range mt.cand {
+		in := c.at + c.gate.NumInputs
+		end := in + c.merged
+		slab[i] = Match{Gate: c.gate, Inputs: ids[c.at:in:in], Merged: ids[in:end:end]}
+		out[i] = &slab[i]
+	}
 	return out
+}
+
+// inputs returns a scratch candidate's input binding.
+func (mt *Matcher) inputs(c candidate) []logic.NodeID {
+	return mt.ids[c.at : c.at+c.gate.NumInputs]
+}
+
+// acceptBinding records the search's current embedding of mt.gate as a
+// candidate, unless it is invalid or repeats an earlier binding.
+func (mt *Matcher) acceptBinding() {
+	// A gate input must be a signal that survives outside the match:
+	// reject bindings where a pin lands on a node the pattern interior
+	// consumed.
+	for _, b := range mt.bind {
+		if mt.inMerged(b) {
+			return
+		}
+	}
+	// Deduplicate by (gate, bound inputs): the gate's own candidates are
+	// the tail of the list. First occurrence wins.
+	for i := len(mt.cand) - 1; i >= 0 && mt.cand[i].gate == mt.gate; i-- {
+		if equalIDs(mt.inputs(mt.cand[i]), mt.bind) {
+			return
+		}
+	}
+	at := len(mt.ids)
+	mt.ids = append(mt.ids, mt.bind...)
+	mt.ids = append(mt.ids, mt.merged...)
+	mt.cand = append(mt.cand, candidate{gate: mt.gate, at: at, merged: len(mt.merged)})
 }
 
 func equalIDs(a, b []logic.NodeID) bool {

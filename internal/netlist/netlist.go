@@ -199,43 +199,76 @@ type SinkPin struct {
 	Pin  int
 }
 
-// Nets enumerates all nets with at least one sink or pad, keyed by driver.
+// Nets enumerates all nets with at least one sink or pad, keyed by driver:
+// PI-driven nets in PI order, then cell-driven nets in cell order. A first
+// pass counts every driver's sinks and PO pads, so the result, the sink
+// lists and the pad lists are each one exact-size allocation; each net's
+// lists are capped at their length, and a net without sinks or pads has a
+// nil list.
 func (nl *Netlist) Nets() []Net {
-	piNets := make([]Net, len(nl.PINames))
-	cellNets := make([]Net, len(nl.Cells))
-	for i := range piNets {
-		piNets[i].Driver = Ref{IsPI: true, Index: i}
-	}
-	for i := range cellNets {
-		cellNets[i].Driver = Ref{Index: i}
-	}
-	at := func(r Ref) *Net {
+	nPI := len(nl.PINames)
+	slot := func(r Ref) int {
 		if r.IsPI {
-			return &piNets[r.Index]
+			return r.Index
 		}
-		return &cellNets[r.Index]
+		return nPI + r.Index
+	}
+	sinks := make([]int, nPI+len(nl.Cells))
+	pos := make([]int, nPI+len(nl.Cells))
+	totalSinks := 0
+	for _, c := range nl.Cells {
+		for _, r := range c.Inputs {
+			sinks[slot(r)]++
+		}
+		totalSinks += len(c.Inputs)
+	}
+	for _, po := range nl.POs {
+		pos[slot(po.Driver)]++
+	}
+	live := 0
+	for d := range sinks {
+		if sinks[d]+pos[d] > 0 {
+			live++
+		}
+	}
+	out := make([]Net, 0, live)
+	sinkBuf := make([]SinkPin, totalSinks)
+	padBuf := make([]geom.Point, len(nl.POs))
+	nameBuf := make([]string, len(nl.POs))
+	// Once driver d's net is laid out, at[d] holds its index in out; at
+	// reuses the sink counts, which are spent by then.
+	at := sinks
+	si, pi := 0, 0
+	for d := range sinks {
+		if sinks[d]+pos[d] == 0 {
+			continue
+		}
+		n := Net{Driver: Ref{IsPI: true, Index: d}}
+		if d >= nPI {
+			n.Driver = Ref{Index: d - nPI}
+		}
+		if k := sinks[d]; k > 0 {
+			n.Sinks = sinkBuf[si : si : si+k]
+			si += k
+		}
+		if k := pos[d]; k > 0 {
+			n.POPads = padBuf[pi : pi : pi+k]
+			n.PONames = nameBuf[pi : pi : pi+k]
+			pi += k
+		}
+		at[d] = len(out)
+		out = append(out, n)
 	}
 	for ci, c := range nl.Cells {
 		for pin, r := range c.Inputs {
-			n := at(r)
+			n := &out[at[slot(r)]]
 			n.Sinks = append(n.Sinks, SinkPin{Cell: ci, Pin: pin})
 		}
 	}
 	for _, po := range nl.POs {
-		n := at(po.Driver)
+		n := &out[at[slot(po.Driver)]]
 		n.POPads = append(n.POPads, po.Pad)
 		n.PONames = append(n.PONames, po.Name)
-	}
-	var out []Net
-	for i := range piNets {
-		if len(piNets[i].Sinks)+len(piNets[i].POPads) > 0 {
-			out = append(out, piNets[i])
-		}
-	}
-	for i := range cellNets {
-		if len(cellNets[i].Sinks)+len(cellNets[i].POPads) > 0 {
-			out = append(out, cellNets[i])
-		}
 	}
 	return out
 }

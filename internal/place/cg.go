@@ -12,59 +12,137 @@ import (
 	"context"
 	"fmt"
 	"math"
+
+	"lily/internal/geom"
 )
 
-// entry is one off-diagonal coefficient of the quadratic system.
-type entry struct {
-	j int
-	w float64
-}
-
 // quadSystem is the sparse symmetric positive-definite system
-// (L + diag(anchor)) x = b for one axis; the same structure is shared by
-// both axes with different right-hand sides.
+// (L + diag(anchor)) x = b for one placement problem; both axes share
+// the matrix and differ in the right-hand side. The net Laplacian is
+// built once, in CSR form; load refills the parts that change between
+// solves (pad positions move in assignPads, anchors change per level).
 type quadSystem struct {
-	n    int
+	n int
+	// Row i's off-diagonal coefficients are val[start[i]:start[i+1]] at
+	// columns col[start[i]:start[i+1]], in the order the couplings were
+	// added: multiply sums them in that order, and duplicate (i, j)
+	// entries from different nets stay separate terms.
+	start []int32
+	col   []int32
+	val   []float64
+	// base is the anchor-free diagonal, accumulated in coupling order;
+	// pads lists the cell-pad couplings in that order.
+	base []float64
+	pads []padCoupling
+
 	diag []float64
-	adj  [][]entry
 	rhsX []float64
 	rhsY []float64
+
+	// r, z, p and ap are solve's conjugate-gradient vectors.
+	r, z, p, ap []float64
 }
 
-func newQuadSystem(n int) *quadSystem {
-	return &quadSystem{
-		n:    n,
-		diag: make([]float64, n),
-		adj:  make([][]entry, n),
-		rhsX: make([]float64, n),
-		rhsY: make([]float64, n),
+// padCoupling ties movable cell to a fixed pad with weight w.
+type padCoupling struct {
+	cell int32
+	w    float64
+	pad  *pad
+}
+
+// newQuadSystem builds the system of n movable points connected by nets.
+// A first pass over the couplings counts row lengths and accumulates the
+// base diagonal; a second fills the rows, so every array is sized once.
+func newQuadSystem(n int, nets []netDef) *quadSystem {
+	q := &quadSystem{
+		n:     n,
+		start: make([]int32, n+1),
+		base:  make([]float64, n),
+		diag:  make([]float64, n),
+		rhsX:  make([]float64, n),
+		rhsY:  make([]float64, n),
+		r:     make([]float64, n),
+		z:     make([]float64, n),
+		p:     make([]float64, n),
+		ap:    make([]float64, n),
 	}
-}
-
-// addEdge couples movable vertices i and j with weight w.
-func (q *quadSystem) addEdge(i, j int, w float64) {
-	if i == j {
-		return
+	npads := 0
+	forEachPinPair(nets, func(a, b netPin, w float64) {
+		ai, bi := pinCell(a), pinCell(b)
+		switch {
+		case ai >= 0 && bi >= 0:
+			if ai != bi {
+				q.base[ai] += w
+				q.base[bi] += w
+				q.start[ai+1]++
+				q.start[bi+1]++
+			}
+		case ai >= 0:
+			q.base[ai] += w
+			npads++
+		case bi >= 0:
+			q.base[bi] += w
+			npads++
+		}
+	})
+	for i := 0; i < n; i++ {
+		q.start[i+1] += q.start[i]
 	}
-	q.diag[i] += w
-	q.diag[j] += w
-	q.adj[i] = append(q.adj[i], entry{j, -w})
-	q.adj[j] = append(q.adj[j], entry{i, -w})
+	q.col = make([]int32, q.start[n])
+	q.val = make([]float64, q.start[n])
+	q.pads = make([]padCoupling, 0, npads)
+	next := make([]int32, n)
+	copy(next, q.start[:n])
+	add := func(i, j int, w float64) {
+		q.col[next[i]] = int32(j)
+		q.val[next[i]] = -w
+		next[i]++
+	}
+	forEachPinPair(nets, func(a, b netPin, w float64) {
+		ai, bi := pinCell(a), pinCell(b)
+		switch {
+		case ai >= 0 && bi >= 0:
+			if ai != bi {
+				add(ai, bi, w)
+				add(bi, ai, w)
+			}
+		case ai >= 0:
+			q.pads = append(q.pads, padCoupling{cell: int32(ai), w: w, pad: b.pad})
+		case bi >= 0:
+			q.pads = append(q.pads, padCoupling{cell: int32(bi), w: w, pad: a.pad})
+		}
+	})
+	return q
 }
 
-// addFixed couples movable vertex i to a fixed location with weight w.
-func (q *quadSystem) addFixed(i int, w, x, y float64) {
-	q.diag[i] += w
-	q.rhsX[i] += w * x
-	q.rhsY[i] += w * y
+// load sets the diagonal and right-hand sides for one solve: the base
+// diagonal, the pad couplings at the pads' current positions, then the
+// anchors (if any) pulling each point toward anchor[i] with weight
+// anchorW. Every entry sums its terms in coupling order with the anchor
+// last; the goldens pin the rounding that order gives.
+func (q *quadSystem) load(anchor []geom.Point, anchorW float64) {
+	copy(q.diag, q.base)
+	clear(q.rhsX)
+	clear(q.rhsY)
+	for _, c := range q.pads {
+		q.rhsX[c.cell] += c.w * c.pad.pos.X
+		q.rhsY[c.cell] += c.w * c.pad.pos.Y
+	}
+	if anchor != nil {
+		for i := 0; i < q.n; i++ {
+			q.diag[i] += anchorW
+			q.rhsX[i] += anchorW * anchor[i].X
+			q.rhsY[i] += anchorW * anchor[i].Y
+		}
+	}
 }
 
 // multiply computes out = A v.
 func (q *quadSystem) multiply(v, out []float64) {
 	for i := 0; i < q.n; i++ {
 		s := q.diag[i] * v[i]
-		for _, e := range q.adj[i] {
-			s += e.w * v[e.j]
+		for k := q.start[i]; k < q.start[i+1]; k++ {
+			s += q.val[k] * v[q.col[k]]
 		}
 		out[i] = s
 	}
@@ -83,10 +161,8 @@ func (q *quadSystem) solve(ctx context.Context, rhs, x0 []float64, tol float64, 
 			return 0, fmt.Errorf("place: vertex %d has no connections (singular system)", i)
 		}
 	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+	// Every element of the four vectors is written before it is read.
+	r, z, p, ap := q.r, q.z, q.p, q.ap
 
 	q.multiply(x0, r)
 	rr := 0.0

@@ -44,6 +44,7 @@ func (p *placer) install(prob mlProblem) {
 	p.n = prob.n
 	p.areas = prob.areas
 	p.nets = prob.nets
+	p.sys = nil
 }
 
 // mlMaxLevels sizes the partition depth so the continuation can keep
@@ -294,41 +295,36 @@ func coarsenOnce(prob mlProblem) (parent []int32, coarse mlProblem, ok bool) {
 	return parent, mlProblem{n: nc, areas: careas, nets: cnets}, true
 }
 
-// forEachNetEdge enumerates the weighted cell-cell edges of the QP
-// connectivity model (clique 2/k up to eight pins, unit star from the
-// driver beyond) in a fixed order.
-func forEachNetEdge(nets []netDef, fn func(a, b int, w float64)) {
+// forEachPinPair enumerates the weighted pin pairs of the QP
+// connectivity model in a fixed order: every pair of a net's pins with
+// weight 2/k up to eight pins (clique), the driver with each other pin
+// at unit weight beyond (star).
+func forEachPinPair(nets []netDef, fn func(a, b netPin, w float64)) {
 	for _, nd := range nets {
 		k := len(nd.pins)
 		if k <= 8 {
 			w := 2.0 / float64(k)
 			for a := 0; a < k; a++ {
-				ia := pinCell(nd.pins[a])
-				if ia < 0 {
-					continue
-				}
 				for b := a + 1; b < k; b++ {
-					ib := pinCell(nd.pins[b])
-					if ib < 0 || ib == ia {
-						continue
-					}
-					fn(ia, ib, w)
+					fn(nd.pins[a], nd.pins[b], w)
 				}
 			}
 		} else {
-			i0 := pinCell(nd.pins[0])
-			if i0 < 0 {
-				continue
-			}
 			for b := 1; b < k; b++ {
-				ib := pinCell(nd.pins[b])
-				if ib < 0 || ib == i0 {
-					continue
-				}
-				fn(i0, ib, 1.0)
+				fn(nd.pins[0], nd.pins[b], 1.0)
 			}
 		}
 	}
+}
+
+// forEachNetEdge enumerates the weighted cell-cell edges of the QP
+// connectivity model (forEachPinPair without pads and self-pairs).
+func forEachNetEdge(nets []netDef, fn func(a, b int, w float64)) {
+	forEachPinPair(nets, func(a, b netPin, w float64) {
+		if ia, ib := pinCell(a), pinCell(b); ia >= 0 && ib >= 0 && ia != ib {
+			fn(ia, ib, w)
+		}
+	})
 }
 
 // nbrSeg sorts a neighbor segment by vertex index, carrying weights along.

@@ -103,6 +103,34 @@ func GlobalContext(ctx context.Context, net *logic.Network, cellWidth func(logic
 	// every span method below) an allocation-free no-op.
 	ctx, span := obs.StartSpan(ctx, "placement")
 	defer span.End()
+	p, err := newPlacer(ctx, net, cellWidth, rowHeight, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var res *Result
+	if cfg.MultilevelThreshold > 0 && p.n >= cfg.MultilevelThreshold {
+		res, err = p.runMultilevel()
+	} else {
+		res, err = p.run()
+	}
+	if err != nil {
+		span.SetError(err)
+		return nil, err
+	}
+	p.fm.CGIterations.Add(uint64(p.cgIters))
+	if span.Enabled() {
+		span.SetInt("cells", int64(len(p.movable)))
+		span.SetInt("cg_iterations", int64(p.cgIters))
+		span.SetInt("partition_levels", int64(p.levels))
+		span.SetInt("coarsen_levels", int64(p.mlLevels))
+		span.SetFloat("hpwl_um", res.TotalHPWL(net))
+	}
+	return res, nil
+}
+
+// newPlacer sets up the placement problem: the movable cells, the die,
+// the pads in their initial boundary spread (or pinned), and the nets.
+func newPlacer(ctx context.Context, net *logic.Network, cellWidth func(logic.NodeID) float64, rowHeight float64, cfg Config) (*placer, error) {
 	// Movable cells.
 	var movable []logic.NodeID
 	var areas []float64
@@ -156,33 +184,13 @@ func GlobalContext(ctx context.Context, net *logic.Network, cellWidth func(logic
 	// Nets: one per driver with at least two terminals.
 	nets := buildNets(net, pads, idxArr)
 
-	p := &placer{
+	return &placer{
 		ctx: ctx, net: net, cfg: cfg, die: die,
 		movable: movable, n: len(movable), areas: areas,
 		pads: pads, nets: nets,
 		width: cellWidth, rowHeight: rowHeight,
 		fm: obs.FlowMetricsFrom(ctx),
-	}
-	var res *Result
-	var err error
-	if cfg.MultilevelThreshold > 0 && len(movable) >= cfg.MultilevelThreshold {
-		res, err = p.runMultilevel()
-	} else {
-		res, err = p.run()
-	}
-	if err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	p.fm.CGIterations.Add(uint64(p.cgIters))
-	if span.Enabled() {
-		span.SetInt("cells", int64(len(movable)))
-		span.SetInt("cg_iterations", int64(p.cgIters))
-		span.SetInt("partition_levels", int64(p.levels))
-		span.SetInt("coarsen_levels", int64(p.mlLevels))
-		span.SetFloat("hpwl_um", res.TotalHPWL(net))
-	}
-	return res, nil
+	}, nil
 }
 
 // netPin is one terminal of a net: either a movable cell or a fixed pad.
@@ -302,6 +310,9 @@ type placer struct {
 	// scratch is the movable->local projection reused by every
 	// splitRegion call instead of one per region.
 	scratch regionScratch
+	// sys is the current problem's quadratic system, built by the first
+	// solveQP and dropped when install swaps the problem.
+	sys *quadSystem
 
 	x, y []float64
 }
@@ -387,31 +398,14 @@ func clampTo(pt geom.Point, r geom.Rect) geom.Point {
 }
 
 // solveQP solves both axes with optional per-cell anchors (region
-// centers); the axes share the system matrix.
+// centers); the axes share the system matrix. The system is built on the
+// first solve of a placement problem and reused by every later one.
 func (p *placer) solveQP(anchor []geom.Point, anchorW float64) error {
-	q := newQuadSystem(p.n)
-	for _, nd := range p.nets {
-		k := len(nd.pins)
-		if k <= 8 {
-			w := 2.0 / float64(k)
-			for a := 0; a < k; a++ {
-				for b := a + 1; b < k; b++ {
-					p.couple(q, nd.pins[a], nd.pins[b], w)
-				}
-			}
-		} else {
-			// Star model from the driver for big nets.
-			w := 1.0
-			for b := 1; b < k; b++ {
-				p.couple(q, nd.pins[0], nd.pins[b], w)
-			}
-		}
+	if p.sys == nil {
+		p.sys = newQuadSystem(p.n, p.nets)
 	}
-	if anchor != nil {
-		for i := 0; i < p.n; i++ {
-			q.addFixed(i, anchorW, anchor[i].X, anchor[i].Y)
-		}
-	}
+	q := p.sys
+	q.load(anchor, anchorW)
 	itX, err := q.solve(p.ctx, q.rhsX, p.x, p.cfg.CGTol, p.cfg.CGMaxIter)
 	p.cgIters += itX
 	if err != nil {
@@ -420,27 +414,6 @@ func (p *placer) solveQP(anchor []geom.Point, anchorW float64) error {
 	itY, err := q.solve(p.ctx, q.rhsY, p.y, p.cfg.CGTol, p.cfg.CGMaxIter)
 	p.cgIters += itY
 	return err
-}
-
-// couple adds the quadratic coupling between two net pins, resolving
-// movable indices and fixed pad positions.
-func (p *placer) couple(q *quadSystem, a, b netPin, w float64) {
-	ai, bi := p.pinIndex(a), p.pinIndex(b)
-	switch {
-	case ai >= 0 && bi >= 0:
-		q.addEdge(ai, bi, w)
-	case ai >= 0:
-		q.addFixed(ai, w, b.pad.pos.X, b.pad.pos.Y)
-	case bi >= 0:
-		q.addFixed(bi, w, a.pad.pos.X, a.pad.pos.Y)
-	}
-}
-
-func (p *placer) pinIndex(pin netPin) int {
-	if pin.pad != nil {
-		return -1
-	}
-	return pin.cell
 }
 
 // assignPads reassigns pads to boundary slots ordered by the angle of each
@@ -460,7 +433,7 @@ func (p *placer) assignPads() {
 		for _, pin := range nd.pins {
 			if pin.pad != nil {
 				padsIn = append(padsIn, pin.pad)
-			} else if i := p.pinIndex(pin); i >= 0 {
+			} else if i := pinCell(pin); i >= 0 {
 				cells = append(cells, geom.Point{X: p.x[i], Y: p.y[i]})
 			}
 		}
@@ -511,7 +484,7 @@ func (p *placer) rootRegion() *region {
 	for ni, nd := range p.nets {
 		cnt := 0
 		for _, pin := range nd.pins {
-			if p.pinIndex(pin) >= 0 {
+			if pinCell(pin) >= 0 {
 				cnt++
 			}
 		}
@@ -660,7 +633,7 @@ func (p *placer) splitRegion(r *region) (*region, *region) {
 	for _, ni := range r.nets {
 		var pins []int
 		for _, pin := range p.nets[ni].pins {
-			if i := p.pinIndex(pin); i >= 0 {
+			if i := pinCell(pin); i >= 0 {
 				if li := scr.get(i); li >= 0 {
 					pins = append(pins, int(li))
 				}
@@ -693,7 +666,7 @@ func (p *placer) splitRegion(r *region) (*region, *region) {
 	for _, ni := range r.nets {
 		ca, cb := 0, 0
 		for _, pin := range p.nets[ni].pins {
-			if i := p.pinIndex(pin); i >= 0 {
+			if i := pinCell(pin); i >= 0 {
 				if li := scr.get(i); li >= 0 {
 					if part[li] == 0 {
 						ca++

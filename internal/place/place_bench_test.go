@@ -75,12 +75,12 @@ func BenchmarkFMPass(b *testing.B) {
 func BenchmarkCGSolve(b *testing.B) {
 	// A 1000-vertex chain anchored at both ends.
 	n := 1000
-	q := newQuadSystem(n)
+	nets := []netDef{twoPin(cellPin(0), padPin(0, 0)), twoPin(cellPin(n-1), padPin(1000, 0))}
 	for i := 0; i+1 < n; i++ {
-		q.addEdge(i, i+1, 1)
+		nets = append(nets, twoPin(cellPin(i), cellPin(i+1)))
 	}
-	q.addFixed(0, 1, 0, 0)
-	q.addFixed(n-1, 1, 1000, 0)
+	q := newQuadSystem(n, nets)
+	q.load(nil, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := make([]float64, n)

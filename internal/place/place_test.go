@@ -15,11 +15,13 @@ import (
 func TestCGSolvesSmallSystem(t *testing.T) {
 	// Chain of 3 movable vertices between two fixed points at x=0 and x=4:
 	// equilibrium is x = 1, 2, 3.
-	q := newQuadSystem(3)
-	q.addEdge(0, 1, 1)
-	q.addEdge(1, 2, 1)
-	q.addFixed(0, 1, 0, 0)
-	q.addFixed(2, 1, 4, 0)
+	q := newQuadSystem(3, []netDef{
+		twoPin(cellPin(0), cellPin(1)),
+		twoPin(cellPin(1), cellPin(2)),
+		twoPin(cellPin(0), padPin(0, 0)),
+		twoPin(padPin(4, 0), cellPin(2)),
+	})
+	q.load(nil, 0)
 	x := make([]float64, 3)
 	if _, err := q.solve(context.Background(), q.rhsX, x, 1e-10, 100); err != nil {
 		t.Fatal(err)
@@ -33,20 +35,31 @@ func TestCGSolvesSmallSystem(t *testing.T) {
 }
 
 func TestCGSingularDetected(t *testing.T) {
-	q := newQuadSystem(2)
-	q.addEdge(0, 1, 1) // no fixed anchor: singular Laplacian
-	q.rhsX[0] = 1      // inconsistent right-hand side
+	q := newQuadSystem(2, []netDef{twoPin(cellPin(0), cellPin(1))}) // no fixed anchor: singular Laplacian
+	q.load(nil, 0)
+	q.rhsX[0] = 1 // inconsistent right-hand side
 	q.rhsX[1] = 1
 	x := make([]float64, 2)
 	if _, err := q.solve(context.Background(), q.rhsX, x, 1e-10, 100); err == nil {
 		t.Error("singular system not detected")
 	}
 	// An isolated vertex (zero diagonal) must also be rejected.
-	q2 := newQuadSystem(1)
+	q2 := newQuadSystem(1, nil)
+	q2.load(nil, 0)
 	if _, err := q2.solve(context.Background(), q2.rhsX, make([]float64, 1), 1e-10, 10); err == nil {
 		t.Error("zero-diagonal system not detected")
 	}
 }
+
+// cellPin, padPin and twoPin build hand-made nets; a two-pin net
+// couples its pins with unit weight.
+func cellPin(i int) netPin { return netPin{cell: i} }
+
+func padPin(x, y float64) netPin {
+	return netPin{cell: -1, pad: &pad{pos: geom.Point{X: x, Y: y}}}
+}
+
+func twoPin(a, b netPin) netDef { return netDef{pins: []netPin{a, b}} }
 
 func TestFMReducesCut(t *testing.T) {
 	// Two 4-cliques joined by a single net; a bad initial partition mixes
