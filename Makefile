@@ -70,8 +70,8 @@ bench:
 COVER_PKGS := ./internal/logic/ ./internal/decomp/ ./internal/library/ \
 	./internal/match/ ./internal/cut/ ./internal/cover/ ./internal/mis/ ./internal/core/ \
 	./internal/place/ ./internal/wire/ ./internal/geom/ ./internal/netlist/ \
-	./internal/layout/ ./internal/timing/ ./internal/fanout/ ./internal/equiv/ \
-	./internal/lint/
+	./internal/layout/ ./internal/timing/ ./internal/fanout/ ./internal/opt/ \
+	./internal/equiv/ ./internal/lint/
 COVER_FLOOR := 70.0
 
 comma := ,

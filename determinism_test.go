@@ -140,7 +140,7 @@ func mappedBytes(t *testing.T, name string, opt lily.FlowOptions) []byte {
 // hot-path work (DESIGN.md §11): the mapped netlist bytes must not depend
 // on scheduler parallelism. Each circuit/objective pair maps under
 // GOMAXPROCS ∈ {1, 2, NumCPU} and every run must emit byte-identical
-// BLIF — the scratch pools, memoized match lists, and epoch caches the
+// BLIF — the scratch buffers, memoized match lists, and epoch caches the
 // cover DP reuses are all per-run state, so any divergence here means
 // shared mutable state leaked between goroutines. CI additionally runs
 // this under -race (the full-suite race pass), which turns such leaks
@@ -201,8 +201,7 @@ func dedupLevels(in []int) []int {
 }
 
 // TestConcurrentRuns covers the concurrency the engine really has:
-// whole pipelines running side by side on its workers, sharing the
-// wire.Scratch pool. Six runs across ASIC area, ASIC delay, lut4 and
+// whole pipelines running side by side on its workers. Six runs across ASIC area, ASIC delay, lut4 and
 // lut6 execute at once, and each must emit the bytes of its own solo
 // run. Under -race (CI's race-lifecycle job) any state shared between
 // two runs is a hard failure, not just a byte mismatch.

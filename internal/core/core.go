@@ -243,7 +243,6 @@ func mapPlaced(ctx context.Context, sub *logic.Network, lib *library.Library, pl
 	ctx, span := obs.StartSpan(ctx, "cover")
 	defer span.End()
 	lm := newLily(ctx, sub, lib, pl, opt, loadHints)
-	defer wire.Put(lm.ws)
 	if opt.TraceLifecycle {
 		lm.trace = make([]Transition, 0, 4*len(sub.Nodes))
 	}
@@ -299,7 +298,6 @@ func newLily(ctx context.Context, sub *logic.Network, lib *library.Library, pl *
 		ctx: ctx, fm: obs.FlowMetricsFrom(ctx),
 		sub: sub, lib: lib, opt: opt, pl: pl,
 		backend:       be,
-		ws:            wire.Get(),
 		state:         make([]State, n),
 		best:          make([]*match.Match, n),
 		cost:          make([]float64, n),
@@ -395,8 +393,8 @@ type lily struct {
 	// majority of nodes), replacing a per-match scan over all POs.
 	poPadPts [][]geom.Point
 
-	// ws holds the pooled wire-length work buffers for the run.
-	ws *wire.Scratch
+	// ws holds the wire-length work buffers for the run.
+	ws wire.Scratch
 	// geo is the per-match geometry scratch rebuilt by geometry().
 	geo matchGeometry
 	// rects accumulates the fanin/fanout rectangles of the current match.
@@ -820,28 +818,9 @@ func (lm *lily) geometry(v logic.NodeID, m *match.Match) *matchGeometry {
 	case MedianFans:
 		g.gatePos = wire.MedianPoint(rects)
 	default:
-		g.gatePos = centerOfMass(rects)
+		g.gatePos = wire.CenterOfMassPoint(rects)
 	}
 	return g
-}
-
-// centerOfMass is the zero-alloc equivalent of wire.CenterOfMassPoint: the
-// centroid of the non-empty rectangles' centers, accumulated in slice order
-// so the float additions replay exactly as geom.Centroid's.
-func centerOfMass(rects []geom.Rect) geom.Point {
-	var c geom.Point
-	n := 0
-	for _, r := range rects {
-		if r.IsEmpty() {
-			continue
-		}
-		c = c.Add(r.Center())
-		n++
-	}
-	if n == 0 {
-		return geom.Point{}
-	}
-	return c.Scale(1 / float64(n))
 }
 
 // wireIncrement estimates the added wire length of connecting gate(m) to
@@ -1153,21 +1132,17 @@ func (lm *lily) commitCone(root logic.NodeID) error {
 }
 
 // recordedLoads extracts the realized output load of every mapped subject
-// node from a finished delay pass: fanout pin capacitances plus the wiring
-// capacitance of the net at its constructive positions.
+// node from a finished delay pass: timing.NetLoad of each cell-driven net
+// at its constructive positions.
 func recordedLoads(sub *logic.Network, lib *library.Library, first *Result, model wire.Model) map[logic.NodeID]float64 {
 	nl := first.Netlist
 	loads := make(map[logic.NodeID]float64, len(nl.Cells))
+	var ws wire.Scratch
 	for _, net := range nl.Nets() {
 		if net.Driver.IsPI {
 			continue
 		}
-		cl := 0.0
-		for _, s := range net.Sinks {
-			cl += nl.Cells[s.Cell].Gate.InputCap
-		}
-		x, y := wire.LengthXY(model, nl.NetPins(net))
-		cl += lib.WireCapH*x + lib.WireCapV*y
+		cl := timing.NetLoad(nl, lib, net, &ws, model)
 		nd := sub.NodeByName(nl.Cells[net.Driver.Index].Name)
 		if nd != nil {
 			loads[nd.ID] = cl

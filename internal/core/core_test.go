@@ -368,3 +368,44 @@ func TestRecordedLoadsPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordedLoadsMatchFormula pins recordedLoads, which now calls
+// timing.NetLoad, bit for bit to the formula it used to spell out: sink
+// pin capacitances summed in sink order, then c_h·X + c_v·Y of the net's
+// per-axis length under the run's estimator, added as one term.
+func TestRecordedLoadsMatchFormula(t *testing.T) {
+	lib := library.Big()
+	var ws wire.Scratch
+	for _, name := range []string{"C432", "C880"} {
+		_, sub := subjectFor(t, name)
+		for _, model := range []wire.Model{wire.ModelHPWLSteiner, wire.ModelSpanningTree} {
+			opt := DefaultOptions(ModeDelay)
+			opt.WireModel = model
+			res, err := Map(sub, lib, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl := res.Netlist
+			want := make(map[logic.NodeID]float64)
+			for _, net := range nl.Nets() {
+				if net.Driver.IsPI {
+					continue
+				}
+				cl := 0.0
+				for _, s := range net.Sinks {
+					cl += nl.Cells[s.Cell].Gate.InputCap
+				}
+				x, y := ws.LengthXY(model, nl.NetPins(net))
+				cl += lib.WireCapH*x + lib.WireCapV*y
+				if nd := sub.NodeByName(nl.Cells[net.Driver.Index].Name); nd != nil {
+					want[nd.ID] = cl
+				}
+			}
+			got := recordedLoads(sub, lib, res, model)
+			if len(got) == 0 || !maps.Equal(got, want) {
+				t.Errorf("%s/%v: recordedLoads differs from the load formula (%d vs %d entries)",
+					name, model, len(got), len(want))
+			}
+		}
+	}
+}

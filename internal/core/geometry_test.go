@@ -132,7 +132,7 @@ func TestWireIncrementAccounting(t *testing.T) {
 	inc := lm.wireIncrement(g, ai)
 	// Net: a(0,0) + gate position; single sink -> full net length.
 	pts := append(append([]geom.Point(nil), g.pts(ai)...), g.gatePos)
-	want := wire.NetLength(lm.opt.WireModel, pts)
+	want := new(wire.Scratch).NetLength(lm.opt.WireModel, pts)
 	if math.Abs(inc-want) > 1e-9 {
 		t.Errorf("increment = %v, want %v", inc, want)
 	}
@@ -140,14 +140,14 @@ func TestWireIncrementAccounting(t *testing.T) {
 	bi := g.inputIndex(sub.NodeByName("b").ID)
 	incB := lm.wireIncrement(g, bi)
 	ptsB := append(append([]geom.Point(nil), g.pts(bi)...), g.gatePos)
-	wantB := wire.NetLength(lm.opt.WireModel, ptsB) / 2
+	wantB := new(wire.Scratch).NetLength(lm.opt.WireModel, ptsB) / 2
 	if math.Abs(incB-wantB) > 1e-9 {
 		t.Errorf("increment(b) = %v, want %v", incB, wantB)
 	}
 }
 
 // The rectangle-incremental HPWL fast path and the explicit spanning-tree
-// path must agree with the package-level estimators for the same pin sets.
+// path must agree with the wire estimators for the same pin sets.
 func TestWireIncrementSpanningTreeModel(t *testing.T) {
 	sub, lm := fixture(t)
 	lm.opt.WireModel = wire.ModelSpanningTree
@@ -157,7 +157,7 @@ func TestWireIncrementSpanningTreeModel(t *testing.T) {
 	g := lm.geometry(x, m)
 	for i := range g.distinctIn {
 		pts := append(append([]geom.Point(nil), g.pts(i)...), g.gatePos)
-		want := wire.NetLength(wire.ModelSpanningTree, pts) / float64(len(g.fans(i))+1)
+		want := new(wire.Scratch).NetLength(wire.ModelSpanningTree, pts) / float64(len(g.fans(i))+1)
 		if got := lm.wireIncrement(g, i); math.Abs(got-want) > 1e-12 {
 			t.Errorf("rmst increment(%d) = %v, want %v", i, got, want)
 		}

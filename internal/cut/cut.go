@@ -409,24 +409,17 @@ func (e *Enumerator) cone(dst []logic.NodeID, v logic.NodeID, leaves []logic.Nod
 	return dst
 }
 
-// varTT[i] is the truth table of input variable i over 2^MaxK rows: bit
-// r is bit i of r.
-var varTT = [MaxK]uint64{
-	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-}
-
 // truthTable computes the cut function as a truth table over the leaves
-// (leaf i is input variable i; row r holds the output for the assignment
-// where leaf i takes bit i of r), by 64-bit parallel simulation of the
-// cone: every interior NAND2/INV evaluates once on whole-table words,
-// in the postorder of an explicit stack. Rows past 2^k are don't-cares
+// (leaf i is input variable i, in logic.VarTT's row convention), by
+// 64-bit parallel simulation of the cone: every interior NAND2/INV
+// evaluates once on whole-table words, in the postorder of an explicit
+// stack. Rows past 2^k are don't-cares
 // that the final mask clears; every operation is bitwise, so they never
 // reach the kept rows.
 func (e *Enumerator) truthTable(v logic.NodeID, leaves []logic.NodeID) uint64 {
 	e.bumpStamp()
 	for i, l := range leaves {
-		e.tt[l] = varTT[i]
+		e.tt[l] = logic.VarTT[i]
 		e.ttStamp[l] = e.stamp
 	}
 	stack := append(e.stack[:0], v)

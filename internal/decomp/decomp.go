@@ -263,18 +263,24 @@ func (b *builder) decomposeNode(src *logic.Network, nd *logic.Node,
 	return b.tree(cubeLeaves, b.Or2), nil
 }
 
+// The reference covers IsNand2 and IsInv compare against, built once.
+var (
+	nand2Cover = logic.NandSOP(2)
+	invCover   = logic.NotSOP()
+)
+
 // IsNand2 reports whether the node computes a 2-input NAND.
 func IsNand2(n *logic.Network, id logic.NodeID) bool {
 	nd := n.Node(id)
 	return nd != nil && nd.Kind == logic.KindLogic && len(nd.Fanins) == 2 &&
-		logic.EqualFunc(nd.Cover, logic.NandSOP(2))
+		logic.EqualFunc(nd.Cover, nand2Cover)
 }
 
 // IsInv reports whether the node computes an inverter.
 func IsInv(n *logic.Network, id logic.NodeID) bool {
 	nd := n.Node(id)
 	return nd != nil && nd.Kind == logic.KindLogic && len(nd.Fanins) == 1 &&
-		logic.EqualFunc(nd.Cover, logic.NotSOP())
+		logic.EqualFunc(nd.Cover, invCover)
 }
 
 // CheckSubjectGraph verifies that every logic node of n is a NAND2 or INV.

@@ -206,3 +206,29 @@ func TestPremapPreservesPONames(t *testing.T) {
 		}
 	}
 }
+
+// TestIsNand2IsInvAllocs: the subject-graph predicates, which run on every
+// subject node, classify NAND2 and INV nodes correctly and allocate
+// nothing.
+func TestIsNand2IsInvAllocs(t *testing.T) {
+	n := logic.New("t")
+	a, b := n.AddPI("a"), n.AddPI("b")
+	nand := n.AddLogic("x", []logic.NodeID{a.ID, b.ID}, logic.NandSOP(2)).ID
+	inv := n.AddLogic("y", []logic.NodeID{nand}, logic.NotSOP()).ID
+	and := n.AddLogic("z", []logic.NodeID{a.ID, b.ID}, logic.AndSOP(2)).ID
+	if !IsNand2(n, nand) || IsNand2(n, and) || IsNand2(n, inv) {
+		t.Error("IsNand2 misclassifies")
+	}
+	if !IsInv(n, inv) || IsInv(n, nand) {
+		t.Error("IsInv misclassifies")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { IsNand2(n, nand) }); allocs != 0 {
+		t.Errorf("IsNand2: %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { IsInv(n, inv) }); allocs != 0 {
+		t.Errorf("IsInv: %v allocations, want 0", allocs)
+	}
+}

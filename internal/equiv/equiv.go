@@ -353,7 +353,7 @@ func checkSim(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, 
 			for _, f := range nd.Fanins {
 				ins = append(ins, srcVal[f])
 			}
-			srcVal[id] = evalSOP(nd.Cover, ins)
+			srcVal[id] = nd.Cover.EvalWords(ins)
 		}
 		for _, ci := range nlOrder {
 			c := nl.Cells[ci]
@@ -361,7 +361,7 @@ func checkSim(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, 
 			for _, r := range c.Inputs {
 				ins = append(ins, nlVal(r))
 			}
-			cellVal[ci] = evalSOP(c.Gate.Cover, ins)
+			cellVal[ci] = c.Gate.Cover.EvalWords(ins)
 		}
 		valid := ^uint64(0) >> (64 - n)
 		var fail uint64
@@ -386,23 +386,4 @@ func checkSim(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, 
 		return res
 	}
 	return res
-}
-
-// evalSOP evaluates a cover on 64 input vectors at once: bit k of ins[i]
-// is input i in vector k, bit k of the result the output.
-func evalSOP(cover logic.SOP, ins []uint64) uint64 {
-	var out uint64
-	for _, cube := range cover.Cubes {
-		term := ^uint64(0)
-		for i, l := range cube {
-			switch l {
-			case logic.LitPos:
-				term &= ins[i]
-			case logic.LitNeg:
-				term &^= ins[i]
-			}
-		}
-		out |= term
-	}
-	return out
 }

@@ -19,18 +19,19 @@ import (
 	"lily/internal/netlist"
 )
 
+// minSinksPerBuffer prevents degenerate single-sink buffers.
+const minSinksPerBuffer = 2
+
 // Options tunes the pass.
 type Options struct {
 	// MaxFanout is the largest sink count a driver is left with; nets at
 	// or below it are untouched.
 	MaxFanout int
-	// MinSinksPerBuffer prevents degenerate single-sink buffers.
-	MinSinksPerBuffer int
 }
 
 // DefaultOptions returns the configuration used by the flow.
 func DefaultOptions() Options {
-	return Options{MaxFanout: 6, MinSinksPerBuffer: 2}
+	return Options{MaxFanout: 6}
 }
 
 // Stats reports what the pass did.
@@ -52,9 +53,6 @@ func Optimize(nl *netlist.Netlist, lib *library.Library, opt Options) (Stats, er
 	var st Stats
 	if opt.MaxFanout < 2 {
 		return st, fmt.Errorf("fanout: MaxFanout must be at least 2, got %d", opt.MaxFanout)
-	}
-	if opt.MinSinksPerBuffer < 1 {
-		opt.MinSinksPerBuffer = 1
 	}
 	if lib.Buf == nil {
 		return st, fmt.Errorf("fanout: library has no buffer cell")
@@ -125,7 +123,7 @@ func buildTree(nl *netlist.Netlist, lib *library.Library, driver netlist.Ref, si
 		}
 		return 0
 	}
-	groups := clusterSinks(sinks, opt.MaxFanout, opt.MinSinksPerBuffer)
+	groups := clusterSinks(sinks, opt.MaxFanout)
 	if len(groups) <= 1 {
 		for _, s := range sinks {
 			*s.pin = driver
@@ -156,8 +154,9 @@ func buildTree(nl *netlist.Netlist, lib *library.Library, driver netlist.Ref, si
 }
 
 // clusterSinks splits sinks into spatial groups of at most maxPer by
-// recursive alternating median bipartition.
-func clusterSinks(sinks []sink, maxPer, minPer int) [][]sink {
+// recursive alternating median bipartition, each holding at least
+// minSinksPerBuffer.
+func clusterSinks(sinks []sink, maxPer int) [][]sink {
 	work := append([]sink(nil), sinks...)
 	var out [][]sink
 	var split func(s []sink, byX bool)
@@ -174,11 +173,11 @@ func clusterSinks(sinks []sink, maxPer, minPer int) [][]sink {
 			sort.SliceStable(s, func(a, b int) bool { return s[a].pos.Y < s[b].pos.Y })
 		}
 		mid := len(s) / 2
-		if mid < minPer {
-			mid = minPer
+		if mid < minSinksPerBuffer {
+			mid = minSinksPerBuffer
 		}
-		if len(s)-mid < minPer {
-			mid = len(s) - minPer
+		if len(s)-mid < minSinksPerBuffer {
+			mid = len(s) - minSinksPerBuffer
 		}
 		split(s[:mid], !byX)
 		split(s[mid:], !byX)

@@ -150,7 +150,7 @@ func TestClusterSinksRespectsBounds(t *testing.T) {
 	for i := range sinks {
 		sinks[i] = sink{pos: geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}}
 	}
-	groups := clusterSinks(sinks, 6, 2)
+	groups := clusterSinks(sinks, 6)
 	total := 0
 	for _, g := range groups {
 		if len(g) > 6 {
@@ -175,7 +175,7 @@ func TestClusterSinksSpatial(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		sinks = append(sinks, sink{pos: geom.Point{X: 1000 + float64(i), Y: 0}})
 	}
-	groups := clusterSinks(sinks, 8, 2)
+	groups := clusterSinks(sinks, 8)
 	for _, g := range groups {
 		left, right := false, false
 		for _, s := range g {

@@ -21,34 +21,28 @@ import (
 	"lily/internal/wire"
 )
 
+const (
+	// swapPasses is the number of greedy improvement sweeps over the rows.
+	swapPasses = 4
+	// wireModel estimates the final routed length of each net.
+	wireModel = wire.ModelSpanningTree
+)
+
 // Options tunes the backend.
 type Options struct {
-	// SwapPasses is the number of greedy improvement sweeps over the rows.
-	SwapPasses int
-	// WireModel estimates the final routed length of each net.
-	WireModel wire.Model
 	// Place configures the from-scratch global placement used for
 	// netlists without seed positions (the MIS pipeline).
 	Place place.Config
-	// ChannelSamples is unused by the interval-sweep density computation
-	// but kept for ablation of sampled density models.
-	ChannelSamples int
 	// Anneal runs a seeded simulated-annealing refinement after the
 	// greedy passes — closer to the TimberWolf backend the paper used,
 	// at a runtime cost.
 	Anneal bool
-	// AnnealSeed makes annealing runs reproducible (default 1).
-	AnnealSeed int64
 }
 
 // DefaultOptions returns the backend configuration shared by all
 // experiments.
 func DefaultOptions() Options {
-	return Options{
-		SwapPasses: 4,
-		WireModel:  wire.ModelSpanningTree,
-		Place:      place.DefaultConfig(),
-	}
+	return Options{Place: place.DefaultConfig()}
 }
 
 // Result reports the finished layout.
@@ -88,9 +82,6 @@ func Place(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, err
 	if len(nl.Cells) == 0 {
 		return nil, fmt.Errorf("layout: empty netlist")
 	}
-	if opt.SwapPasses < 0 {
-		return nil, fmt.Errorf("layout: negative swap passes")
-	}
 	if !HasSeedPositions(nl) {
 		if err := GlobalPlace(nl, lib, opt.Place); err != nil {
 			return nil, err
@@ -103,13 +94,9 @@ func Place(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, err
 
 	rows := buildRows(nl, lib)
 	res.Rows = len(rows)
-	improveRows(nl, rows, lib, opt.SwapPasses)
+	improveRows(nl, rows, lib, swapPasses)
 	if opt.Anneal {
-		cfg := defaultAnneal()
-		if opt.AnnealSeed != 0 {
-			cfg.seed = opt.AnnealSeed
-		}
-		annealRows(nl, rows, lib, cfg)
+		annealRows(nl, rows, lib, defaultAnneal())
 		improveRows(nl, rows, lib, 2) // greedy cleanup after the anneal
 	}
 	chipW := finalizeRows(nl, rows, lib)
@@ -127,8 +114,9 @@ func Place(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, err
 	applyChannelOffsets(nl, rows, dens, lib)
 	projectPads(nl, chipW, chipH)
 
+	var ws wire.Scratch
 	for _, net := range nl.Nets() {
-		res.TotalWirelength += wire.NetLength(opt.WireModel, nl.NetPins(net))
+		res.TotalWirelength += ws.NetLength(wireModel, nl.NetPins(net))
 	}
 	return res, nil
 }

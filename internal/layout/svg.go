@@ -68,12 +68,13 @@ func WriteSVG(w io.Writer, res *Result, opt SVGOptions) error {
 			len float64
 		}
 		var nets []drawn
+		var ws wire.Scratch
 		for _, net := range nl.Nets() {
 			pts := nl.NetPins(net)
 			if len(pts) < 2 {
 				continue
 			}
-			nets = append(nets, drawn{pts, wire.RMST(pts)})
+			nets = append(nets, drawn{pts, ws.RMST(pts)})
 		}
 		// Longest nets first so a cap keeps the interesting ones.
 		for i := 0; i < len(nets); i++ {

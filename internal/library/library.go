@@ -78,43 +78,6 @@ func (u Unateness) String() string {
 	}
 }
 
-// computeUnateness classifies each input of a cover.
-func computeUnateness(cover logic.SOP) []Unateness {
-	n := cover.NumInputs
-	out := make([]Unateness, n)
-	vals := make([]bool, n)
-	for i := 0; i < n; i++ {
-		canRise, canFall := false, false // output transition when input i rises
-		for r := 0; r < 1<<n; r++ {
-			if r&(1<<i) != 0 {
-				continue // enumerate with x_i = 0
-			}
-			for j := 0; j < n; j++ {
-				vals[j] = r&(1<<j) != 0
-			}
-			f0 := cover.Eval(vals)
-			vals[i] = true
-			f1 := cover.Eval(vals)
-			vals[i] = false
-			if !f0 && f1 {
-				canRise = true
-			}
-			if f0 && !f1 {
-				canFall = true
-			}
-		}
-		switch {
-		case canRise && canFall:
-			out[i] = Binate
-		case canFall:
-			out[i] = UnateNeg
-		default:
-			out[i] = UnatePos
-		}
-	}
-	return out
-}
-
 func (g *Gate) String() string {
 	return fmt.Sprintf("%s(%d-in, %.0fµm²)", g.Name, g.NumInputs, g.Area)
 }
@@ -244,7 +207,7 @@ func build(name string, specs []gateSpec, maxPatternsPerGate int) *Library {
 			InputCap:  inputCapPF,
 			Cover:     exprToSOP(sp.logic, n),
 		}
-		g.Unate = computeUnateness(g.Cover)
+		g.Unate = truthTableUnateness(g.Cover)
 		// Delay parameters: deeper/wider gates are intrinsically slower;
 		// stronger drive lowers output resistance. Rising transitions are
 		// slightly slower than falling, as in CMOS cells (p-stack).
@@ -300,7 +263,7 @@ const (
 // from the cover's truth table, a few word operations per pin.
 func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
 	k := cover.NumInputs
-	if tileK < k || tileK > len(cofactorMask) {
+	if tileK < k || tileK > len(logic.VarTT) {
 		panic(fmt.Sprintf("library: %d-input cover in a %d-LUT tile, want k <= tileK <= 6", k, tileK))
 	}
 	width := lutBaseWidthUm + lutBitWidthUm*float64(uint(1)<<tileK)
@@ -312,7 +275,7 @@ func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
 		Area:      width * rowHeightUm,
 		InputCap:  inputCapPF,
 		Cover:     cover,
-		Unate:     truthTableUnateness(k, coverTruthTable(cover)),
+		Unate:     truthTableUnateness(cover),
 	}
 	for i := 0; i < k; i++ {
 		g.Timing = append(g.Timing, PinTiming{
@@ -325,52 +288,17 @@ func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
 	return g
 }
 
-// cofactorMask[i] selects the truth-table rows with input i clear.
-var cofactorMask = [6]uint64{
-	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
-	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
-}
-
-// coverTruthTable returns the truth table of a cover of at most six
-// inputs, row r holding the output for the assignment where input i
-// takes bit i of r: each cube is the AND of its literals' row masks, and
-// the function is the OR of its cubes. Rows at or above 2^k are zero.
-func coverTruthTable(cover logic.SOP) uint64 {
-	all := ^uint64(0)
-	if k := cover.NumInputs; k < 6 {
-		all = uint64(1)<<(uint(1)<<uint(k)) - 1
-	}
-	var tt uint64
-	for _, c := range cover.Cubes {
-		rows := all
-		for i, l := range c {
-			switch l {
-			case logic.LitPos:
-				rows &^= cofactorMask[i]
-			case logic.LitNeg:
-				rows &= cofactorMask[i]
-			}
-		}
-		tt |= rows
-	}
-	return tt
-}
-
-// truthTableUnateness is computeUnateness on a k-input truth table whose
-// rows at or above 2^k are zero, one word operation per pin instead of
-// 2^k cover evaluations: with m_i the rows that have input i clear, the
-// negative cofactor is f0 = tt & m_i and the positive one, shifted onto
-// the same rows, f1 = (tt >> 2^i) & m_i. The output can rise with input
-// i iff some row has f0 = 0 and f1 = 1, and fall iff some row has f0 = 1
-// and f1 = 0.
-func truthTableUnateness(k int, tt uint64) []Unateness {
-	out := make([]Unateness, k)
+// truthTableUnateness classifies each input of a cover of at most six
+// inputs from its truth word, one word operation per pin: the output can
+// rise with input i iff some row has cofactors f0 = 0 and f1 = 1, and fall
+// iff some row has f0 = 1 and f1 = 0.
+func truthTableUnateness(cover logic.SOP) []Unateness {
+	tt := cover.TruthWord()
+	out := make([]Unateness, cover.NumInputs)
 	for i := range out {
-		m := cofactorMask[i]
-		f0 := tt & m
-		f1 := (tt >> (uint(1) << uint(i))) & m
-		canRise := ^f0&f1&m != 0
-		canFall := f0&^f1&m != 0
+		f0, f1 := logic.Cofactors(tt, i)
+		canRise := f1&^f0 != 0
+		canFall := f0&^f1 != 0
 		switch {
 		case canRise && canFall:
 			out[i] = Binate
@@ -396,7 +324,7 @@ func buildBuffer() *Gate {
 		InputCap:  inputCapPF,
 		Cover:     logic.BufSOP(),
 	}
-	g.Unate = computeUnateness(g.Cover)
+	g.Unate = truthTableUnateness(g.Cover)
 	g.Timing = []PinTiming{{
 		IntrinsicRise: baseIntr * 1.4 * 1.1,
 		IntrinsicFall: baseIntr * 1.4,

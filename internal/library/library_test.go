@@ -2,6 +2,7 @@ package library
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lily/internal/logic"
@@ -188,13 +189,44 @@ func TestDriveStrengthOrdersResistance(t *testing.T) {
 	}
 }
 
+// refUnateness classifies each input of a cover by scalar enumeration of
+// its 2^k rows: the reference for the word-parallel classification.
+func refUnateness(cover logic.SOP) []Unateness {
+	n := cover.NumInputs
+	out := make([]Unateness, n)
+	vals := make([]bool, n)
+	for i := range out {
+		canRise, canFall := false, false // output transition when input i rises
+		for r := 0; r < 1<<n; r++ {
+			if r>>i&1 == 1 {
+				continue
+			}
+			for j := range vals {
+				vals[j] = r>>j&1 == 1
+			}
+			f0 := cover.Eval(vals)
+			vals[i] = true
+			f1 := cover.Eval(vals)
+			canRise = canRise || !f0 && f1
+			canFall = canFall || f0 && !f1
+		}
+		switch {
+		case canRise && canFall:
+			out[i] = Binate
+		case canFall:
+			out[i] = UnateNeg
+		}
+	}
+	return out
+}
+
 // checkLUTUnateness builds the LUT cell for a cover and checks that the
-// cover's truth table agrees with the cover on every row and that the
-// word-parallel unateness equals computeUnateness.
+// cover's truth word agrees with the cover on every row and that the
+// word-parallel unateness equals the scalar reference.
 func checkLUTUnateness(t *testing.T, cover logic.SOP) {
 	t.Helper()
 	k := cover.NumInputs
-	tt := coverTruthTable(cover)
+	tt := cover.TruthWord()
 	vals := make([]bool, k)
 	for r := 0; r < 1<<k; r++ {
 		for i := range vals {
@@ -208,7 +240,7 @@ func checkLUTUnateness(t *testing.T, cover logic.SOP) {
 		t.Fatalf("k=%d tt=%#x: rows above 2^k set", k, tt)
 	}
 	g := NewLUT("lut", cover, 6)
-	want := computeUnateness(cover)
+	want := refUnateness(cover)
 	for i := range want {
 		if g.Unate[i] != want[i] {
 			t.Fatalf("k=%d tt=%#x: pin %d unateness %v, want %v", k, tt, i, g.Unate[i], want[i])
@@ -236,7 +268,8 @@ func mintermCover(k int, tt uint64) logic.SOP {
 }
 
 // TestLUTUnatenessExhaustive checks the truth-table unateness against
-// computeUnateness on the minterm cover of every 1- to 4-input function.
+// the scalar reference on the minterm cover of every 1- to 4-input
+// function.
 func TestLUTUnatenessExhaustive(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		for tt := uint64(0); tt < 1<<(1<<k); tt++ {
@@ -271,5 +304,17 @@ func TestLUTUnatenessRandom(t *testing.T) {
 			cover.AddCube(cube)
 		}
 		checkLUTUnateness(t, cover)
+	}
+}
+
+// TestGateUnatenessMatchesReference checks every built-in gate, buffer
+// included, against the scalar reference.
+func TestGateUnatenessMatchesReference(t *testing.T) {
+	lib := Big()
+	for _, g := range append(lib.Gates, lib.Buf) {
+		want := refUnateness(g.Cover)
+		if !slices.Equal(g.Unate, want) {
+			t.Errorf("%s: unateness %v, want %v", g.Name, g.Unate, want)
+		}
 	}
 }

@@ -7,12 +7,17 @@ import (
 	"strings"
 )
 
+// MaxBLIFLine caps the length of one BLIF line at 16 MiB. The parsers'
+// scanners start with a small buffer and grow it only as far as the
+// longest line needs.
+const MaxBLIFLine = 1 << 24
+
 // ParseBLIF reads a combinational BLIF model (.model/.inputs/.outputs/
 // .names/.end). Latches and subcircuits are rejected: the Lily flow, like
 // the paper, operates on combinational logic only.
 func ParseBLIF(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, MaxBLIFLine)
 
 	var lines []string
 	var cont strings.Builder

@@ -1,7 +1,9 @@
 package logic
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -166,5 +168,19 @@ func TestParseBLIFErrors(t *testing.T) {
 		if _, err := ParseBLIF(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestParseBLIFLongLines: a line far longer than the scanner's first
+// buffer (a 2 MiB comment) still parses; one past the MaxBLIFLine cap
+// fails with bufio.ErrTooLong.
+func TestParseBLIFLongLines(t *testing.T) {
+	long := "# " + strings.Repeat("x", 2<<20) + "\n"
+	if _, err := ParseBLIF(strings.NewReader(long + adderBLIF)); err != nil {
+		t.Fatalf("2 MiB comment line: %v", err)
+	}
+	huge := "# " + strings.Repeat("x", 17<<20) + "\n"
+	if _, err := ParseBLIF(strings.NewReader(huge + adderBLIF)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("17 MiB line: err = %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -115,37 +115,103 @@ func (s SOP) Eval(in []bool) bool {
 	return false
 }
 
-// TruthTable enumerates the cover into a bit vector of 2^NumInputs entries,
-// bit i holding the output for the assignment whose bit j is input j.
-// It panics if NumInputs exceeds MaxEvalInputs.
-func (s SOP) TruthTable() []uint64 {
+// VarTT[i] is the truth table of input variable i over 64 rows: bit r is
+// bit i of r. This is the module's one truth-table row convention: row r
+// holds the output for the assignment where input i takes bit i of r, so
+// a function of at most six inputs fits one word.
+var VarTT = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// EvalWords evaluates the cover on 64 input vectors at once: bit k of
+// ins[i] is input i in vector k, bit k of the result the output. Each
+// cube is the AND of its literals' words and the cover the OR of its
+// cubes.
+func (s SOP) EvalWords(ins []uint64) uint64 {
+	var out uint64
+	for _, cube := range s.Cubes {
+		term := ^uint64(0)
+		for i, l := range cube {
+			switch l {
+			case LitPos:
+				term &= ins[i]
+			case LitNeg:
+				term &^= ins[i]
+			}
+		}
+		out |= term
+	}
+	return out
+}
+
+// TruthWord returns the truth table of a cover of at most six inputs as
+// one word in the VarTT row convention; rows at or above 2^NumInputs are
+// zero. It panics for wider covers.
+func (s SOP) TruthWord() uint64 {
+	if s.NumInputs > len(VarTT) {
+		panic(fmt.Sprintf("logic: %d-input cover does not fit a truth-table word", s.NumInputs))
+	}
+	return s.ttWord(0)
+}
+
+// Cofactors returns the negative and positive cofactors of a truth word
+// with respect to input i, both placed on the rows where input i is
+// clear (every other row is zero): f0 = f|x_i=0 and f1 = f|x_i=1.
+func Cofactors(tt uint64, i int) (f0, f1 uint64) {
+	m := ^VarTT[i]
+	return tt & m, (tt >> (uint(1) << uint(i))) & m
+}
+
+// ttWord returns word w of the cover's truth table, rows 64w to 64w+63.
+// Inputs below six vary across the word as VarTT; input j >= 6 is
+// constant over it, at bit j-6 of w. Rows past 2^NumInputs are cleared.
+func (s SOP) ttWord(w int) uint64 {
+	var ins [MaxEvalInputs]uint64
+	n := s.NumInputs
+	for j := 0; j < n; j++ {
+		if j < len(VarTT) {
+			ins[j] = VarTT[j]
+		} else if w>>(j-len(VarTT))&1 != 0 {
+			ins[j] = ^uint64(0)
+		}
+	}
+	out := s.EvalWords(ins[:n])
+	if n < len(VarTT) {
+		out &= uint64(1)<<(uint(1)<<uint(n)) - 1
+	}
+	return out
+}
+
+// ttWords returns the number of words in the cover's truth table. It
+// panics if NumInputs exceeds MaxEvalInputs.
+func (s SOP) ttWords() int {
 	if s.NumInputs > MaxEvalInputs {
 		panic(fmt.Sprintf("logic: truth table over %d inputs exceeds limit %d", s.NumInputs, MaxEvalInputs))
 	}
-	rows := 1 << s.NumInputs
-	words := (rows + 63) / 64
-	tt := make([]uint64, words)
-	in := make([]bool, s.NumInputs)
-	for r := 0; r < rows; r++ {
-		for j := 0; j < s.NumInputs; j++ {
-			in[j] = r&(1<<j) != 0
-		}
-		if s.Eval(in) {
-			tt[r/64] |= 1 << (r % 64)
-		}
+	return (1<<s.NumInputs + 63) / 64
+}
+
+// TruthTable enumerates the cover into a bit vector of 2^NumInputs entries
+// in the VarTT row convention, 64 rows per word.
+// It panics if NumInputs exceeds MaxEvalInputs.
+func (s SOP) TruthTable() []uint64 {
+	tt := make([]uint64, s.ttWords())
+	for w := range tt {
+		tt[w] = s.ttWord(w)
 	}
 	return tt
 }
 
 // EqualFunc reports whether two covers over the same number of inputs
-// compute the same function (by truth-table comparison).
+// compute the same function, comparing their truth tables word by word
+// without materializing them.
 func EqualFunc(a, b SOP) bool {
 	if a.NumInputs != b.NumInputs {
 		return false
 	}
-	ta, tb := a.TruthTable(), b.TruthTable()
-	for i := range ta {
-		if ta[i] != tb[i] {
+	for w, n := 0, a.ttWords(); w < n; w++ {
+		if a.ttWord(w) != b.ttWord(w) {
 			return false
 		}
 	}

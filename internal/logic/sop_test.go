@@ -192,20 +192,43 @@ func TestDeMorganProperty(t *testing.T) {
 	}
 }
 
-// Property: Eval agrees with TruthTable on random covers and rows.
+// Property: Eval agrees with TruthTable on every row of random covers,
+// from one word up to 16 (ten inputs), and TruthWord is the first word.
 func TestEvalMatchesTruthTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(6)
+		n := 1 + rng.Intn(10)
 		s := randomSOP(rng, n)
 		tt := s.TruthTable()
-		r := rng.Intn(1 << n)
 		in := make([]bool, n)
-		for j := 0; j < n; j++ {
-			in[j] = r&(1<<j) != 0
+		for r := 0; r < 1<<n; r++ {
+			for j := 0; j < n; j++ {
+				in[j] = r&(1<<j) != 0
+			}
+			if s.Eval(in) != (tt[r/64]&(1<<(r%64)) != 0) {
+				t.Fatalf("eval/table mismatch on %v row %d", s, r)
+			}
 		}
-		if s.Eval(in) != (tt[r/64]&(1<<(r%64)) != 0) {
-			t.Fatalf("eval/table mismatch on %v row %d", s, r)
+		if n <= len(VarTT) && s.TruthWord() != tt[0] {
+			t.Fatalf("TruthWord %#x, TruthTable %#x for %v", s.TruthWord(), tt[0], s)
+		}
+	}
+}
+
+// TestEqualFuncAllocs: comparing covers of up to six inputs allocates
+// nothing. The subject-graph checks run it on every subject node.
+func TestEqualFuncAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	for n := 1; n <= 6; n++ {
+		a, b := AndSOP(n), Complement(NandSOP(n))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if !EqualFunc(a, b) {
+				t.Fatalf("and%d != !nand%d", n, n)
+			}
+		}); allocs != 0 {
+			t.Errorf("EqualFunc on %d inputs: %v allocations, want 0", n, allocs)
 		}
 	}
 }

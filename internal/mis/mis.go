@@ -42,14 +42,15 @@ type Options struct {
 	// not swallow multi-fanout nodes. Off by default (MIS cone covering
 	// with duplication, which "implements DAGON as a subset", §2).
 	TreeMode bool
-	// FanoutCapPerPin is the per-fanout wiring capacitance (pF) of the
-	// MIS load model C_w = k·n (§4.2).
-	FanoutCapPerPin float64
 }
+
+// fanoutCapPerPin is the per-fanout wiring capacitance (pF) of the MIS
+// load model C_w = k·n (§4.2).
+const fanoutCapPerPin = 0.03
 
 // DefaultOptions returns the configuration used in the paper's tables.
 func DefaultOptions(mode Mode) Options {
-	return Options{Mode: mode, FanoutCapPerPin: 0.03}
+	return Options{Mode: mode}
 }
 
 // Map covers the subject graph sub with gates from lib.
@@ -113,7 +114,7 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 			// the library's uniform input capacitance; wiring follows the
 			// fanout-count model.
 			n := sub.FanoutCount(v)
-			cl := float64(n)*lib.Inv.InputCap + opt.FanoutCapPerPin*float64(n)
+			cl := float64(n)*lib.Inv.InputCap + fanoutCapPerPin*float64(n)
 			for _, m := range matches {
 				ins := make([]timing.Arrival, len(m.Inputs))
 				ok := true

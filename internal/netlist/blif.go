@@ -9,6 +9,7 @@ import (
 
 	"lily/internal/geom"
 	"lily/internal/library"
+	"lily/internal/logic"
 )
 
 // WriteBLIF renders the mapped netlist as a BLIF model using .gate lines
@@ -60,7 +61,7 @@ func WriteBLIF(w io.Writer, nl *Netlist) error {
 // directives are honored when present.
 func ParseBLIF(r io.Reader, lib *library.Library) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, logic.MaxBLIFLine)
 	nl := &Netlist{}
 	type gateLine struct {
 		gate *library.Gate

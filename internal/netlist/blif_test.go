@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -114,5 +116,24 @@ func TestMappedBLIFForwardReference(t *testing.T) {
 	}
 	if out["y"] != true {
 		t.Error("double inverter chain wrong")
+	}
+}
+
+// TestMappedBLIFLongLines: a line far longer than the scanner's first
+// buffer (a 2 MiB comment) still parses; one past the logic.MaxBLIFLine
+// cap fails with bufio.ErrTooLong.
+func TestMappedBLIFLongLines(t *testing.T) {
+	lib := library.Big()
+	var buf bytes.Buffer
+	if err := WriteBLIF(&buf, buildMux(t)); err != nil {
+		t.Fatal(err)
+	}
+	long := "# " + strings.Repeat("x", 2<<20) + "\n"
+	if _, err := ParseBLIF(strings.NewReader(long+buf.String()), lib); err != nil {
+		t.Fatalf("2 MiB comment line: %v", err)
+	}
+	huge := "# " + strings.Repeat("x", 17<<20) + "\n"
+	if _, err := ParseBLIF(strings.NewReader(huge+buf.String()), lib); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("17 MiB line: err = %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -15,23 +15,16 @@ import (
 	"lily/internal/logic"
 )
 
-// Options tunes the optimization pipeline.
-type Options struct {
-	// MaxIterations bounds the outer simplify/extract loop.
-	MaxIterations int
-	// EliminateThreshold collapses nodes whose elimination "value"
-	// (extra literals introduced minus literals saved) is at most this;
-	// −1 disables elimination.
-	EliminateThreshold int
-	// ExtractMinSaving requires a common cube to save at least this many
+const (
+	// maxIterations bounds the outer simplify/extract loop.
+	maxIterations = 4
+	// eliminateThreshold collapses nodes whose elimination "value"
+	// (extra literals introduced minus literals saved) is at most this.
+	eliminateThreshold = 0
+	// extractMinSaving requires a common cube to save at least this many
 	// literals before it is extracted.
-	ExtractMinSaving int
-}
-
-// DefaultOptions returns the configuration used by the flow.
-func DefaultOptions() Options {
-	return Options{MaxIterations: 4, EliminateThreshold: 0, ExtractMinSaving: 2}
-}
+	extractMinSaving = 2
+)
 
 // Stats reports what the pipeline changed.
 type Stats struct {
@@ -53,21 +46,16 @@ func (s Stats) String() string {
 }
 
 // Optimize runs the pipeline in place and returns statistics.
-func Optimize(net *logic.Network, opt Options) (Stats, error) {
+func Optimize(net *logic.Network) (Stats, error) {
 	var st Stats
 	st.LiteralsBefore = totalLiterals(net)
 	st.NodesBefore = net.NumLogic()
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 1
-	}
-	for iter := 0; iter < opt.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		changed := 0
 		changed += propagateConstants(net, &st)
 		changed += simplifyCovers(net, &st)
-		changed += extractCommonCubes(net, opt.ExtractMinSaving, &st)
-		if opt.EliminateThreshold >= 0 {
-			changed += eliminate(net, opt.EliminateThreshold, &st)
-		}
+		changed += extractCommonCubes(net, extractMinSaving, &st)
+		changed += eliminate(net, eliminateThreshold, &st)
 		net.Sweep()
 		if changed == 0 {
 			break

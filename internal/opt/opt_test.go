@@ -46,7 +46,7 @@ func TestOptimizePreservesFunction(t *testing.T) {
 		p, _ := bench.ProfileByName(name)
 		net := bench.Generate(p)
 		want := snapshot(t, net, 24, 5)
-		st, err := Optimize(net, DefaultOptions())
+		st, err := Optimize(net)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -89,7 +89,7 @@ func TestOptimizeReducesLiterals(t *testing.T) {
 	net.MarkPO(z.ID, "z")
 
 	want := snapshot(t, net, 16, 9)
-	st, err := Optimize(net, DefaultOptions())
+	st, err := Optimize(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestConstantPropagation(t *testing.T) {
 	net.MarkPO(x.ID, "x")
 	net.MarkPO(y.ID, "y")
 	want := snapshot(t, net, 4, 7)
-	st, err := Optimize(net, DefaultOptions())
+	st, err := Optimize(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestOptimizeBeforePremapHelps(t *testing.T) {
 			before += nd.Cover.LiteralCount()
 		}
 	}
-	st, err := Optimize(net, DefaultOptions())
+	st, err := Optimize(net)
 	if err != nil {
 		t.Fatal(err)
 	}

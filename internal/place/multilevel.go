@@ -48,19 +48,15 @@ func (p *placer) install(prob mlProblem) {
 }
 
 // mlMaxLevels sizes the partition depth so the continuation can keep
-// splitting down to MinRegion at the finest level (the flat default is
+// splitting down to minRegion at the finest level (the flat default is
 // tuned for flat-sized instances).
 func (p *placer) mlMaxLevels(finestN int) int {
-	minR := p.cfg.MinRegion
-	if minR < 1 {
-		minR = 1
-	}
 	need := 2
-	for sz := finestN; sz > minR; sz = (sz + 1) / 2 {
+	for sz := finestN; sz > minRegion; sz = (sz + 1) / 2 {
 		need++
 	}
-	if need < p.cfg.MaxLevels {
-		need = p.cfg.MaxLevels
+	if need < maxLevels {
+		need = maxLevels
 	}
 	return need
 }
@@ -100,12 +96,12 @@ func (p *placer) runMultilevel() (*Result, error) {
 		p.x[i] = c.X
 		p.y[i] = c.Y
 	}
-	if err := p.solveQP(nil, 0); err != nil {
+	if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
 		return nil, err
 	}
 	if p.cfg.FixedPads == nil && !p.cfg.NaivePads {
 		p.assignPads()
-		if err := p.solveQP(nil, 0); err != nil {
+		if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
 			return nil, err
 		}
 	}
@@ -138,12 +134,7 @@ func (p *placer) runMultilevel() (*Result, error) {
 				anchor[ci] = rc
 			}
 		}
-		savedIters := p.cfg.CGMaxIter
-		if p.cfg.CGMaxIter > mlRefineIters {
-			p.cfg.CGMaxIter = mlRefineIters
-		}
-		err := p.solveQP(anchor, anchorWeight(p.levels))
-		p.cfg.CGMaxIter = savedIters
+		err := p.solveQP(anchor, anchorWeight(p.levels), mlRefineIters)
 		if err != nil {
 			return nil, err
 		}

@@ -11,20 +11,23 @@ import (
 	"lily/internal/obs"
 )
 
-// Config tunes the global placer.
-type Config struct {
-	// Utilization is the cell-area / die-area ratio used to size the die
+const (
+	// utilization is the cell-area / die-area ratio used to size the die
 	// when none is given (standard-cell area predictors in the style of
 	// the paper's ref [15] put achievable utilization near 0.5–0.6).
-	Utilization float64
-	// MinRegion stops recursive bipartitioning when a region holds at most
+	utilization = 0.55
+	// minRegion stops recursive bipartitioning when a region holds at most
 	// this many cells (the paper's "user-specified parameter", §3.1).
-	MinRegion int
-	// CGTol and CGMaxIter control the conjugate-gradient solver.
-	CGTol     float64
-	CGMaxIter int
-	// MaxLevels bounds the bipartition recursion depth.
-	MaxLevels int
+	minRegion = 12
+	// cgTol and cgMaxIter control the conjugate-gradient solver.
+	cgTol     = 1e-6
+	cgMaxIter = 400
+	// maxLevels bounds the bipartition recursion depth.
+	maxLevels = 14
+)
+
+// Config tunes the global placer.
+type Config struct {
 	// Die, when non-empty, fixes the placement region instead of sizing
 	// it from the cell area (used when re-placing a partially mapped
 	// network in the coordinate system of an earlier placement, §3.2).
@@ -52,14 +55,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration used throughout the experiments.
 func DefaultConfig() Config {
-	return Config{
-		Utilization:         0.55,
-		MinRegion:           12,
-		CGTol:               1e-6,
-		CGMaxIter:           400,
-		MaxLevels:           14,
-		MultilevelThreshold: 25000,
-	}
+	return Config{MultilevelThreshold: 25000}
 }
 
 // Result is a balanced global point placement.
@@ -96,9 +92,6 @@ func Global(net *logic.Network, cellWidth func(logic.NodeID) float64, rowHeight 
 // conjugate-gradient solver check ctx and abort promptly with ctx.Err()
 // when it is cancelled, so long placements can be interrupted.
 func GlobalContext(ctx context.Context, net *logic.Network, cellWidth func(logic.NodeID) float64, rowHeight float64, cfg Config) (*Result, error) {
-	if cfg.Utilization <= 0 || cfg.Utilization > 1 {
-		return nil, fmt.Errorf("place: bad utilization %v", cfg.Utilization)
-	}
 	// Phase-scoped trace span; a context without a tracer makes this (and
 	// every span method below) an allocation-free no-op.
 	ctx, span := obs.StartSpan(ctx, "placement")
@@ -151,7 +144,7 @@ func newPlacer(ctx context.Context, net *logic.Network, cellWidth func(logic.Nod
 	// The zero Rect is a degenerate point, not the canonical empty
 	// rectangle; treat any zero-extent die as "size it from the area".
 	if die.IsEmpty() || die.Width() <= 0 || die.Height() <= 0 {
-		side := math.Sqrt(totalArea / cfg.Utilization)
+		side := math.Sqrt(totalArea / utilization)
 		die = geom.Enclosing([]geom.Point{{X: 0, Y: 0}, {X: side, Y: side}})
 	}
 
@@ -327,19 +320,19 @@ func (p *placer) run() (*Result, error) {
 	}
 
 	// Phase 1: unconstrained QP with the initial pad spread.
-	if err := p.solveQP(nil, 0); err != nil {
+	if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
 		return nil, err
 	}
 	// Phase 2: connectivity-driven pad assignment, then re-solve —
 	// skipped when the caller pinned the pads or asked for naive pads.
 	if p.cfg.FixedPads == nil && !p.cfg.NaivePads {
 		p.assignPads()
-		if err := p.solveQP(nil, 0); err != nil {
+		if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
 			return nil, err
 		}
 	}
 	// Phase 3: recursive bipartitioning with region anchors.
-	leaves, err := p.partitionFrom([]*region{p.rootRegion()}, 1, p.cfg.MaxLevels)
+	leaves, err := p.partitionFrom([]*region{p.rootRegion()}, 1, maxLevels)
 	if err != nil {
 		return nil, err
 	}
@@ -398,20 +391,21 @@ func clampTo(pt geom.Point, r geom.Rect) geom.Point {
 }
 
 // solveQP solves both axes with optional per-cell anchors (region
-// centers); the axes share the system matrix. The system is built on the
-// first solve of a placement problem and reused by every later one.
-func (p *placer) solveQP(anchor []geom.Point, anchorW float64) error {
+// centers) and at most maxIter CG iterations per axis; the axes share the
+// system matrix. The system is built on the first solve of a placement
+// problem and reused by every later one.
+func (p *placer) solveQP(anchor []geom.Point, anchorW float64, maxIter int) error {
 	if p.sys == nil {
 		p.sys = newQuadSystem(p.n, p.nets)
 	}
 	q := p.sys
 	q.load(anchor, anchorW)
-	itX, err := q.solve(p.ctx, q.rhsX, p.x, p.cfg.CGTol, p.cfg.CGMaxIter)
+	itX, err := q.solve(p.ctx, q.rhsX, p.x, cgTol, maxIter)
 	p.cgIters += itX
 	if err != nil {
 		return err
 	}
-	itY, err := q.solve(p.ctx, q.rhsY, p.y, p.cfg.CGTol, p.cfg.CGMaxIter)
+	itY, err := q.solve(p.ctx, q.rhsY, p.y, cgTol, maxIter)
 	p.cgIters += itY
 	return err
 }
@@ -544,7 +538,7 @@ func (p *placer) partitionFrom(regions []*region, startLevel, maxLevel int) ([]*
 		split := false
 		var next []*region
 		for _, r := range regions {
-			if len(r.cells) <= p.cfg.MinRegion {
+			if len(r.cells) <= minRegion {
 				next = append(next, r)
 				continue
 			}
@@ -567,7 +561,7 @@ func (p *placer) partitionFrom(regions []*region, startLevel, maxLevel int) ([]*
 			}
 		}
 		w := anchorWeight(level)
-		if err := p.solveQP(anchor, w); err != nil {
+		if err := p.solveQP(anchor, w, cgMaxIter); err != nil {
 			return nil, err
 		}
 	}

@@ -186,7 +186,7 @@ func TestSolveQPRepeatAllocs(t *testing.T) {
 	}
 	p := subjectPlacer(t, "C432", context.Background())
 	p.x, p.y = make([]float64, p.n), make([]float64, p.n)
-	if err := p.solveQP(nil, 0); err != nil {
+	if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
 		t.Fatal(err)
 	}
 	anchor := make([]geom.Point, p.n)
@@ -194,7 +194,7 @@ func TestSolveQPRepeatAllocs(t *testing.T) {
 		anchor[i] = geom.Point{X: p.x[i] + 5, Y: p.y[i] - 5}
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if err := p.solveQP(anchor, 0.5); err != nil {
+		if err := p.solveQP(anchor, 0.5, cgMaxIter); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,25 +16,36 @@ import (
 	"lily/internal/wire"
 )
 
-// Options selects the load model.
-type Options struct {
-	// Model is the wiring estimator used for net geometry.
-	Model wire.Model
-	// UseWireCap enables the positional wiring capacitance (Lily, §4.2).
-	// When false, C_w falls back to FanoutCapPerPin × fanout count — the
-	// MIS 2.1 model the paper describes ("In MIS, Cw is modeled as a
-	// function of the n", §4.2).
-	UseWireCap bool
-	// FanoutCapPerPin is the per-fanout wire capacitance (pF) for the
-	// fanout-count model.
-	FanoutCapPerPin float64
-	// PIArrival is the arrival time at every primary input (ns).
-	PIArrival float64
-}
+const (
+	// wireModel is the wiring estimator used for net geometry.
+	wireModel = wire.ModelHPWLSteiner
+	// piArrival is the arrival time at every primary input (ns).
+	piArrival = 0.0
+)
 
-// DefaultOptions returns the Lily-style wiring-aware analysis options.
-func DefaultOptions() Options {
-	return Options{Model: wire.ModelHPWLSteiner, UseWireCap: true, FanoutCapPerPin: 0.03}
+// Options has no settable values: the analysis always uses the
+// positional wiring capacitance (Lily, §4.2) over the HPWL-Steiner
+// estimate.
+//
+// Deprecated: ignored; kept only while the benchmark harness passes it.
+type Options struct{}
+
+// DefaultOptions returns the empty Options.
+//
+// Deprecated: ignored; kept only while the benchmark harness calls it.
+func DefaultOptions() Options { return Options{} }
+
+// NetLoad returns the output load C_L = ΣC_j + C_w of a net (§4.2): the
+// input capacitances of its sink pins plus the wiring capacitance
+// c_h·X + c_v·Y of the net's geometry under the given estimator.
+func NetLoad(nl *netlist.Netlist, lib *library.Library, net netlist.Net, ws *wire.Scratch, model wire.Model) float64 {
+	cl := 0.0
+	for _, s := range net.Sinks {
+		cl += nl.Cells[s.Cell].Gate.InputCap
+	}
+	x, y := ws.LengthXY(model, nl.NetPins(net))
+	cl += lib.WireCapH*x + lib.WireCapV*y
+	return cl
 }
 
 // Arrival is a rise/fall arrival-time pair.
@@ -73,7 +84,7 @@ type Result struct {
 }
 
 // Analyze runs static timing analysis over the mapped, placed netlist.
-func Analyze(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, error) {
+func Analyze(nl *netlist.Netlist, lib *library.Library, _ Options) (*Result, error) {
 	order, err := nl.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -82,17 +93,9 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, e
 	// Output load per driver.
 	cellLoad := make([]float64, len(nl.Cells))
 	piLoad := make([]float64, len(nl.PINames))
+	var ws wire.Scratch
 	for _, net := range nl.Nets() {
-		cl := 0.0
-		for _, s := range net.Sinks {
-			cl += nl.Cells[s.Cell].Gate.InputCap
-		}
-		if opt.UseWireCap {
-			x, y := wire.LengthXY(opt.Model, nl.NetPins(net))
-			cl += lib.WireCapH*x + lib.WireCapV*y
-		} else {
-			cl += opt.FanoutCapPerPin * float64(len(net.Sinks)+len(net.POPads))
-		}
+		cl := NetLoad(nl, lib, net, &ws, wireModel)
 		if net.Driver.IsPI {
 			piLoad[net.Driver.Index] = cl
 		} else {
@@ -110,7 +113,7 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, e
 
 	refArr := func(r netlist.Ref) Arrival {
 		if r.IsPI {
-			return Arrival{Rise: opt.PIArrival, Fall: opt.PIArrival}
+			return Arrival{Rise: piArrival, Fall: piArrival}
 		}
 		return arr[r.Index]
 	}
@@ -148,7 +151,7 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, e
 			}
 		}
 		if len(c.Inputs) == 0 {
-			rise, fall = opt.PIArrival, opt.PIArrival
+			rise, fall = piArrival, piArrival
 		}
 		arr[ci] = Arrival{Rise: rise, Fall: fall}
 		argRise[ci] = ar
@@ -197,7 +200,7 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, opt Options) (*Result, e
 	}
 	if r.IsPI {
 		path = append(path, PathStep{
-			Name: nl.PINames[r.Index], Arrival: opt.PIArrival, Load: piLoad[r.Index],
+			Name: nl.PINames[r.Index], Arrival: piArrival, Load: piLoad[r.Index],
 		})
 	}
 	// Reverse: PI first.

@@ -70,22 +70,14 @@ func TestWireCapIncreasesDelay(t *testing.T) {
 	if rl.MaxDelay <= rs.MaxDelay {
 		t.Errorf("long wires (%v) not slower than short (%v)", rl.MaxDelay, rs.MaxDelay)
 	}
-	// Without wire cap the two are identical.
-	opt.UseWireCap = false
-	rs2, _ := Analyze(short, lib, opt)
-	rl2, _ := Analyze(long, lib, opt)
-	if math.Abs(rs2.MaxDelay-rl2.MaxDelay) > 1e-12 {
-		t.Error("fanout-count model should ignore distance")
-	}
 }
 
 func TestArrivalHandPropagation(t *testing.T) {
-	// Single inverter, zero wire (UseWireCap off, zero fanout cap):
-	// load = 0, delay = intrinsic only. Output rise comes from input fall.
+	// Single inverter, zero wire (PI, cell and pad co-located): load = 0,
+	// delay = intrinsic only. Output rise comes from input fall.
 	lib := library.Big()
-	nl := chain(1, 10)
-	opt := Options{UseWireCap: false, FanoutCapPerPin: 0}
-	res, err := Analyze(nl, lib, opt)
+	nl := chain(1, 0)
+	res, err := Analyze(nl, lib, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,25 +91,24 @@ func TestArrivalHandPropagation(t *testing.T) {
 
 func TestLoadDependence(t *testing.T) {
 	// One inverter driving k inverters: delay of the first stage grows
-	// linearly with k under the constant-pin-cap model.
+	// linearly with k in the pin capacitance. Every pin sits at one point,
+	// so no net has wire load.
 	lib := library.Big()
 	build := func(k int) *netlist.Netlist {
 		nl := &netlist.Netlist{Name: "fan", PINames: []string{"a"},
 			PIPos: []geom.Point{{X: 0, Y: 0}}}
 		drv := nl.AddCell(&netlist.Cell{Name: "drv", Gate: lib.GateByName("inv"),
-			Inputs: []netlist.Ref{{IsPI: true, Index: 0}}, Pos: geom.Point{X: 10, Y: 0}})
+			Inputs: []netlist.Ref{{IsPI: true, Index: 0}}})
 		for i := 0; i < k; i++ {
 			ci := nl.AddCell(&netlist.Cell{Name: "ld" + string(rune('a'+i)),
-				Gate: lib.GateByName("inv"), Inputs: []netlist.Ref{{Index: drv}},
-				Pos: geom.Point{X: 20, Y: float64(i)}})
+				Gate: lib.GateByName("inv"), Inputs: []netlist.Ref{{Index: drv}}})
 			nl.POs = append(nl.POs, netlist.PO{Name: "y" + string(rune('a'+i)),
-				Driver: netlist.Ref{Index: ci}, Pad: geom.Point{X: 30, Y: float64(i)}})
+				Driver: netlist.Ref{Index: ci}})
 		}
 		return nl
 	}
-	opt := Options{UseWireCap: false, FanoutCapPerPin: 0}
-	r1, _ := Analyze(build(1), lib, opt)
-	r4, _ := Analyze(build(4), lib, opt)
+	r1, _ := Analyze(build(1), lib, DefaultOptions())
+	r4, _ := Analyze(build(4), lib, DefaultOptions())
 	inv := lib.GateByName("inv")
 	extra := 3 * inv.InputCap * inv.Timing[0].ResistRise
 	got := r4.MaxDelay - r1.MaxDelay
@@ -195,21 +186,14 @@ func TestCriticalPathStartsAtPI(t *testing.T) {
 func TestSpanningTreeModelOption(t *testing.T) {
 	lib := library.Big()
 	nl := chain(3, 100)
-	optH := DefaultOptions()
-	optS := DefaultOptions()
-	optS.Model = wire.ModelSpanningTree
-	rh, err := Analyze(nl, lib, optH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Analyze(nl, lib, optS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both positive, same order of magnitude; 2-pin nets are identical
-	// under both models so the chain matches exactly.
-	if math.Abs(rh.MaxDelay-rs.MaxDelay) > 1e-9 {
-		t.Errorf("2-pin nets should agree: %v vs %v", rh.MaxDelay, rs.MaxDelay)
+	var ws wire.Scratch
+	for _, net := range nl.Nets() {
+		// 2-pin nets are identical under both estimators.
+		h := NetLoad(nl, lib, net, &ws, wire.ModelHPWLSteiner)
+		s := NetLoad(nl, lib, net, &ws, wire.ModelSpanningTree)
+		if h <= 0 || math.Abs(h-s) > 1e-12 {
+			t.Errorf("2-pin net loads disagree: hpwl %v, rmst %v", h, s)
+		}
 	}
 }
 

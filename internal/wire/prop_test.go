@@ -57,28 +57,21 @@ func relTol(vals ...float64) float64 {
 	return 1e-9 * m
 }
 
-// The rectilinear estimator sandwich: HPWL ≤ RSMT ≤ RMST, and the
-// HPWL-Steiner model never undercuts plain HPWL (ratio ≥ 1). Any spanning
-// or Steiner tree must cross the full bounding box in both axes, so the
-// half-perimeter is a true lower bound.
+// HPWL ≤ RMST, and the HPWL-Steiner model never undercuts plain HPWL
+// (ratio ≥ 1). Any spanning tree must cross the full bounding box in both
+// axes, so the half-perimeter is a true lower bound.
 func TestPropEstimatorOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var s Scratch
 	for trial := 0; trial < propTrials; trial++ {
 		n := 2 + rng.Intn(12)
 		pins := randPins(rng, n)
 		hp := HPWL(pins)
-		rmst := RMST(pins)
-		rsmt := RSMT(pins)
-		steiner := NetLength(ModelHPWLSteiner, pins)
-		tol := relTol(hp, rmst, rsmt)
+		rmst := s.RMST(pins)
+		steiner := s.NetLength(ModelHPWLSteiner, pins)
+		tol := relTol(hp, rmst)
 		if hp > rmst+tol {
 			t.Fatalf("trial %d: HPWL %v > RMST %v for %v", trial, hp, rmst, pins)
-		}
-		if hp > rsmt+tol {
-			t.Fatalf("trial %d: HPWL %v > RSMT %v for %v", trial, hp, rsmt, pins)
-		}
-		if rsmt > rmst+tol {
-			t.Fatalf("trial %d: RSMT %v > RMST %v (Steiner insertion made it worse)", trial, rsmt, rmst)
 		}
 		if steiner < hp-tol {
 			t.Fatalf("trial %d: HPWL-Steiner %v < HPWL %v (ratio < 1?)", trial, steiner, hp)
@@ -105,15 +98,16 @@ func TestPropChungHwangMonotone(t *testing.T) {
 // both models (up to summation-order rounding).
 func TestPropLengthXYDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var s Scratch
 	for trial := 0; trial < propTrials; trial++ {
 		n := 2 + rng.Intn(10)
 		pins := randPins(rng, n)
 		for _, model := range []Model{ModelHPWLSteiner, ModelSpanningTree} {
-			x, y := LengthXY(model, pins)
+			x, y := s.LengthXY(model, pins)
 			if x < 0 || y < 0 {
 				t.Fatalf("%v: negative component (%v, %v)", model, x, y)
 			}
-			total := NetLength(model, pins)
+			total := s.NetLength(model, pins)
 			if d := math.Abs(x + y - total); d > relTol(total) {
 				t.Fatalf("%v trial %d: x+y = %v, NetLength = %v (Δ %g)", model, trial, x+y, total, d)
 			}
@@ -121,41 +115,21 @@ func TestPropLengthXYDecomposition(t *testing.T) {
 	}
 }
 
-// The pooled Scratch methods are documented to be bit-identical to the
-// package-level functions: same algorithm, same visit order, recycled
-// buffers. Assert exact equality, not approximate.
+// The rectangle fast paths of the cover DP are bit-identical to the
+// Scratch estimators over the pin list: assert exact equality, not
+// approximate.
 func TestPropScratchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := Get()
-	defer Put(s)
+	var s Scratch
 	for trial := 0; trial < propTrials; trial++ {
 		n := rng.Intn(14)
 		pins := randPins(rng, n)
-		if got, want := s.RMST(pins), RMST(pins); got != want {
-			t.Fatalf("Scratch.RMST = %v, RMST = %v for %v", got, want, pins)
-		}
-		gx, gy := s.RMSTXY(pins)
-		wx, wy := rmstXY(pins)
-		if gx != wx || gy != wy {
-			t.Fatalf("Scratch.RMSTXY = (%v,%v), rmstXY = (%v,%v)", gx, gy, wx, wy)
-		}
-		for _, model := range []Model{ModelHPWLSteiner, ModelSpanningTree} {
-			if got, want := s.NetLength(model, pins), NetLength(model, pins); got != want {
-				t.Fatalf("Scratch.NetLength(%v) = %v, want %v", model, got, want)
-			}
-			sx, sy := s.LengthXY(model, pins)
-			px, py := LengthXY(model, pins)
-			if sx != px || sy != py {
-				t.Fatalf("Scratch.LengthXY(%v) = (%v,%v), want (%v,%v)", model, sx, sy, px, py)
-			}
-		}
-		// Rectangle fast paths against the pin-list formulation.
 		r := geom.Enclosing(pins)
-		if got, want := HPWLNetLength(r, len(pins)), NetLength(ModelHPWLSteiner, pins); got != want {
+		if got, want := HPWLNetLength(r, len(pins)), s.NetLength(ModelHPWLSteiner, pins); got != want {
 			t.Fatalf("HPWLNetLength = %v, NetLength = %v", got, want)
 		}
 		fx, fy := HPWLLengthXY(r, len(pins))
-		px, py := LengthXY(ModelHPWLSteiner, pins)
+		px, py := s.LengthXY(ModelHPWLSteiner, pins)
 		if fx != px || fy != py {
 			t.Fatalf("HPWLLengthXY = (%v,%v), LengthXY = (%v,%v)", fx, fy, px, py)
 		}
@@ -167,6 +141,7 @@ func TestPropScratchBitIdentical(t *testing.T) {
 // graph share the same total weight).
 func TestPropPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	var s Scratch
 	for trial := 0; trial < propTrials; trial++ {
 		n := 2 + rng.Intn(10)
 		pins := randPins(rng, n)
@@ -175,7 +150,7 @@ func TestPropPermutationInvariance(t *testing.T) {
 		if HPWL(pins) != HPWL(perm) {
 			t.Fatalf("HPWL not permutation invariant: %v vs %v", HPWL(pins), HPWL(perm))
 		}
-		a, b := RMST(pins), RMST(perm)
+		a, b := s.RMST(pins), s.RMST(perm)
 		if math.Abs(a-b) > relTol(a, b) {
 			t.Fatalf("RMST weight changed under permutation: %v vs %v for %v", a, b, pins)
 		}
@@ -186,6 +161,7 @@ func TestPropPermutationInvariance(t *testing.T) {
 // the metric demands: invariance and linear scaling respectively.
 func TestPropTranslationAndScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var s Scratch
 	for trial := 0; trial < propTrials; trial++ {
 		n := 2 + rng.Intn(8)
 		pins := randPins(rng, n)
@@ -197,11 +173,11 @@ func TestPropTranslationAndScaling(t *testing.T) {
 			shifted[i] = p.Add(d)
 			scaled[i] = p.Scale(k)
 		}
-		base := RMST(pins)
-		if got := RMST(shifted); math.Abs(got-base) > 1e-7*math.Max(1, base) {
+		base := s.RMST(pins)
+		if got := s.RMST(shifted); math.Abs(got-base) > 1e-7*math.Max(1, base) {
 			t.Fatalf("RMST not translation invariant: %v vs %v", got, base)
 		}
-		if got := RMST(scaled); math.Abs(got-k*base) > 1e-7*math.Max(1, k*base) {
+		if got := s.RMST(scaled); math.Abs(got-k*base) > 1e-7*math.Max(1, k*base) {
 			t.Fatalf("RMST not homogeneous: %v vs %v·%v", got, k, base)
 		}
 	}
@@ -227,24 +203,6 @@ func TestPropMedianPointOptimal(t *testing.T) {
 			if d := RectDistanceSum(p, rects); d < best-relTol(best) {
 				t.Fatalf("probe %v beats MedianPoint %v: %v < %v", p, opt, d, best)
 			}
-		}
-	}
-}
-
-// RSMT never allocates Steiner points that worsen the tree and degrades
-// gracefully to RMST outside its small-net range.
-func TestPropRSMTBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(24) // crosses the n>16 fallback boundary
-		pins := randPins(rng, n)
-		rsmt := RSMT(pins)
-		rmst := RMST(pins)
-		if rsmt > rmst+relTol(rmst) {
-			t.Fatalf("RSMT %v > RMST %v at n=%d", rsmt, rmst, n)
-		}
-		if n > 16 && rsmt != rmst {
-			t.Fatalf("RSMT must fall back to RMST for n=%d: %v vs %v", n, rsmt, rmst)
 		}
 	}
 }

@@ -2,34 +2,20 @@ package wire
 
 import (
 	"math"
-	"sync"
 
 	"lily/internal/geom"
 )
 
-// Scratch holds reusable work buffers for the net-length estimators, so
+// Scratch is the net-length estimator: it holds reusable work buffers so
 // the mapper's inner loop — which evaluates wire cost for every candidate
 // match of every node (paper §3.4) — performs no per-call allocations.
-// A Scratch is not safe for concurrent use; each mapping run owns one
-// (or borrows one from the package pool via Get/Put).
-//
-// The scratch-backed methods compute bit-identical results to the
-// package-level functions: they run the same algorithms over recycled
-// buffers.
+// The zero Scratch is ready to use. A Scratch is not safe for concurrent
+// use; each caller (a mapping run, a layout, a timing analysis) owns one.
 type Scratch struct {
 	dist   []float64
 	from   []int
 	inTree []bool
-	pts    []geom.Point
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// Get borrows a Scratch from the package pool.
-func Get() *Scratch { return scratchPool.Get().(*Scratch) }
-
-// Put returns a Scratch to the package pool.
-func Put(s *Scratch) { scratchPool.Put(s) }
 
 // grow readies the Prim buffers for an n-pin net.
 func (s *Scratch) grow(n int) {
@@ -43,7 +29,7 @@ func (s *Scratch) grow(n int) {
 	s.inTree = s.inTree[:n]
 }
 
-// NetLength is the zero-alloc equivalent of the package-level NetLength.
+// NetLength estimates the routed length of a net with the given model.
 func (s *Scratch) NetLength(model Model, pins []geom.Point) float64 {
 	if len(pins) < 2 {
 		return 0
@@ -54,7 +40,11 @@ func (s *Scratch) NetLength(model Model, pins []geom.Point) float64 {
 	return HPWL(pins) * ChungHwangRatio(len(pins))
 }
 
-// LengthXY is the zero-alloc equivalent of the package-level LengthXY.
+// LengthXY splits a net-length estimate into horizontal and vertical
+// components, which the wiring-capacitance model C_w = c_h·X + c_v·Y needs
+// (paper §4.2). For the HPWL model the components are the bounding-box
+// extents scaled by the Chung–Hwang ratio; for the spanning-tree model
+// they are the summed |dx| and |dy| of the tree edges.
 func (s *Scratch) LengthXY(model Model, pins []geom.Point) (x, y float64) {
 	if len(pins) < 2 {
 		return 0, 0
@@ -67,9 +57,8 @@ func (s *Scratch) LengthXY(model Model, pins []geom.Point) (x, y float64) {
 	return r.Width() * k, r.Height() * k
 }
 
-// RMST runs Prim's rectilinear-MST over the scratch buffers (same
-// algorithm and visit order as the package-level RMST, so results are
-// bit-identical).
+// RMST returns the length of a rectilinear minimum spanning tree over the
+// pins (Prim's algorithm, O(n²) — nets are small).
 func (s *Scratch) RMST(pins []geom.Point) float64 {
 	n := len(pins)
 	if n < 2 {
@@ -104,8 +93,8 @@ func (s *Scratch) RMST(pins []geom.Point) float64 {
 	return total
 }
 
-// RMSTXY is the zero-alloc equivalent of the per-axis MST decomposition
-// used by the wiring-capacitance model (paper §4.2).
+// RMSTXY returns the per-axis edge lengths of the rectilinear MST, the
+// decomposition the wiring-capacitance model uses (paper §4.2).
 func (s *Scratch) RMSTXY(pins []geom.Point) (xLen, yLen float64) {
 	n := len(pins)
 	if n < 2 {
@@ -148,7 +137,7 @@ func (s *Scratch) RMSTXY(pins []geom.Point) (xLen, yLen float64) {
 // net whose enclosing rectangle and pin count are already known — the
 // rectangle-incremental fast path of the cover DP, which extends a cached
 // fanin rectangle by the candidate gate position instead of re-scanning
-// the pin list. Equivalent to NetLength(ModelHPWLSteiner, pins) when
+// the pin list. Equivalent to Scratch.NetLength(ModelHPWLSteiner, pins) when
 // r == geom.Enclosing(pins) and npins == len(pins).
 func HPWLNetLength(r geom.Rect, npins int) float64 {
 	if npins < 2 {
@@ -165,13 +154,4 @@ func HPWLLengthXY(r geom.Rect, npins int) (x, y float64) {
 	}
 	k := ChungHwangRatio(npins)
 	return r.Width() * k, r.Height() * k
-}
-
-// Pts returns a reusable point buffer of length 0 with at least the given
-// capacity, for callers assembling pin lists without allocating.
-func (s *Scratch) Pts(capacity int) []geom.Point {
-	if cap(s.pts) < capacity {
-		s.pts = make([]geom.Point, 0, capacity)
-	}
-	return s.pts[:0]
 }

@@ -57,97 +57,6 @@ func ChungHwangRatio(n int) float64 {
 	}
 }
 
-// NetLength estimates the routed length of a net with the given model.
-func NetLength(model Model, pins []geom.Point) float64 {
-	if len(pins) < 2 {
-		return 0
-	}
-	switch model {
-	case ModelSpanningTree:
-		return RMST(pins)
-	default:
-		return HPWL(pins) * ChungHwangRatio(len(pins))
-	}
-}
-
-// RMST returns the length of a rectilinear minimum spanning tree over the
-// pins (Prim's algorithm, O(n²) — nets are small). The work buffers come
-// from the package pool; hot loops that want to skip even the pool
-// round-trip should hold a Scratch and call its RMST method directly.
-func RMST(pins []geom.Point) float64 {
-	s := Get()
-	total := s.RMST(pins)
-	Put(s)
-	return total
-}
-
-// LengthXY splits a net-length estimate into horizontal and vertical
-// components, which the wiring-capacitance model C_w = c_h·X + c_v·Y needs
-// (paper §4.2). For the HPWL model the components are the bounding-box
-// extents scaled by the Chung–Hwang ratio; for the spanning-tree model
-// they are the summed |dx| and |dy| of the tree edges.
-func LengthXY(model Model, pins []geom.Point) (x, y float64) {
-	if len(pins) < 2 {
-		return 0, 0
-	}
-	if model == ModelSpanningTree {
-		return rmstXY(pins)
-	}
-	r := geom.Enclosing(pins)
-	k := ChungHwangRatio(len(pins))
-	return r.Width() * k, r.Height() * k
-}
-
-// rmstXY computes the per-axis edge lengths of a rectilinear MST over
-// pooled buffers.
-func rmstXY(pins []geom.Point) (xLen, yLen float64) {
-	s := Get()
-	xLen, yLen = s.RMSTXY(pins)
-	Put(s)
-	return xLen, yLen
-}
-
-// RSMT returns an estimate of the rectilinear Steiner minimal tree length:
-// the RMST improved by greedy 1-Steiner insertion over Hanan grid points
-// (Kahng/Robins style, one pass) for small nets, plain RMST otherwise.
-func RSMT(pins []geom.Point) float64 {
-	n := len(pins)
-	if n < 3 {
-		return RMST(pins)
-	}
-	if n > 16 {
-		return RMST(pins)
-	}
-	// Room for the original pins, up to n-2 Steiner points, and one probe
-	// point, so the candidate loop below never reallocates.
-	pts := make([]geom.Point, n, 2*n)
-	copy(pts, pins)
-	s := Get()
-	defer Put(s)
-	best := s.RMST(pts)
-	// Iteratively add the Hanan point that shrinks the MST the most.
-	for iter := 0; iter < n-2; iter++ {
-		bestGain := 1e-9
-		var bestPt geom.Point
-		for _, px := range pins {
-			for _, py := range pins {
-				cand := geom.Point{X: px.X, Y: py.Y}
-				l := s.RMST(append(pts, cand))
-				if gain := best - l; gain > bestGain {
-					bestGain = gain
-					bestPt = cand
-				}
-			}
-		}
-		if bestGain <= 1e-9 {
-			break
-		}
-		pts = append(pts, bestPt)
-		best -= bestGain
-	}
-	return best
-}
-
 // MedianPoint returns a point minimizing the summed Manhattan distance to
 // all rectangles (paper §3.2): the distance function is separable in x and
 // y, and each axis is minimized by the median of the rectangles' lower and
@@ -195,13 +104,20 @@ func RectDistanceSum(p geom.Point, rects []geom.Rect) float64 {
 // approximate optimal point used for the Euclidean norm (paper §3.2: "we
 // represent each fanin/fanout rectangle by its center point, then the
 // optimal point location problem is solved by computing the center of mass
-// of these center points").
+// of these center points"). Empty rectangles are skipped; the centers are
+// summed in slice order, as geom.Centroid sums points, without allocating.
 func CenterOfMassPoint(rects []geom.Rect) geom.Point {
-	var pts []geom.Point
+	var c geom.Point
+	n := 0
 	for _, r := range rects {
-		if !r.IsEmpty() {
-			pts = append(pts, r.Center())
+		if r.IsEmpty() {
+			continue
 		}
+		c = c.Add(r.Center())
+		n++
 	}
-	return geom.Centroid(pts)
+	if n == 0 {
+		return geom.Point{}
+	}
+	return c.Scale(1 / float64(n))
 }

@@ -25,22 +25,17 @@ func BenchmarkHPWL8(b *testing.B) {
 
 func BenchmarkRMST8(b *testing.B) {
 	pts := benchPts(8)
+	var s Scratch
 	for i := 0; i < b.N; i++ {
-		RMST(pts)
+		s.RMST(pts)
 	}
 }
 
 func BenchmarkRMST32(b *testing.B) {
 	pts := benchPts(32)
+	var s Scratch
 	for i := 0; i < b.N; i++ {
-		RMST(pts)
-	}
-}
-
-func BenchmarkRSMT8(b *testing.B) {
-	pts := benchPts(8)
-	for i := 0; i < b.N; i++ {
-		RSMT(pts)
+		s.RMST(pts)
 	}
 }
 

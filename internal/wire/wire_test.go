@@ -47,16 +47,17 @@ func TestChungHwangRatio(t *testing.T) {
 
 func TestRMSTSimple(t *testing.T) {
 	// Three collinear points: MST is the direct chain.
+	var s Scratch
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 10, Y: 0}}
-	if got := RMST(pts); got != 10 {
+	if got := s.RMST(pts); got != 10 {
 		t.Errorf("rmst = %v, want 10", got)
 	}
 	// L-shape.
 	pts = []geom.Point{{X: 0, Y: 0}, {X: 0, Y: 4}, {X: 3, Y: 4}}
-	if got := RMST(pts); got != 7 {
+	if got := s.RMST(pts); got != 7 {
 		t.Errorf("rmst = %v, want 7", got)
 	}
-	if RMST(pts[:1]) != 0 {
+	if s.RMST(pts[:1]) != 0 {
 		t.Error("single-pin rmst must be 0")
 	}
 }
@@ -110,39 +111,26 @@ func kruskalRMST(pts []geom.Point) float64 {
 
 func TestRMSTMatchesKruskal(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var s Scratch
 	for trial := 0; trial < 40; trial++ {
 		pts := randPts(rng, 2+rng.Intn(10))
-		p, k := RMST(pts), kruskalRMST(pts)
+		p, k := s.RMST(pts), kruskalRMST(pts)
 		if math.Abs(p-k) > 1e-9 {
 			t.Fatalf("prim %v != kruskal %v for %v", p, k, pts)
 		}
 	}
 }
 
-// Property: HPWL <= RMST (any spanning tree must traverse the bbox extents)
-// and RSMT <= RMST (Steiner points only help).
+// Property: HPWL <= RMST (any spanning tree must traverse the bbox extents).
 func TestWirelengthOrdering(t *testing.T) {
+	var s Scratch
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pts := randPts(rng, 2+rng.Intn(8))
-		h, m, s := HPWL(pts), RMST(pts), RSMT(pts)
-		return h <= m+1e-9 && s <= m+1e-9 && s >= h-1e-9
+		return HPWL(pts) <= s.RMST(pts)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRSMTImprovesCross(t *testing.T) {
-	// Four points in a cross: the Steiner point at the center saves
-	// length versus the MST.
-	pts := []geom.Point{{X: 0, Y: 5}, {X: 10, Y: 5}, {X: 5, Y: 0}, {X: 5, Y: 10}}
-	m, s := RMST(pts), RSMT(pts)
-	if s >= m {
-		t.Errorf("steiner %v not better than mst %v", s, m)
-	}
-	if s != 20 {
-		t.Errorf("cross steiner = %v, want 20", s)
 	}
 }
 
@@ -199,25 +187,30 @@ func TestMedianPointEmpty(t *testing.T) {
 func TestCenterOfMassPoint(t *testing.T) {
 	rects := []geom.Rect{
 		geom.Enclosing([]geom.Point{{X: 0, Y: 0}, {X: 2, Y: 2}}),
+		geom.EmptyRect(),
 		geom.Enclosing([]geom.Point{{X: 4, Y: 4}, {X: 6, Y: 6}}),
 	}
 	c := CenterOfMassPoint(rects)
 	if c.X != 3 || c.Y != 3 {
 		t.Errorf("com = %v", c)
 	}
+	if c := CenterOfMassPoint(rects[1:2]); c != (geom.Point{}) {
+		t.Errorf("all-empty com = %v", c)
+	}
 }
 
 func TestNetLengthModels(t *testing.T) {
+	var ws Scratch
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}}
-	h := NetLength(ModelHPWLSteiner, pts)
-	s := NetLength(ModelSpanningTree, pts)
+	h := ws.NetLength(ModelHPWLSteiner, pts)
+	s := ws.NetLength(ModelSpanningTree, pts)
 	if h != 20*ChungHwangRatio(4) {
 		t.Errorf("hpwl-steiner = %v", h)
 	}
-	if s != RMST(pts) {
+	if s != ws.RMST(pts) {
 		t.Errorf("spanning = %v", s)
 	}
-	if NetLength(ModelHPWLSteiner, pts[:1]) != 0 {
+	if ws.NetLength(ModelHPWLSteiner, pts[:1]) != 0 {
 		t.Error("single pin net has length")
 	}
 }

@@ -664,7 +664,7 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		// Optimize a copy so the caller's Circuit is untouched.
 		_, sp := obs.StartSpan(ctx, "preopt")
 		srcNet = c.net.Clone()
-		if _, err := netopt.Optimize(srcNet, netopt.DefaultOptions()); err != nil {
+		if _, err := netopt.Optimize(srcNet); err != nil {
 			sp.SetError(err)
 			sp.End()
 			return nil, nil, err
@@ -795,8 +795,7 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	}
 	lsp.End()
 	_, tsp := obs.StartSpan(ctx, "timing")
-	topt := timing.DefaultOptions()
-	tres, err := timing.Analyze(nl, lib, topt)
+	tres, err := timing.Analyze(nl, lib, timing.Options{})
 	if err != nil {
 		tsp.SetError(err)
 		tsp.End()
