@@ -52,7 +52,8 @@ scale-smoke:
 # Single-iteration pass over the engine, obs, equivalence-check and
 # candidate-generator benchmarks so they keep compiling and running
 # (BenchmarkDisabledTracer reports allocs/op; BenchmarkCheck covers the
-# BDD budget-exhaustion path on C5315 and a BDD proof on duke2; the
+# BDD budget-exhaustion path on C5315 and BDD proofs on duke2 and on
+# C1908, which needs the Shannon-composed, depth-first-ordered BDDs; the
 # structural matcher and the LUT cut pipeline print allocs/op via
 # -benchmem).
 bench:

@@ -1,11 +1,15 @@
 // Package equiv checks functional equivalence between a source Boolean
-// network and a mapped netlist. The primary engine is formal — BDDs over a
-// shared primary-input ordering (package bdd) — with a node budget; when a
-// circuit blows the budget the checker degrades to randomized simulation
-// and reports that the verdict is only statistical.
+// network and a mapped netlist. The primary engine is formal — BDDs
+// (package bdd) over one primary-input order shared by both sides, the
+// order in which a depth-first walk from the source's outputs first
+// reaches each input, with every node's or cell's cover composed over
+// its fanins by Shannon expansion — under a node budget; when a circuit
+// blows the budget the checker degrades to randomized simulation and
+// reports that the verdict is only statistical.
 package equiv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -83,7 +87,7 @@ func Check(src *logic.Network, nl *netlist.Netlist, opt Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res, err := checkBDD(src, nl, srcOrder, nlOrder, piNames, opt.MaxBDDNodes)
+	res, err := checkBDD(src, nl, srcOrder, nlOrder, opt.MaxBDDNodes)
 	if err == nil {
 		return res, nil
 	}
@@ -143,17 +147,19 @@ func sameNames(kind string, want, got []string) error {
 	return nil
 }
 
-func checkBDD(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, nlOrder []int, piNames []string, budget int) (*Result, error) {
-	m := bdd.New(len(piNames), budget)
-	varOf := make(map[string]int, len(piNames))
-	for i, n := range piNames {
+func checkBDD(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, nlOrder []int, budget int) (*Result, error) {
+	vars := variableOrder(src)
+	m := bdd.New(len(vars), budget)
+	varOf := make(map[string]int, len(vars))
+	for i, n := range vars {
 		varOf[n] = i
 	}
-	srcPO, err := networkBDDs(m, src, srcOrder, varOf)
+	c := &composer{m: m, budget: budget}
+	srcPO, err := networkBDDs(c, src, srcOrder, varOf)
 	if err != nil {
 		return nil, err
 	}
-	nlPO, err := netlistBDDs(m, nl, nlOrder, varOf)
+	nlPO, err := netlistBDDs(c, nl, nlOrder, varOf)
 	if err != nil {
 		return nil, err
 	}
@@ -179,8 +185,8 @@ func checkBDD(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, 
 		res.Equivalent = false
 		res.FailingOutput = name
 		assign := m.AnySatisfying(diff)
-		cex := make(map[string]bool, len(piNames))
-		for i, n := range piNames {
+		cex := make(map[string]bool, len(vars))
+		for i, n := range vars {
 			cex[n] = assign[i]
 		}
 		res.Counterexample = cex
@@ -190,24 +196,74 @@ func checkBDD(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, 
 	return res, nil
 }
 
+// variableOrder returns the primary-input names in BDD variable order:
+// first visit in a depth-first walk from the outputs, in src.POs order,
+// over fanins in pin order, then the inputs the walk never reaches in
+// sorted-name order. Inputs that feed the same cone get neighbouring
+// levels, which keeps the composed BDDs small where a name order says
+// nothing about the circuit.
+func variableOrder(src *logic.Network) []string {
+	seen := make([]bool, len(src.Nodes))
+	vars := make([]string, 0, len(src.PIs))
+	type frame struct {
+		id  logic.NodeID
+		pin int
+	}
+	var stack []frame
+	visit := func(id logic.NodeID) {
+		seen[id] = true
+		if nd := src.Nodes[id]; nd.Kind == logic.KindPI {
+			vars = append(vars, nd.Name)
+		}
+		stack = append(stack, frame{id: id})
+	}
+	for _, po := range src.POs {
+		if !seen[po] {
+			visit(po)
+		}
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			fanins := src.Nodes[f.id].Fanins
+			if f.pin == len(fanins) {
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			next := fanins[f.pin]
+			f.pin++
+			if !seen[next] {
+				visit(next)
+			}
+		}
+	}
+	var rest []string
+	for _, pi := range src.PIs {
+		if !seen[pi] {
+			rest = append(rest, src.Nodes[pi].Name)
+		}
+	}
+	sort.Strings(rest)
+	return append(vars, rest...)
+}
+
 // networkBDDs builds PO BDDs for a logic network.
-func networkBDDs(m *bdd.Manager, src *logic.Network, order []logic.NodeID, varOf map[string]int) (map[string]bdd.Ref, error) {
+func networkBDDs(c *composer, src *logic.Network, order []logic.NodeID, varOf map[string]int) (map[string]bdd.Ref, error) {
 	refs := make([]bdd.Ref, len(src.Nodes))
+	var ins []bdd.Ref
 	for _, id := range order {
 		nd := src.Nodes[id]
 		if nd.Kind == logic.KindPI {
-			r, err := m.Var(varOf[nd.Name])
+			r, err := c.m.Var(varOf[nd.Name])
 			if err != nil {
 				return nil, err
 			}
 			refs[id] = r
 			continue
 		}
-		ins := make([]bdd.Ref, len(nd.Fanins))
-		for i, f := range nd.Fanins {
-			ins[i] = refs[f]
+		ins = ins[:0]
+		for _, f := range nd.Fanins {
+			ins = append(ins, refs[f])
 		}
-		r, err := coverBDD(m, nd.Cover, ins)
+		r, err := c.cover(nd.Cover, ins)
 		if err != nil {
 			return nil, err
 		}
@@ -221,10 +277,10 @@ func networkBDDs(m *bdd.Manager, src *logic.Network, order []logic.NodeID, varOf
 }
 
 // netlistBDDs builds PO BDDs for a mapped netlist.
-func netlistBDDs(m *bdd.Manager, nl *netlist.Netlist, order []int, varOf map[string]int) (map[string]bdd.Ref, error) {
+func netlistBDDs(c *composer, nl *netlist.Netlist, order []int, varOf map[string]int) (map[string]bdd.Ref, error) {
 	piRef := make([]bdd.Ref, len(nl.PINames))
 	for i, name := range nl.PINames {
-		r, err := m.Var(varOf[name])
+		r, err := c.m.Var(varOf[name])
 		if err != nil {
 			return nil, err
 		}
@@ -237,13 +293,14 @@ func netlistBDDs(m *bdd.Manager, nl *netlist.Netlist, order []int, varOf map[str
 		}
 		return cellRef[r.Index]
 	}
+	var ins []bdd.Ref
 	for _, ci := range order {
-		c := nl.Cells[ci]
-		ins := make([]bdd.Ref, len(c.Inputs))
-		for i, r := range c.Inputs {
-			ins[i] = refOf(r)
+		cell := nl.Cells[ci]
+		ins = ins[:0]
+		for _, r := range cell.Inputs {
+			ins = append(ins, refOf(r))
 		}
-		r, err := coverBDD(m, c.Gate.Cover, ins)
+		r, err := c.cover(cell.Gate.Cover, ins)
 		if err != nil {
 			return nil, err
 		}
@@ -256,38 +313,127 @@ func netlistBDDs(m *bdd.Manager, nl *netlist.Netlist, order []int, varOf map[str
 	return out, nil
 }
 
-// coverBDD composes an SOP cover over fanin BDDs.
-func coverBDD(m *bdd.Manager, cover logic.SOP, ins []bdd.Ref) (bdd.Ref, error) {
-	acc := bdd.False
-	for _, cube := range cover.Cubes {
-		term := bdd.True
-		for i, l := range cube {
-			var lit bdd.Ref
-			switch l {
-			case logic.LitDC:
-				continue
-			case logic.LitPos:
-				lit = ins[i]
-			default:
-				nl, err := m.Not(ins[i])
-				if err != nil {
-					return bdd.False, err
-				}
-				lit = nl
-			}
-			t, err := m.And(term, lit)
-			if err != nil {
-				return bdd.False, err
-			}
-			term = t
-		}
-		a, err := m.Or(acc, term)
-		if err != nil {
-			return bdd.False, err
-		}
-		acc = a
+// composer builds the BDD of an SOP cover over its fanins' BDDs by
+// Shannon expansion, from the last input down:
+// f = ITE(in_k, f|in_k=1, f|in_k=0). While more than six inputs remain it
+// cofactors the cube list: f|in_k=v keeps every cube whose literal on
+// input k admits v, cut to the inputs below k, so each cofactor is again
+// a cover. Once at most six inputs remain the cover is one truth word and
+// the expansion continues on logic.Cofactors. An input on which the two
+// cofactors agree is skipped, so no BDD is built for an input the
+// function ignores and no complemented copy of a fanin is made for a
+// negative literal.
+type composer struct {
+	m   *bdd.Manager
+	ins []bdd.Ref
+	// cubes is a stack of cofactor cube lists: each expansion step above
+	// six inputs pushes its cofactors and pops them on return.
+	cubes []logic.Cube
+	// memo maps a cofactor above six inputs, keyed by its width and
+	// literals, to its BDD for the cover being composed. Different
+	// assignments to the upper inputs often leave the same cubes, and
+	// without the memo the expansion would be exponential in the cube
+	// count. key is its reused key buffer.
+	memo map[string]bdd.Ref
+	key  []byte
+	// steps counts the memo's misses for the check; past budget the
+	// composition fails like a BDD operation that exceeds the node budget.
+	steps, budget int
+}
+
+// cover returns the BDD of cover over the fanin BDDs ins.
+func (c *composer) cover(cover logic.SOP, ins []bdd.Ref) (bdd.Ref, error) {
+	c.ins = ins
+	c.memo = nil
+	return c.expand(cover.Cubes, cover.NumInputs)
+}
+
+// expand composes the cover of cubes over inputs 0..k-1; every cube has
+// length k.
+func (c *composer) expand(cubes []logic.Cube, k int) (bdd.Ref, error) {
+	if k <= len(logic.VarTT) {
+		return c.word(logic.SOP{NumInputs: k, Cubes: cubes}.TruthWord(), k)
 	}
-	return acc, nil
+	if len(cubes) == 0 {
+		return bdd.False, nil
+	}
+	c.key = binary.AppendUvarint(c.key[:0], uint64(k))
+	for _, cube := range cubes {
+		taut := true
+		for _, l := range cube {
+			c.key = append(c.key, byte(l))
+			taut = taut && l == logic.LitDC
+		}
+		if taut {
+			return bdd.True, nil
+		}
+	}
+	if r, ok := c.memo[string(c.key)]; ok {
+		return r, nil
+	}
+	if c.steps++; c.steps > c.budget {
+		return bdd.False, bdd.ErrNodeLimit
+	}
+	key := string(c.key)
+	x := k - 1
+	start := len(c.cubes)
+	for _, cube := range cubes {
+		if cube[x] != logic.LitNeg {
+			c.cubes = append(c.cubes, cube[:x])
+		}
+	}
+	mid := len(c.cubes)
+	for _, cube := range cubes {
+		if cube[x] != logic.LitPos {
+			c.cubes = append(c.cubes, cube[:x])
+		}
+	}
+	// When no cube mentions input x the two cofactors are the same cube
+	// list: the second comes back from the memo (or, at six inputs, as
+	// the same truth word) and ITE returns it without a node for x.
+	hi, err := c.expand(c.cubes[start:mid:mid], x)
+	if err != nil {
+		return bdd.False, err
+	}
+	lo, err := c.expand(c.cubes[mid:], x)
+	if err != nil {
+		return bdd.False, err
+	}
+	r, err := c.m.ITE(c.ins[x], hi, lo)
+	if err != nil {
+		return bdd.False, err
+	}
+	c.cubes = c.cubes[:start]
+	if c.memo == nil {
+		c.memo = make(map[string]bdd.Ref)
+	}
+	c.memo[key] = r
+	return r, nil
+}
+
+// word composes the function of inputs 0..k-1 whose truth table, in the
+// logic.VarTT row convention, is tt.
+func (c *composer) word(tt uint64, k int) (bdd.Ref, error) {
+	switch tt {
+	case 0:
+		return bdd.False, nil
+	case ^uint64(0) >> (64 - (1 << k)):
+		return bdd.True, nil
+	}
+	x := k - 1
+	f0, f1 := logic.Cofactors(tt, x)
+	if f0 == f1 {
+		return c.word(f0, x)
+	}
+	hi, err := c.word(f1, x)
+	if err != nil {
+		return bdd.False, err
+	}
+	lo, err := c.word(f0, x)
+	if err != nil {
+		return bdd.False, err
+	}
+	return c.m.ITE(c.ins[x], hi, lo)
 }
 
 // checkSim is the randomized fallback. It draws opt.SimVectors random

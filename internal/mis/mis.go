@@ -9,6 +9,7 @@ package mis
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lily/internal/cover"
 	"lily/internal/library"
@@ -68,6 +69,9 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 	bestCost := make(map[logic.NodeID]float64)       // area mode
 	bestArr := make(map[logic.NodeID]timing.Arrival) // delay mode
 	bestArea := make(map[logic.NodeID]float64)
+	// ins holds one delay-mode candidate's input arrivals; it is reused
+	// across candidates, so every pin is written before the arrival is read.
+	var ins []timing.Arrival
 
 	for _, v := range order {
 		nd := sub.Nodes[v]
@@ -116,11 +120,12 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 			n := sub.FanoutCount(v)
 			cl := float64(n)*lib.Inv.InputCap + fanoutCapPerPin*float64(n)
 			for _, m := range matches {
-				ins := make([]timing.Arrival, len(m.Inputs))
+				ins = slices.Grow(ins[:0], len(m.Inputs))[:len(m.Inputs)]
 				ok := true
 				area := m.Gate.Area
 				for i, in := range m.Inputs {
 					if sub.Nodes[in].Kind == logic.KindPI {
+						ins[i] = timing.Arrival{}
 						continue
 					}
 					a, has := bestArr[in]

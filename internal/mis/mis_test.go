@@ -8,6 +8,7 @@ import (
 	"lily/internal/decomp"
 	"lily/internal/library"
 	"lily/internal/logic"
+	"lily/internal/match"
 	"lily/internal/netlist"
 )
 
@@ -176,5 +177,42 @@ func TestMapDeterministic(t *testing.T) {
 		if a.Cells[i].Name != b.Cells[i].Name || a.Cells[i].Gate.Name != b.Cells[i].Gate.Name {
 			t.Fatalf("cell %d differs", i)
 		}
+	}
+}
+
+// Delay mode evaluates every candidate match against one reused arrival
+// buffer, so it allocates no more per run than area mode plus a small
+// constant (its second best-so-far map), however many candidates it
+// weighs: a per-candidate slice would add about one allocation per
+// candidate. The matcher is built first so the count covers the same
+// candidates the two modes consider.
+func TestDelayModeAllocsPerCandidate(t *testing.T) {
+	p, ok := bench.ProfileByName("C432")
+	if !ok {
+		t.Fatal("no profile C432")
+	}
+	res, err := decomp.Premap(bench.Generate(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, lib := res.Inchoate, library.Big()
+	mt := match.NewMatcher(sub, lib)
+	candidates := 0
+	for _, nd := range sub.Nodes {
+		if nd != nil && nd.Kind == logic.KindLogic {
+			candidates += len(mt.AtNode(nd.ID))
+		}
+	}
+	mapAllocs := func(mode Mode) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Map(sub, lib, DefaultOptions(mode)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	area, delay := mapAllocs(ModeArea), mapAllocs(ModeDelay)
+	if extra := delay - area; extra > float64(candidates)/20 {
+		t.Errorf("delay mode allocates %.0f more than area mode over %d candidates; want no per-candidate allocation",
+			extra, candidates)
 	}
 }
