@@ -54,7 +54,8 @@ scale-smoke:
 # (BenchmarkDisabledTracer reports allocs/op; BenchmarkCheck covers the
 # BDD budget-exhaustion path on C5315 and BDD proofs on duke2 and on
 # C1908, which needs the Shannon-composed, depth-first-ordered BDDs; the
-# structural matcher and the LUT cut pipeline print allocs/op via
+# structural matcher, the LUT cut pipeline and the BLIF reader — .names
+# on C5315 and gen50k, .gate on mapped C5315 — print allocs/op via
 # -benchmem).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
@@ -62,6 +63,7 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x ./internal/equiv/
 	$(GO) test -run '^$$' -bench BenchmarkMatcherAllNodes -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -run '^$$' -bench '^BenchmarkPipelineC5315LUT6$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkParseBLIF$$' -benchtime=1x -benchmem ./internal/logic/ ./internal/netlist/
 
 # The mapping packages (front end through verification) plus the lint
 # suite itself must stay at or above 70%
@@ -89,15 +91,19 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
-# Short fuzz smoke over the parser, cover-algebra, BDD-manager,
-# match-order and submit-options targets; the seed corpora
+# Short fuzz smoke over the two BLIF dialects, cover-algebra,
+# BDD-manager, match-order and submit-options targets; the seed corpora
 # (internal/logic/testdata/fuzz, FuzzManager's generated seeds and the
-# f.Add seeds of FuzzMatchOrder and FuzzSubmitOptions) always replay in
-# plain `go test`, this target additionally explores for a few seconds.
+# f.Add seeds of FuzzParseMappedBLIF, FuzzMatchOrder and
+# FuzzSubmitOptions) always replay in plain `go test`, this target
+# additionally explores for a few seconds. FuzzParseMappedBLIF requires
+# every accepted .gate netlist to survive WriteBLIF -> ParseBLIF ->
+# WriteBLIF byte for byte.
 # FuzzSubmitOptions feeds hostile JSON options through the server's
 # option boundary and checks FlowOptions.Normalize against the digest.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseBLIF -fuzztime 10s ./internal/logic/
+	$(GO) test -run '^$$' -fuzz FuzzParseMappedBLIF -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz FuzzSOP -fuzztime 10s ./internal/logic/
 	$(GO) test -run '^$$' -fuzz FuzzManager -fuzztime 10s ./internal/bdd/
 	$(GO) test -run '^$$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/match/

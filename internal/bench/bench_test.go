@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"testing"
 
 	"lily/internal/logic"
@@ -41,7 +42,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	p, _ := ProfileByName("C432")
 	a := Generate(p)
 	b := Generate(p)
-	an, bn := a.SortedNames(), b.SortedNames()
+	an, bn := sortedNames(a), sortedNames(b)
 	if len(an) != len(bn) {
 		t.Fatalf("node counts differ: %d vs %d", len(an), len(bn))
 	}
@@ -134,4 +135,16 @@ func TestGeneratedSuiteScales(t *testing.T) {
 	if !(sizes["C5315"] > sizes["C3540"] && sizes["apex3"] > sizes["C3540"]) {
 		t.Errorf("large-circuit ordering broken: %v", sizes)
 	}
+}
+
+// sortedNames returns the names of all live nodes, sorted.
+func sortedNames(n *logic.Network) []string {
+	var names []string
+	for _, nd := range n.Nodes {
+		if nd != nil {
+			names = append(names, nd.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }

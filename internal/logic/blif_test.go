@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -182,5 +183,39 @@ func TestParseBLIFLongLines(t *testing.T) {
 	huge := "# " + strings.Repeat("x", 17<<20) + "\n"
 	if _, err := ParseBLIF(strings.NewReader(huge + adderBLIF)); !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("17 MiB line: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestParseBLIFChainOutputsFirst: a 200,000-node inverter chain declared
+// from its output back to its input parses to the same network as the
+// chain declared input first. The fixed-point loop the reader replaced
+// needed one sweep over the file per node here.
+func TestParseBLIFChainOutputsFirst(t *testing.T) {
+	const n = 200_000
+	decls := make([]string, n)
+	for k := range decls {
+		decls[k] = fmt.Sprintf(".names x%d x%d\n0 1\n", k, k+1)
+	}
+	parse := func(decls []string) string {
+		src := fmt.Sprintf(".model chain\n.inputs x0\n.outputs x%d\n%s.end\n", n, strings.Join(decls, ""))
+		net, err := ParseBLIF(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.Nodes[n].Name != fmt.Sprintf("x%d", n) {
+			t.Fatalf("last node is %s", net.Nodes[n].Name)
+		}
+		var b strings.Builder
+		if err := WriteBLIF(&b, net); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	inputsFirst := parse(decls)
+	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+		decls[i], decls[j] = decls[j], decls[i]
+	}
+	if parse(decls) != inputsFirst {
+		t.Fatal("outputs-first chain parses differently from inputs-first")
 	}
 }

@@ -21,6 +21,7 @@ func FuzzParseBLIF(f *testing.F) {
 	f.Add(".model x\n.inputs " + strings.Repeat("i ", 20) + "\n.outputs z\n.names z\n1\n.end\n")
 	f.Add("# comment only\n")
 	f.Add(".model m\n.inputs a\n.outputs x\n.names a x \\\n1 1\n.end\n")
+	f.Add("#@0\n#@ place a 1 2\n.model m\n.inputs a\n.outputs a\n.end\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := ParseBLIF(strings.NewReader(src))
 		if err != nil {

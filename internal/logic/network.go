@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node inside one Network. IDs are dense indices into
 // Network.Nodes and are never reused within a network's lifetime; deleted
@@ -74,17 +71,6 @@ func (n *Network) NodeByName(name string) *Node {
 		return nil
 	}
 	return n.Nodes[id]
-}
-
-// NumLive returns the number of non-deleted nodes.
-func (n *Network) NumLive() int {
-	c := 0
-	for _, nd := range n.Nodes {
-		if nd != nil {
-			c++
-		}
-	}
-	return c
 }
 
 // NumLogic returns the number of live logic (non-PI) nodes.
@@ -286,7 +272,7 @@ func (n *Network) Check() error {
 			if fn == nil {
 				return fmt.Errorf("node %q references deleted fanin %d", nd.Name, f)
 			}
-			if !containsCount(fn.fanouts, nd.ID, countOf(nd.Fanins, f)) {
+			if countOf(fn.fanouts, nd.ID) < countOf(nd.Fanins, f) {
 				return fmt.Errorf("fanout list of %q inconsistent with fanins of %q", fn.Name, nd.Name)
 			}
 		}
@@ -321,10 +307,6 @@ func countOf(s []NodeID, x NodeID) int {
 	return c
 }
 
-func containsCount(s []NodeID, x NodeID, want int) bool {
-	return countOf(s, x) >= want
-}
-
 // TopoOrder returns all live node IDs in topological order (fanins before
 // fanouts). It returns an error if the network contains a cycle.
 func (n *Network) TopoOrder() ([]NodeID, error) {
@@ -341,16 +323,12 @@ func (n *Network) TopoOrder() ([]NodeID, error) {
 		idx int
 	}
 	var stack []frame
-	visit := func(root NodeID) error {
-		if color[root] != white {
-			if color[root] == gray {
-				return fmt.Errorf("logic: combinational cycle through node %d", root)
-			}
-			return nil
+	for root := range n.Nodes {
+		if n.Nodes[root] == nil || color[root] != white {
+			continue
 		}
-		stack = stack[:0]
-		stack = append(stack, frame{root, 0})
 		color[root] = gray
+		stack = append(stack[:0], frame{NodeID(root), 0})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			nd := n.Nodes[f.id]
@@ -362,22 +340,13 @@ func (n *Network) TopoOrder() ([]NodeID, error) {
 					color[child] = gray
 					stack = append(stack, frame{child, 0})
 				case gray:
-					return fmt.Errorf("logic: combinational cycle through node %q", n.Nodes[child].Name)
+					return nil, fmt.Errorf("logic: combinational cycle through node %q", n.Nodes[child].Name)
 				}
 				continue
 			}
 			color[f.id] = black
 			order = append(order, f.id)
 			stack = stack[:len(stack)-1]
-		}
-		return nil
-	}
-	for id, nd := range n.Nodes {
-		if nd == nil {
-			continue
-		}
-		if err := visit(NodeID(id)); err != nil {
-			return nil, err
 		}
 	}
 	return order, nil
@@ -415,17 +384,4 @@ func (n *Network) Eval(in map[string]bool) (map[string]bool, error) {
 		out[n.PONames[i]] = val[po]
 	}
 	return out, nil
-}
-
-// SortedNames returns the names of all live nodes, sorted, primarily for
-// deterministic test output.
-func (n *Network) SortedNames() []string {
-	names := make([]string, 0, len(n.Nodes))
-	for _, nd := range n.Nodes {
-		if nd != nil {
-			names = append(names, nd.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -58,8 +58,8 @@ func TestTopoOrderProperty(t *testing.T) {
 	for i, id := range order {
 		pos[id] = i
 	}
-	if len(order) != n.NumLive() {
-		t.Fatalf("topo order covers %d of %d nodes", len(order), n.NumLive())
+	if len(order) != numLive(n) {
+		t.Fatalf("topo order covers %d of %d nodes", len(order), numLive(n))
 	}
 	for _, nd := range n.Nodes {
 		if nd == nil {
@@ -112,13 +112,13 @@ func TestDeleteAndSweep(t *testing.T) {
 	_ = dead
 	buf1 := n.AddLogic("buf1", []NodeID{a.ID}, BufSOP())
 	n.AddLogic("dead2", []NodeID{buf1.ID}, NotSOP())
-	before := n.NumLive()
+	before := numLive(n)
 	removed := n.Sweep()
 	if removed == 0 {
 		t.Fatal("sweep removed nothing")
 	}
-	if n.NumLive() != before-removed {
-		t.Errorf("live count inconsistent: %d -> %d with %d removed", before, n.NumLive(), removed)
+	if numLive(n) != before-removed {
+		t.Errorf("live count inconsistent: %d -> %d with %d removed", before, numLive(n), removed)
 	}
 	if n.NodeByName("dead") != nil || n.NodeByName("dead2") != nil || n.NodeByName("buf1") != nil {
 		t.Error("sweep left dead nodes behind")
@@ -253,4 +253,15 @@ func TestCycleDetected(t *testing.T) {
 	if _, err := n.TopoOrder(); err == nil {
 		t.Error("cycle not detected")
 	}
+}
+
+// numLive returns the number of non-deleted nodes.
+func numLive(n *Network) int {
+	c := 0
+	for _, nd := range n.Nodes {
+		if nd != nil {
+			c++
+		}
+	}
+	return c
 }

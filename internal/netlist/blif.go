@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
+	"strconv"
 	"strings"
 
 	"lily/internal/geom"
@@ -60,159 +61,83 @@ func WriteBLIF(w io.Writer, nl *Netlist) error {
 // tools restricted to .gate lines over the given library). Placement
 // directives are honored when present.
 func ParseBLIF(r io.Reader, lib *library.Library) (*Netlist, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, logic.MaxBLIFLine)
-	nl := &Netlist{}
-	type gateLine struct {
-		gate *library.Gate
-		pins map[string]string // pin -> signal
-		out  string
-	}
-	var gates []gateLine
-	var outputs []string
-	sawModel := false
-	place := make(map[string]geom.Point)
-	pads := make(map[string]geom.Point)
-
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#@") {
-			f := strings.Fields(line)
-			if len(f) == 5 && (f[1] == "place" || f[1] == "pad") {
-				var x, y float64
-				if _, err := fmt.Sscanf(f[3]+" "+f[4], "%f %f", &x, &y); err == nil {
-					if f[1] == "place" {
-						place[f[2]] = geom.Point{X: x, Y: y}
-					} else {
-						pads[f[2]] = geom.Point{X: x, Y: y}
-					}
-				}
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		switch f[0] {
-		case ".model":
-			if sawModel {
-				return nil, fmt.Errorf("netlist: duplicate .model directive (multi-model BLIF is not supported)")
-			}
-			sawModel = true
-			if len(f) > 1 {
-				nl.Name = f[1]
-			}
-		case ".inputs":
-			nl.PINames = append(nl.PINames, f[1:]...)
-		case ".outputs":
-			outputs = append(outputs, f[1:]...)
-		case ".gate":
+	var gates []*library.Gate
+	var ins []string
+	pos := map[string]map[string]geom.Point{"place": {}, "pad": {}}
+	m, err := logic.ReadBLIF(r, logic.BLIFDialect{Keyword: ".gate",
+		// Pins are named a, b, c, ... positionally; z is the output.
+		Declare: func(f []string) (string, []string, error) {
 			if len(f) < 3 {
-				return nil, fmt.Errorf("netlist: malformed .gate line %q", line)
+				return "", nil, fmt.Errorf("netlist: malformed .gate line %q", strings.Join(f, " "))
 			}
 			g := lib.GateByName(f[1])
 			if g == nil {
-				return nil, fmt.Errorf("netlist: unknown gate %q", f[1])
+				return "", nil, fmt.Errorf("netlist: unknown gate %q", f[1])
 			}
-			gl := gateLine{gate: g, pins: make(map[string]string)}
+			ins = append(ins[:0], make([]string, g.NumInputs)...)
+			out, bound := "", uint32(0)
 			for _, kv := range f[2:] {
-				eq := strings.IndexByte(kv, '=')
-				if eq < 0 {
-					return nil, fmt.Errorf("netlist: malformed pin binding %q", kv)
+				pin, s, ok := strings.Cut(kv, "=")
+				i := -1
+				if len(pin) == 1 {
+					i = int(pin[0]) - 'a'
 				}
-				pin, sig := kv[:eq], kv[eq+1:]
-				if pin == "z" {
-					gl.out = sig
-				} else {
-					gl.pins[pin] = sig
+				switch {
+				case !ok:
+					return "", nil, fmt.Errorf("netlist: malformed pin binding %q", kv)
+				case pin == "z" && out != "", i >= 0 && i < g.NumInputs && bound&(1<<i) != 0:
+					return "", nil, fmt.Errorf("netlist: pin %q bound twice in %q", pin, strings.Join(f, " "))
+				case pin == "z":
+					out = s
+				case i < 0 || i >= g.NumInputs:
+					return "", nil, fmt.Errorf("netlist: gate %s has no pin %q", g.Name, pin)
+				default:
+					ins[i], bound = s, bound|1<<i
 				}
 			}
-			if gl.out == "" {
-				return nil, fmt.Errorf("netlist: .gate without output: %q", line)
+			if out == "" {
+				return "", nil, fmt.Errorf("netlist: .gate without output: %q", strings.Join(f, " "))
 			}
-			gates = append(gates, gl)
-		case ".end":
-		case ".names", ".latch", ".subckt":
-			return nil, fmt.Errorf("netlist: unsupported construct %q in mapped BLIF", f[0])
-		default:
-			return nil, fmt.Errorf("netlist: unknown directive %q", f[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
+			if n := bits.OnesCount32(bound); n != g.NumInputs {
+				return "", nil, fmt.Errorf("netlist: gate %s output %s has %d pins, wants %d", g.Name, out, n, g.NumInputs)
+			}
+			gates = append(gates, g)
+			return out, ins, nil
+		},
+		// A .gate line has no body; "#@ place" and "#@ pad" give positions.
+		Body: func(f []string) error {
+			if f[0] != "#@" {
+				return fmt.Errorf("netlist: unknown directive %q", f[0])
+			}
+			if len(f) == 5 && pos[f[1]] != nil {
+				x, errX := strconv.ParseFloat(f[3], 64)
+				y, errY := strconv.ParseFloat(f[4], 64)
+				if errX == nil && errY == nil {
+					pos[f[1]][f[2]] = geom.Point{X: x, Y: y}
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	nl.PIPos = make([]geom.Point, len(nl.PINames))
-	for i, n := range nl.PINames {
-		nl.PIPos[i] = pads[n]
+	nIn, pads := len(m.Inputs), pos["pad"]
+	nl := &Netlist{Name: m.Name, PINames: m.Inputs, PIPos: make([]geom.Point, nIn)}
+	ref := make([]Ref, nIn+len(m.Decls))
+	for i, name := range m.Inputs {
+		nl.PIPos[i], ref[i] = pads[name], Ref{IsPI: true, Index: i}
 	}
-	// Resolve signals: build cells in dependency order.
-	refOf := make(map[string]Ref, len(nl.PINames)+len(gates))
-	for i, n := range nl.PINames {
-		refOf[n] = Ref{IsPI: true, Index: i}
-	}
-	pending := gates
-	for len(pending) > 0 {
-		var next []gateLine
-		progressed := false
-		for _, gl := range pending {
-			ready := true
-			//lint:sorted all-pins-resolved predicate; result independent of visit order
-			for _, sig := range gl.pins {
-				if _, ok := refOf[sig]; !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				next = append(next, gl)
-				continue
-			}
-			progressed = true
-			inputs := make([]Ref, gl.gate.NumInputs)
-			pinNames := make([]string, 0, len(gl.pins))
-			for p := range gl.pins {
-				pinNames = append(pinNames, p)
-			}
-			sort.Strings(pinNames)
-			if len(pinNames) != gl.gate.NumInputs {
-				return nil, fmt.Errorf("netlist: gate %s output %s has %d pins, wants %d",
-					gl.gate.Name, gl.out, len(pinNames), gl.gate.NumInputs)
-			}
-			for i, p := range pinNames {
-				want := string(rune('a' + i))
-				if p != want {
-					return nil, fmt.Errorf("netlist: gate %s output %s has pin %q, want %q",
-						gl.gate.Name, gl.out, p, want)
-				}
-				inputs[i] = refOf[gl.pins[p]]
-			}
-			ci := nl.AddCell(&Cell{
-				Name: gl.out, Gate: gl.gate, Inputs: inputs, Pos: place[gl.out],
-			})
-			if _, dup := refOf[gl.out]; dup {
-				return nil, fmt.Errorf("netlist: signal %q driven twice", gl.out)
-			}
-			refOf[gl.out] = Ref{Index: ci}
+	for _, dc := range m.Order {
+		in := make([]Ref, 0, gates[dc].NumInputs)
+		for _, s := range m.Fanins(dc) {
+			in = append(in, ref[s])
 		}
-		if !progressed {
-			return nil, fmt.Errorf("netlist: unresolvable signals (cycle or missing driver)")
-		}
-		pending = next
+		out := m.Decls[dc]
+		ref[nIn+int(dc)] = Ref{Index: nl.AddCell(&Cell{Name: out, Gate: gates[dc], Inputs: in, Pos: pos["place"][out]})}
 	}
-	for _, out := range outputs {
-		r, ok := refOf[out]
-		if !ok {
-			return nil, fmt.Errorf("netlist: output %q never driven", out)
-		}
-		nl.POs = append(nl.POs, PO{Name: out, Driver: r, Pad: pads[out]})
-	}
-	if err := nl.Check(); err != nil {
-		return nil, err
+	for i, out := range m.Outputs {
+		nl.POs = append(nl.POs, PO{Name: out, Driver: ref[m.OutputSignals[i]], Pad: pads[out]})
 	}
 	return nl, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,5 +136,51 @@ func TestMappedBLIFLongLines(t *testing.T) {
 	huge := "# " + strings.Repeat("x", 17<<20) + "\n"
 	if _, err := ParseBLIF(strings.NewReader(huge+buf.String()), lib); !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("17 MiB line: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestMappedBLIFChainOutputsFirst: a 200,000-cell inverter chain declared
+// from its output back to its input parses to the same netlist as the
+// chain declared input first.
+func TestMappedBLIFChainOutputsFirst(t *testing.T) {
+	const n = 200_000
+	lib := library.Big()
+	decls := make([]string, n)
+	for k := range decls {
+		decls[k] = fmt.Sprintf(".gate inv a=x%d z=x%d\n#@ place x%d %d 0\n", k, k+1, k+1, k)
+	}
+	parse := func(decls []string) string {
+		src := fmt.Sprintf(".model chain\n.inputs x0\n.outputs x%d\n%s.end\n", n, strings.Join(decls, ""))
+		nl, err := ParseBLIF(strings.NewReader(src), lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nl.Cells[n-1].Name != fmt.Sprintf("x%d", n) {
+			t.Fatalf("last cell is %s", nl.Cells[n-1].Name)
+		}
+		var b strings.Builder
+		if err := WriteBLIF(&b, nl); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	inputsFirst := parse(decls)
+	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+		decls[i], decls[j] = decls[j], decls[i]
+	}
+	if parse(decls) != inputsFirst {
+		t.Fatal("outputs-first chain parses differently from inputs-first")
+	}
+}
+
+// TestMappedBLIFPinBoundTwice: a .gate line that binds one pin twice is
+// rejected rather than keeping the last binding.
+func TestMappedBLIFPinBoundTwice(t *testing.T) {
+	lib := library.Big()
+	for _, line := range []string{".gate and2 a=a a=b b=b z=y", ".gate inv a=a z=y z=x"} {
+		src := ".model m\n.inputs a b\n.outputs y\n" + line + "\n.end\n"
+		if _, err := ParseBLIF(strings.NewReader(src), lib); err == nil || !strings.Contains(err.Error(), "bound twice") {
+			t.Errorf("%s: err = %v, want a pin bound twice", line, err)
+		}
 	}
 }

@@ -53,40 +53,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits
-}
-
-// Set stores v. Safe on a nil receiver (no-op).
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments the gauge by d. Safe on a nil receiver (no-op).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket histogram of float64 observations.
 // Buckets hold non-cumulative counts; exposition derives the cumulative
 // form, and reports _count as the +Inf cumulative total so a concurrent
@@ -172,7 +138,7 @@ type family struct {
 	label      string // "" for unlabeled families
 
 	mu       sync.Mutex
-	children map[string]any // label value -> *Counter | *Gauge | *Histogram
+	children map[string]any // label value -> *Counter | *Histogram
 	single   any            // unlabeled instrument (or gauge func)
 	buckets  []float64      // histogram families
 }
@@ -188,8 +154,6 @@ func (f *family) child(labelValue string) any {
 	switch f.kind {
 	case kindCounter:
 		c = &Counter{}
-	case kindGauge:
-		c = &Gauge{}
 	default:
 		c = newHistogram(f.buckets)
 	}
@@ -206,17 +170,6 @@ func (v *CounterVec) With(labelValue string) *Counter {
 		return nil
 	}
 	return v.f.child(labelValue).(*Counter)
-}
-
-// GaugeVec is a gauge family with one label dimension.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for a label value. Safe on nil (returns nil).
-func (v *GaugeVec) With(labelValue string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(labelValue).(*Gauge)
 }
 
 // HistogramVec is a histogram family with one label dimension.
@@ -293,28 +246,12 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, kindCounter, label, nil)}
 }
 
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, "", nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.single == nil {
-		f.single = &Gauge{}
-	}
-	return f.single.(*Gauge)
-}
-
 // GaugeFunc registers a gauge sampled by fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, kindGauge, "", nil)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.single = gaugeFunc(fn)
-}
-
-// GaugeVec registers (or fetches) a gauge family with one label.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, kindGauge, label, nil)}
 }
 
 // Histogram registers (or fetches) an unlabeled fixed-bucket histogram.
@@ -389,8 +326,6 @@ func (f *family) writeChild(b *strings.Builder, labelValue string, inst any) {
 	switch c := inst.(type) {
 	case *Counter:
 		fmt.Fprintf(b, "%s%s %d\n", f.name, sel, c.Value())
-	case *Gauge:
-		fmt.Fprintf(b, "%s%s %s\n", f.name, sel, formatFloat(c.Value()))
 	case gaugeFunc:
 		fmt.Fprintf(b, "%s%s %s\n", f.name, sel, formatFloat(c()))
 	case *Histogram:

@@ -93,8 +93,6 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "Operations.")
 	c.Add(7)
-	g := r.Gauge("test_depth", "Depth.")
-	g.Set(2.5)
 	r.GaugeFunc("test_live", "Live sampled.", func() float64 { return 42 })
 	cv := r.CounterVec("test_by_kind_total", "By kind.", "kind")
 	cv.With("a").Inc()
@@ -107,7 +105,6 @@ func TestRegistryExposition(t *testing.T) {
 	s := scrape(t, r)
 	want := map[string]float64{
 		"test_ops_total":                         7,
-		"test_depth":                             2.5,
 		"test_live":                              42,
 		`test_by_kind_total{kind="a"}`:           1,
 		`test_by_kind_total{kind="b"}`:           3,
@@ -141,7 +138,7 @@ func TestRegistryIdempotentAndConflict(t *testing.T) {
 			t.Fatal("shape conflict did not panic")
 		}
 	}()
-	r.Gauge("dup_total", "now a gauge")
+	r.GaugeFunc("dup_total", "now a gauge", func() float64 { return 0 })
 }
 
 func TestNilInstrumentsAreSafe(t *testing.T) {
@@ -151,9 +148,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	var g *Gauge
-	g.Set(1)
-	g.Add(1)
 	var h *Histogram
 	h.Observe(1)
 	var cv *CounterVec

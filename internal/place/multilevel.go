@@ -61,17 +61,16 @@ func (p *placer) mlMaxLevels(finestN int) int {
 	return need
 }
 
-// runMultilevel is the V-cycle driver. It falls back to the flat path
-// when coarsening cannot reduce the instance (tiny or pathological
-// netlists), so callers never lose a placement to the threshold.
-func (p *placer) runMultilevel() (*Result, error) {
+// run is the placement driver: a V-cycle whose flat case coarsens zero
+// times. Above Config.MultilevelThreshold cells it coarsens until the
+// problem fits the flat engine, stopping early when coarsening cannot
+// reduce the instance (tiny or pathological netlists).
+func (p *placer) run() (*Result, error) {
 	cur := mlProblem{n: p.n, areas: p.areas, nets: p.nets}
-	target := p.cfg.MultilevelThreshold / 8
-	if target < 64 {
-		target = 64
-	}
+	target := max(p.cfg.MultilevelThreshold/8, 64)
+	coarsen := p.cfg.MultilevelThreshold > 0 && p.n >= p.cfg.MultilevelThreshold
 	var stack []mlLevel
-	for cur.n > target {
+	for coarsen && cur.n > target {
 		parent, coarse, ok := coarsenOnce(cur)
 		if !ok {
 			break
@@ -79,15 +78,17 @@ func (p *placer) runMultilevel() (*Result, error) {
 		stack = append(stack, mlLevel{fine: cur, parent: parent})
 		cur = coarse
 	}
-	if len(stack) == 0 {
-		return p.run()
+	maxLv := maxLevels
+	if len(stack) > 0 {
+		p.mlLevels = len(stack)
+		maxLv = p.mlMaxLevels(p.n)
 	}
-	p.mlLevels = len(stack)
-	maxLv := p.mlMaxLevels(p.n)
 
-	// Place the coarsest level with the full flat pipeline: free solve,
-	// connectivity-driven pad assignment (pads are shared objects, so
-	// the assignment sticks for every finer level), then partitioning.
+	// Place the coarsest level with the full flat pipeline: free solve
+	// from the die center, connectivity-driven pad assignment and a second
+	// solve (skipped when the caller pinned the pads or asked for naive
+	// pads; pads are shared objects, so the assignment sticks for every
+	// finer level), then recursive bipartitioning with region anchors.
 	p.install(cur)
 	p.x = make([]float64, p.n)
 	p.y = make([]float64, p.n)

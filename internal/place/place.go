@@ -100,12 +100,7 @@ func GlobalContext(ctx context.Context, net *logic.Network, cellWidth func(logic
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	if cfg.MultilevelThreshold > 0 && p.n >= cfg.MultilevelThreshold {
-		res, err = p.runMultilevel()
-	} else {
-		res, err = p.run()
-	}
+	res, err := p.run()
 	if err != nil {
 		span.SetError(err)
 		return nil, err
@@ -308,35 +303,6 @@ type placer struct {
 	sys *quadSystem
 
 	x, y []float64
-}
-
-func (p *placer) run() (*Result, error) {
-	p.x = make([]float64, p.n)
-	p.y = make([]float64, p.n)
-	c := p.die.Center()
-	for i := range p.x {
-		p.x[i] = c.X
-		p.y[i] = c.Y
-	}
-
-	// Phase 1: unconstrained QP with the initial pad spread.
-	if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
-		return nil, err
-	}
-	// Phase 2: connectivity-driven pad assignment, then re-solve —
-	// skipped when the caller pinned the pads or asked for naive pads.
-	if p.cfg.FixedPads == nil && !p.cfg.NaivePads {
-		p.assignPads()
-		if err := p.solveQP(nil, 0, cgMaxIter); err != nil {
-			return nil, err
-		}
-	}
-	// Phase 3: recursive bipartitioning with region anchors.
-	leaves, err := p.partitionFrom([]*region{p.rootRegion()}, 1, maxLevels)
-	if err != nil {
-		return nil, err
-	}
-	return p.assemble(leaves), nil
 }
 
 // assemble turns the final point positions and leaf regions into a Result,
