@@ -32,9 +32,9 @@ var scaleGoldenCircuits = []string{"mid5k", "mid10k"}
 // covered by the determinism soak, not a golden.
 func scaleGoldenCases(circuit string) []goldenCase {
 	return []goldenCase{
-		{lily.ObjectiveArea, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveArea)},
-		{lily.ObjectiveArea, lily.TargetLUT4, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4)},
-		{lily.ObjectiveArea, lily.TargetLUT6, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT6)},
+		{lily.MapperLily, lily.ObjectiveArea, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveArea)},
+		{lily.MapperLily, lily.ObjectiveArea, lily.TargetLUT4, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4)},
+		{lily.MapperLily, lily.ObjectiveArea, lily.TargetLUT6, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT6)},
 	}
 }
 

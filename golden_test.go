@@ -133,10 +133,10 @@ func mergeGoldens(t *testing.T, entries map[string]goldenEntry) {
 	writeGoldens(t, m)
 }
 
-// mapGolden runs the Lily pipeline for one (circuit, objective, target)
+// mapGolden runs the pipeline for one (circuit, mapper, objective, target)
 // with formal equivalence checking enabled and returns the pinned entry.
 // A private flow-metrics bundle reads back the DP's wire-cost count.
-func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.TechnologyTarget) goldenEntry {
+func mapGolden(t *testing.T, circuit string, gc goldenCase) goldenEntry {
 	t.Helper()
 	c, err := lily.GenerateBenchmark(circuit)
 	if err != nil {
@@ -146,13 +146,13 @@ func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.Techno
 	ctx := obs.ContextWithFlowMetrics(context.Background(), fm)
 	var buf bytes.Buffer
 	res, err := lily.WriteMappedBLIFContext(ctx, c, lily.FlowOptions{
-		Mapper:            lily.MapperLily,
-		Objective:         obj,
-		Target:            tgt,
+		Mapper:            gc.mapper,
+		Objective:         gc.obj,
+		Target:            gc.tgt,
 		VerifyEquivalence: true, // internal/equiv: BDD with simulation fallback
 	}, &buf)
 	if err != nil {
-		t.Fatalf("%s/%s: %v", circuit, obj, err)
+		t.Fatalf("%s: %v", gc.key, err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	return goldenEntry{
@@ -169,12 +169,13 @@ func mapGolden(t *testing.T, circuit string, obj lily.Objective, tgt lily.Techno
 	}
 }
 
-// goldenCase is one pinned (objective, target) mapping of a circuit under
-// its golden key.
+// goldenCase is one pinned (mapper, objective, target) mapping of a
+// circuit under its golden key.
 type goldenCase struct {
-	obj lily.Objective
-	tgt lily.TechnologyTarget
-	key string
+	mapper lily.Mapper
+	obj    lily.Objective
+	tgt    lily.TechnologyTarget
+	key    string
 }
 
 // goldenCases enumerates the pinned (objective, target, key) grid: the
@@ -183,10 +184,20 @@ type goldenCase struct {
 // LUT output is covered by the determinism soak).
 func goldenCases(circuit string) []goldenCase {
 	return []goldenCase{
-		{lily.ObjectiveArea, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveArea)},
-		{lily.ObjectiveDelay, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveDelay)},
-		{lily.ObjectiveArea, lily.TargetLUT4, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4)},
-		{lily.ObjectiveArea, lily.TargetLUT6, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT6)},
+		{lily.MapperLily, lily.ObjectiveArea, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveArea)},
+		{lily.MapperLily, lily.ObjectiveDelay, lily.TargetASIC, goldenKey(circuit, lily.ObjectiveDelay)},
+		{lily.MapperLily, lily.ObjectiveArea, lily.TargetLUT4, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4)},
+		{lily.MapperLily, lily.ObjectiveArea, lily.TargetLUT6, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT6)},
+	}
+}
+
+// misGoldenCases pins the MIS 2.1 baseline, the other half of Tables 1–2,
+// at both objectives on the ASIC target (the only one MIS maps to).
+func misGoldenCases(circuit string) []goldenCase {
+	key := func(obj lily.Objective) string { return fmt.Sprintf("%s/%s/%s", circuit, obj, lily.MapperMIS) }
+	return []goldenCase{
+		{lily.MapperMIS, lily.ObjectiveArea, lily.TargetASIC, key(lily.ObjectiveArea)},
+		{lily.MapperMIS, lily.ObjectiveDelay, lily.TargetASIC, key(lily.ObjectiveDelay)},
 	}
 }
 
@@ -200,7 +211,7 @@ func runGoldenMappings(t *testing.T, circuits []string, cases func(string) []gol
 		goldens := make(map[string]goldenEntry)
 		for _, circuit := range circuits {
 			for _, c := range cases(circuit) {
-				goldens[c.key] = mapGolden(t, circuit, c.obj, c.tgt)
+				goldens[c.key] = mapGolden(t, circuit, c)
 			}
 		}
 		mergeGoldens(t, goldens)
@@ -219,7 +230,7 @@ func runGoldenMappings(t *testing.T, circuits []string, cases func(string) []gol
 				if !ok {
 					t.Fatalf("no golden for %s (refresh with -update-golden)", c.key)
 				}
-				compareGolden(t, c.key, mapGolden(t, circuit, c.obj, c.tgt), want)
+				compareGolden(t, c.key, mapGolden(t, circuit, c), want)
 			})
 		}
 	}
@@ -270,4 +281,12 @@ func TestGoldenMapping(t *testing.T) {
 	circuits := lily.BenchmarkNames()
 	sort.Strings(circuits)
 	runGoldenMappings(t, circuits, goldenCases, func(circuit string) bool { return shortSkip[circuit] })
+}
+
+// TestGoldenMappingMIS pins the MIS baseline the same way: every benchmark
+// circuit, area and delay mode, verified, by BLIF hash and cost metrics.
+func TestGoldenMappingMIS(t *testing.T) {
+	circuits := lily.BenchmarkNames()
+	sort.Strings(circuits)
+	runGoldenMappings(t, circuits, misGoldenCases, func(circuit string) bool { return shortSkip[circuit] })
 }
