@@ -987,8 +987,7 @@ func (lm *lily) evaluateDelay(v logic.NodeID, matches []*match.Match) error {
 		lm.evalBlock.Fill(m.Gate, inArr)
 		outLoad := lm.outputLoad(v, g)
 		out := lm.evalBlock.Output(outLoad)
-		if out.Max() < bestArr.Max()-1e-12 ||
-			(math.Abs(out.Max()-bestArr.Max()) <= 1e-12 && area < bestArea) {
+		if timing.Better(out, area, bestArr, bestArea) {
 			bestArr, bestArea, bm, bmPos = out, area, m, g.gatePos
 			lm.evalBlock, lm.bestBlock = lm.bestBlock, lm.evalBlock
 		}
@@ -1023,7 +1022,7 @@ func (lm *lily) inputLoad(g *matchGeometry, i int, m *match.Match) float64 {
 		lm.ptsWork = pts
 		x, y = lm.ws.LengthXY(lm.opt.WireModel, pts)
 	}
-	return caps + lm.lib.WireCapH*x + lm.lib.WireCapV*y
+	return timing.Load(lm.lib, caps, x, y)
 }
 
 // outputLoad computes the load at the match output from the base-function
@@ -1054,7 +1053,7 @@ func (lm *lily) estimatedOutputLoad(g *matchGeometry) float64 {
 		lm.ptsWork = pts
 		x, y = lm.ws.LengthXY(lm.opt.WireModel, pts)
 	}
-	return caps + lm.lib.WireCapH*x + lm.lib.WireCapV*y
+	return timing.Load(lm.lib, caps, x, y)
 }
 
 // commitCone freezes the mapping decisions of a finished cone: needed

@@ -65,13 +65,16 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 		return nil, err
 	}
 
-	best := make(map[logic.NodeID]*match.Match)
-	bestCost := make(map[logic.NodeID]float64)       // area mode
-	bestArr := make(map[logic.NodeID]timing.Arrival) // delay mode
-	bestArea := make(map[logic.NodeID]float64)
-	// ins holds one delay-mode candidate's input arrivals; it is reused
-	// across candidates, so every pin is written before the arrival is read.
+	// Per subject node: the chosen match, the area of the cone it roots
+	// and, in delay mode, its output arrival. Primary inputs keep zero
+	// area and a zero arrival.
+	best := make([]*match.Match, len(sub.Nodes))
+	area := make([]float64, len(sub.Nodes))
+	arr := make([]timing.Arrival, len(sub.Nodes))
+	// ins and ba hold one candidate's input and block arrivals; they are
+	// reused across candidates, so every pin is written before it is read.
 	var ins []timing.Arrival
+	var ba timing.BlockArrival
 
 	for _, v := range order {
 		nd := sub.Nodes[v]
@@ -85,84 +88,44 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 		if len(matches) == 0 {
 			return nil, fmt.Errorf("mis: node %q has no admissible matches", nd.Name)
 		}
-		switch opt.Mode {
-		case ModeArea:
-			var bm *match.Match
-			bc := math.Inf(1)
-			for _, m := range matches {
-				c := m.Gate.Area
-				ok := true
-				for _, in := range m.Inputs {
-					if sub.Nodes[in].Kind == logic.KindLogic {
-						ic, has := bestCost[in]
-						if !has {
-							ok = false
-							break
-						}
-						c += ic
-					}
-				}
-				if ok && c < bc {
-					bc, bm = c, m
-				}
-			}
-			if bm == nil {
-				return nil, fmt.Errorf("mis: no feasible match at %q", nd.Name)
-			}
-			best[v], bestCost[v] = bm, bc
-		case ModeDelay:
-			var bm *match.Match
-			ba := timing.Arrival{Rise: math.Inf(1), Fall: math.Inf(1)}
-			bArea := math.Inf(1)
-			// Constant-load assumption (§4.3): every fanout pin presents
-			// the library's uniform input capacitance; wiring follows the
-			// fanout-count model.
-			n := sub.FanoutCount(v)
-			cl := float64(n)*lib.Inv.InputCap + fanoutCapPerPin*float64(n)
-			for _, m := range matches {
-				ins = slices.Grow(ins[:0], len(m.Inputs))[:len(m.Inputs)]
-				ok := true
-				area := m.Gate.Area
-				for i, in := range m.Inputs {
-					if sub.Nodes[in].Kind == logic.KindPI {
-						ins[i] = timing.Arrival{}
-						continue
-					}
-					a, has := bestArr[in]
-					if !has {
-						ok = false
-						break
-					}
-					ins[i] = a
-					area += bestArea[in]
-				}
-				if !ok {
-					continue
-				}
-				out := timing.GateOutputArrival(m.Gate, ins, cl)
-				if better(out, area, ba, bArea) {
-					ba, bArea, bm = out, area, m
-				}
-			}
-			if bm == nil {
-				return nil, fmt.Errorf("mis: no feasible match at %q", nd.Name)
-			}
-			best[v], bestArr[v], bestArea[v] = bm, ba, bArea
+		// Constant-load assumption (§4.3): every fanout pin presents the
+		// library's uniform input capacitance; wiring follows the
+		// fanout-count model.
+		var cl float64
+		if opt.Mode == ModeDelay {
+			n := float64(sub.FanoutCount(v))
+			cl = n*lib.Inv.InputCap + fanoutCapPerPin*n
 		}
+		var bm *match.Match
+		bArr := timing.Arrival{Rise: math.Inf(1), Fall: math.Inf(1)}
+		bArea := math.Inf(1)
+		for _, m := range matches {
+			a := m.Gate.Area
+			ins = slices.Grow(ins[:0], len(m.Inputs))[:len(m.Inputs)]
+			for i, in := range m.Inputs {
+				a += area[in]
+				ins[i] = arr[in]
+			}
+			switch opt.Mode {
+			case ModeArea:
+				if a < bArea {
+					bArea, bm = a, m
+				}
+			case ModeDelay:
+				ba.Fill(m.Gate, ins)
+				if out := ba.Output(cl); timing.Better(out, a, bArr, bArea) {
+					bArr, bArea, bm = out, a, m
+				}
+			}
+		}
+		if bm == nil {
+			return nil, fmt.Errorf("mis: no feasible match at %q", nd.Name)
+		}
+		best[v], area[v], arr[v] = bm, bArea, bArr
 	}
 
 	nl, _, err := cover.BuildNetlist(sub, func(v logic.NodeID) *match.Match { return best[v] }, sub.Name)
 	return nl, err
-}
-
-// better orders (arrival, area) pairs: smaller worst-phase arrival wins,
-// area breaks ties.
-func better(a timing.Arrival, areaA float64, b timing.Arrival, areaB float64) bool {
-	am, bm := a.Max(), b.Max()
-	if math.Abs(am-bm) > 1e-12 {
-		return am < bm
-	}
-	return areaA < areaB
 }
 
 func filterTree(sub *logic.Network, ms []*match.Match) []*match.Match {

@@ -60,16 +60,18 @@ func Slack(nl *netlist.Netlist, lib *library.Library, res *Result, period float6
 			}
 			di := r.Index
 			pt := c.Gate.Timing[pin]
-			u := c.Gate.Unate[pin]
-			// An output-rise requirement constrains whichever input phase
-			// can cause the rise.
-			if u == library.UnatePos || u == library.Binate {
-				reqRise[di] = math.Min(reqRise[di], reqRise[ci]-pt.IntrinsicRise-pt.ResistRise*cl)
-				reqFall[di] = math.Min(reqFall[di], reqFall[ci]-pt.IntrinsicFall-pt.ResistFall*cl)
+			// An output requirement constrains whichever input phase can
+			// cause that output transition.
+			viaRise := reqRise[ci] - pt.IntrinsicRise - pt.ResistRise*cl
+			viaFall := reqFall[ci] - pt.IntrinsicFall - pt.ResistFall*cl
+			same, opposite := phases(c.Gate.Unate[pin])
+			if same {
+				reqRise[di] = math.Min(reqRise[di], viaRise)
+				reqFall[di] = math.Min(reqFall[di], viaFall)
 			}
-			if u == library.UnateNeg || u == library.Binate {
-				reqFall[di] = math.Min(reqFall[di], reqRise[ci]-pt.IntrinsicRise-pt.ResistRise*cl)
-				reqRise[di] = math.Min(reqRise[di], reqFall[ci]-pt.IntrinsicFall-pt.ResistFall*cl)
+			if opposite {
+				reqFall[di] = math.Min(reqFall[di], viaRise)
+				reqRise[di] = math.Min(reqRise[di], viaFall)
 			}
 		}
 	}

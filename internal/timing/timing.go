@@ -10,6 +10,7 @@ package timing
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lily/internal/library"
 	"lily/internal/netlist"
@@ -35,17 +36,38 @@ type Options struct{}
 // Deprecated: ignored; kept only while the benchmark harness calls it.
 func DefaultOptions() Options { return Options{} }
 
-// NetLoad returns the output load C_L = ΣC_j + C_w of a net (§4.2): the
-// input capacitances of its sink pins plus the wiring capacitance
-// c_h·X + c_v·Y of the net's geometry under the given estimator.
+// NetLoad returns the output load C_L of a net (§4.2): the input
+// capacitances of its sink pins plus the wiring capacitance of the net's
+// geometry under the given estimator.
 func NetLoad(nl *netlist.Netlist, lib *library.Library, net netlist.Net, ws *wire.Scratch, model wire.Model) float64 {
-	cl := 0.0
+	caps := 0.0
 	for _, s := range net.Sinks {
-		cl += nl.Cells[s.Cell].Gate.InputCap
+		caps += nl.Cells[s.Cell].Gate.InputCap
 	}
 	x, y := ws.LengthXY(model, nl.NetPins(net))
-	cl += lib.WireCapH*x + lib.WireCapV*y
-	return cl
+	return Load(lib, caps, x, y)
+}
+
+// Load is the output load C_L = ΣC_j + C_w of §4.2 for pin capacitances
+// caps = ΣC_j and a net geometry of horizontal length x and vertical
+// length y: C_w = c_h·X + c_v·Y, added to the pins as one term.
+func Load(lib *library.Library, caps, x, y float64) float64 {
+	return caps + (lib.WireCapH*x + lib.WireCapV*y)
+}
+
+// arrivalTie is the margin (ns) within which two worst arrivals are equal
+// in the delay-mode order.
+const arrivalTie = 1e-12
+
+// Better is the delay-mode order of both mappers: the candidate whose
+// worst-phase arrival is earlier by more than arrivalTie wins, and within
+// the margin the smaller area does.
+func Better(a Arrival, areaA float64, b Arrival, areaB float64) bool {
+	am, bm := a.Max(), b.Max()
+	if math.Abs(am-bm) > arrivalTie {
+		return am < bm
+	}
+	return areaA < areaB
 }
 
 // Arrival is a rise/fall arrival-time pair.
@@ -104,64 +126,19 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, _ Options) (*Result, err
 	}
 
 	arr := make([]Arrival, len(nl.Cells))
-	type argMax struct {
-		pin      int
-		fromRise bool
-	}
-	argRise := make([]argMax, len(nl.Cells))
-	argFall := make([]argMax, len(nl.Cells))
-
-	refArr := func(r netlist.Ref) Arrival {
-		if r.IsPI {
-			return Arrival{Rise: piArrival, Fall: piArrival}
-		}
-		return arr[r.Index]
-	}
-
+	var ba BlockArrival
+	var ins []Arrival
 	for _, ci := range order {
 		c := nl.Cells[ci]
-		cl := cellLoad[ci]
-		rise, fall := math.Inf(-1), math.Inf(-1)
-		var ar, af argMax
-		for pin, r := range c.Inputs {
-			in := refArr(r)
-			pt := c.Gate.Timing[pin]
-			u := c.Gate.Unate[pin]
-			// Candidate output-rise arrivals through this pin.
-			if u == library.UnatePos || u == library.Binate {
-				if t := in.Rise + pt.IntrinsicRise + pt.ResistRise*cl; t > rise {
-					rise, ar = t, argMax{pin, true}
-				}
-			}
-			if u == library.UnateNeg || u == library.Binate {
-				if t := in.Fall + pt.IntrinsicRise + pt.ResistRise*cl; t > rise {
-					rise, ar = t, argMax{pin, false}
-				}
-			}
-			// Candidate output-fall arrivals.
-			if u == library.UnatePos || u == library.Binate {
-				if t := in.Fall + pt.IntrinsicFall + pt.ResistFall*cl; t > fall {
-					fall, af = t, argMax{pin, false}
-				}
-			}
-			if u == library.UnateNeg || u == library.Binate {
-				if t := in.Rise + pt.IntrinsicFall + pt.ResistFall*cl; t > fall {
-					fall, af = t, argMax{pin, true}
-				}
-			}
-		}
-		if len(c.Inputs) == 0 {
-			rise, fall = piArrival, piArrival
-		}
-		arr[ci] = Arrival{Rise: rise, Fall: fall}
-		argRise[ci] = ar
-		argFall[ci] = af
+		ins = inputArrivals(ins, c, arr)
+		ba.Fill(c.Gate, ins)
+		arr[ci] = ba.Output(cellLoad[ci])
 	}
 
 	res := &Result{CellArrival: arr, CellLoad: cellLoad, MaxDelay: math.Inf(-1)}
 	var critRef netlist.Ref
 	for _, po := range nl.POs {
-		a := refArr(po.Driver).Max()
+		a := arrivalAt(po.Driver, arr).Max()
 		if a > res.MaxDelay {
 			res.MaxDelay = a
 			res.CriticalPO = po.Name
@@ -172,7 +149,8 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, _ Options) (*Result, err
 		return nil, fmt.Errorf("timing: netlist has no primary outputs")
 	}
 
-	// Backtrack the critical path.
+	// Backtrack the critical path, refilling each cell on it to find the
+	// pin and input phase that set its arrival.
 	var path []PathStep
 	r := critRef
 	useRise := true
@@ -186,60 +164,47 @@ func Analyze(nl *netlist.Netlist, lib *library.Library, _ Options) (*Result, err
 			Name: c.Name, Gate: c.Gate.Name,
 			Arrival: arr[ci].Max(), Load: cellLoad[ci],
 		})
-		var am argMax
-		if useRise {
-			am = argRise[ci]
-		} else {
-			am = argFall[ci]
-		}
-		if am.pin >= len(c.Inputs) {
+		if len(c.Inputs) == 0 {
 			break
 		}
-		r = c.Inputs[am.pin]
-		useRise = am.fromRise
+		ins = inputArrivals(ins, c, arr)
+		ba.Fill(c.Gate, ins)
+		pin, fromRise := ba.critical(c.Gate, ins, cellLoad[ci], useRise)
+		r, useRise = c.Inputs[pin], fromRise
 	}
 	if r.IsPI {
 		path = append(path, PathStep{
 			Name: nl.PINames[r.Index], Arrival: piArrival, Load: piLoad[r.Index],
 		})
 	}
-	// Reverse: PI first.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path) // PI first
 	res.CriticalPath = path
 	return res, nil
 }
 
-// GateOutputArrival computes the rise/fall output arrival of one gate given
-// per-pin input arrivals and the output load — the recursive formula of
-// §4.1, used both by the analyzer and by the delay-mode mappers.
-func GateOutputArrival(g *library.Gate, in []Arrival, cl float64) Arrival {
-	rise, fall := math.Inf(-1), math.Inf(-1)
-	for pin := range in {
-		pt := g.Timing[pin]
-		u := g.Unate[pin]
-		if u == library.UnatePos || u == library.Binate {
-			if t := in[pin].Rise + pt.IntrinsicRise + pt.ResistRise*cl; t > rise {
-				rise = t
-			}
-			if t := in[pin].Fall + pt.IntrinsicFall + pt.ResistFall*cl; t > fall {
-				fall = t
-			}
-		}
-		if u == library.UnateNeg || u == library.Binate {
-			if t := in[pin].Fall + pt.IntrinsicRise + pt.ResistRise*cl; t > rise {
-				rise = t
-			}
-			if t := in[pin].Rise + pt.IntrinsicFall + pt.ResistFall*cl; t > fall {
-				fall = t
-			}
-		}
+// arrivalAt is the arrival of signal r given the cell arrivals arr.
+func arrivalAt(r netlist.Ref, arr []Arrival) Arrival {
+	if r.IsPI {
+		return Arrival{Rise: piArrival, Fall: piArrival}
 	}
-	if len(in) == 0 {
-		return Arrival{}
+	return arr[r.Index]
+}
+
+// inputArrivals refills buf with the arrival at each input pin of c.
+func inputArrivals(buf []Arrival, c *netlist.Cell, arr []Arrival) []Arrival {
+	buf = buf[:0]
+	for _, r := range c.Inputs {
+		buf = append(buf, arrivalAt(r, arr))
 	}
-	return Arrival{Rise: rise, Fall: fall}
+	return buf
+}
+
+// phases is the one rule for which input phase drives which output
+// phase through a pin of unateness u: an input transition in the same
+// direction moves the output when the pin is positive unate or binate,
+// one in the opposite direction when it is negative unate or binate.
+func phases(u library.Unateness) (same, opposite bool) {
+	return u != library.UnateNeg, u != library.UnatePos
 }
 
 // BlockArrival is the load-independent part of an arrival computation
@@ -257,16 +222,9 @@ type BlockArrival struct {
 	FallR []float64
 }
 
-// NewBlockArrival precomputes block arrival times for a gate instance.
-func NewBlockArrival(g *library.Gate, in []Arrival) *BlockArrival {
-	b := new(BlockArrival)
-	b.Fill(g, in)
-	return b
-}
-
-// Fill populates b for a gate instance, reusing its slices — the zero-alloc
-// equivalent of NewBlockArrival for the delay-mode mapper's per-match inner
-// loop. The computed values are identical.
+// Fill computes b for a gate instance with input arrivals in, reusing
+// b's slices, so the delay-mode mappers' per-match inner loop and the
+// analyzer's per-cell loop allocate nothing in steady state.
 func (b *BlockArrival) Fill(g *library.Gate, in []Arrival) {
 	n := len(in)
 	if cap(b.RiseB) < n {
@@ -279,16 +237,13 @@ func (b *BlockArrival) Fill(g *library.Gate, in []Arrival) {
 	b.RiseR, b.FallR = b.RiseR[:n], b.FallR[:n]
 	for pin := 0; pin < n; pin++ {
 		pt := g.Timing[pin]
-		u := g.Unate[pin]
-		riseIn := math.Inf(-1)
-		fallIn := math.Inf(-1)
-		if u == library.UnatePos || u == library.Binate {
-			riseIn = math.Max(riseIn, in[pin].Rise)
-			fallIn = math.Max(fallIn, in[pin].Fall)
+		riseIn, fallIn := math.Inf(-1), math.Inf(-1)
+		same, opposite := phases(g.Unate[pin])
+		if same {
+			riseIn, fallIn = in[pin].Rise, in[pin].Fall
 		}
-		if u == library.UnateNeg || u == library.Binate {
-			riseIn = math.Max(riseIn, in[pin].Fall)
-			fallIn = math.Max(fallIn, in[pin].Rise)
+		if opposite {
+			riseIn, fallIn = math.Max(riseIn, in[pin].Fall), math.Max(fallIn, in[pin].Rise)
 		}
 		b.RiseB[pin] = riseIn + pt.IntrinsicRise
 		b.FallB[pin] = fallIn + pt.IntrinsicFall
@@ -311,17 +266,44 @@ func (b *BlockArrival) Clone() *BlockArrival {
 // Output computes the output arrival for a given load from the block
 // arrival times: t_y = max_i { b_i + R_i·C_L }.
 func (b *BlockArrival) Output(cl float64) Arrival {
-	rise, fall := math.Inf(-1), math.Inf(-1)
-	for i := range b.RiseB {
-		if t := b.RiseB[i] + b.RiseR[i]*cl; t > rise {
-			rise = t
-		}
-		if t := b.FallB[i] + b.FallR[i]*cl; t > fall {
-			fall = t
-		}
-	}
 	if len(b.RiseB) == 0 {
 		return Arrival{}
 	}
+	_, rise := latest(b.RiseB, b.RiseR, cl)
+	_, fall := latest(b.FallB, b.FallR, cl)
 	return Arrival{Rise: rise, Fall: fall}
+}
+
+// latest returns the first pin i whose b_i + R_i·C_L is the maximum, and
+// that maximum; pin −1 at −∞ when no pin exceeds −∞.
+func latest(blk, res []float64, cl float64) (pin int, t float64) {
+	pin, t = -1, math.Inf(-1)
+	for i := range blk {
+		if v := blk[i] + res[i]*cl; v > t {
+			pin, t = i, v
+		}
+	}
+	return pin, t
+}
+
+// critical returns the input pin and input phase that set output phase
+// rise (else fall) of the gate g, whose inputs arrive at in and which b
+// was filled from, at load cl: the latest pin, entered through the same
+// phase unless the pin is binate and the opposite phase arrives strictly
+// later.
+func (b *BlockArrival) critical(g *library.Gate, in []Arrival, cl float64, rise bool) (pin int, fromRise bool) {
+	blk, res := b.FallB, b.FallR
+	if rise {
+		blk, res = b.RiseB, b.RiseR
+	}
+	pin, _ = latest(blk, res, cl)
+	same, opposite := phases(g.Unate[pin])
+	if same && opposite {
+		inSame, inOpp, intr := in[pin].Fall, in[pin].Rise, g.Timing[pin].IntrinsicFall
+		if rise {
+			inSame, inOpp, intr = in[pin].Rise, in[pin].Fall, g.Timing[pin].IntrinsicRise
+		}
+		same = inSame+intr+res[pin]*cl >= inOpp+intr+res[pin]*cl
+	}
+	return pin, same == rise
 }

@@ -127,7 +127,9 @@ func TestUnatenessRouting(t *testing.T) {
 	// rise (10 + fall intrinsic); output rise from input fall (0 + rise
 	// intrinsic).
 	in := []Arrival{{Rise: 10, Fall: 0}}
-	out := GateOutputArrival(inv, in, 0)
+	var ba BlockArrival
+	ba.Fill(inv, in)
+	out := ba.Output(0)
 	if math.Abs(out.Fall-(10+inv.Timing[0].IntrinsicFall)) > 1e-9 {
 		t.Errorf("out.Fall = %v", out.Fall)
 	}
@@ -145,21 +147,28 @@ func TestUnatenessRouting(t *testing.T) {
 	}
 }
 
+// TestBlockArrivalMatchesDirect: the block arrivals plus R_i·C_L give
+// exactly the reference one-gate arrival, for every gate of the big
+// library, at several loads, with tied and untied input phases.
 func TestBlockArrivalMatchesDirect(t *testing.T) {
 	lib := library.Big()
-	for _, name := range []string{"inv", "nand3", "aoi22", "xor2"} {
-		g := lib.GateByName(name)
-		in := make([]Arrival, g.NumInputs)
-		for i := range in {
-			in[i] = Arrival{Rise: float64(i) * 1.3, Fall: float64(i) * 0.7}
-		}
-		ba := NewBlockArrival(g, in)
-		for _, cl := range []float64{0, 0.1, 0.5, 2.0} {
-			direct := GateOutputArrival(g, in, cl)
-			viaBlock := ba.Output(cl)
-			if math.Abs(direct.Rise-viaBlock.Rise) > 1e-9 ||
-				math.Abs(direct.Fall-viaBlock.Fall) > 1e-9 {
-				t.Errorf("%s cl=%v: direct %+v != block %+v", name, cl, direct, viaBlock)
+	var ba BlockArrival
+	for _, g := range lib.Gates {
+		for _, tie := range []bool{false, true} {
+			in := make([]Arrival, g.NumInputs)
+			for i := range in {
+				in[i] = Arrival{Rise: float64(i) * 1.3, Fall: float64(i) * 0.7}
+				if tie {
+					in[i].Fall = in[i].Rise
+				}
+			}
+			ba.Fill(g, in)
+			for _, cl := range []float64{0, 0.1, 0.5, 2.0} {
+				direct := refGateOutputArrival(g, in, cl)
+				viaBlock := ba.Output(cl)
+				if direct != viaBlock { // the same floats, not close ones
+					t.Errorf("%s tie=%v cl=%v: direct %+v != block %+v", g.Name, tie, cl, direct, viaBlock)
+				}
 			}
 		}
 	}
