@@ -256,8 +256,20 @@ func (n *Network) Clone() *Network {
 
 // Check validates structural invariants: fanin/fanout symmetry, acyclicity,
 // cover widths, live PO references. It returns the first violation found.
+// It is linear in nodes plus pins: each node checks its own lists with one
+// multiset count over the other side's view of it.
 func (n *Network) Check() error {
-	for _, nd := range n.Nodes {
+	// drivers.of(x) holds every live node whose fanout list names x, once
+	// per entry; users.of(x) every live node whose fanin list names x.
+	drivers := n.invert(func(nd *Node) []NodeID { return nd.fanouts })
+	users := n.invert(func(nd *Node) []NodeID { return nd.Fanins })
+	count := make([]int32, len(n.Nodes))
+	tally := func(ids []int32, d int32) {
+		for _, u := range ids {
+			count[u] += d
+		}
+	}
+	for id, nd := range n.Nodes {
 		if nd == nil {
 			continue
 		}
@@ -267,44 +279,80 @@ func (n *Network) Check() error {
 		if nd.Kind == KindPI && len(nd.Fanins) != 0 {
 			return fmt.Errorf("PI %q has fanins", nd.Name)
 		}
+		// Each fanin must list nd as a fanout at least as often as nd
+		// lists it.
+		tally(drivers.of(id), 1)
+		for _, f := range nd.Fanins {
+			if n.Node(f) != nil {
+				count[f]--
+			}
+		}
 		for _, f := range nd.Fanins {
 			fn := n.Node(f)
 			if fn == nil {
 				return fmt.Errorf("node %q references deleted fanin %d", nd.Name, f)
 			}
-			if countOf(fn.fanouts, nd.ID) < countOf(nd.Fanins, f) {
+			if count[f] < 0 {
 				return fmt.Errorf("fanout list of %q inconsistent with fanins of %q", fn.Name, nd.Name)
 			}
 		}
+		tally(drivers.of(id), -1)
+		for _, f := range nd.Fanins {
+			count[f]++
+		}
+		// Each fanout must list nd as a fanin.
+		tally(users.of(id), 1)
 		for _, f := range nd.fanouts {
 			fn := n.Node(f)
 			if fn == nil {
 				return fmt.Errorf("node %q has deleted fanout %d", nd.Name, f)
 			}
-			if countOf(fn.Fanins, nd.ID) == 0 {
+			if count[f] == 0 {
 				return fmt.Errorf("node %q lists fanout %q which does not use it", nd.Name, fn.Name)
 			}
 		}
+		tally(users.of(id), -1)
 	}
 	for i, po := range n.POs {
 		if n.Node(po) == nil {
 			return fmt.Errorf("PO %q references deleted node %d", n.PONames[i], po)
 		}
 	}
-	if _, err := n.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := n.TopoOrder()
+	return err
 }
 
-func countOf(s []NodeID, x NodeID) int {
-	c := 0
-	for _, v := range s {
-		if v == x {
-			c++
+// inverse is a multiset adjacency in compressed rows: row x is
+// ent[off[x]:off[x+1]].
+type inverse struct{ off, ent []int32 }
+
+func (a inverse) of(x int) []int32 { return a.ent[a.off[x]:a.off[x+1]] }
+
+// invert returns, for every node ID x, the live nodes whose list names x,
+// once per entry; entries naming no slot of n.Nodes are left out.
+func (n *Network) invert(list func(*Node) []NodeID) inverse {
+	off := make([]int32, len(n.Nodes)+1)
+	each := func(visit func(id int32, x NodeID)) {
+		for id, nd := range n.Nodes {
+			if nd == nil {
+				continue
+			}
+			for _, x := range list(nd) {
+				if x >= 0 && int(x) < len(n.Nodes) {
+					visit(int32(id), x)
+				}
+			}
 		}
 	}
-	return c
+	each(func(_ int32, x NodeID) { off[x]++ })
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	// off[x] is now the end of row x; filling each row back to front
+	// leaves it at the row's start.
+	ent := make([]int32, off[len(n.Nodes)])
+	each(func(id int32, x NodeID) { off[x]--; ent[off[x]] = id })
+	return inverse{off, ent}
 }
 
 // TopoOrder returns all live node IDs in topological order (fanins before
