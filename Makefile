@@ -56,7 +56,8 @@ scale-smoke:
 # C1908, which needs the Shannon-composed, depth-first-ordered BDDs; the
 # structural matcher, the LUT cut pipeline and the BLIF reader — .names
 # on C5315 and gen50k, .gate on mapped C5315 — print allocs/op via
-# -benchmem).
+# -benchmem, as do static timing analysis of mapped C5315 and
+# Network.Check where one input feeds 40,000 nodes).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
@@ -64,6 +65,8 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkMatcherAllNodes -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -run '^$$' -bench '^BenchmarkPipelineC5315LUT6$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkParseBLIF$$' -benchtime=1x -benchmem ./internal/logic/ ./internal/netlist/
+	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime=1x -benchmem ./internal/timing/
+	$(GO) test -run '^$$' -bench '^BenchmarkNetworkCheck$$' -benchtime=1x -benchmem ./internal/logic/
 
 # The mapping packages (front end through verification) plus the lint
 # suite itself must stay at or above 70%
