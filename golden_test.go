@@ -285,7 +285,12 @@ func TestGoldenMapping(t *testing.T) {
 
 // TestGoldenMappingMIS pins the MIS baseline the same way: every benchmark
 // circuit, area and delay mode, verified, by BLIF hash and cost metrics.
+// It skips itself under -race: each mapping runs on one goroutine, and
+// TestGoldenMapping already drives the shared flow under the detector.
 func TestGoldenMappingMIS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine mappings; nothing for the race detector")
+	}
 	circuits := lily.BenchmarkNames()
 	sort.Strings(circuits)
 	runGoldenMappings(t, circuits, misGoldenCases, func(circuit string) bool { return shortSkip[circuit] })

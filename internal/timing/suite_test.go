@@ -14,8 +14,11 @@ import (
 // the reference analysis on the mapped, placed netlist of every paper
 // circuit, through Lily and MIS in area and delay mode: arrivals, loads,
 // worst delay, critical output and critical path. -short keeps the
-// circuits below 500 gates.
+// circuits of at most 500 nodes; -race skips it, as it runs one goroutine.
 func TestAnalyzeMatchesReferenceOnSuite(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine algorithm check; nothing for the race detector")
+	}
 	lib := library.Big()
 	for _, circuit := range lily.BenchmarkNames() {
 		c, err := lily.GenerateBenchmark(circuit)
