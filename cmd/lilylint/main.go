@@ -5,13 +5,10 @@
 // It loads the whole module offline, runs every analyzer, and prints the
 // findings in the requested packages. The suite enforces the invariants
 // documented in DESIGN.md §9: context cancellation in long-running loops
-// (ctxloop) and lock discipline for methods documented `requires e.mu`
-// (lockheld) in every package, plus three cross-package analyzers over
-// the whole-program call graph: the determinism fence (purity: no wall
-// clock, environment, global rand, order-dependent map iteration or
-// exact float comparison in the mapping packages or anything they
-// reach), goroutine stop paths (goleak), and HTTP response discipline
-// (httpcontract).
+// (ctxloop) in every package, and the determinism fence over the
+// whole-program call graph (purity: no wall clock, environment, global
+// rand, order-dependent map iteration or exact float comparison in the
+// mapping packages or anything they reach).
 //
 // Exit codes: 0 clean, 1 findings, 2 operational error.
 package main

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"lily/internal/bench"
 	"lily/internal/logic"
 )
 
@@ -68,5 +72,63 @@ func TestConeOrderDeterministicTies(t *testing.T) {
 	order := lm.coneOrder()
 	if order[0] != 0 || order[1] != 1 {
 		t.Errorf("tie-break order = %v, want [0 1]", order)
+	}
+}
+
+// refGreedyOrder is the direct form of greedyOrder: every pick sums each
+// remaining row over the other remaining columns afresh, O(k³) in all.
+func refGreedyOrder(m [][]int) []int {
+	k := len(m)
+	remaining := make([]bool, k)
+	for i := range remaining {
+		remaining[i] = true
+	}
+	order := make([]int, 0, k)
+	for len(order) < k {
+		bestI, bestSum := -1, math.MaxInt
+		for i := 0; i < k; i++ {
+			if !remaining[i] {
+				continue
+			}
+			sum := 0
+			for j := 0; j < k; j++ {
+				if remaining[j] && j != i {
+					sum += m[i][j]
+				}
+			}
+			if sum < bestSum {
+				bestI, bestSum = i, sum
+			}
+		}
+		order = append(order, bestI)
+		remaining[bestI] = false
+	}
+	return order
+}
+
+// TestConeOrderMatchesReference: greedyOrder returns the reference order
+// on random exit-line matrices, whose small entries make ties common, and
+// on the exit lines of every paper circuit.
+func TestConeOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		k := rng.Intn(30)
+		m := make([][]int, k)
+		for i := range m {
+			m[i] = make([]int, k)
+			for j := range m[i] {
+				m[i][j] = rng.Intn(3) * rng.Intn(2) // half the entries are zero
+			}
+		}
+		if got, want := greedyOrder(m), refGreedyOrder(m); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, %d×%d matrix %v: order %v, want %v", trial, k, k, m, got, want)
+		}
+	}
+	for _, p := range bench.Profiles() {
+		_, sub := subjectFor(t, p.Name)
+		m := sub.ExitLines()
+		if got, want := greedyOrder(m), refGreedyOrder(m); !slices.Equal(got, want) {
+			t.Errorf("%s: order %v, want %v", p.Name, got, want)
+		}
 	}
 }

@@ -514,30 +514,43 @@ func (lm *lily) coneOrder() []int {
 		}
 		return out
 	}
-	m := lm.sub.ExitLines()
+	return greedyOrder(lm.sub.ExitLines())
+}
+
+// greedyOrder is the greedy minimum-row-sum order on the exit-line
+// matrix m: it repeatedly takes the remaining row whose sum over the
+// other remaining columns is smallest, the lowest index on ties. Each
+// row's sum is kept and the taken column subtracted from it, so a pick
+// costs O(k) and the whole order O(k²).
+func greedyOrder(m [][]int) []int {
+	k := len(m)
+	sums := make([]int, k)
+	for i, row := range m {
+		for j, v := range row {
+			if j != i {
+				sums[i] += v
+			}
+		}
+	}
 	remaining := make([]bool, k)
 	for i := range remaining {
 		remaining[i] = true
 	}
 	order := make([]int, 0, k)
 	for len(order) < k {
-		bestI, bestSum := -1, math.MaxInt
-		for i := 0; i < k; i++ {
-			if !remaining[i] {
-				continue
-			}
-			sum := 0
-			for j := 0; j < k; j++ {
-				if remaining[j] && j != i {
-					sum += m[i][j]
-				}
-			}
-			if sum < bestSum {
-				bestI, bestSum = i, sum
+		best := -1
+		for i, ok := range remaining {
+			if ok && (best < 0 || sums[i] < sums[best]) {
+				best = i
 			}
 		}
-		order = append(order, bestI)
-		remaining[bestI] = false
+		order = append(order, best)
+		remaining[best] = false
+		for i, ok := range remaining {
+			if ok {
+				sums[i] -= m[i][best]
+			}
+		}
 	}
 	return order
 }
@@ -1058,30 +1071,26 @@ func (lm *lily) estimatedOutputLoad(g *matchGeometry) float64 {
 
 // commitCone freezes the mapping decisions of a finished cone: needed
 // nodes become hawks (recording the consumers of their input signals),
-// covered interior nodes become doves.
+// covered interior nodes become doves. The needed walk stops at hawks:
+// a hawk's inputs were needed when it was committed, so they are hawks
+// or primary inputs already, and hawk is a final state.
 func (lm *lily) commitCone(root logic.NodeID) error {
 	needed, err := cover.NeededSet(lm.sub, func(v logic.NodeID) *match.Match {
-		if lm.state[v] == StateHawk {
-			return lm.committed[v]
-		}
 		return lm.best[v]
-	}, []logic.NodeID{root})
+	}, []logic.NodeID{root}, func(v logic.NodeID) bool {
+		return lm.state[v] == StateHawk
+	})
 	if err != nil {
 		return err
 	}
 	// Deterministic commit order.
-	ordered := make([]logic.NodeID, 0, len(needed))
+	fresh := make([]logic.NodeID, 0, len(needed))
 	for v := range needed {
-		ordered = append(ordered, v)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-
-	var fresh []logic.NodeID
-	for _, v := range ordered {
-		if lm.state[v] == StateHawk {
-			continue
-		}
 		fresh = append(fresh, v)
+	}
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+
+	for _, v := range fresh {
 		if err := lm.setState(v, StateHawk); err != nil {
 			return err
 		}

@@ -83,14 +83,16 @@ func BuildNetlist(sub *logic.Network, best func(logic.NodeID) *match.Match, name
 
 // NeededSet returns the subject nodes that appear as gates in the final
 // netlist (hawks): the PO drivers and, transitively, the match inputs of
-// every needed node.
-func NeededSet(sub *logic.Network, best func(logic.NodeID) *match.Match, roots []logic.NodeID) (map[logic.NodeID]bool, error) {
+// every needed node. A node for which known reports true is neither
+// returned nor expanded: the caller holds it, and its needed inputs,
+// already. known may be nil.
+func NeededSet(sub *logic.Network, best func(logic.NodeID) *match.Match, roots []logic.NodeID, known func(logic.NodeID) bool) (map[logic.NodeID]bool, error) {
 	needed := make(map[logic.NodeID]bool)
 	stack := append([]logic.NodeID(nil), roots...)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if needed[v] {
+		if needed[v] || known != nil && known(v) {
 			continue
 		}
 		nd := sub.Node(v)

@@ -91,7 +91,7 @@ func TestNeededSetStopsAtPIs(t *testing.T) {
 	_, sub := subject(t)
 	lib := library.Big()
 	oracle := baseCoverOracle(t, sub, lib)
-	needed, err := NeededSet(sub, oracle, sub.POs)
+	needed, err := NeededSet(sub, oracle, sub.POs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +102,27 @@ func TestNeededSetStopsAtPIs(t *testing.T) {
 	}
 	if len(needed) != sub.NumLogic() {
 		t.Errorf("needed %d of %d nodes under base cover", len(needed), sub.NumLogic())
+	}
+}
+
+// TestNeededSetStopsAtKnown: a known node is neither returned nor
+// expanded, so with every fanin of a PO driver known the walk from that
+// driver returns the driver alone.
+func TestNeededSetStopsAtKnown(t *testing.T) {
+	_, sub := subject(t)
+	oracle := baseCoverOracle(t, sub, library.Big())
+	for _, po := range sub.POs {
+		if sub.Nodes[po].Kind != logic.KindLogic {
+			continue
+		}
+		known := func(v logic.NodeID) bool { return v != po }
+		needed, err := NeededSet(sub, oracle, []logic.NodeID{po}, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(needed) != 1 || !needed[po] {
+			t.Errorf("needed from %d with the rest known = %v, want only %d", po, needed, po)
+		}
 	}
 }
 

@@ -411,7 +411,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	e.mu.Unlock()
 
 	drained := make(chan struct{})
-	//lint:stopped joined below: both select arms wait on <-drained, and jobWG.Wait returns once cancelAll unblocks the workers
+	// Joined below: both select arms wait on <-drained, and jobWG.Wait
+	// returns once cancelAll unblocks the workers.
 	go func() {
 		e.jobWG.Wait()
 		close(drained)

@@ -1,12 +1,14 @@
 package engine
 
 // Job-lifecycle tests: bounded terminal-job retention (eviction order,
-// age GC, explicit Remove, soak), load-shed admission control, and the
-// singleflight leader-only-cancellation semantics.
+// age GC, explicit Remove, soak), goroutines stopped by Shutdown,
+// load-shed admission control, and the singleflight
+// leader-only-cancellation semantics.
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,6 +154,58 @@ func TestRetainForGCDropsOldTerminalJobs(t *testing.T) {
 	}
 	if st := e.Stats(); st.Evicted == 0 {
 		t.Fatalf("age GC did not count an eviction: %+v", st)
+	}
+}
+
+// TestShutdownStopsGoroutines: every goroutine an engine starts (its
+// workers, the retention GC loop and Shutdown's drain waiter) has exited
+// once Shutdown returns, also when Shutdown's deadline expires and it
+// cancels a job that is still running.
+func TestShutdownStopsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	running := make(chan struct{})
+	e := New(Config{Workers: 2, RetainFor: 5 * time.Millisecond, CacheEntries: -1,
+		Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
+			if req.Benchmark == "b9" {
+				close(running)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return fakeOutcome(req.Benchmark), nil
+		}})
+	ctx := context.Background()
+	for _, name := range []string{"misex1", "duke2"} {
+		if _, err := e.Run(ctx, Request{Benchmark: name}); err != nil {
+			t.Fatalf("run %s: %v", name, err)
+		}
+	}
+	if _, err := e.Submit(ctx, Request{Benchmark: "b9"}); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	<-running
+
+	done := make(chan error, 1)
+	go func() {
+		sctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+		defer cancel()
+		done <- e.Shutdown(sctx)
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Shutdown = %v, want the expired deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return: a goroutine it joins never saw the stop signal")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Shutdown, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

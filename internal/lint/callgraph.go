@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the whole-program call graph the program-level
-// analyzers (purity, goleak, httpcontract) share. The construction is
+// analyzer (purity) runs over. The construction is
 // CHA-style (class hierarchy analysis) over go/types:
 //
 //   - static calls (package functions, methods with a concrete
@@ -31,16 +31,10 @@ import (
 // the shared substrate for cross-package analyzers. All packages must
 // share one token.FileSet (the Loader guarantees this).
 type Program struct {
-	byPath map[string]*Package
 	byFile map[string]*Package
 
 	Packages []*Package
 	Graph    *CallGraph
-}
-
-// PackageFor returns the loaded package owning importPath, or nil.
-func (p *Program) PackageFor(importPath string) *Package {
-	return p.byPath[importPath]
 }
 
 // PackageOfFile returns the loaded package containing filename, or nil.
@@ -134,7 +128,6 @@ func (g *CallGraph) Reachable(roots []*types.Func, skip func(*CGNode) bool) map[
 // BuildProgram assembles the call graph over the loaded packages.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		byPath:   make(map[string]*Package, len(pkgs)),
 		byFile:   make(map[string]*Package),
 		Packages: pkgs,
 	}
@@ -145,7 +138,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	prog.Graph = g
 
 	for _, pkg := range pkgs {
-		prog.byPath[pkg.Path] = pkg
 		for _, f := range pkg.Files {
 			prog.byFile[pkg.Fset.Position(f.Pos()).Filename] = pkg
 		}

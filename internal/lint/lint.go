@@ -1,28 +1,24 @@
 // Package lint is lily's domain-specific static-analysis suite: a small
 // stdlib-only reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus five analyzers that turn
+// vocabulary (Analyzer, Pass, Diagnostic) plus two analyzers that turn
 // the repo's house rules into mechanically checked invariants.
 //
-// Two are per-package checks, applied to every package of the module:
-//
-//   - ctxloop: unbounded loops in context-accepting functions must stay
+//   - ctxloop, a per-package check applied to every package of the
+//     module: unbounded loops in context-accepting functions must stay
 //     cancellable (a ctx.Err()/ctx.Done() checkpoint or a ctx-forwarding
-//     call), like the PR-1 checkpoints in place, cg, and the cone loop.
-//   - lockheld: methods documented "requires x.mu" must only be called
-//     with the mutex held, and sync.Mutex values must not be copied.
+//     call), like the checkpoints in place, cg, and the cone loop.
+//   - purity, a cross-package ProgramAnalyzer over the whole-program CHA
+//     call graph (callgraph.go): the determinism fence and the suite's
+//     one set of determinism rules — nothing in the deterministic
+//     mapping packages, or reachable from them or the flow entry point,
+//     may read the wall clock, the process environment, or global rand,
+//     iterate a map in an order-dependent way, or compare floats
+//     exactly.
 //
-// Three are cross-package ProgramAnalyzers over the whole-program CHA
-// call graph (callgraph.go):
-//
-//   - purity: the determinism fence and the suite's one set of
-//     determinism rules — nothing in the deterministic mapping packages,
-//     or reachable from them or the flow entry point, may read the wall
-//     clock, the process environment, or global rand, iterate a map in
-//     an order-dependent way, or compare floats exactly.
-//   - goleak: every `go` statement in engine/server needs a
-//     provable stop path (signal-channel receive or WaitGroup pairing).
-//   - httpcontract: HTTP handlers write exactly one status per path,
-//     429s carry Retry-After, and no body follows an error status.
+// The service packages' concurrency and HTTP rules are checked by tests
+// instead: `go test -race` for lock discipline, `go vet`'s copylocks for
+// copied mutexes, a goroutine-count test for Engine.Shutdown and a
+// double-WriteHeader check in the server tests' shared test server.
 //
 // Run is the one driver: cmd/lilylint calls it with the command-line
 // package patterns, and the package's own TestAllAnalyzers self-run
@@ -32,10 +28,8 @@
 //
 // Diagnostics can be suppressed with a justification comment on the
 // flagged line (or the line above): `//lint:bounded <why>` (ctxloop),
-// `//lint:locked <why>` (lockheld), `//lint:sorted <why>`,
-// `//lint:exact <why>` or `//lint:impure <why>` (purity),
-// `//lint:stopped <why>` (goleak), `//lint:response <why>`
-// (httpcontract). The justification word is the invariant, not the
+// `//lint:sorted <why>`, `//lint:exact <why>` or `//lint:impure <why>`
+// (purity). The justification word is the invariant, not the
 // analyzer's name: the comment asserts the invariant holds for reasons
 // the analyzer cannot see. The <why> text is mandatory — a bare marker
 // suppresses nothing.
@@ -163,7 +157,6 @@ func justificationWord(comment string) (string, bool) {
 // Analyzers is the per-package suite, in reporting order.
 var Analyzers = []*Analyzer{
 	CtxLoopAnalyzer,
-	LockHeldAnalyzer,
 }
 
 // ModulePath is the import path of the module the suite guards.

@@ -35,23 +35,11 @@ func TestFloatEq(t *testing.T) {
 	linttest.RunProgram(t, a, fixture(t, "floateq"))
 }
 
-func TestLockHeld(t *testing.T) {
-	linttest.Run(t, lint.LockHeldAnalyzer, fixture(t, "lockheld"))
-}
-
 func TestPurity(t *testing.T) {
 	a := lint.PurityAnalyzerFor(lint.PurityConfig{
 		RootFuncs: []string{"purity.Root"},
 	})
 	linttest.RunProgram(t, a, fixture(t, "purity"))
-}
-
-func TestGoLeak(t *testing.T) {
-	linttest.RunProgram(t, lint.GoLeakAnalyzerFor("goleak"), fixture(t, "goleak"))
-}
-
-func TestHTTPContract(t *testing.T) {
-	linttest.RunProgram(t, lint.HTTPContractAnalyzerFor("httpcontract"), fixture(t, "httpcontract"))
 }
 
 func TestAnalyzersForScoping(t *testing.T) {
@@ -66,10 +54,10 @@ func TestAnalyzersForScoping(t *testing.T) {
 		path string
 		want []string
 	}{
-		{"lily/internal/cover", []string{"ctxloop", "lockheld"}},
-		{"lily/internal/engine", []string{"ctxloop", "lockheld"}},
-		{"lily/internal/server", []string{"ctxloop", "lockheld"}},
-		{"lily", []string{"ctxloop", "lockheld"}},
+		{"lily/internal/cover", []string{"ctxloop"}},
+		{"lily/internal/engine", []string{"ctxloop"}},
+		{"lily/internal/server", []string{"ctxloop"}},
+		{"lily", []string{"ctxloop"}},
 		{"fmt", nil},
 		{"lilyx/internal/cover", nil}, // prefix confusion must not leak analyzers
 	}

@@ -7,10 +7,9 @@ import (
 
 // ProgramAnalyzer is a cross-package check: where an Analyzer sees one
 // type-checked package, a ProgramAnalyzer sees the whole module and the
-// call graph over it. The three shipped instances are purity (the
+// call graph over it. The one shipped instance is purity, the
 // determinism fence over the mapping packages and their reachable
-// closure), goleak (provable stop paths for every spawned goroutine),
-// and httpcontract (response-write discipline in the HTTP layer).
+// closure.
 type ProgramAnalyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string
@@ -52,8 +51,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, suggestion, format string, args ...
 // ProgramAnalyzers is the cross-package suite, in reporting order.
 var ProgramAnalyzers = []*ProgramAnalyzer{
 	PurityAnalyzer,
-	GoLeakAnalyzer,
-	HTTPContractAnalyzer,
 }
 
 // RunProgramAnalyzers executes each program analyzer over the program

@@ -16,9 +16,8 @@ import (
 // same driver entry point cmd/lilylint calls, so `go test ./...` fails
 // the moment someone introduces an unsorted map range into
 // internal/cover, an uncancellable solver loop, a raw float cost
-// comparison, an unlocked call to a `requires mu` method, or a type
-// error the offline loader cannot resolve. The CI lint job runs the
-// same driver through `lilylint ./...`.
+// comparison, or a type error the offline loader cannot resolve. The CI
+// lint job runs the same driver through `lilylint ./...`.
 func TestAllAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")

@@ -53,6 +53,11 @@ func refCheck(n *Network) error {
 			return fmt.Errorf("PO %q references deleted node %d", n.PONames[i], po)
 		}
 	}
+	for _, nd := range n.Nodes {
+		if nd != nil && countOf(n.POs, nd.ID) != nd.poRefs {
+			return fmt.Errorf("node %q is counted as %d POs but listed %d times", nd.Name, nd.poRefs, countOf(n.POs, nd.ID))
+		}
+	}
 	_, err := n.TopoOrder()
 	return err
 }
@@ -104,6 +109,10 @@ func TestCheckRejections(t *testing.T) {
 			n.POs = append(n.POs, z)
 			n.PONames = append(n.PONames, "w")
 		}, `PO "w" references deleted node 4`},
+		{"PO listed without its count", func(n *Network) {
+			n.POs = append(n.POs, x)
+			n.PONames = append(n.PONames, "x")
+		}, `node "x" is counted as 0 POs but listed 1 times`},
 		{"cycle", func(n *Network) {
 			n.Nodes[x].Fanins[1] = y
 			n.removeFanoutRefs(b, x, 1)

@@ -37,10 +37,14 @@ type Node struct {
 	Cover SOP
 	// fanouts is maintained by the Network on every structural edit.
 	fanouts []NodeID
+	// poRefs counts the entries of Network.POs that name this node.
+	poRefs int
 }
 
 // Network is a combinational Boolean network: a DAG of logic nodes over
 // primary inputs, with an ordered list of primary outputs referencing nodes.
+// POs and PONames grow only through MarkPO, which also keeps each node's
+// count of its entries.
 type Network struct {
 	Name    string
 	Nodes   []*Node
@@ -134,16 +138,13 @@ func (n *Network) MarkPO(id NodeID, name string) {
 	}
 	n.POs = append(n.POs, id)
 	n.PONames = append(n.PONames, name)
+	n.Nodes[id].poRefs++
 }
 
 // IsPO reports whether id is listed as a primary output.
 func (n *Network) IsPO(id NodeID) bool {
-	for _, po := range n.POs {
-		if po == id {
-			return true
-		}
-	}
-	return false
+	nd := n.Node(id)
+	return nd != nil && nd.poRefs > 0
 }
 
 // Fanouts returns the fanout node IDs of id. The returned slice is owned by
@@ -154,13 +155,8 @@ func (n *Network) Fanouts(id NodeID) []NodeID { return n.Nodes[id].fanouts }
 // once per fanin position (a node using id twice counts twice), plus one
 // per PO reference.
 func (n *Network) FanoutCount(id NodeID) int {
-	c := len(n.Nodes[id].fanouts)
-	for _, po := range n.POs {
-		if po == id {
-			c++
-		}
-	}
-	return c
+	nd := n.Nodes[id]
+	return len(nd.fanouts) + nd.poRefs
 }
 
 // ReplaceFanin rewires every fanin reference of node id from oldF to newF
@@ -245,6 +241,7 @@ func (n *Network) Clone() *Network {
 			Fanins:  append([]NodeID(nil), nd.Fanins...),
 			Cover:   nd.Cover.Clone(),
 			fanouts: append([]NodeID(nil), nd.fanouts...),
+			poRefs:  nd.poRefs,
 		}
 		c.byName[nd.Name] = nd.ID
 	}
@@ -255,7 +252,8 @@ func (n *Network) Clone() *Network {
 }
 
 // Check validates structural invariants: fanin/fanout symmetry, acyclicity,
-// cover widths, live PO references. It returns the first violation found.
+// cover widths, live PO references and each node's count of them. It
+// returns the first violation found.
 // It is linear in nodes plus pins: each node checks its own lists with one
 // multiset count over the other side's view of it.
 func (n *Network) Check() error {
@@ -316,6 +314,12 @@ func (n *Network) Check() error {
 	for i, po := range n.POs {
 		if n.Node(po) == nil {
 			return fmt.Errorf("PO %q references deleted node %d", n.PONames[i], po)
+		}
+		count[po]++ // every node's turn above left its count at zero
+	}
+	for id, nd := range n.Nodes {
+		if nd != nil && int(count[id]) != nd.poRefs {
+			return fmt.Errorf("node %q is counted as %d POs but listed %d times", nd.Name, nd.poRefs, count[id])
 		}
 	}
 	_, err := n.TopoOrder()

@@ -84,6 +84,23 @@ func TestFanoutBookkeeping(t *testing.T) {
 	if got := n.FanoutCount(sum.ID); got != 1 {
 		t.Errorf("sum fanout = %d, want 1 (PO ref)", got)
 	}
+	// A node listed as an output twice counts twice, a PI can be an
+	// output, and a clone keeps the counts.
+	a := n.NodeByName("a")
+	n.MarkPO(sum.ID, "sum2")
+	n.MarkPO(a.ID, "a_out")
+	for _, net := range []*Network{n, n.Clone()} {
+		if err := net.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if got := net.FanoutCount(sum.ID); got != 2 {
+			t.Errorf("sum fanout = %d, want 2 (two PO refs)", got)
+		}
+		if !net.IsPO(sum.ID) || net.IsPO(axb.ID) || !net.IsPO(a.ID) {
+			t.Errorf("IsPO(sum, axb, a) = %v, %v, %v; want true, false, true",
+				net.IsPO(sum.ID), net.IsPO(axb.ID), net.IsPO(a.ID))
+		}
+	}
 }
 
 func TestReplaceFanin(t *testing.T) {

@@ -1,7 +1,8 @@
 package server
 
-// HTTP-level lifecycle tests: load-shed 429, DELETE + 410 Gone for
-// evicted/deleted IDs, long-poll clamping, and timeout_ms validation.
+// HTTP-level lifecycle tests: load-shed 429 with Retry-After on both
+// submit routes, DELETE + 410 Gone for evicted/deleted IDs, long-poll
+// clamping, and timeout_ms validation.
 
 import (
 	"context"
@@ -20,14 +21,7 @@ import (
 func newFakeServer(t *testing.T, cfg engine.Config) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng := engine.New(cfg)
-	ts := httptest.NewServer(New(eng))
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = eng.Shutdown(ctx)
-	})
-	return ts, eng
+	return serve(t, eng), eng
 }
 
 func doRequest(t *testing.T, method, url string) *http.Response {
@@ -148,16 +142,25 @@ func TestQueueFullAnswers429(t *testing.T) {
 		t.Fatalf("submit 2 status = %d, want 202", resp.StatusCode)
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Benchmark: "C432"})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("submit on full queue status = %d, want 429", resp.StatusCode)
+	// A single job and a batch both meet the full queue.
+	for _, sub := range []struct {
+		route string
+		body  any
+	}{
+		{"/v1/jobs", SubmitRequest{Benchmark: "C432"}},
+		{"/v1/batches", BatchSubmitRequest{Jobs: []SubmitRequest{{Benchmark: "C432"}}}},
+	} {
+		resp = postJSON(t, ts.URL+sub.route, sub.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("POST %s on full queue status = %d, want 429", sub.route, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" {
+			t.Fatalf("POST %s: 429 response missing Retry-After header", sub.route)
+		}
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatalf("429 response missing Retry-After header")
-	}
-	if shed := eng.Stats().Shed; shed != 1 {
-		t.Fatalf("stats.Shed = %d, want 1", shed)
+	if shed := eng.Stats().Shed; shed != 2 {
+		t.Fatalf("stats.Shed = %d, want 2", shed)
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,15 +19,7 @@ import (
 // newTracedServer builds a server whose engine records phase traces.
 func newTracedServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	eng := engine.New(engine.Config{Workers: 2, Trace: true})
-	ts := httptest.NewServer(New(eng))
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = eng.Shutdown(ctx)
-	})
-	return ts
+	return serve(t, engine.New(engine.Config{Workers: 2, Trace: true}))
 }
 
 // scrapeMetrics fetches /metrics and parses the exposition strictly:

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,14 +20,80 @@ import (
 func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
-	ts := httptest.NewServer(New(eng))
+	return serve(t, eng), eng
+}
+
+// serve starts eng's HTTP API on a test server and registers its
+// teardown: close the server, shut the engine down, and fail the test if
+// any handler wrote a second status on one response. net/http answers
+// with the first status and only logs the second, so the server's error
+// log is the one place the mistake shows.
+func serve(t *testing.T, eng *engine.Engine, opts ...Option) *httptest.Server {
+	t.Helper()
+	ts, errLog := startLogged(New(eng, opts...))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = eng.Shutdown(ctx)
+		if s := errLog.String(); strings.Contains(s, superfluousWrite) {
+			t.Errorf("a handler wrote two statuses on one response:\n%s", s)
+		}
 	})
-	return ts, eng
+	return ts
+}
+
+// superfluousWrite is what net/http logs for a WriteHeader call after the
+// status was already written.
+const superfluousWrite = "superfluous response.WriteHeader"
+
+// syncLog is a server error log that handlers may write concurrently.
+type syncLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// startLogged starts h on a test server whose error log is captured.
+func startLogged(h http.Handler) (*httptest.Server, *syncLog) {
+	errLog := &syncLog{}
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ErrorLog = log.New(errLog, "", 0)
+	ts.Start()
+	return ts, errLog
+}
+
+// TestSecondStatusIsLogged pins the net/http behaviour serve relies on: a
+// handler that writes two statuses sends the first and logs the second
+// with superfluousWrite.
+func TestSecondStatusIsLogged(t *testing.T) {
+	ts, errLog := startLogged(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		writeError(w, http.StatusConflict, errors.New("too late"))
+	}))
+	r, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	ts.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Errorf("status = %d, want the first one written (200)", r.StatusCode)
+	}
+	if s := errLog.String(); !strings.Contains(s, superfluousWrite) {
+		t.Errorf("error log = %q, want a line containing %q", s, superfluousWrite)
+	}
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -222,16 +291,15 @@ func TestResultBeforeCompletionConflicts(t *testing.T) {
 			return nil, ctx.Err()
 		},
 	})
-	ts := httptest.NewServer(New(eng))
-	defer ts.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = eng.Shutdown(ctx)
-	}()
+	ts := serve(t, eng)
 
 	resp := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Benchmark: "misex1"})
 	sub := decode[SubmitResponse](t, resp)
+	j, ok := eng.Job(sub.ID)
+	if !ok {
+		t.Fatalf("job %s not registered", sub.ID)
+	}
+	defer j.Cancel() // the runner waits for it, and Shutdown for the runner
 	r, err := http.Get(ts.URL + sub.Result)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +307,23 @@ func TestResultBeforeCompletionConflicts(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusConflict {
 		t.Fatalf("early result fetch status = %d, want 409", r.StatusCode)
+	}
+}
+
+// TestSVGWithoutSVGConflicts: a finished job submitted without
+// "svg": true answers 409 on its SVG route, with the error as its body.
+func TestSVGWithoutSVGConflicts(t *testing.T) {
+	ts, _ := newBatchFakeServer(t)
+	sub := submitAndFinish(t, ts, "misex1")
+	r, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/svg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusConflict {
+		t.Errorf("svg of a job without svg: status = %d, want 409", r.StatusCode)
+	}
+	if msg := decode[errorResponse](t, r).Error; !strings.Contains(msg, `"svg": true`) {
+		t.Errorf("error = %q, want it to name the missing \"svg\": true", msg)
 	}
 }
 

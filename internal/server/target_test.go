@@ -1,12 +1,9 @@
 package server
 
 import (
-	"context"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"lily"
 	"lily/internal/engine"
@@ -100,14 +97,7 @@ func TestSubmitRejectsUnknownTarget(t *testing.T) {
 // -target): a job that names no target inherits the server default —
 // visible in the FlowResult — while an explicit target wins.
 func TestDefaultTargetSubstitution(t *testing.T) {
-	eng := engine.New(engine.Config{Workers: 2})
-	ts := httptest.NewServer(New(eng, WithDefaultTarget(lily.TargetLUT4)))
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = eng.Shutdown(ctx)
-	})
+	ts := serve(t, engine.New(engine.Config{Workers: 2}), WithDefaultTarget(lily.TargetLUT4))
 
 	run := func(t *testing.T, opts JobOptions) lily.FlowResult {
 		t.Helper()
