@@ -32,12 +32,14 @@ smoke:
 	./scripts/obs-smoke.sh
 
 # Service smoke test: one in-process engine + HTTP server serves the
-# benchmark suite through the batch API; every mapped-BLIF SHA-256 must
-# match testdata/golden.json, a repeat of the batch must come entirely
-# from the result cache with the same hashes, and the lut4 suite must
-# match its goldens. The server's batch tests run under -race first.
+# benchmark suite as individual POST /v1/jobs submissions; every job
+# status's blif_sha256 must match testdata/golden.json, a repeat of the
+# suite must come entirely from the result cache with the same hashes,
+# and the lut4 suite must match its goldens. The server's job-route
+# tests (status hash, load shedding, target and SVG rejections) run
+# under -race first.
 service-smoke:
-	$(GO) test -race -run 'TestBatch' ./internal/server/
+	$(GO) test -race -run 'TestStatusBLIFHash|TestQueueFullAnswers429|TestSubmitRejectsUnknownTarget|TestSVGWithoutSVGConflicts' ./internal/server/
 	$(GO) test -race -run TestServiceSmoke .
 
 # Frontier-scale smoke (ROADMAP "production scale"): the seeded
@@ -56,8 +58,9 @@ scale-smoke:
 # C1908, which needs the Shannon-composed, depth-first-ordered BDDs; the
 # structural matcher, the LUT cut pipeline and the BLIF reader — .names
 # on C5315 and gen50k, .gate on mapped C5315 — print allocs/op via
-# -benchmem, as do static timing analysis of mapped C5315 and
-# Network.Check where one input feeds 40,000 nodes).
+# -benchmem, as do static timing analysis of mapped C5315,
+# Network.Check where one input feeds 40,000 nodes and two FM passes
+# over a random circuit's subject graph).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
@@ -67,6 +70,7 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkParseBLIF$$' -benchtime=1x -benchmem ./internal/logic/ ./internal/netlist/
 	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime=1x -benchmem ./internal/timing/
 	$(GO) test -run '^$$' -bench '^BenchmarkNetworkCheck$$' -benchtime=1x -benchmem ./internal/logic/
+	$(GO) test -run '^$$' -bench '^BenchmarkFMPass$$' -benchtime=1x -benchmem ./internal/place/
 
 # The mapping packages (front end through verification) plus the lint
 # suite itself must stay at or above 70%

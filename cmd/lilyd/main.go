@@ -22,8 +22,9 @@
 // One lilyd process serves one engine. Results are deterministic, so the
 // same request always yields the same bytes; the result cache keys on the
 // request digest (Status.Digest) and answers repeats without recomputing.
-// POST /v1/batches submits a whole suite in one round trip and streams
-// per-job results back as NDJSON.
+// A job submitted with "emit_blif": true reports the SHA-256 of its
+// mapped netlist in its status (blif_sha256), so a suite client checks
+// determinism job by job.
 //
 // Usage:
 //

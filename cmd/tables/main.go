@@ -8,8 +8,8 @@
 // while rows print in suite order — the numbers are identical to a
 // sequential run.
 //
-// The same suite can be run against a live lilyd through its batch API
-// (POST /v1/batches); see README.md "Batch API".
+// The same suite can be run against a live lilyd as individual jobs
+// (POST /v1/jobs); see README.md "Running a suite".
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package lily
 import (
 	"context"
 
+	"lily/internal/decomp"
 	"lily/internal/netlist"
 )
 
@@ -14,4 +15,21 @@ func MappedNetlist(ctx context.Context, c *Circuit, opt FlowOptions) (*netlist.N
 		return nil, err
 	}
 	return lres.Netlist, nil
+}
+
+// SubjectExitLines sums the exit-line matrix of c's subject graph (the
+// premapped network whose PO cones the cover orders), for the tests that
+// pin cone-order work.
+func SubjectExitLines(c *Circuit) (int, error) {
+	pre, err := decomp.Premap(c.net)
+	if err != nil {
+		return 0, err
+	}
+	sum := 0
+	for _, row := range pre.Inchoate.ExitLines() {
+		for _, e := range row {
+			sum += e
+		}
+	}
+	return sum, nil
 }

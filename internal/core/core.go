@@ -460,8 +460,7 @@ func (lm *lily) run() (*Result, error) {
 			nl.Cells[ref.Index].Pos = lm.hawkPos[id]
 		}
 	}
-	for i, pi := range lm.sub.PIs {
-		_ = i
+	for _, pi := range lm.sub.PIs {
 		idx := nl.PIIndex(lm.sub.Nodes[pi].Name)
 		if idx >= 0 {
 			nl.PIPos[idx] = lm.pl.Pos[pi]

@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -541,6 +543,12 @@ func (e *Engine) execute(j *Job) {
 		e.mu.Unlock()
 
 		out, err := e.runGuarded(j)
+		if err == nil && len(out.MappedBLIF) > 0 {
+			// Hash once, before the outcome is shared with followers or
+			// the cache: every job served by it reports the same hash.
+			sum := sha256.Sum256(out.MappedBLIF)
+			out.blifSHA256 = hex.EncodeToString(sum[:])
+		}
 		f.out, f.err = out, err
 		e.mu.Lock()
 		delete(e.inflight, j.key)

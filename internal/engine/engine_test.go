@@ -95,8 +95,8 @@ func TestCacheHitOnRepeatSubmission(t *testing.T) {
 	if st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("stats hits/misses = %d/%d, want 1/1", st.CacheHits, st.CacheMisses)
 	}
-	if j1.Key() != j2.Key() {
-		t.Fatalf("identical requests got different keys: %s vs %s", j1.Key(), j2.Key())
+	if d1, d2 := j1.Status().Digest, j2.Status().Digest; d1 != d2 {
+		t.Fatalf("identical requests got different keys: %s vs %s", d1, d2)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestPanicContainment(t *testing.T) {
 }
 
 // TestWakeAfterAccounting: a job wakes its waiters only after the engine
-// has counted it, so a caller woken by Done, Wait or Run always finds its
+// has counted it, so a caller woken by Wait or Run always finds its
 // own job in Stats. The test holds the engine lock while a deduped
 // follower is canceled: the follower can mark itself terminal, but it
 // must not wake its waiters before it can take the lock and count itself.
@@ -268,14 +268,16 @@ func TestWakeAfterAccounting(t *testing.T) {
 
 	e.mu.Lock()
 	follower.Cancel()
-	select {
-	case <-follower.Done():
-		e.mu.Unlock()
-		t.Fatal("follower woke its waiters before the engine counted it")
-	case <-time.After(100 * time.Millisecond):
-	}
+	early, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	_, err = follower.Wait(early)
+	cancel()
 	e.mu.Unlock()
-	<-follower.Done()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower woke its waiters before the engine counted it (Wait = %v)", err)
+	}
+	if _, err := follower.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("follower Wait = %v, want context.Canceled", err)
+	}
 	if st := e.Stats(); st.Canceled != 1 {
 		t.Fatalf("woken follower not counted: stats = %+v, want 1 canceled", st)
 	}

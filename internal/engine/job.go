@@ -85,6 +85,10 @@ type Outcome struct {
 	// EmitBLIF — the deterministic byte stream whose SHA-256 the golden
 	// harness (and the service smoke test) pins.
 	MappedBLIF []byte
+	// blifSHA256 is the hex SHA-256 of MappedBLIF, set by the engine
+	// before the outcome is cached or shared, so a hit reports the hash
+	// its miss computed.
+	blifSHA256 string
 }
 
 // Job is a handle on a submitted request.
@@ -123,12 +127,6 @@ type Job struct {
 
 // ID returns the engine-assigned job identifier.
 func (j *Job) ID() string { return j.id }
-
-// Key returns the content-addressed cache key of the request.
-func (j *Job) Key() string { return j.key }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Cancel cancels the job; a queued job is dropped when a worker picks it
 // up, a running job is interrupted at its next context checkpoint.
@@ -181,6 +179,9 @@ type Status struct {
 	QueueWait   time.Duration `json:"queue_wait_ns"`
 	RunTime     time.Duration `json:"run_time_ns"`
 	Error       string        `json:"error,omitempty"`
+	// BLIFSHA256 is the SHA-256 of the mapped netlist of a finished job
+	// submitted with EmitBLIF: the hash testdata/golden.json pins.
+	BLIFSHA256 string `json:"blif_sha256,omitempty"`
 }
 
 // Status snapshots the job.
@@ -210,6 +211,9 @@ func (j *Job) Status() Status {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
+	if j.outcome != nil {
+		st.BLIFSHA256 = j.outcome.blifSHA256
+	}
 	return st
 }
 
@@ -226,7 +230,7 @@ func (j *Job) start(now time.Time) time.Duration {
 // run time (zero if the job never started) and whether this call was the
 // transitioning one (false if the job was already terminal). It does not
 // wake waiters: the transitioning caller updates the engine's counters
-// first and then calls wake, so a caller woken by Done or Wait always
+// first and then calls wake, so a caller woken by Wait always
 // sees its own job in Stats.
 func (j *Job) finish(state State, out *Outcome, err error) (time.Duration, bool) {
 	j.mu.Lock()

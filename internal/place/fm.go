@@ -103,19 +103,24 @@ func FM(h *Hypergraph, part []int, tol float64, maxPasses int) int {
 		return g
 	}
 
+	// The pass state is allocated once and reset at the start of each
+	// pass.
+	b := newBuckets(n, maxDeg)
+	locked := make([]bool, n)
+	type move struct {
+		cell int
+		cut  int
+	}
+	moves := make([]move, 0, n)
 	bestCut := h.CutSize(part)
 	for pass := 0; pass < maxPasses; pass++ {
-		b := newBuckets(n, maxDeg)
+		b.reset()
+		clear(locked)
+		moves = moves[:0]
 		for c := 0; c < n; c++ {
 			gain[c] = computeGain(c)
 			b.insert(c, gain[c])
 		}
-		locked := make([]bool, n)
-		type move struct {
-			cell int
-			cut  int
-		}
-		var moves []move
 		curCut := h.CutSize(part)
 		runCut := curCut
 
@@ -223,14 +228,20 @@ type buckets struct {
 	numLive int
 }
 
+// newBuckets allocates the structure for n cells with gains in
+// [-maxGain, maxGain]; reset must run before the first insert.
 func newBuckets(n, maxGain int) *buckets {
-	b := &buckets{
+	return &buckets{
 		offset: maxGain,
 		head:   make([]int, 2*maxGain+1),
 		next:   make([]int, n),
 		prev:   make([]int, n),
 		bucket: make([]int, n),
 	}
+}
+
+// reset empties every bucket; next and prev are rewritten on insert.
+func (b *buckets) reset() {
 	for i := range b.head {
 		b.head[i] = -1
 	}
@@ -238,7 +249,7 @@ func newBuckets(n, maxGain int) *buckets {
 		b.bucket[i] = -1
 	}
 	b.maxIdx = -1
-	return b
+	b.numLive = 0
 }
 
 func (b *buckets) insert(c, gain int) {

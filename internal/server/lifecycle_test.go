@@ -1,7 +1,7 @@
 package server
 
-// HTTP-level lifecycle tests: load-shed 429 with Retry-After on both
-// submit routes, DELETE + 410 Gone for evicted/deleted IDs, long-poll
+// HTTP-level lifecycle tests: load-shed 429 with Retry-After on the
+// submit route, DELETE + 410 Gone for evicted/deleted IDs, long-poll
 // clamping, and timeout_ms validation.
 
 import (
@@ -142,25 +142,16 @@ func TestQueueFullAnswers429(t *testing.T) {
 		t.Fatalf("submit 2 status = %d, want 202", resp.StatusCode)
 	}
 
-	// A single job and a batch both meet the full queue.
-	for _, sub := range []struct {
-		route string
-		body  any
-	}{
-		{"/v1/jobs", SubmitRequest{Benchmark: "C432"}},
-		{"/v1/batches", BatchSubmitRequest{Jobs: []SubmitRequest{{Benchmark: "C432"}}}},
-	} {
-		resp = postJSON(t, ts.URL+sub.route, sub.body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("POST %s on full queue status = %d, want 429", sub.route, resp.StatusCode)
-		}
-		if ra := resp.Header.Get("Retry-After"); ra == "" {
-			t.Fatalf("POST %s: 429 response missing Retry-After header", sub.route)
-		}
+	resp = postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Benchmark: "C432"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST /v1/jobs on full queue status = %d, want 429", resp.StatusCode)
 	}
-	if shed := eng.Stats().Shed; shed != 2 {
-		t.Fatalf("stats.Shed = %d, want 2", shed)
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Fatalf("429 response missing Retry-After header")
+	}
+	if shed := eng.Stats().Shed; shed != 1 {
+		t.Fatalf("stats.Shed = %d, want 1", shed)
 	}
 }
 

@@ -8,9 +8,6 @@
 //	GET    /v1/jobs/{id}/svg     download the rendered layout SVG
 //	GET    /v1/jobs/{id}/trace   phase-span tree recorded for the job
 //	DELETE /v1/jobs/{id}       drop a terminal job from the registry
-//	POST   /v1/batches         submit a whole suite of jobs in one round trip
-//	GET    /v1/batches         list batch summaries
-//	GET    /v1/batches/{id}    stream per-job results as NDJSON, as they land
 //	GET    /v1/benchmarks      list the built-in benchmark suite
 //	GET    /v1/stats           engine counters (engine.Stats)
 //	GET    /metrics            Prometheus text exposition (engine + flow + HTTP)
@@ -89,7 +86,6 @@ type Server struct {
 
 	metrics  serverMetrics
 	inflight atomic.Int64
-	batches  batchRegistry
 }
 
 // Option customizes a Server at construction.
@@ -137,9 +133,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	s.route("GET /v1/jobs/{id}/result", s.handleResult)
 	s.route("GET /v1/jobs/{id}/svg", s.handleSVG)
 	s.route("GET /v1/jobs/{id}/trace", s.handleTrace)
-	s.route("POST /v1/batches", s.handleBatchSubmit)
-	s.route("GET /v1/batches", s.handleBatchList)
-	s.route("GET /v1/batches/{id}", s.handleBatchStream)
 	s.route("GET /v1/benchmarks", s.handleBenchmarks)
 	s.route("GET /v1/stats", s.handleStats)
 	s.route("GET /metrics", s.handleMetrics)
@@ -185,13 +178,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Unwrap exposes the wrapped writer to http.ResponseController, which is
-// how the batch stream reaches Flush and SetWriteDeadline through this
-// wrapper. Without it the recorder silently swallowed both: the embedded
-// interface hides the concrete writer's optional methods, so the NDJSON
-// stream neither flushed per line nor timed out on stalled readers.
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
 // statusClass folds an HTTP status into its hundreds class ("2xx").
 func statusClass(code int) string {
 	if code < 100 || code > 599 {
@@ -212,9 +198,9 @@ type SubmitRequest struct {
 	BLIF string `json:"blif,omitempty"`
 	// SVG requests a layout rendering, served at /v1/jobs/{id}/svg.
 	SVG bool `json:"svg,omitempty"`
-	// EmitBLIF captures the mapped, placed netlist; batch results then
-	// carry its SHA-256 (the golden-harness hash). Mutually exclusive
-	// with SVG.
+	// EmitBLIF captures the mapped, placed netlist; the finished job's
+	// status then carries its SHA-256 (the golden-harness hash) as
+	// blif_sha256. Mutually exclusive with SVG.
 	EmitBLIF bool `json:"emit_blif,omitempty"`
 	// TimeoutMS bounds the job's run time in milliseconds.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -282,7 +268,7 @@ func (o JobOptions) ToFlowOptions() (lily.FlowOptions, error) {
 
 // resolve turns a submitted job into the engine's request form: it fills
 // the server-wide defaults into the options, then validates them and the
-// artifact flags. Shared by the single-job and batch submission paths.
+// artifact flags.
 func (s *Server) resolve(req SubmitRequest) (engine.Request, error) {
 	if req.Options.Target == "" {
 		req.Options.Target = s.defaultTarget.String()

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +24,21 @@ func newTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
 	return serve(t, eng), eng
+}
+
+// newInstantJobServer backs the job routes with an instant fake runner,
+// for tests that exercise the HTTP surface rather than the mapping
+// pipeline. With emit_blif the runner's mapped netlist is
+// "mapped:<benchmark>".
+func newInstantJobServer(t *testing.T) (*httptest.Server, *engine.Engine) {
+	t.Helper()
+	return newFakeServer(t, engine.Config{Workers: 2, Run: func(ctx context.Context, c *lily.Circuit, req engine.Request) (*engine.Outcome, error) {
+		out := &engine.Outcome{Result: &lily.FlowResult{Circuit: req.Benchmark, Gates: 1}}
+		if req.EmitBLIF {
+			out.MappedBLIF = []byte("mapped:" + req.Benchmark)
+		}
+		return out, nil
+	}})
 }
 
 // serve starts eng's HTTP API on a test server and registers its
@@ -253,6 +271,7 @@ func TestBadRequests(t *testing.T) {
 		{"trailing garbage", `{"benchmark":"misex1"} trailing-garbage`, http.StatusBadRequest},
 		{"second value", `{"benchmark":"misex1"}{"benchmark":"nope","bogus":1}`, http.StatusBadRequest},
 		{"removed parallelism key", `{"benchmark":"misex1","options":{"parallelism":2}}`, http.StatusBadRequest},
+		{"svg with emit_blif", `{"benchmark":"misex1","svg":true,"emit_blif":true}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -313,7 +332,7 @@ func TestResultBeforeCompletionConflicts(t *testing.T) {
 // TestSVGWithoutSVGConflicts: a finished job submitted without
 // "svg": true answers 409 on its SVG route, with the error as its body.
 func TestSVGWithoutSVGConflicts(t *testing.T) {
-	ts, _ := newBatchFakeServer(t)
+	ts, _ := newInstantJobServer(t)
 	sub := submitAndFinish(t, ts, "misex1")
 	r, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/svg")
 	if err != nil {
@@ -324,6 +343,64 @@ func TestSVGWithoutSVGConflicts(t *testing.T) {
 	}
 	if msg := decode[errorResponse](t, r).Error; !strings.Contains(msg, `"svg": true`) {
 		t.Errorf("error = %q, want it to name the missing \"svg\": true", msg)
+	}
+}
+
+// TestStatusBLIFHash: a finished emit_blif job's status carries the
+// SHA-256 of its mapped netlist, a cache hit reports the hash of its
+// miss, and a job without emit_blif has no blif_sha256 field at all.
+func TestStatusBLIFHash(t *testing.T) {
+	ts, eng := newInstantJobServer(t)
+	sum := sha256.Sum256([]byte("mapped:misex1"))
+	want := hex.EncodeToString(sum[:])
+
+	finish := func(req SubmitRequest) []byte {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/jobs", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+		}
+		sub := decode[SubmitResponse](t, resp)
+		r, err := http.Get(ts.URL + sub.Status + "?wait=10s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	status := func(body []byte) engine.Status {
+		t.Helper()
+		var st engine.Status
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "done" {
+			t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
+		}
+		return st
+	}
+
+	emit := SubmitRequest{Benchmark: "misex1", EmitBLIF: true}
+	miss := status(finish(emit))
+	if miss.CacheHit || miss.BLIFSHA256 != want {
+		t.Fatalf("miss: cache_hit=%v blif_sha256=%q, want a miss with %s", miss.CacheHit, miss.BLIFSHA256, want)
+	}
+	hit := status(finish(emit))
+	if !hit.CacheHit || hit.BLIFSHA256 != want {
+		t.Fatalf("repeat: cache_hit=%v blif_sha256=%q, want a cache hit with %s", hit.CacheHit, hit.BLIFSHA256, want)
+	}
+	if st := eng.Stats(); st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("stats hits/misses = %d/%d, want 1/1", st.CacheHits, st.CacheMisses)
+	}
+
+	plain := finish(SubmitRequest{Benchmark: "misex1"})
+	status(plain)
+	if bytes.Contains(plain, []byte(`"blif_sha256"`)) {
+		t.Fatalf("job without emit_blif reports a hash:\n%s", plain)
 	}
 }
 

@@ -57,25 +57,19 @@ func TestJobOptionsTargetValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownTarget covers the HTTP round trip: a bad
-// target is a 400 whose body lists the accepted values, on both the
-// single-job and batch endpoints.
+// target is a 400 whose body lists the accepted values.
 func TestSubmitRejectsUnknownTarget(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	for _, tc := range []struct {
 		name string
-		url  string
 		body string
 	}{
-		{"single job", "/v1/jobs",
-			`{"benchmark":"misex1","options":{"target":"fpga"}}`},
-		{"batch job", "/v1/batches",
-			`{"jobs":[{"benchmark":"misex1","options":{"target":"fpga"}}]}`},
-		{"mis with lut target", "/v1/jobs",
-			`{"benchmark":"misex1","options":{"mapper":"mis","target":"lut4"}}`},
+		{"single job", `{"benchmark":"misex1","options":{"target":"fpga"}}`},
+		{"mis with lut target", `{"benchmark":"misex1","options":{"mapper":"mis","target":"lut4"}}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

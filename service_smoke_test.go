@@ -1,16 +1,16 @@
-// Service smoke test: the batch API's end-to-end acceptance. One
+// Service smoke test: the job API's end-to-end acceptance. One
 // in-process lilyd equivalent (engine + HTTP server behind httptest)
-// serves the full benchmark suite through POST /v1/batches, and every
-// mapped-BLIF SHA-256 must match testdata/golden.json. The same batch
-// again must be served entirely from the result cache with identical
-// hashes, and the lut4 suite must match its own goldens.
+// serves the full benchmark suite as individual POST /v1/jobs
+// submissions, long-polled with GET /v1/jobs/{id}?wait=, and every
+// job status's blif_sha256 must match testdata/golden.json. The same
+// suite again must be served entirely from the result cache with
+// identical hashes, and the lut4 suite must match its own goldens.
 //
 // `make service-smoke` runs exactly this test under -race; CI runs it as
 // its own job.
 package lily_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -26,8 +26,8 @@ import (
 )
 
 // newSmokeService starts an engine and its HTTP server the way cmd/lilyd
-// wires them, minus load shedding: a whole suite batch must queue rather
-// than be answered 429.
+// wires them, minus load shedding: a submission that meets a full queue
+// waits for room rather than being answered 429.
 func newSmokeService(t *testing.T) (*engine.Engine, *httptest.Server) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
@@ -41,14 +41,14 @@ func newSmokeService(t *testing.T) (*engine.Engine, *httptest.Server) {
 	return eng, ts
 }
 
-// suiteBatch builds the batch request covering every benchmark circuit in
-// both objectives (honoring -short), with emit_blif so each stream line
-// carries the golden hash.
-func suiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
+// suiteJobs builds the job requests covering every benchmark circuit in
+// both objectives (honoring -short), with emit_blif so each finished
+// status carries the golden hash.
+func suiteJobs(t *testing.T) ([]server.SubmitRequest, []string) {
 	t.Helper()
 	circuits := lily.BenchmarkNames()
 	sort.Strings(circuits)
-	var req server.BatchSubmitRequest
+	var reqs []server.SubmitRequest
 	var keys []string
 	for _, circuit := range circuits {
 		if testing.Short() && shortSkip[circuit] {
@@ -58,7 +58,7 @@ func suiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
 			name string
 			obj  lily.Objective
 		}{{"area", lily.ObjectiveArea}, {"delay", lily.ObjectiveDelay}} {
-			req.Jobs = append(req.Jobs, server.SubmitRequest{
+			reqs = append(reqs, server.SubmitRequest{
 				Benchmark: circuit,
 				EmitBLIF:  true,
 				Options:   server.JobOptions{Mapper: "lily", Objective: obj.name},
@@ -66,105 +66,133 @@ func suiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
 			keys = append(keys, goldenKey(circuit, obj.obj))
 		}
 	}
-	return req, keys
+	return reqs, keys
 }
 
-// lutSuiteBatch builds the suite batch at target=lut4 in area mode (the
-// pinned LUT goldens), with emit_blif so each stream line carries the
+// lutSuiteJobs builds the suite at target=lut4 in area mode (the pinned
+// LUT goldens), with emit_blif so each finished status carries the
 // golden hash. The LUT backend rides the same service path as ASIC
 // mapping: same digests, same result cache.
-func lutSuiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
+func lutSuiteJobs(t *testing.T) ([]server.SubmitRequest, []string) {
 	t.Helper()
 	circuits := lily.BenchmarkNames()
 	sort.Strings(circuits)
-	var req server.BatchSubmitRequest
+	var reqs []server.SubmitRequest
 	var keys []string
 	for _, circuit := range circuits {
 		if testing.Short() && shortSkip[circuit] {
 			continue
 		}
-		req.Jobs = append(req.Jobs, server.SubmitRequest{
+		reqs = append(reqs, server.SubmitRequest{
 			Benchmark: circuit,
 			EmitBLIF:  true,
 			Options:   server.JobOptions{Mapper: "lily", Objective: "area", Target: "lut4"},
 		})
 		keys = append(keys, lutGoldenKey(circuit, lily.ObjectiveArea, lily.TargetLUT4))
 	}
-	return req, keys
+	return reqs, keys
 }
 
-// runSuiteBatch submits the suite and returns the stream lines keyed by
-// job index, plus the submit ack.
-func runSuiteBatch(t *testing.T, ts *httptest.Server, req server.BatchSubmitRequest) (server.BatchSubmitResponse, map[int]server.BatchResult) {
+// smokeResult is one finished suite job: its final status and, when it
+// succeeded, the gate count of its FlowResult.
+type smokeResult struct {
+	status engine.Status
+	gates  int
+}
+
+// runSuite submits reqs as individual jobs and returns their results in
+// request order. At most the engine's queue capacity of jobs is
+// outstanding at once: before submitting job i it waits for job
+// i-window, so no submission meets a full queue.
+func runSuite(t *testing.T, eng *engine.Engine, ts *httptest.Server, reqs []server.SubmitRequest) []smokeResult {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("batch submit status = %d, want 202", resp.StatusCode)
-	}
-	var ack server.BatchSubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	sr, err := http.Get(ts.URL + ack.Stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Body.Close()
-	if sr.StatusCode != http.StatusOK {
-		t.Fatalf("stream status = %d, want 200", sr.StatusCode)
-	}
-	results := make(map[int]server.BatchResult, len(req.Jobs))
-	sc := bufio.NewScanner(sr.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		var line server.BatchResult
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad stream line: %v", err)
+	window := eng.Stats().QueueCap
+	subs := make([]server.SubmitResponse, len(reqs))
+	results := make([]smokeResult, len(reqs))
+	for i, req := range reqs {
+		if i >= window {
+			results[i-window] = finishSmokeJob(t, ts, subs[i-window])
 		}
-		results[line.Index] = line
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status = %d, want 202", req.Benchmark, resp.StatusCode)
+		}
+		subs[i] = decodeJSON[server.SubmitResponse](t, resp)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	for i := max(0, len(reqs)-window); i < len(reqs); i++ {
+		results[i] = finishSmokeJob(t, ts, subs[i])
 	}
-	if len(results) != len(req.Jobs) {
-		t.Fatalf("streamed %d of %d results", len(results), len(req.Jobs))
-	}
-	return ack, results
+	return results
 }
 
-// assertGoldenResults checks every stream line terminated successfully
-// with the pinned mapped-BLIF hash for its (circuit, objective).
-func assertGoldenResults(t *testing.T, label string, keys []string, results map[int]server.BatchResult, goldens map[string]goldenEntry) {
+// finishSmokeJob long-polls a job to a terminal state and, if it is
+// done, fetches its FlowResult's gate count.
+func finishSmokeJob(t *testing.T, ts *httptest.Server, sub server.SubmitResponse) smokeResult {
+	t.Helper()
+	var st engine.Status
+	for {
+		r, err := http.Get(ts.URL + sub.Status + "?wait=60s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode != http.StatusOK {
+			r.Body.Close()
+			t.Fatalf("poll %s: status = %d, want 200", sub.ID, r.StatusCode)
+		}
+		st = decodeJSON[engine.Status](t, r)
+		if st.State == "done" || st.State == "failed" || st.State == "canceled" {
+			break
+		}
+	}
+	res := smokeResult{status: st}
+	if st.State == "done" {
+		r, err := http.Get(ts.URL + sub.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.gates = decodeJSON[lily.FlowResult](t, r).Gates
+	}
+	return res
+}
+
+// decodeJSON decodes a response body into a T and closes it.
+func decodeJSON[T any](t *testing.T, r *http.Response) T {
+	t.Helper()
+	defer r.Body.Close()
+	var v T
+	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// assertGoldenResults checks every job terminated successfully with the
+// pinned mapped-BLIF hash and gate count for its golden key.
+func assertGoldenResults(t *testing.T, label string, keys []string, results []smokeResult, goldens map[string]goldenEntry) {
 	t.Helper()
 	for i, key := range keys {
-		line, ok := results[i]
-		if !ok {
-			t.Errorf("[%s] %s: missing from stream", label, key)
-			continue
-		}
-		if line.State != "done" {
-			t.Errorf("[%s] %s: finished %s (%s), want done", label, key, line.State, line.Error)
+		st := results[i].status
+		if st.State != "done" {
+			t.Errorf("[%s] %s: finished %s (%s), want done", label, key, st.State, st.Error)
 			continue
 		}
 		want, ok := goldens[key]
 		if !ok {
 			t.Fatalf("no golden for %s", key)
 		}
-		if line.BLIFSHA256 != want.BLIFSHA256 {
+		if st.BLIFSHA256 != want.BLIFSHA256 {
 			t.Errorf("[%s] %s: mapped BLIF hash drifted:\n got %s\nwant %s",
-				label, key, line.BLIFSHA256, want.BLIFSHA256)
+				label, key, st.BLIFSHA256, want.BLIFSHA256)
 		}
-		if line.Result == nil || line.Result.Gates != want.Gates {
-			t.Errorf("[%s] %s: gates drifted: %+v, want %d", label, key, line.Result, want.Gates)
+		if results[i].gates != want.Gates {
+			t.Errorf("[%s] %s: gates = %d, want %d", label, key, results[i].gates, want.Gates)
 		}
 	}
 }
@@ -172,31 +200,30 @@ func assertGoldenResults(t *testing.T, label string, keys []string, results map[
 func TestServiceSmoke(t *testing.T) {
 	goldens := loadGoldens(t)
 	eng, ts := newSmokeService(t)
-	req, keys := suiteBatch(t)
+	reqs, keys := suiteJobs(t)
 
 	// Round 1: first sight of every digest — computed by the engine.
-	_, results := runSuiteBatch(t, ts, req)
+	results := runSuite(t, eng, ts, reqs)
 	assertGoldenResults(t, "asic", keys, results, goldens)
 
-	// Round 2: the same batch again must come entirely from the result
+	// Round 2: the same suite again must come entirely from the result
 	// cache, with the same bytes.
 	hitsBefore := eng.Stats().CacheHits
-	_, again := runSuiteBatch(t, ts, req)
+	again := runSuite(t, eng, ts, reqs)
 	assertGoldenResults(t, "asic/cached", keys, again, goldens)
-	if hits := eng.Stats().CacheHits - hitsBefore; hits != uint64(len(req.Jobs)) {
-		t.Errorf("repeat batch: %d cache hits, want %d (one per job)", hits, len(req.Jobs))
+	if hits := eng.Stats().CacheHits - hitsBefore; hits != uint64(len(reqs)) {
+		t.Errorf("repeat suite: %d cache hits, want %d (one per job)", hits, len(reqs))
 	}
 	for i, key := range keys {
-		if line := again[i]; !line.CacheHit || line.BLIFSHA256 != results[i].BLIFSHA256 {
+		if st := again[i].status; !st.CacheHit || st.BLIFSHA256 != results[i].status.BLIFSHA256 {
 			t.Errorf("%s: repeat cache_hit=%v hash=%s, want a cache hit with %s",
-				key, line.CacheHit, line.BLIFSHA256, results[i].BLIFSHA256)
+				key, st.CacheHit, st.BLIFSHA256, results[i].status.BLIFSHA256)
 		}
 	}
 
 	// Round 3: the suite at target=lut4. Different target ⇒ different
 	// digests ⇒ fresh compute, and every hash must match the pinned LUT
 	// goldens.
-	lutReq, lutKeys := lutSuiteBatch(t)
-	_, lutResults := runSuiteBatch(t, ts, lutReq)
-	assertGoldenResults(t, "lut4", lutKeys, lutResults, goldens)
+	lutReqs, lutKeys := lutSuiteJobs(t)
+	assertGoldenResults(t, "lut4", lutKeys, runSuite(t, eng, ts, lutReqs), goldens)
 }
