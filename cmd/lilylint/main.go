@@ -2,21 +2,25 @@
 //
 //	lilylint [package pattern ...]   (default ./...)
 //
-// It loads the whole module offline, runs every analyzer, and prints the
-// findings in the requested packages. The suite enforces the invariants
-// documented in DESIGN.md §9: context cancellation in long-running loops
-// (ctxloop) in every package, and the determinism fence over the
-// whole-program call graph (purity: no wall clock, environment, global
-// rand, order-dependent map iteration or exact float comparison in the
-// mapping packages or anything they reach).
+// It loads the whole module offline, runs each analyzer over the
+// requested packages in its scope, and prints the findings. The suite
+// enforces the invariants documented in DESIGN.md §9: context
+// cancellation in long-running loops (ctxloop) in every package, and the
+// determinism fence (purity: no wall clock, environment, global rand,
+// order-dependent map iteration or exact float comparison) in the fence
+// packages, a fixed list closed under module imports. `lilylint -h`
+// prints each analyzer with its scope.
 //
-// Exit codes: 0 clean, 1 findings, 2 operational error.
+// Exit codes: 0 clean, 1 findings, 2 operational error (including a
+// fence package missing from the module, or one importing a module
+// package outside the fence).
 package main
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"lily/internal/lint"
 )
@@ -46,12 +50,12 @@ func run(argv []string) int {
 
 func usage(progname string) {
 	fmt.Fprintf(os.Stderr, "usage: %s [package pattern ...]   (default ./...)\n", progname)
-	fmt.Fprintf(os.Stderr, "\nAnalyzers (every package in the module):\n")
+	fmt.Fprintf(os.Stderr, "\nAnalyzers:\n")
 	for _, an := range lint.Analyzers {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, an.Doc)
-	}
-	fmt.Fprintf(os.Stderr, "\nCross-package analyzers (whole-program call graph):\n")
-	for _, an := range lint.ProgramAnalyzers {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", an.Name, an.Doc)
+		scope := "every package in the module"
+		if an == lint.PurityAnalyzer {
+			scope = "the fence packages: " + strings.Join(lint.FencePackages, ", ")
+		}
+		fmt.Fprintf(os.Stderr, "  %-8s %s\n  %-8s scope: %s\n", an.Name, an.Doc, "", scope)
 	}
 }

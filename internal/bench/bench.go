@@ -156,6 +156,7 @@ func generate(p Profile) (*logic.Network, error) {
 	if p.Tiles > 1 {
 		return generateTiled(p)
 	}
+	//lint:impure generator is seeded from p.Seed (fixed per profile), so the generated network is reproducible
 	rng := rand.New(rand.NewSource(p.Seed))
 	n := logic.New(p.Name)
 
@@ -228,6 +229,7 @@ func generateTiled(p Profile) (*logic.Network, error) {
 	if p.POs < p.Tiles {
 		return nil, fmt.Errorf("bench: profile %s has %d POs for %d tiles; need at least one per tile", p.Name, p.POs, p.Tiles)
 	}
+	//lint:impure generator is seeded from p.Seed (fixed per profile), so the generated network is reproducible
 	rng := rand.New(rand.NewSource(p.Seed))
 	n := logic.New(p.Name)
 	sigs := make([]signal, 0, p.PIs+p.Nodes)

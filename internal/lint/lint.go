@@ -1,19 +1,21 @@
 // Package lint is lily's domain-specific static-analysis suite: a small
 // stdlib-only reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus two analyzers that turn
-// the repo's house rules into mechanically checked invariants.
+// vocabulary (Analyzer, Pass, Diagnostic) plus two per-package analyzers
+// that turn the repo's house rules into mechanically checked invariants.
 //
-//   - ctxloop, a per-package check applied to every package of the
-//     module: unbounded loops in context-accepting functions must stay
-//     cancellable (a ctx.Err()/ctx.Done() checkpoint or a ctx-forwarding
-//     call), like the checkpoints in place, cg, and the cone loop.
-//   - purity, a cross-package ProgramAnalyzer over the whole-program CHA
-//     call graph (callgraph.go): the determinism fence and the suite's
-//     one set of determinism rules — nothing in the deterministic
-//     mapping packages, or reachable from them or the flow entry point,
-//     may read the wall clock, the process environment, or global rand,
-//     iterate a map in an order-dependent way, or compare floats
-//     exactly.
+//   - ctxloop, applied to every package of the module: unbounded loops
+//     in context-accepting functions must stay cancellable (a
+//     ctx.Err()/ctx.Done() checkpoint or a ctx-forwarding call), like
+//     the checkpoints in place, cg, and the cone loop.
+//   - purity, applied to every package in FencePackages: the
+//     determinism fence and the suite's one set of determinism rules —
+//     nothing in the mapping packages, the root package that runs the
+//     flow, or the packages they import may read the wall clock, the
+//     process environment, or global rand, iterate a map in an
+//     order-dependent way, or compare floats exactly. The list is closed
+//     under module imports: a fenced package may import only other
+//     fenced packages and internal/obs, and Run fails closed when that
+//     no longer holds or a listed package is missing.
 //
 // The service packages' concurrency and HTTP rules are checked by tests
 // instead: `go test -race` for lock discipline, `go vet`'s copylocks for
@@ -23,8 +25,8 @@
 // Run is the one driver: cmd/lilylint calls it with the command-line
 // package patterns, and the package's own TestAllAnalyzers self-run
 // calls it over ./... so `go test ./...` keeps the tree lint-clean.
-// Program analyzers always see the whole module; findings are reported
-// for the requested packages.
+// Each requested package gets the analyzers AnalyzersFor names for it,
+// so a subset run checks the fence wherever it covers the subset.
 //
 // Diagnostics can be suppressed with a justification comment on the
 // flagged line (or the line above): `//lint:bounded <why>` (ctxloop),
@@ -154,21 +156,31 @@ func justificationWord(comment string) (string, bool) {
 	return word, true
 }
 
-// Analyzers is the per-package suite, in reporting order.
+// Analyzers is the suite, in reporting order. ctxloop applies to every
+// package of the module, purity only to FencePackages.
 var Analyzers = []*Analyzer{
 	CtxLoopAnalyzer,
+	PurityAnalyzer,
 }
 
 // ModulePath is the import path of the module the suite guards.
 const ModulePath = "lily"
 
-// AnalyzersFor returns the per-package analyzers that apply to
-// importPath: all of them inside the module, none outside it.
+// AnalyzersFor returns the analyzers that apply to importPath: both in
+// a fence package, ctxloop alone elsewhere in the module, none outside
+// it.
 func AnalyzersFor(importPath string) []*Analyzer {
-	if importPath != ModulePath && !strings.HasPrefix(importPath, ModulePath+"/") {
-		return nil
+	switch {
+	case fenced(importPath):
+		return Analyzers
+	case inModule(importPath):
+		return Analyzers[:1]
 	}
-	return Analyzers
+	return nil
+}
+
+func inModule(importPath string) bool {
+	return importPath == ModulePath || strings.HasPrefix(importPath, ModulePath+"/")
 }
 
 // Finding pairs a diagnostic with its analyzer and resolved position,
@@ -237,13 +249,13 @@ func sortFindings(findings []Finding) {
 }
 
 // Run is the suite's driver. It loads the whole module containing dir
-// with the offline Loader, runs the per-package analyzers over the
-// packages matched by patterns and the program analyzers over the whole
-// module, and prints the findings that fall in the matched packages to
-// w, sorted by position. It returns the exit code: 0 clean, 1 findings,
-// 2 operational error (err is then non-nil). A type error anywhere in
-// the module is an operational error: analysis over partial type
-// information could miss findings.
+// with the offline Loader, runs the analyzers over the packages matched
+// by patterns, and prints their findings to w, sorted by position. It
+// returns the exit code: 0 clean, 1 findings, 2 operational error (err
+// is then non-nil). The whole module is loaded whatever the patterns, and
+// two faults anywhere in it are operational errors: a fence that no
+// longer matches the module (checkFence), and a type error, since
+// analysis over partial type information could miss findings.
 func Run(dir string, patterns []string, w io.Writer) (int, error) {
 	root, err := findModuleRoot(dir)
 	if err != nil {
@@ -261,6 +273,9 @@ func Run(dir string, patterns []string, w io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
+	if err := checkFence(all); err != nil {
+		return 2, err
+	}
 	for _, pkg := range all {
 		if len(pkg.TypeErrors) > 0 {
 			return 2, fmt.Errorf("type-checking %s: %w", pkg.Path, pkg.TypeErrors[0])
@@ -268,24 +283,12 @@ func Run(dir string, patterns []string, w io.Writer) (int, error) {
 	}
 
 	var findings []Finding
-	inRequest := make(map[*Package]bool, len(requested))
 	for _, pkg := range requested {
-		inRequest[pkg] = true
 		fs, err := RunAnalyzers(pkg, AnalyzersFor(pkg.Path))
 		if err != nil {
 			return 2, err
 		}
 		findings = append(findings, fs...)
-	}
-	prog := BuildProgram(all)
-	progFindings, err := RunProgramAnalyzers(prog, ProgramAnalyzers)
-	if err != nil {
-		return 2, err
-	}
-	for _, f := range progFindings {
-		if inRequest[prog.PackageOfFile(f.Posn.Filename)] {
-			findings = append(findings, f)
-		}
 	}
 
 	sortFindings(findings)

@@ -17,29 +17,23 @@ func fixture(t *testing.T, name string) string {
 	return abs
 }
 
-// TestMapOrder runs the fence over the map-order fixture: every function
-// of the fixture package is a root, as in the deterministic packages.
+// TestMapOrder runs the fence over the map-order fixture, as over any
+// fence package.
 func TestMapOrder(t *testing.T) {
-	a := lint.PurityAnalyzerFor(lint.PurityConfig{RootPackages: []string{"maporder"}})
-	linttest.RunProgram(t, a, fixture(t, "maporder"))
+	linttest.Run(t, lint.PurityAnalyzer, fixture(t, "maporder"))
 }
 
 func TestCtxLoop(t *testing.T) {
 	linttest.Run(t, lint.CtxLoopAnalyzer, fixture(t, "ctxloop"))
 }
 
-// TestFloatEq runs the fence over the float-equality fixture, rooted
-// like TestMapOrder.
+// TestFloatEq runs the fence over the float-equality fixture.
 func TestFloatEq(t *testing.T) {
-	a := lint.PurityAnalyzerFor(lint.PurityConfig{RootPackages: []string{"floateq"}})
-	linttest.RunProgram(t, a, fixture(t, "floateq"))
+	linttest.Run(t, lint.PurityAnalyzer, fixture(t, "floateq"))
 }
 
 func TestPurity(t *testing.T) {
-	a := lint.PurityAnalyzerFor(lint.PurityConfig{
-		RootFuncs: []string{"purity.Root"},
-	})
-	linttest.RunProgram(t, a, fixture(t, "purity"))
+	linttest.Run(t, lint.PurityAnalyzer, fixture(t, "purity"))
 }
 
 func TestAnalyzersForScoping(t *testing.T) {
@@ -54,10 +48,10 @@ func TestAnalyzersForScoping(t *testing.T) {
 		path string
 		want []string
 	}{
-		{"lily/internal/cover", []string{"ctxloop"}},
+		{"lily/internal/cover", []string{"ctxloop", "purity"}},
 		{"lily/internal/engine", []string{"ctxloop"}},
 		{"lily/internal/server", []string{"ctxloop"}},
-		{"lily", []string{"ctxloop"}},
+		{"lily", []string{"ctxloop", "purity"}},
 		{"fmt", nil},
 		{"lilyx/internal/cover", nil}, // prefix confusion must not leak analyzers
 	}

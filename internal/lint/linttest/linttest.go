@@ -1,9 +1,10 @@
 // Package linttest is the fixture harness for the lint analyzers — a
 // stdlib-only analogue of golang.org/x/tools/go/analysis/analysistest.
-// A fixture is a directory of Go files under internal/lint/testdata/src;
-// lines that should be flagged carry a `// want `+"`regex`"+“ comment,
-// and the harness fails the test on any unmatched diagnostic or
-// unsatisfied expectation.
+// A fixture is a directory of Go files under internal/lint/testdata/src,
+// loaded as one package; Run applies one analyzer to all of it, as the
+// driver does to a package in the analyzer's scope. Lines that should be
+// flagged carry a `// want `+"`regex`"+“ comment, and the harness fails
+// the test on any unmatched diagnostic or unsatisfied expectation.
 package linttest
 
 import (
@@ -45,28 +46,6 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 		t.Fatalf("fixture %s has type errors: %v", dir, pkg.TypeErrors)
 	}
 	findings, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	compare(t, pkg, findings)
-}
-
-// RunProgram executes one cross-package analyzer over the fixture
-// directory (loaded as a one-package program) and compares its
-// diagnostics against the `// want` annotations. The analyzer should be
-// built by its *For constructor with the fixture's package path (the
-// directory base name) standing in for the real anchors and roots.
-func RunProgram(t *testing.T, a *lint.ProgramAnalyzer, dir string) {
-	t.Helper()
-	pkg, err := loadFixture(dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture %s has type errors: %v", dir, pkg.TypeErrors)
-	}
-	prog := lint.BuildProgram([]*lint.Package{pkg})
-	findings, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}

@@ -1,74 +1,83 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
-// PurityConfig declares the determinism fence: which functions seed the
-// reachability walk, and which packages are exempt from it.
-type PurityConfig struct {
-	// RootPackages are import paths whose every declared function is a
-	// root of the reachable set, and so is scanned whether or not the
-	// flow calls it.
-	RootPackages []string
-	// RootFuncs are additional roots by FullName, e.g. "lily.RunFlowContext".
-	// A listed root that does not resolve is an error: the fence must not
-	// silently shrink when a root is renamed.
-	RootFuncs []string
-	// ExemptPackages are never entered nor scanned (observability reads
-	// the wall clock by design and feeds no mapping decision).
-	ExemptPackages []string
+// FencePackages is the determinism fence and the suite's one scope list
+// for determinism: the sixteen packages whose results feed covers,
+// placements, wire-cost tables and the mapped netlist, the root package
+// that runs the flow, and the packages those import. The list is closed
+// under module imports: a fenced package may import only fenced
+// packages and fenceExempt (checkFence enforces this in Run).
+var FencePackages = []string{
+	ModulePath,
+	ModulePath + "/internal/bdd",
+	ModulePath + "/internal/bench",
+	ModulePath + "/internal/core",
+	ModulePath + "/internal/cover",
+	ModulePath + "/internal/cut",
+	ModulePath + "/internal/decomp",
+	ModulePath + "/internal/equiv",
+	ModulePath + "/internal/fanout",
+	ModulePath + "/internal/geom",
+	ModulePath + "/internal/layout",
+	ModulePath + "/internal/library",
+	ModulePath + "/internal/logic",
+	ModulePath + "/internal/match",
+	ModulePath + "/internal/mis",
+	ModulePath + "/internal/netlist",
+	ModulePath + "/internal/opt",
+	ModulePath + "/internal/place",
+	ModulePath + "/internal/timing",
+	ModulePath + "/internal/wire",
 }
 
-// defaultPurityConfig is the shipped fence and the suite's one scope
-// list for determinism: the sixteen packages whose results feed covers,
-// placements, wire-cost tables and the mapped netlist are roots
-// wholesale, and RunFlowContext pulls in the rest of the flow.
-var defaultPurityConfig = PurityConfig{
-	RootPackages: []string{
-		ModulePath + "/internal/logic",
-		ModulePath + "/internal/decomp",
-		ModulePath + "/internal/match",
-		ModulePath + "/internal/cut",
-		ModulePath + "/internal/cover",
-		ModulePath + "/internal/place",
-		ModulePath + "/internal/wire",
-		ModulePath + "/internal/timing",
-		ModulePath + "/internal/fanout",
-		ModulePath + "/internal/layout",
-		ModulePath + "/internal/opt",
-		ModulePath + "/internal/mis",
-		ModulePath + "/internal/core",
-		ModulePath + "/internal/netlist",
-		ModulePath + "/internal/library",
-		ModulePath + "/internal/equiv",
-	},
-	RootFuncs: []string{
-		ModulePath + ".RunFlowContext",
-	},
-	ExemptPackages: []string{
-		ModulePath + "/internal/obs",
-	},
+// fenceExempt is the one module package fenced packages may import
+// without being fenced: observability reads the wall clock by design
+// and feeds no mapping decision.
+const fenceExempt = ModulePath + "/internal/obs"
+
+func fenced(importPath string) bool { return slices.Contains(FencePackages, importPath) }
+
+// checkFence fails closed when the fence no longer matches the module:
+// a listed package is missing, or a fenced package imports a module
+// package that is neither fenced nor exempt. Either way the fence would
+// silently stop covering code the flow runs.
+func checkFence(all []*Package) error {
+	byPath := make(map[string]*Package, len(all))
+	for _, pkg := range all {
+		byPath[pkg.Path] = pkg
+	}
+	var errs []error
+	for _, path := range FencePackages {
+		pkg := byPath[path]
+		if pkg == nil {
+			errs = append(errs, fmt.Errorf("purity: fence package %s is missing from the module", path))
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				imp, err := strconv.Unquote(spec.Path.Value)
+				if err != nil || !inModule(imp) || fenced(imp) || imp == fenceExempt {
+					continue
+				}
+				errs = append(errs, fmt.Errorf("purity: fenced package %s imports %s, which is neither fenced nor %s; add it to FencePackages or drop the import", path, imp, fenceExempt))
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
-// DefaultPurityConfig returns the shipped fence configuration, so tests
-// can rebuild the analyzer's view (roots, exemptions) independently.
-func DefaultPurityConfig() PurityConfig { return defaultPurityConfig }
-
-// PurityAnalyzer is the determinism fence over the mapping pipeline.
-// Every function in the deterministic packages, and every function
-// reachable from them or from RunFlowContext, must be deterministic: no
-// wall clock, no process environment, no global rand, no unordered map
-// iteration, no exact float comparison. See PurityAnalyzerFor for the
-// rules.
-var PurityAnalyzer = PurityAnalyzerFor(defaultPurityConfig)
-
-// PurityAnalyzerFor builds a purity analyzer for the given fence. The
-// rules, applied to every reachable function:
+// PurityAnalyzer is the determinism fence over the mapping pipeline,
+// applied to every package in FencePackages. The rules, applied to the
+// whole package:
 //
 //   - calling or referencing time.Now, time.Since, time.Until,
 //     os.Getenv, os.LookupEnv, os.Environ, or any package-level function
@@ -85,89 +94,44 @@ var PurityAnalyzer = PurityAnalyzerFor(defaultPurityConfig)
 //
 // `//lint:impure <why>` on the offending line (or the line above)
 // suppresses any purity finding.
-func PurityAnalyzerFor(cfg PurityConfig) *ProgramAnalyzer {
-	a := &ProgramAnalyzer{
-		Name:          "purity",
-		Doc:           "determinism fence: no clock/rand/env/map-order/float-eq in or reachable from the mapping packages",
-		Justification: "impure",
-	}
-	a.Run = func(pass *ProgramPass) error { return runPurity(pass, cfg) }
-	return a
+var PurityAnalyzer = &Analyzer{
+	Name:          "purity",
+	Doc:           "determinism fence: no clock/rand/env/map-order/float-eq in the fence packages",
+	Justification: "impure",
+	Run:           runPurity,
 }
 
-func runPurity(pass *ProgramPass, cfg PurityConfig) error {
-	g := pass.Prog.Graph
-
-	roots, err := purityRoots(g, cfg)
-	if err != nil {
-		return err
-	}
-
-	exempt := make(map[string]bool, len(cfg.ExemptPackages))
-	for _, p := range cfg.ExemptPackages {
-		exempt[p] = true
-	}
-	skip := func(n *CGNode) bool {
-		return n.Pkg != nil && exempt[n.Pkg.Path]
-	}
-
-	reach := g.Reachable(roots, skip)
-
-	var nodes []*CGNode
-	for _, n := range reach {
-		if n.Decl != nil && n.Decl.Body != nil {
-			nodes = append(nodes, n)
-		}
-	}
-	// Scan in deterministic order.
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Fn.FullName() < nodes[j].Fn.FullName() })
-
-	for _, n := range nodes {
-		checkImpureRefs(pass, n)
-		mapOrderVisitFunc(fencePass(pass, n.Pkg, "sorted"), n.Decl.Body)
-		checkFloatEq(fencePass(pass, n.Pkg, "exact"), n.Decl.Body)
+func runPurity(pass *Pass) error {
+	sorted, exact := enginePass(pass, "sorted"), enginePass(pass, "exact")
+	for _, f := range pass.Files {
+		checkImpureRefs(pass, f)
+		checkFloatEq(exact, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					mapOrderVisitFunc(sorted, fn.Body)
+				}
+				return false
+			case *ast.FuncLit:
+				mapOrderVisitFunc(sorted, fn.Body)
+				return false
+			}
+			return true
+		})
 	}
 	return nil
 }
 
-// fencePass is the per-package Pass through which the fence runs one of
-// its proof engines (map order, float equality) against pkg's type
-// info. The engine's own word (sorted, exact) suppresses its findings,
-// and so does the fence's uniform `//lint:impure` escape hatch.
-func fencePass(pass *ProgramPass, pkg *Package, word string) *Pass {
-	return &Pass{
-		Analyzer:       &Analyzer{Name: pass.Analyzer.Name, Justification: word},
-		Fset:           pkg.Fset,
-		Files:          pkg.Files,
-		Pkg:            pkg.Types,
-		TypesInfo:      pkg.Info,
-		Report:         func(d Diagnostic) { pass.Reportf(d.Pos, d.Suggestion, "%s", d.Message) },
-		justifications: pass.justifications,
-	}
-}
-
-// purityRoots resolves the configured root set, failing loudly when a
-// named root or root package is missing from the program.
-func purityRoots(g *CallGraph, cfg PurityConfig) ([]*types.Func, error) {
-	var roots []*types.Func
-	for _, p := range cfg.RootPackages {
-		fns := g.FuncsInPackage(p)
-		if len(fns) == 0 {
-			return nil, fmt.Errorf("purity: root package %q has no functions in the loaded program", p)
-		}
-		roots = append(roots, fns...)
-	}
-	for _, name := range cfg.RootFuncs {
-		fn := g.FuncByName(name)
-		if fn == nil {
-			return nil, fmt.Errorf("purity: root function %q not found in the loaded program", name)
-		}
-		roots = append(roots, fn)
-	}
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("purity: empty root set")
-	}
-	return roots, nil
+// enginePass is the Pass through which the fence runs one of its proof
+// engines (map order, float equality). The engine's own word (sorted,
+// exact) suppresses its findings, and so does the fence's uniform
+// `//lint:impure` escape hatch.
+func enginePass(pass *Pass, word string) *Pass {
+	engine := *pass
+	engine.Analyzer = &Analyzer{Name: pass.Analyzer.Name, Justification: word}
+	engine.Report = func(d Diagnostic) { pass.Reportf(d.Pos, d.Suggestion, "%s", d.Message) }
+	return &engine
 }
 
 // impureDenied reports whether fn is one of the denylisted sources of
@@ -192,35 +156,54 @@ func impureDenied(fn *types.Func) (string, bool) {
 }
 
 // checkImpureRefs flags every use (call or value reference) of a
-// denylisted function inside n's declaration.
-func checkImpureRefs(pass *ProgramPass, n *CGNode) {
-	info := n.Pkg.Info
+// denylisted function under root.
+func checkImpureRefs(pass *Pass, root ast.Node) {
 	var visit func(node ast.Node) bool
 	visit = func(node ast.Node) bool {
 		switch e := node.(type) {
 		case *ast.SelectorExpr:
-			if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-				if what, bad := impureDenied(fn); bad {
-					reportImpure(pass, e.Pos(), n, what)
-				}
-			}
+			reportImpure(pass, e, e.Sel)
 			// Descend only into X: the Sel ident would double-report.
 			ast.Inspect(e.X, visit)
 			return false
 		case *ast.Ident:
-			if fn, ok := info.Uses[e].(*types.Func); ok {
-				if what, bad := impureDenied(fn); bad {
-					reportImpure(pass, e.Pos(), n, what)
-				}
-			}
+			reportImpure(pass, e, e)
 		}
 		return true
 	}
-	ast.Inspect(n.Decl.Body, visit)
+	ast.Inspect(root, visit)
 }
 
-func reportImpure(pass *ProgramPass, pos token.Pos, n *CGNode, what string) {
-	pass.Reportf(pos,
-		"thread the value in as data (config field, parameter, injected seed) or add `//lint:impure <why>` documenting why this cannot affect mapping results",
-		"%s reachable from the deterministic root set via %s", what, n.Fn.FullName())
+// reportImpure flags at's use of id when id names a denylisted function.
+func reportImpure(pass *Pass, at ast.Node, id *ast.Ident) {
+	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+	if !ok {
+		return
+	}
+	if what, bad := impureDenied(fn); bad {
+		pass.Reportf(at.Pos(),
+			"thread the value in as data (config field, parameter, injected seed) or add `//lint:impure <why>` documenting why this cannot affect mapping results",
+			"%s in fenced package %s", what, pass.Pkg.Path())
+	}
+}
+
+// stdFuncIs reports whether fn is the package-level function pkgPath.name
+// (receiver-less), e.g. stdFuncIs(fn, "time", "Now").
+func stdFuncIs(fn *types.Func, pkgPath, name string) bool {
+	return fn.Name() == name && stdPkgFunc(fn, pkgPath) && fn.Pkg().Path() == pkgPath
+}
+
+// stdPkgFunc reports whether fn is any package-level function of the
+// package pkgPath or one below it ("math/rand" also matches
+// "math/rand/v2").
+func stdPkgFunc(fn *types.Func, pkgPath string) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	p := fn.Pkg().Path()
+	if p != pkgPath && !strings.HasPrefix(p, pkgPath+"/") {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() == nil
 }

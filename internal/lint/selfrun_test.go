@@ -2,7 +2,7 @@ package lint_test
 
 import (
 	"bytes"
-	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -27,20 +27,6 @@ func TestAllAnalyzers(t *testing.T) {
 	}
 }
 
-// loadProgram loads the whole module and builds the call graph.
-func loadProgram(t *testing.T, root string) *lint.Program {
-	t.Helper()
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return lint.BuildProgram(pkgs)
-}
-
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -50,76 +36,23 @@ func moduleRoot(t *testing.T) string {
 	return root
 }
 
-// TestPurityRootSetReachability proves the fence actually spans the
-// mapping pipeline: the whole-flow entry points and cost kernels must
-// pull a large multi-package closure into the reachable set. If a root
-// rename or a call-graph regression shrank the fence, this fails before
-// any nondeterminism could hide in the gap.
-func TestPurityRootSetReachability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	prog := loadProgram(t, moduleRoot(t))
-	g := prog.Graph
-	cfg := lint.DefaultPurityConfig()
-
-	var roots []*types.Func
-	for _, p := range cfg.RootPackages {
-		fns := g.FuncsInPackage(p)
-		if len(fns) == 0 {
-			t.Fatalf("root package %s resolved no functions", p)
-		}
-		roots = append(roots, fns...)
-	}
-	for _, name := range cfg.RootFuncs {
-		fn := g.FuncByName(name)
-		if fn == nil {
-			t.Fatalf("root function %s not found — the fence silently shrank", name)
-		}
-		roots = append(roots, fn)
-	}
-
-	exempt := make(map[string]bool)
-	for _, p := range cfg.ExemptPackages {
-		exempt[p] = true
-	}
-	reach := g.Reachable(roots, func(n *lint.CGNode) bool {
-		return n.Pkg != nil && exempt[n.Pkg.Path]
-	})
-
-	pkgsSeen := make(map[string]bool)
-	for _, n := range reach {
-		if n.Pkg != nil {
-			pkgsSeen[n.Pkg.Path] = true
-		}
-	}
-	// The flow behind RunFlowContext must reach the core mapper, logic
-	// decomposition, netlist construction, and layout.
-	for _, want := range []string{
-		"lily/internal/core", "lily/internal/logic", "lily/internal/decomp",
-		"lily/internal/netlist", "lily/internal/layout", "lily/internal/cover",
-		"lily/internal/wire", "lily/internal/timing", "lily/internal/place",
-		"lily/internal/cut", "lily/internal/match",
-	} {
-		if !pkgsSeen[want] {
-			t.Errorf("package %s is not reachable from the purity root set; the fence has a hole", want)
-		}
-	}
-	if pkgsSeen["lily/internal/obs"] {
-		t.Error("exempt package lily/internal/obs appears in the reachable set")
-	}
-}
-
 // TestPurityCatchesMutations is the negative proof the fence demands.
-// Four planted defects must each produce a purity finding through the
+// Five planted defects must each produce a purity finding through the
 // driver:
 //
 //  1. a time.Now() call in a new file in internal/wire;
 //  2. deletion of a `//lint:sorted` justification in internal/core;
 //  3. an order-dependent map range in a new, uncalled function in
-//     internal/logic — only the package-wide root scope sees it;
+//     internal/logic;
 //  4. deletion of a `//lint:exact` justification in
-//     internal/layout/leftedge.go, whose comparators no flow path calls.
+//     internal/layout/leftedge.go, whose comparators no flow path calls;
+//  5. a time.Now() call in lily.runPipeline, in the root package.
+//
+// A sixth must make the driver fail closed (exit 2), naming both
+// packages:
+//
+//  6. a new package internal/zzclock that calls time.Now, imported from
+//     internal/wire: the fence would no longer be closed under imports.
 //
 // The module is copied into a temp dir, mutated there, and re-analyzed;
 // the working tree is never touched.
@@ -138,6 +71,9 @@ func TestPurityCatchesMutations(t *testing.T) {
 			"\tfor k := range m {\n\t\tout = append(out, k)\n\t}\n"+
 			"\treturn out\n}\n")
 	deleteFirstMarker(t, filepath.Join(tmp, "internal", "layout", "leftedge.go"), "//lint:exact")
+	replaceOnce(t, filepath.Join(tmp, "lily.go"), "import (\n", "import (\n\t\"time\"\n")
+	pipeline := "func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult, *layout.Result, error) {\n"
+	replaceOnce(t, filepath.Join(tmp, "lily.go"), pipeline, pipeline+"\t_ = time.Now()\n")
 
 	code, out := runLint(t, tmp, "./...")
 	if code != 1 {
@@ -148,16 +84,46 @@ func TestPurityCatchesMutations(t *testing.T) {
 		{filepath.Join("internal", "core", "core.go"), "order-dependent"},
 		{filepath.Join("internal", "logic", "zz_maporder.go"), "order-dependent"},
 		{filepath.Join("internal", "layout", "leftedge.go"), "exact !="},
+		{string(filepath.Separator) + "lily.go", "wall clock"},
 	} {
 		if !reported(out, plant.file, plant.message) {
 			t.Errorf("purity missed the %q plant in %s:\n%s", plant.message, plant.file, out)
 		}
 	}
+
+	if err := os.Mkdir(filepath.Join(tmp, "internal", "zzclock"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(tmp, "internal", "zzclock", "zzclock.go"),
+		"package zzclock\n\nimport \"time\"\n\n"+
+			"func Now() time.Time { return time.Now() }\n")
+	writeFile(t, filepath.Join(tmp, "internal", "wire", "zz_clock.go"),
+		"package wire\n\nimport \"lily/internal/zzclock\"\n\n"+
+			"var injectedClock = zzclock.Now\n")
+	code, err := lint.Run(tmp, []string{"./..."}, io.Discard)
+	if code != 2 || err == nil ||
+		!strings.Contains(err.Error(), "lily/internal/wire imports lily/internal/zzclock") {
+		t.Errorf("lint.Run with wire importing an unfenced package = %d, %v; want exit 2 naming both packages", code, err)
+	}
+}
+
+// TestFenceMissingPackage: a fence package missing from the module is an
+// operational error, so renaming or deleting one cannot shrink the
+// fence unnoticed. The module here holds only the root package.
+func TestFenceMissingPackage(t *testing.T) {
+	tmp := t.TempDir()
+	writeFile(t, filepath.Join(tmp, "go.mod"), "module lily\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(tmp, "lily.go"), "package lily\n")
+	code, err := lint.Run(tmp, []string{"./..."}, io.Discard)
+	if code != 2 || err == nil ||
+		!strings.Contains(err.Error(), "fence package lily/internal/wire is missing") {
+		t.Errorf("lint.Run on a module without the fence packages = %d, %v; want exit 2 naming them", code, err)
+	}
 }
 
 // TestRunSubsetKeepsFence runs the driver on one package: the fence
-// still covers it, because program analyzers always load the whole
-// module and report the findings that fall in the requested packages.
+// still covers it, because purity applies to every requested fence
+// package however the packages were named.
 func TestRunSubsetKeepsFence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a module copy; skipped in -short")
@@ -200,13 +166,26 @@ func reported(out, file, message string) bool {
 }
 
 // plantWallClock adds a wall-clock read to internal/wire under root.
-// Every wire function is a purity root, so it is in the fence by
+// internal/wire is a fence package, so the read is in the fence by
 // construction.
 func plantWallClock(t *testing.T, root string) {
 	t.Helper()
 	writeFile(t, filepath.Join(root, "internal", "wire", "zz_injected.go"),
 		"package wire\n\nimport \"time\"\n\n"+
 			"func injectedWallClock() time.Time { return time.Now() }\n")
+}
+
+// replaceOnce replaces the first occurrence of old in path with new.
+func replaceOnce(t *testing.T, path, old, new string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), old) {
+		t.Fatalf("%s holds no %q; update the mutation", path, old)
+	}
+	writeFile(t, path, strings.Replace(string(data), old, new, 1))
 }
 
 // deleteFirstMarker removes the first line of path containing marker,

@@ -1,6 +1,5 @@
-// Package purity is the fixture for the purity program analyzer. The
-// test configures Root as the only determinism root; everything it
-// reaches is fenced, everything else is ignored.
+// Package purity is the fixture for the purity analyzer. The fence is
+// the whole package: every function is scanned, called or not.
 package purity
 
 import (
@@ -9,35 +8,20 @@ import (
 	"time"
 )
 
-// Root is the configured determinism root.
-func Root() {
-	step()
-	viaValue(helperClean)
-}
-
 func step() {
-	_ = time.Now() // want `wall clock \(time.Now\) reachable`
-	since(time.Unix(0, 0))
-	_ = readEnv()
-	randomness()
-	iterate(map[string]int{"a": 1})
-	_ = compareFloats(1.5, 2.5)
-	_ = exactJustified(1.5, 2.5)
-	_ = sortedJustified(map[string]int{"a": 1}, nil)
-	justified()
-	bare()
+	_ = time.Now() // want `wall clock \(time.Now\) in fenced package purity`
 }
 
 func since(t0 time.Time) {
-	_ = time.Since(t0) // want `wall clock \(time.Since\) reachable`
+	_ = time.Since(t0) // want `wall clock \(time.Since\) in fenced package`
 }
 
 func readEnv() string {
-	return os.Getenv("LILY_MODE") // want `process environment \(os.Getenv\) reachable`
+	return os.Getenv("LILY_MODE") // want `process environment \(os.Getenv\) in fenced package`
 }
 
 func randomness() {
-	_ = rand.Intn(10) // want `global rand \(math/rand.Intn\) reachable`
+	_ = rand.Intn(10) // want `global rand \(math/rand.Intn\) in fenced package`
 }
 
 func iterate(m map[string]int) {
@@ -77,17 +61,14 @@ func justified() {
 // nothing.
 func bare() {
 	//lint:impure
-	_ = time.Now() // want `wall clock \(time.Now\) reachable`
+	_ = time.Now() // want `wall clock \(time.Now\) in fenced package`
 }
 
-// unreachable is outside the root set: nothing here is flagged.
+// unreachable is called by nothing, and the fence still covers it.
 func unreachable() {
-	_ = time.Now()
-	_ = rand.Intn(3)
+	_ = time.Now()   // want `wall clock \(time.Now\) in fenced package`
+	_ = rand.Intn(3) // want `global rand \(math/rand.Intn\) in fenced package`
 }
 
-func helperClean() {}
-
-// viaValue exercises the dynamic-call edges: helperClean is reached
-// through a function value.
-func viaValue(f func()) { f() }
+// clock is a package-level reference outside any function body.
+var clock = time.Now // want `wall clock \(time.Now\) in fenced package`

@@ -70,29 +70,42 @@ func FM(h *Hypergraph, part []int, tol float64, maxPasses int) int {
 		hi = total - m
 	}
 
-	// Pin counts per net per side.
+	// Pin counts per net per side, and each cell's nets in ascending
+	// order as one flat array: cell c's nets are
+	// netsFlat[netsStart[c]:netsStart[c+1]]. The first pass counts pins
+	// per cell and turns the counts into each cell's end offset; the
+	// second walks the nets backwards, moving each cell's offset down to
+	// its start as it places them.
 	cnt := make([][2]int, len(h.Nets))
-	netsOf := make([][]int, n)
+	netsStart := make([]int, n+1)
 	for ni, net := range h.Nets {
 		for _, c := range net {
 			cnt[ni][part[c]]++
-			netsOf[c] = append(netsOf[c], ni)
+			netsStart[c]++
 		}
 	}
-
 	maxDeg := 1
-	for _, ns := range netsOf {
-		if len(ns) > maxDeg {
-			maxDeg = len(ns)
+	for c, end := 0, 0; c < n; c++ {
+		maxDeg = max(maxDeg, netsStart[c])
+		end += netsStart[c]
+		netsStart[c] = end
+	}
+	netsStart[n] = netsStart[n-1]
+	netsFlat := make([]int, netsStart[n])
+	for ni := len(h.Nets) - 1; ni >= 0; ni-- {
+		for _, c := range h.Nets[ni] {
+			netsStart[c]--
+			netsFlat[netsStart[c]] = ni
 		}
 	}
+	netsOf := func(c int) []int { return netsFlat[netsStart[c]:netsStart[c+1]] }
 
 	gain := make([]int, n)
 	computeGain := func(c int) int {
 		g := 0
 		from := part[c]
 		to := 1 - from
-		for _, ni := range netsOf[c] {
+		for _, ni := range netsOf(c) {
 			if cnt[ni][from] == 1 {
 				g++ // moving c uncuts (or keeps uncut) this net
 			}
@@ -139,7 +152,7 @@ func FM(h *Hypergraph, part []int, tol float64, maxPasses int) int {
 			to := 1 - from
 			// Update gains of neighbors before flipping counts (standard FM
 			// incremental update).
-			for _, ni := range netsOf[c] {
+			for _, ni := range netsOf(c) {
 				// Before move: if net had 0 pins on 'to', every unlocked
 				// pin gains +1 when c arrives there... use the classic
 				// update rules.

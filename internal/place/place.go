@@ -457,11 +457,22 @@ func (p *placer) rootRegion() *region {
 
 // regionScratch is the reusable point->local-index projection used by
 // splitRegion. Entries are validated by an epoch stamp so clearing between
-// regions is O(1) instead of O(n).
+// regions is O(1) instead of O(n). The buffers below it hold one split's
+// sorted cells, seed partition and projected hypergraph; each split
+// refills them, since nothing of them outlives the split.
 type regionScratch struct {
 	local []int32
 	stamp []int32
 	cur   int32
+
+	cells []int
+	part  []int
+	areas []float64
+	// pins holds the projected nets back to back; ends[k] is where net k
+	// ends, and nets slices pins at those ends once pins stops growing.
+	pins []int
+	ends []int
+	nets [][]int
 }
 
 func (s *regionScratch) begin(n int) {
@@ -547,7 +558,9 @@ func anchorWeight(level int) float64 {
 // only nets with at least two pins on their side.
 func (p *placer) splitRegion(r *region) (*region, *region) {
 	horiz := r.rect.Width() >= r.rect.Height() // split along x if wide
-	cells := append([]int(nil), r.cells...)
+	scr := &p.scratch
+	cells := append(scr.cells[:0], r.cells...)
+	scr.cells = cells
 	sort.SliceStable(cells, func(a, b int) bool {
 		if horiz {
 			//lint:exact comparator tie-break: exact != keeps the order strict-weak
@@ -581,35 +594,44 @@ func (p *placer) splitRegion(r *region) (*region, *region) {
 	// own net list. The point→local translation is an epoch-stamped
 	// scratch (-1 = outside the region) shared across all regions: this
 	// projection is the hottest loop of the partition.
-	scr := &p.scratch
 	scr.begin(p.n)
+	scr.areas = scr.areas[:0]
 	for li, c := range cells {
 		scr.set(c, int32(li))
+		scr.areas = append(scr.areas, p.areas[c])
 	}
-	h := &Hypergraph{Areas: make([]float64, len(cells))}
-	for li, c := range cells {
-		h.Areas[li] = p.areas[c]
-	}
+	scr.pins, scr.ends = scr.pins[:0], scr.ends[:0]
 	for _, ni := range r.nets {
-		var pins []int
+		start := len(scr.pins)
 		for _, pin := range p.nets[ni].pins {
 			if i := pinCell(pin); i >= 0 {
 				if li := scr.get(i); li >= 0 {
-					pins = append(pins, int(li))
+					scr.pins = append(scr.pins, int(li))
 				}
 			}
 		}
-		if len(pins) >= 2 {
-			h.Nets = append(h.Nets, pins)
+		if len(scr.pins)-start >= 2 {
+			scr.ends = append(scr.ends, len(scr.pins))
+		} else {
+			scr.pins = scr.pins[:start]
 		}
 	}
-	part := make([]int, len(cells))
+	scr.nets = scr.nets[:0]
+	start := 0
+	for _, end := range scr.ends {
+		scr.nets = append(scr.nets, scr.pins[start:end:end])
+		start = end
+	}
+	part := scr.part[:0]
 	for li := range cells {
+		side := 0
 		if li >= cut {
-			part[li] = 1
+			side = 1
 		}
+		part = append(part, side)
 	}
-	FM(h, part, 0.08, 3)
+	scr.part = part
+	FM(&Hypergraph{Areas: scr.areas, Nets: scr.nets}, part, 0.08, 3)
 
 	a := &region{cells: nil}
 	b := &region{cells: nil}

@@ -96,6 +96,35 @@ func TestFMReducesCut(t *testing.T) {
 	}
 }
 
+// TestFMAllocsFlat: FM's allocations do not grow with the cell count.
+// Each cell's net list is a range of one flat array, so a 16x larger
+// hypergraph costs the same number of allocations.
+func TestFMAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	allocs := func(n int) float64 {
+		h := &Hypergraph{Areas: make([]float64, n)}
+		for c := range h.Areas {
+			h.Areas[c] = 1
+			h.Nets = append(h.Nets, []int{c, (c + 1) % n}, []int{c, (c * 7) % n, (c + n/2) % n})
+		}
+		seed := make([]int, n)
+		for c := range seed {
+			seed[c] = c % 2
+		}
+		part := make([]int, n)
+		return testing.AllocsPerRun(3, func() {
+			copy(part, seed)
+			FM(h, part, 0.1, 2)
+		})
+	}
+	small, large := allocs(64), allocs(1024)
+	if large != small {
+		t.Fatalf("FM allocations grow with cells: %v at 64 cells, %v at 1024", small, large)
+	}
+}
+
 func TestFMRespectsBalance(t *testing.T) {
 	// A star: all nets touch cell 0. Cut is minimized by putting everything
 	// on one side, but balance must forbid it.
