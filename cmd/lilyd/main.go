@@ -79,8 +79,6 @@ func main() {
 		"separate listen address for net/http/pprof (empty = disabled)")
 	targetFlag := flag.String("target", "asic",
 		"technology target for jobs that don't set options.target: asic, lut4, or lut6")
-	mlThreshold := flag.Int("multilevel-threshold", 0,
-		"placement V-cycle threshold for jobs that don't set options.multilevel_threshold (0 = library default 25000, negative disables)")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat)
@@ -123,11 +121,7 @@ func main() {
 		},
 	})
 
-	srvOpts := []server.Option{server.WithDefaultTarget(defaultTarget)}
-	if *mlThreshold != 0 {
-		srvOpts = append(srvOpts, server.WithDefaultMultilevelThreshold(*mlThreshold))
-	}
-	handler := server.New(eng, srvOpts...)
+	handler := server.New(eng, server.WithDefaultTarget(defaultTarget))
 	if *logRequests {
 		handler.Logger = logger
 	}

@@ -8,6 +8,7 @@
 //	lilymap -blif design.blif -lambda 0.5 -verify
 //	lilymap -circuit C1908 -mode delay -period 100   # slack report, exit 1 on violation
 //	lilymap -circuit C432 -svg c432.svg -svg-nets 50 # draw the finished layout
+//	lilymap -circuit gen50k                     # >= 25,000 cells: placement runs the V-cycle
 package main
 
 import (
@@ -36,8 +37,6 @@ func main() {
 	noOrder := flag.Bool("no-cone-order", false, "disable §3.5 cone ordering")
 	tree := flag.Bool("tree", false, "MIS: DAGON tree-covering mode")
 	verify := flag.Bool("verify", false, "verify mapped netlist against source")
-	mlThreshold := flag.Int("multilevel-threshold", 0,
-		"movable-cell count above which placement uses the multilevel V-cycle (0 = default 25000, negative disables)")
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	showPath := flag.Bool("path", false, "print the critical path")
 	outBLIF := flag.String("o", "", "write the mapped, placed netlist as .gate BLIF to this path")
@@ -80,7 +79,6 @@ func main() {
 		DisableConeOrdering: *noOrder,
 		TreeMode:            *tree,
 		VerifyEquivalence:   *verify,
-		MultilevelThreshold: *mlThreshold,
 		ClockPeriodNS:       *period,
 	}
 	var errs [6]error

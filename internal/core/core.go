@@ -328,16 +328,19 @@ func newLily(ctx context.Context, sub *logic.Network, lib *library.Library, pl *
 	return lm
 }
 
+// baseGate returns the inchoate base cell of subject node v: NAND2 for a
+// two-fanin node, INV otherwise.
+func baseGate(sub *logic.Network, lib *library.Library, v logic.NodeID) *library.Gate {
+	if nd := sub.Node(v); nd != nil && len(nd.Fanins) == 2 {
+		return lib.Nand2
+	}
+	return lib.Inv
+}
+
 // baseWidth returns the inchoate cell-width function (NAND2 and INV base
 // cells) used for the global placement.
 func baseWidth(sub *logic.Network, lib *library.Library) func(logic.NodeID) float64 {
-	return func(id logic.NodeID) float64 {
-		nd := sub.Node(id)
-		if nd != nil && len(nd.Fanins) == 2 {
-			return lib.Nand2.Width
-		}
-		return lib.Inv.Width
-	}
+	return func(id logic.NodeID) float64 { return baseGate(sub, lib, id).Width }
 }
 
 // hawkRef records a committed gate that consumes a signal.
@@ -651,19 +654,12 @@ func (lm *lily) cachedFans(vi logic.NodeID) []trueFanout {
 			continue
 		}
 		out = append(out, trueFanout{
-			node: fo, pos: lm.posArr[fo], cap: lm.baseCap(fo),
+			node: fo, pos: lm.posArr[fo], cap: baseGate(lm.sub, lm.lib, fo).InputCap,
 		})
 	}
 	lm.fanLists[vi] = out
 	lm.fanStamp[vi] = lm.fanVer[vi]
 	return out
-}
-
-func (lm *lily) baseCap(v logic.NodeID) float64 {
-	if len(lm.sub.Nodes[v].Fanins) == 2 {
-		return lm.lib.Nand2.InputCap
-	}
-	return lm.lib.Inv.InputCap
 }
 
 // markMerged loads the current match's covered nodes into the O(1)-clear

@@ -53,7 +53,7 @@ func (lm *lily) replaceGlobal() error {
 			if lm.state[v] == StateDove {
 				width = 1 // placeholder footprint: the logic lives inside a hawk
 			} else {
-				width = lm.baseWidthOf(v)
+				width = baseGate(lm.sub, lm.lib, v).Width
 			}
 		}
 		if len(fanins) == 0 {
@@ -101,11 +101,4 @@ func (lm *lily) replaceGlobal() error {
 		lm.fanVer[i]++
 	}
 	return nil
-}
-
-func (lm *lily) baseWidthOf(v logic.NodeID) float64 {
-	if len(lm.sub.Nodes[v].Fanins) == 2 {
-		return lm.lib.Nand2.Width
-	}
-	return lm.lib.Inv.Width
 }

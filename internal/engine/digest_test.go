@@ -45,7 +45,7 @@ func TestRequestDigestFormat(t *testing.T) {
 			t.Fatalf("digest %q contains non-lowercase-hex rune %q", got, r)
 		}
 	}
-	const want = "e9d23b9792de208c914f5208103fb1661521b52d3ea07a2985794c4795403b78"
+	const want = "51346ff1b993d3bf7e84ae3eeccfed889ce44463020274de8d8d8c0b349aebaa"
 	if got != want {
 		t.Fatalf("digest format changed:\n got %s\nwant %s", got, want)
 	}
@@ -81,22 +81,6 @@ func TestRequestDigestSensitivity(t *testing.T) {
 	par.Options.Parallelism = 8
 	if d, _ := RequestDigest(par); d != d0 {
 		t.Fatalf("Parallelism changed digest: the field is ignored, so it must not fragment the cache")
-	}
-	ml := base
-	ml.Options.MultilevelThreshold = 5000
-	if d, _ := RequestDigest(ml); d == d0 {
-		t.Fatalf("MultilevelThreshold did not change digest: placements differ across thresholds")
-	}
-	mlOff := base
-	mlOff.Options.MultilevelThreshold = -1
-	dOff, _ := RequestDigest(mlOff)
-	if dOff == d0 {
-		t.Fatalf("disabling multilevel did not change digest")
-	}
-	mlOff2 := base
-	mlOff2.Options.MultilevelThreshold = -7
-	if d, _ := RequestDigest(mlOff2); d != dOff {
-		t.Fatalf("negative MultilevelThreshold spellings fragment the cache: every negative value means disabled")
 	}
 	delay := base
 	delay.Options.Objective = lily.ObjectiveDelay

@@ -10,7 +10,6 @@ package linttest
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -122,14 +121,14 @@ func collectExpectations(fset *token.FileSet, files []*ast.File) ([]*expectation
 }
 
 // loadFixture parses and type-checks the single package in dir. Imports
-// resolve through the source importer (stdlib only; fixtures must not
-// import module packages).
+// resolve through lint.StdImporter (stdlib only; fixtures must not import
+// module packages).
 func loadFixture(dir string) (*lint.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	fset := lint.FileSet()
 	pkg := &lint.Package{Path: filepath.Base(dir), Dir: dir, Fset: fset}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
@@ -146,7 +145,7 @@ func loadFixture(dir string) (*lint.Package, error) {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: lint.StdImporter(),
 		Error: func(err error) {
 			pkg.TypeErrors = append(pkg.TypeErrors, err)
 		},

@@ -11,7 +11,31 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// The standard library is type-checked from GOROOT source at most once
+// per process: every Loader and every linttest fixture parses into
+// fileSet and imports the standard library through stdImporter, whose
+// package cache is not safe for concurrent use, so stdMu guards it.
+var (
+	fileSet     = token.NewFileSet()
+	stdMu       sync.Mutex
+	stdImporter = importer.ForCompiler(fileSet, "source", nil).(types.ImporterFrom)
+)
+
+// FileSet returns the process-wide file set that holds the positions of
+// every loaded package and of the standard library.
+func FileSet() *token.FileSet { return fileSet }
+
+// StdImporter returns the process-wide standard-library importer.
+func StdImporter() types.ImporterFrom { return importerFunc(importStd) }
+
+func importStd(path, srcDir string) (*types.Package, error) {
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.ImportFrom(path, srcDir, 0)
+}
 
 // Package is one parsed, type-checked package ready for analysis.
 type Package struct {
@@ -30,13 +54,12 @@ type Package struct {
 // Loader parses and type-checks packages of one module without any
 // network or toolchain dependency beyond GOROOT sources: module-local
 // imports resolve by path prefix against the module directory, stdlib
-// imports go through go/importer's source importer.
+// imports go through StdImporter.
 type Loader struct {
 	Fset       *token.FileSet
 	ModulePath string
 	ModuleDir  string
 
-	std     types.ImporterFrom
 	pkgs    map[string]*Package
 	loading map[string]bool
 }
@@ -52,16 +75,10 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	src, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not implement ImporterFrom")
-	}
 	return &Loader{
-		Fset:       fset,
+		Fset:       fileSet,
 		ModulePath: modPath,
 		ModuleDir:  abs,
-		std:        src,
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
 	}, nil
@@ -281,7 +298,7 @@ func (l *Loader) importPkg(path, srcDir string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, srcDir, 0)
+	return importStd(path, srcDir)
 }
 
 // importerFunc adapts a function to types.ImporterFrom.

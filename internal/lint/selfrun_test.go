@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"lily/internal/lint"
@@ -139,6 +140,29 @@ func TestRunSubsetKeepsFence(t *testing.T) {
 	if !reported(out, filepath.Join("internal", "wire", "zz_injected.go"), "wall clock") {
 		t.Errorf("subset run missed the planted time.Now() in internal/wire:\n%s", out)
 	}
+}
+
+// TestConcurrentRuns runs the driver from two goroutines at once. Every
+// Loader shares one file set and one standard-library importer, so under
+// -race this checks that the sharing is synchronized; both runs must
+// still come back clean.
+func TestConcurrentRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module twice; skipped in -short")
+	}
+	root := moduleRoot(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out bytes.Buffer
+			if code, err := lint.Run(root, []string{"./internal/geom"}, &out); err != nil || code != 0 {
+				t.Errorf("concurrent lint.Run: exit %d, err %v:\n%s", code, err, out.String())
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // runLint runs the driver over the module at root and returns its exit

@@ -6,8 +6,8 @@ import (
 	"lily/internal/geom"
 )
 
-// Multilevel placement (DESIGN.md §15): above Config.MultilevelThreshold
-// movable cells, the flat CG+FM engine no longer sees the whole problem at
+// Multilevel placement (DESIGN.md §15): from multilevelThreshold movable
+// cells on, the flat CG+FM engine no longer sees the whole problem at
 // once. Seeded heavy-edge matching coarsens the netlist level by level
 // until the coarsest problem fits the flat engine comfortably; the flat
 // phases place that level, and each uncluster step seeds children at the
@@ -62,13 +62,13 @@ func (p *placer) mlMaxLevels(finestN int) int {
 }
 
 // run is the placement driver: a V-cycle whose flat case coarsens zero
-// times. Above Config.MultilevelThreshold cells it coarsens until the
-// problem fits the flat engine, stopping early when coarsening cannot
-// reduce the instance (tiny or pathological netlists).
-func (p *placer) run() (*Result, error) {
+// times. From mlThreshold cells on (never when it is <= 0) it coarsens
+// until the problem fits the flat engine, stopping early when coarsening
+// cannot reduce the instance (tiny or pathological netlists).
+func (p *placer) run(mlThreshold int) (*Result, error) {
 	cur := mlProblem{n: p.n, areas: p.areas, nets: p.nets}
-	target := max(p.cfg.MultilevelThreshold/8, 64)
-	coarsen := p.cfg.MultilevelThreshold > 0 && p.n >= p.cfg.MultilevelThreshold
+	target := max(mlThreshold/8, 64)
+	coarsen := mlThreshold > 0 && p.n >= mlThreshold
 	var stack []mlLevel
 	for coarsen && cur.n > target {
 		parent, coarse, ok := coarsenOnce(cur)

@@ -1,12 +1,14 @@
 package place
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"lily/internal/bench"
 	"lily/internal/decomp"
 	"lily/internal/logic"
+	"lily/internal/obs"
 )
 
 // mlProblemFor mirrors GlobalContext's problem construction (pads spread
@@ -222,8 +224,10 @@ func TestExpandRegionsInvariants(t *testing.T) {
 	}
 }
 
-// placeWithConfig places a premapped benchmark with the given config.
-func placeWithConfig(t *testing.T, name string, cfg Config) (*logic.Network, *Result) {
+// placeWithThreshold places a premapped benchmark with the V-cycle
+// engaging at mlThreshold movable cells (never when it is <= 0) and
+// returns the number of coarsening levels the placement span recorded.
+func placeWithThreshold(t *testing.T, name string, mlThreshold int) (*logic.Network, *Result, int64) {
 	t.Helper()
 	p, ok := bench.ProfileByName(name)
 	if !ok {
@@ -235,20 +239,24 @@ func placeWithConfig(t *testing.T, name string, cfg Config) (*logic.Network, *Re
 		t.Fatal(err)
 	}
 	sub := res.Inchoate
-	pr, err := Global(sub, func(logic.NodeID) float64 { return 24 }, 60, cfg)
+	tr := obs.NewTracer()
+	ctx := obs.WithTracer(context.Background(), tr)
+	pr, err := globalContext(ctx, sub, func(logic.NodeID) float64 { return 24 }, 60, DefaultConfig(), mlThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sub, pr
+	levels, _ := tr.Tree()[0].Attrs["coarsen_levels"].(int64)
+	return sub, pr, levels
 }
 
 // TestMultilevelPlacesInsideDie: with the V-cycle engaged, every node
 // still lands inside the die, every movable node keeps a region that
 // contains it, and pads stay on the boundary.
 func TestMultilevelPlacesInsideDie(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MultilevelThreshold = 200
-	sub, pr := placeWithConfig(t, "C880", cfg)
+	sub, pr, levels := placeWithThreshold(t, "C880", 200)
+	if levels == 0 {
+		t.Fatal("V-cycle did not engage at threshold 200")
+	}
 	for _, nd := range sub.Nodes {
 		if nd == nil {
 			continue
@@ -277,7 +285,7 @@ func TestMultilevelPlacesInsideDie(t *testing.T) {
 	}
 	// The multilevel path must actually have engaged: it produces a
 	// different (coarse-seeded) solution than the flat path.
-	_, flat := placeWithConfig(t, "C880", DefaultConfig())
+	_, flat, _ := placeWithThreshold(t, "C880", multilevelThreshold)
 	same := true
 	for id, pt := range pr.Pos {
 		if flat.Pos[id] != pt {
@@ -299,13 +307,11 @@ func TestMultilevelHPWLComparableToFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flat-vs-multilevel quality comparison skipped under -short")
 	}
-	flatCfg := DefaultConfig()
-	flatCfg.MultilevelThreshold = -1
-	sub, flat := placeWithConfig(t, "mid5k", flatCfg)
-
-	mlCfg := DefaultConfig()
-	mlCfg.MultilevelThreshold = 1000
-	subML, ml := placeWithConfig(t, "mid5k", mlCfg)
+	sub, flat, flatLevels := placeWithThreshold(t, "mid5k", -1)
+	subML, ml, mlLevels := placeWithThreshold(t, "mid5k", 1000)
+	if flatLevels != 0 || mlLevels == 0 {
+		t.Fatalf("coarsening levels: flat %d (want 0), multilevel %d (want > 0)", flatLevels, mlLevels)
+	}
 
 	hpFlat := flat.TotalHPWL(sub)
 	hpML := ml.TotalHPWL(subML)

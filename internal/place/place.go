@@ -24,6 +24,10 @@ const (
 	cgMaxIter = 400
 	// maxLevels bounds the bipartition recursion depth.
 	maxLevels = 14
+	// multilevelThreshold is the movable-cell count from which placement
+	// runs the multilevel V-cycle (multilevel.go, DESIGN.md §15); smaller
+	// instances take the flat path.
+	multilevelThreshold = 25000
 )
 
 // Config tunes the global placer.
@@ -43,19 +47,11 @@ type Config struct {
 	NaivePads bool
 	// Deprecated: ignored; removed with the next benchmark PR.
 	Parallelism int
-	// MultilevelThreshold engages the multilevel V-cycle (DESIGN.md §15)
-	// when the movable-cell count reaches it: seeded heavy-edge matching
-	// coarsens the netlist until the coarsest level fits the flat
-	// CG+FM engine, and each uncluster step seeds children from the
-	// parent cluster centroid and runs a bounded anchored refinement.
-	// Zero disables multilevel entirely (the flat path is byte-identical
-	// to earlier releases at any threshold above the instance size).
-	MultilevelThreshold int
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.
 func DefaultConfig() Config {
-	return Config{MultilevelThreshold: 25000}
+	return Config{}
 }
 
 // Result is a balanced global point placement.
@@ -92,6 +88,12 @@ func Global(net *logic.Network, cellWidth func(logic.NodeID) float64, rowHeight 
 // conjugate-gradient solver check ctx and abort promptly with ctx.Err()
 // when it is cancelled, so long placements can be interrupted.
 func GlobalContext(ctx context.Context, net *logic.Network, cellWidth func(logic.NodeID) float64, rowHeight float64, cfg Config) (*Result, error) {
+	return globalContext(ctx, net, cellWidth, rowHeight, cfg, multilevelThreshold)
+}
+
+// globalContext is GlobalContext with the V-cycle engaging at mlThreshold
+// movable cells instead of multilevelThreshold (never when it is <= 0).
+func globalContext(ctx context.Context, net *logic.Network, cellWidth func(logic.NodeID) float64, rowHeight float64, cfg Config, mlThreshold int) (*Result, error) {
 	// Phase-scoped trace span; a context without a tracer makes this (and
 	// every span method below) an allocation-free no-op.
 	ctx, span := obs.StartSpan(ctx, "placement")
@@ -100,7 +102,7 @@ func GlobalContext(ctx context.Context, net *logic.Network, cellWidth func(logic
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.run()
+	res, err := p.run(mlThreshold)
 	if err != nil {
 		span.SetError(err)
 		return nil, err

@@ -75,10 +75,6 @@ type Server struct {
 	// empty. Zero value is TargetASIC, the historical behavior.
 	defaultTarget lily.TechnologyTarget
 
-	// defaultMLThreshold fills JobOptions.MultilevelThreshold when a
-	// request leaves it zero. Zero keeps the library default.
-	defaultMLThreshold int
-
 	// Logger, when set before the server starts handling traffic, gets
 	// one structured record per request (route, method, path, status,
 	// duration). Nil disables request logging.
@@ -97,15 +93,6 @@ type Option func(*Server)
 // started with -target lut4 keys its cache under the lut4 digests.
 func WithDefaultTarget(t lily.TechnologyTarget) Option {
 	return func(s *Server) { s.defaultTarget = t }
-}
-
-// WithDefaultMultilevelThreshold sets the placement V-cycle threshold
-// substituted into jobs that leave options.multilevel_threshold zero
-// (lilyd -multilevel-threshold). Like WithDefaultTarget, the
-// substitution happens before validation and digest computation, so a
-// node started with a non-default threshold keys its cache accordingly.
-func WithDefaultMultilevelThreshold(n int) Option {
-	return func(s *Server) { s.defaultMLThreshold = n }
 }
 
 // New builds the HTTP handler for an engine. The handler's own metrics
@@ -226,11 +213,6 @@ type JobOptions struct {
 	ReplaceEvery              int     `json:"replace_every,omitempty"`
 	TreeMode                  bool    `json:"tree_mode,omitempty"`
 	LayoutDrivenDecomposition bool    `json:"layout_driven_decomposition,omitempty"`
-	// MultilevelThreshold sets the movable-cell count above which global
-	// placement switches to the multilevel V-cycle (DESIGN.md §15). 0
-	// keeps the default (25000), negative disables multilevel placement.
-	// Semantically significant: it participates in the request digest.
-	MultilevelThreshold int `json:"multilevel_threshold,omitempty"`
 }
 
 // ToFlowOptions converts the JSON options and validates them with
@@ -250,7 +232,6 @@ func (o JobOptions) ToFlowOptions() (lily.FlowOptions, error) {
 		ReplaceEvery:              o.ReplaceEvery,
 		TreeMode:                  o.TreeMode,
 		LayoutDrivenDecomposition: o.LayoutDrivenDecomposition,
-		MultilevelThreshold:       o.MultilevelThreshold,
 	}
 	var errs [4]error
 	opt.Mapper, errs[0] = lily.ParseMapper(o.Mapper)
@@ -267,14 +248,11 @@ func (o JobOptions) ToFlowOptions() (lily.FlowOptions, error) {
 }
 
 // resolve turns a submitted job into the engine's request form: it fills
-// the server-wide defaults into the options, then validates them and the
-// artifact flags.
+// the server-wide default target into the options, then validates them
+// and the artifact flags.
 func (s *Server) resolve(req SubmitRequest) (engine.Request, error) {
 	if req.Options.Target == "" {
 		req.Options.Target = s.defaultTarget.String()
-	}
-	if req.Options.MultilevelThreshold == 0 {
-		req.Options.MultilevelThreshold = s.defaultMLThreshold
 	}
 	opt, err := req.Options.ToFlowOptions()
 	if err != nil {

@@ -271,6 +271,7 @@ func TestBadRequests(t *testing.T) {
 		{"trailing garbage", `{"benchmark":"misex1"} trailing-garbage`, http.StatusBadRequest},
 		{"second value", `{"benchmark":"misex1"}{"benchmark":"nope","bogus":1}`, http.StatusBadRequest},
 		{"removed parallelism key", `{"benchmark":"misex1","options":{"parallelism":2}}`, http.StatusBadRequest},
+		{"removed multilevel threshold key", `{"benchmark":"misex1","options":{"multilevel_threshold":5000}}`, http.StatusBadRequest},
 		{"svg with emit_blif", `{"benchmark":"misex1","svg":true,"emit_blif":true}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -377,14 +377,6 @@ type FlowOptions struct {
 	LayoutDrivenDecomposition bool
 	// Deprecated: ignored; removed with the next benchmark PR.
 	Parallelism int
-	// MultilevelThreshold sets the movable-cell count above which every
-	// global placement in the flow (the mapper's seed placement, its
-	// periodic re-placements, and the layout backend) switches to the
-	// multilevel V-cycle (DESIGN.md §15). Zero keeps the default
-	// (25000); a negative value disables multilevel placement entirely.
-	// Semantically significant: placements differ across thresholds, so
-	// the engine's request digest includes it.
-	MultilevelThreshold int
 }
 
 // Normalize validates the options and returns their canonical form. It is
@@ -438,10 +430,6 @@ func (opt FlowOptions) Normalize() (FlowOptions, error) {
 	}
 	if opt.Mapper != MapperMIS {
 		opt.TreeMode = false // MIS-only knob
-	}
-	// Every negative threshold spells "multilevel placement disabled".
-	if opt.MultilevelThreshold < 0 {
-		opt.MultilevelThreshold = -1
 	}
 	return opt, nil
 }
@@ -659,37 +647,37 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		return nil, nil, err
 	}
 	lib := libraries[opt.Library]()
-	srcNet := c.net
 	if opt.PreOptimize {
 		// Optimize a copy so the caller's Circuit is untouched.
-		_, sp := obs.StartSpan(ctx, "preopt")
-		srcNet = c.net.Clone()
-		if _, err := netopt.Optimize(srcNet); err != nil {
-			sp.SetError(err)
-			sp.End()
+		var srcNet *logic.Network
+		if err := phase(ctx, "preopt", func(context.Context, *obs.Span) error {
+			srcNet = c.net.Clone()
+			_, err := netopt.Optimize(srcNet)
+			return err
+		}); err != nil {
 			return nil, nil, err
 		}
-		sp.End()
 		c = &Circuit{net: srcNet}
 	}
 
 	var pre *decomp.Result
-	pctx, sp := obs.StartSpan(ctx, "premap")
-	if opt.LayoutDrivenDecomposition {
-		pre, err = placedPremap(pctx, c.net, lib, opt)
-	} else {
-		pre, err = decomp.Premap(c.net)
-	}
-	if err != nil {
-		sp.SetError(err)
-		sp.End()
+	if err := phase(ctx, "premap", func(ctx context.Context, sp *obs.Span) (err error) {
+		if opt.LayoutDrivenDecomposition {
+			pre, err = placedPremap(ctx, c.net, lib)
+		} else {
+			pre, err = decomp.Premap(c.net)
+		}
+		if err != nil {
+			return err
+		}
+		if sp.Enabled() {
+			sp.SetInt("subject_nodes", int64(pre.Inchoate.NumLogic()))
+		}
+		return nil
+	}); err != nil {
 		return nil, nil, err
 	}
 	sub := pre.Inchoate
-	if sp.Enabled() {
-		sp.SetInt("subject_nodes", int64(sub.NumLogic()))
-	}
-	sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -707,7 +695,6 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		copt.ReplaceEvery = opt.ReplaceEvery
 		copt.Place.NaivePads = opt.NaivePads
 		copt.TwoPassDelay = opt.TwoPassDelay
-		applyMultilevel(&copt.Place, opt)
 		res, err := core.MapContext(ctx, sub, lib, copt)
 		if err != nil {
 			return nil, nil, err
@@ -717,17 +704,15 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	case MapperMIS:
 		// MIS covers without placement feedback; its DP is still the
 		// cover phase of the pipeline.
-		_, msp := obs.StartSpan(ctx, "cover")
-		msp.SetStr("mapper", "mis2.1")
-		mopt := mis.DefaultOptions(misModes[opt.Objective])
-		mopt.TreeMode = opt.TreeMode
-		nl, err = mis.Map(sub, lib, mopt)
-		if err != nil {
-			msp.SetError(err)
-			msp.End()
+		if err := phase(ctx, "cover", func(_ context.Context, sp *obs.Span) (err error) {
+			sp.SetStr("mapper", "mis2.1")
+			mopt := mis.DefaultOptions(misModes[opt.Objective])
+			mopt.TreeMode = opt.TreeMode
+			nl, err = mis.Map(sub, lib, mopt)
+			return err
+		}); err != nil {
 			return nil, nil, err
 		}
-		msp.End()
 	}
 
 	if opt.RePlaceMapped {
@@ -738,41 +723,36 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 
 	var buffersInserted int
 	if opt.FanoutOptimize {
-		_, fsp := obs.StartSpan(ctx, "fanout")
-		// Buffer placement needs positions; MIS netlists get their global
-		// placement first (the backend would have run it anyway).
-		if !layout.HasSeedPositions(nl) {
-			pcfg := place.DefaultConfig()
-			applyMultilevel(&pcfg, opt)
-			if err := layout.GlobalPlace(nl, lib, pcfg); err != nil {
-				fsp.SetError(err)
-				fsp.End()
-				return nil, nil, err
+		if err := phase(ctx, "fanout", func(_ context.Context, sp *obs.Span) error {
+			// Buffer placement needs positions; MIS netlists get their
+			// global placement first (the backend would have run it anyway).
+			if !layout.HasSeedPositions(nl) {
+				if err := layout.GlobalPlace(nl, lib, place.DefaultConfig()); err != nil {
+					return err
+				}
 			}
-		}
-		fopt := fanout.DefaultOptions()
-		fopt.MaxFanout = opt.MaxFanout
-		fst, err := fanout.Optimize(nl, lib, fopt)
-		if err != nil {
-			fsp.SetError(err)
-			fsp.End()
+			fopt := fanout.DefaultOptions()
+			fopt.MaxFanout = opt.MaxFanout
+			fst, err := fanout.Optimize(nl, lib, fopt)
+			if err != nil {
+				return err
+			}
+			buffersInserted = fst.BuffersInserted
+			sp.SetInt("buffers_inserted", int64(buffersInserted))
+			return nil
+		}); err != nil {
 			return nil, nil, err
 		}
-		buffersInserted = fst.BuffersInserted
-		fsp.SetInt("buffers_inserted", int64(buffersInserted))
-		fsp.End()
 	}
 
 	var verifyMethod string
 	if opt.VerifyEquivalence {
-		_, vsp := obs.StartSpan(ctx, "verify")
-		verifyMethod, err = verifyEquivalent(c.net, nl)
-		if err != nil {
-			vsp.SetError(err)
-			vsp.End()
+		if err := phase(ctx, "verify", func(context.Context, *obs.Span) (err error) {
+			verifyMethod, err = verifyEquivalent(c.net, nl)
+			return err
+		}); err != nil {
 			return nil, nil, err
 		}
-		vsp.End()
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -780,38 +760,36 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	}
 	lopt := layout.DefaultOptions()
 	lopt.Anneal = opt.AnnealPlacement
-	applyMultilevel(&lopt.Place, opt)
-	_, lsp := obs.StartSpan(ctx, "layout")
-	lres, err := layout.Place(nl, lib, lopt)
-	if err != nil {
-		lsp.SetError(err)
-		lsp.End()
-		return nil, nil, err
-	}
-	if lsp.Enabled() {
-		lsp.SetInt("rows", int64(lres.Rows))
-		lsp.SetFloat("chip_area_mm2", lres.ChipAreaMM2())
-		lsp.SetFloat("wirelength_mm", lres.WirelengthMM())
-	}
-	lsp.End()
-	_, tsp := obs.StartSpan(ctx, "timing")
-	tres, err := timing.Analyze(nl, lib, timing.Options{})
-	if err != nil {
-		tsp.SetError(err)
-		tsp.End()
-		return nil, nil, err
-	}
-	var slackRep *timing.SlackReport
-	if opt.ClockPeriodNS > 0 {
-		slackRep, err = timing.Slack(nl, lib, tres, opt.ClockPeriodNS)
-		if err != nil {
-			tsp.SetError(err)
-			tsp.End()
-			return nil, nil, err
+	var lres *layout.Result
+	if err := phase(ctx, "layout", func(_ context.Context, sp *obs.Span) (err error) {
+		if lres, err = layout.Place(nl, lib, lopt); err != nil {
+			return err
 		}
+		if sp.Enabled() {
+			sp.SetInt("rows", int64(lres.Rows))
+			sp.SetFloat("chip_area_mm2", lres.ChipAreaMM2())
+			sp.SetFloat("wirelength_mm", lres.WirelengthMM())
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	tsp.SetFloat("delay_ns", tres.MaxDelay)
-	tsp.End()
+	var tres *timing.Result
+	var slackRep *timing.SlackReport
+	if err := phase(ctx, "timing", func(_ context.Context, sp *obs.Span) (err error) {
+		if tres, err = timing.Analyze(nl, lib, timing.Options{}); err != nil {
+			return err
+		}
+		if opt.ClockPeriodNS > 0 {
+			if slackRep, err = timing.Slack(nl, lib, tres, opt.ClockPeriodNS); err != nil {
+				return err
+			}
+		}
+		sp.SetFloat("delay_ns", tres.MaxDelay)
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
 
 	out := &FlowResult{
 		Circuit:            c.net.Name,
@@ -858,26 +836,24 @@ var (
 	wireModels = [...]wire.Model{WireHPWLSteiner: wire.ModelHPWLSteiner, WireSpanningTree: wire.ModelSpanningTree}
 )
 
-// applyMultilevel resolves FlowOptions.MultilevelThreshold onto one
-// placement config: positive overrides the default, negative disables
-// the V-cycle (place treats a zero threshold as "never engage").
-func applyMultilevel(cfg *place.Config, opt FlowOptions) {
-	if opt.MultilevelThreshold > 0 {
-		cfg.MultilevelThreshold = opt.MultilevelThreshold
-	} else if opt.MultilevelThreshold < 0 {
-		cfg.MultilevelThreshold = 0
-	}
+// phase runs fn as one pipeline phase under a trace span named name. fn
+// gets the span's context and the span for its attributes; an error fn
+// returns is recorded on the span before the span ends.
+func phase(ctx context.Context, name string, fn func(context.Context, *obs.Span) error) error {
+	ctx, sp := obs.StartSpan(ctx, name)
+	defer sp.End()
+	err := fn(ctx, sp)
+	sp.SetError(err)
+	return err
 }
 
 // placedPremap implements the layout-oriented decomposition of Fig 1.1b:
 // place the source network (gates approximated by the NAND2 base cell),
 // then decompose each node with its literals ordered by recursive spatial
 // bipartition of their placed positions.
-func placedPremap(ctx context.Context, net *logic.Network, lib *library.Library, opt FlowOptions) (*decomp.Result, error) {
-	cfg := place.DefaultConfig()
-	applyMultilevel(&cfg, opt)
+func placedPremap(ctx context.Context, net *logic.Network, lib *library.Library) (*decomp.Result, error) {
 	pr, err := place.GlobalContext(ctx, net, func(logic.NodeID) float64 { return lib.Nand2.Width },
-		lib.RowHeight, cfg)
+		lib.RowHeight, place.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,8 @@ func TestNormalizeIdempotent(t *testing.T) {
 				{},
 				{WireWeight: 0.5, AutoTune: true, ReplaceEvery: 3, TwoPassDelay: true, NaivePads: true,
 					Update: UpdateMedianFans, Estimator: WireSpanningTree, DisableConeOrdering: true},
-				{TreeMode: true, FanoutOptimize: true, MaxFanout: 1, MultilevelThreshold: -9, Parallelism: 3},
-				{FanoutOptimize: true, MaxFanout: 9, MultilevelThreshold: 700, ClockPeriodNS: 2.5},
+				{TreeMode: true, FanoutOptimize: true, MaxFanout: 1, Parallelism: 3},
+				{FanoutOptimize: true, MaxFanout: 9, ClockPeriodNS: 2.5},
 				{MaxFanout: 4, Objective: ObjectiveDelay, Library: LibraryTiny},
 			} {
 				opt := knobs
@@ -166,7 +166,6 @@ func TestNormalizeEquatesSameBytes(t *testing.T) {
 				TwoPassDelay: true}},
 		{"WireWeight 0 is 1", FlowOptions{}, FlowOptions{WireWeight: 1}},
 		{"MaxFanout 0 is the default", FlowOptions{FanoutOptimize: true}, FlowOptions{FanoutOptimize: true, MaxFanout: 6}},
-		{"negative thresholds disable multilevel", FlowOptions{MultilevelThreshold: -1}, FlowOptions{MultilevelThreshold: -7}},
 	}
 	for _, p := range pairs {
 		t.Run(p.name, func(t *testing.T) {

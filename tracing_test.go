@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"lily/internal/obs"
 )
@@ -42,6 +43,29 @@ func TestWriteMappedBLIFContextCancelled(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("cancelled run wrote %d bytes of BLIF", buf.Len())
+	}
+
+	// Cancelled mid-flight: the context dies as the preopt span ends, so
+	// the premap phase's placement fails, and its span carries the error.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	tr := obs.NewTracer()
+	tr.OnSpanEnd = func(name string, _ time.Duration) {
+		if name == "preopt" {
+			cancel()
+		}
+	}
+	_, err = WriteMappedBLIFContext(obs.WithTracer(ctx, tr), c,
+		FlowOptions{PreOptimize: true, LayoutDrivenDecomposition: true}, &buf)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-flight cancel: err = %v, want context.Canceled", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("mid-flight cancelled run wrote %d bytes of BLIF", buf.Len())
+	}
+	premap := findSpan(tr.Tree(), "premap")
+	if premap == nil || premap.Error != context.Canceled.Error() || premap.DurationNS < 0 {
+		t.Fatalf("premap span = %+v, want it ended with error %q", premap, context.Canceled.Error())
 	}
 }
 
