@@ -56,7 +56,8 @@ scale-smoke:
 # (BenchmarkDisabledTracer reports allocs/op; BenchmarkCheck covers the
 # BDD budget-exhaustion path on C5315 and BDD proofs on duke2 and on
 # C1908, which needs the Shannon-composed, depth-first-ordered BDDs; the
-# structural matcher, the LUT cut pipeline and the BLIF reader — .names
+# structural matcher, the MIS cover of C5315 in area and delay mode, the
+# LUT cut pipeline and the BLIF reader — .names
 # on C5315 and gen50k, .gate on mapped C5315 — print allocs/op via
 # -benchmem, as do static timing analysis of mapped C5315,
 # Network.Check where one input feeds 40,000 nodes and two FM passes
@@ -66,6 +67,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x ./internal/equiv/
 	$(GO) test -run '^$$' -bench BenchmarkMatcherAllNodes -benchtime=1x -benchmem ./internal/match/
+	$(GO) test -run '^$$' -bench '^BenchmarkMISMapC5315$$' -benchtime=1x -benchmem ./internal/mis/
 	$(GO) test -run '^$$' -bench '^BenchmarkPipelineC5315LUT6$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkParseBLIF$$' -benchtime=1x -benchmem ./internal/logic/ ./internal/netlist/
 	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime=1x -benchmem ./internal/timing/

@@ -22,9 +22,10 @@ type boundProbe struct {
 	checks int
 }
 
-func (p *boundProbe) MatchesAt(v logic.NodeID) []*match.Match {
+func (p *boundProbe) MatchesAt(v logic.NodeID) []match.Match {
 	matches := p.Backend.MatchesAt(v)
-	for _, m := range matches {
+	for i := range matches {
+		m := &matches[i]
 		lb := p.lm.areaBound(m)
 		if math.IsInf(lb, 1) {
 			continue // infeasible: evaluateArea never costs it

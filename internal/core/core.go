@@ -125,10 +125,11 @@ func (t Target) LUTK() int {
 
 // Backend supplies the candidate matches the covering DP chooses from.
 // Implementations must be deterministic and memoized: MatchesAt returns
-// the same read-only slice for the same node every call. The two
-// implementations are match.Matcher (ASIC) and cut.Enumerator (LUTs).
+// the same read-only slab for the same node every call, and the DP keeps
+// pointers into it. The two implementations are match.Matcher (ASIC) and
+// cut.Enumerator (LUTs).
 type Backend interface {
-	MatchesAt(v logic.NodeID) []*match.Match
+	MatchesAt(v logic.NodeID) []match.Match
 }
 
 // Options tunes the Lily mapper.
@@ -582,12 +583,13 @@ func (lm *lily) processCone(root logic.NodeID) error {
 // matchesAt returns the candidate matches rooted at v. The backend
 // memoizes per node, so repeated cone visits pay the enumeration cost
 // only once.
-func (lm *lily) matchesAt(v logic.NodeID) []*match.Match {
+func (lm *lily) matchesAt(v logic.NodeID) []match.Match {
 	return lm.backend.MatchesAt(v)
 }
 
 // evaluateNode picks the best match at a nestling.
 func (lm *lily) evaluateNode(v logic.NodeID) error {
+	lm.fanoutGeometry(v)
 	matches := lm.matchesAt(v)
 	if len(matches) == 0 {
 		return fmt.Errorf("core: node %q has no matches", lm.sub.Nodes[v].Name)
@@ -690,6 +692,8 @@ func (lm *lily) inMerged(u logic.NodeID) bool {
 // working set. The per-input data are parallel slices indexed by the
 // position of the input in distinctIn; variable-length per-input lists
 // (surviving true fanouts, pin positions) are flat buffers with offsets.
+// The fanout fields describe the root alone and are filled once per node
+// by fanoutGeometry.
 type matchGeometry struct {
 	gatePos geom.Point
 	// distinctIn lists the distinct input signals of the match in
@@ -709,8 +713,12 @@ type matchGeometry struct {
 	// surviving fanouts) are ptsBuf[ptsOff[i]:ptsOff[i+1]].
 	ptsBuf []geom.Point
 	ptsOff []int
-	// fanoutPts holds the §3.3 fanout-rectangle points of the match root.
-	fanoutPts []geom.Point
+	// fanoutPts holds the §3.3 fanout-rectangle points of the match root:
+	// its subject fanouts, then the PO pads it drives. fanoutRect encloses
+	// them, and fanoutCap sums a NAND2 input cap per point (§4.3).
+	fanoutPts  []geom.Point
+	fanoutRect geom.Rect
+	fanoutCap  float64
 }
 
 // fans returns distinct input i's surviving true fanouts.
@@ -729,9 +737,30 @@ func (g *matchGeometry) inputIndex(vi logic.NodeID) int {
 	return -1
 }
 
+// fanoutGeometry fills the fanout fields of the run's scratch
+// matchGeometry for root v, which every candidate match at v shares: the
+// fanout rectangle holds the unprocessed subject fanouts of v (eggs,
+// thanks to the reverse-DFS order) plus the PO pads v drives. No match
+// at v covers a fanout of v, since merged(v, m) lies in v's transitive
+// fanin and the subject graph is acyclic.
+func (lm *lily) fanoutGeometry(v logic.NodeID) {
+	g := &lm.geo
+	g.fanoutPts = g.fanoutPts[:0]
+	for _, fo := range lm.sub.Fanouts(v) {
+		g.fanoutPts = append(g.fanoutPts, lm.posArr[fo])
+	}
+	g.fanoutPts = append(g.fanoutPts, lm.poPadPts[v]...)
+	g.fanoutRect = geom.Enclosing(g.fanoutPts)
+	g.fanoutCap = 0
+	for range g.fanoutPts {
+		g.fanoutCap += lm.lib.Nand2.InputCap
+	}
+}
+
 // geometry computes the candidate gate position and the per-input fanin
-// geometry for a match, into the run's scratch matchGeometry. The returned
-// pointer is invalidated by the next geometry call.
+// geometry for a match at v, into the run's scratch matchGeometry, whose
+// fanout fields fanoutGeometry(v) must have filled. The returned pointer
+// is invalidated by the next geometry call.
 func (lm *lily) geometry(v logic.NodeID, m *match.Match) *matchGeometry {
 	g := &lm.geo
 	g.distinctIn = g.distinctIn[:0]
@@ -739,12 +768,11 @@ func (lm *lily) geometry(v logic.NodeID, m *match.Match) *matchGeometry {
 	g.faninRect = g.faninRect[:0]
 	g.fansBuf = g.fansBuf[:0]
 	g.ptsBuf = g.ptsBuf[:0]
-	g.fanoutPts = g.fanoutPts[:0]
 	g.fanOff = append(g.fanOff[:0], 0)
 	g.ptsOff = append(g.ptsOff[:0], 0)
 
-	lm.markMerged(m.Merged)
-	for _, vi := range m.Inputs {
+	lm.markMerged(m.Merged())
+	for _, vi := range m.Inputs() {
 		if j := g.inputIndex(vi); j >= 0 {
 			g.boundPins[j]++
 			continue
@@ -802,23 +830,15 @@ func (lm *lily) geometry(v logic.NodeID, m *match.Match) *matchGeometry {
 		g.faninRect = append(g.faninRect, r)
 		rects = append(rects, r)
 	}
-	// Fanout rectangle: unprocessed subject fanouts of v (eggs, thanks to
-	// the reverse-DFS order), plus PO pads v drives.
-	for _, fo := range lm.sub.Fanouts(v) {
-		if !lm.inMerged(fo) {
-			g.fanoutPts = append(g.fanoutPts, lm.posArr[fo])
-		}
-	}
-	g.fanoutPts = append(g.fanoutPts, lm.poPadPts[v]...)
 	if len(g.fanoutPts) > 0 {
-		rects = append(rects, geom.Enclosing(g.fanoutPts))
+		rects = append(rects, g.fanoutRect)
 	}
 	lm.rects = rects
 
 	switch lm.opt.Update {
 	case CMOfMerged:
 		pts := lm.ptsWork[:0]
-		for _, u := range m.Merged {
+		for _, u := range m.Merged() {
 			pts = append(pts, lm.posArr[u])
 		}
 		lm.ptsWork = pts
@@ -873,8 +893,9 @@ func (lm *lily) areaCost(area, wlen float64) float64 {
 func (lm *lily) areaBound(m *match.Match) float64 {
 	area := m.Gate.Area
 	wlen := 0.0
-	for j, vi := range m.Inputs {
-		if lm.state[vi] == StateHawk || slices.Contains(m.Inputs[:j], vi) {
+	ins := m.Inputs()
+	for j, vi := range ins {
+		if lm.state[vi] == StateHawk || slices.Contains(ins[:j], vi) {
 			continue
 		}
 		if lm.best[vi] == nil {
@@ -895,12 +916,13 @@ func (lm *lily) areaBound(m *match.Match) float64 {
 // running best cannot win — a later candidate needs a strictly lower cost
 // — so it is skipped without building its geometry. The winner is the
 // first minimum of the match list, exactly as a full strict-< scan picks.
-func (lm *lily) evaluateArea(v logic.NodeID, matches []*match.Match) error {
+func (lm *lily) evaluateArea(v logic.NodeID, matches []match.Match) error {
 	bestCost := math.Inf(1)
 	var bm *match.Match
 	var bmPos geom.Point
 	var bmW, bmA float64
-	for _, m := range matches {
+	for i := range matches {
+		m := &matches[i]
 		if lm.areaBound(m) >= bestCost {
 			lm.pruned++
 			continue
@@ -944,19 +966,21 @@ func (lm *lily) areaMatchCost(v logic.NodeID, m *match.Match) (cost, wlen, area 
 // (gate type and position of the match), block arrival times are formed at
 // the match, its output load is estimated from the base-function fanouts,
 // and the match with the earliest output arrival wins.
-func (lm *lily) evaluateDelay(v logic.NodeID, matches []*match.Match) error {
+func (lm *lily) evaluateDelay(v logic.NodeID, matches []match.Match) error {
 	bestArr := timing.Arrival{Rise: math.Inf(1), Fall: math.Inf(1)}
 	bestArea := math.Inf(1)
 	var bm *match.Match
 	var bmPos geom.Point
-	for _, m := range matches {
+	for i := range matches {
+		m := &matches[i]
 		g := lm.geometry(v, m)
 		// Step 1: recompute input arrivals under the current load.
 		// arrBuf[i] is the arrival of distinctIn[i].
-		if cap(lm.inArr) < len(m.Inputs) {
-			lm.inArr = make([]timing.Arrival, len(m.Inputs))
+		ins := m.Inputs()
+		if cap(lm.inArr) < len(ins) {
+			lm.inArr = make([]timing.Arrival, len(ins))
 		}
-		inArr := lm.inArr[:len(m.Inputs)]
+		inArr := lm.inArr[:len(ins)]
 		arrBuf := lm.arrBuf[:0]
 		area := m.Gate.Area
 		feasible := true
@@ -987,7 +1011,7 @@ func (lm *lily) evaluateDelay(v logic.NodeID, matches []*match.Match) error {
 		if !feasible {
 			continue
 		}
-		for pin, vi := range m.Inputs {
+		for pin, vi := range ins {
 			inArr[pin] = arrBuf[g.inputIndex(vi)]
 		}
 		// Steps 2–4: block arrivals at gate(m), output load from the base
@@ -1043,17 +1067,14 @@ func (lm *lily) outputLoad(v logic.NodeID, g *matchGeometry) float64 {
 	return lm.estimatedOutputLoad(g)
 }
 
+// estimatedOutputLoad is the output load of a gate at g.gatePos driving
+// v's base-function fanouts. The rectangle joins the gate position to the
+// cached fanout rectangle: Rect.Extend keeps the first value on ties, so
+// the union equals extending by each fanout point in turn, bit for bit.
 func (lm *lily) estimatedOutputLoad(g *matchGeometry) float64 {
-	caps := 0.0
-	for range g.fanoutPts {
-		caps += lm.lib.Nand2.InputCap
-	}
 	var x, y float64
 	if lm.opt.WireModel == wire.ModelHPWLSteiner {
-		r := geom.RectAround(g.gatePos)
-		for _, p := range g.fanoutPts {
-			r = r.Extend(p)
-		}
+		r := geom.RectAround(g.gatePos).Union(g.fanoutRect)
 		x, y = wire.HPWLLengthXY(r, 1+len(g.fanoutPts))
 	} else {
 		pts := append(lm.ptsWork[:0], g.gatePos)
@@ -1061,7 +1082,7 @@ func (lm *lily) estimatedOutputLoad(g *matchGeometry) float64 {
 		lm.ptsWork = pts
 		x, y = lm.ws.LengthXY(lm.opt.WireModel, pts)
 	}
-	return timing.Load(lm.lib, caps, x, y)
+	return timing.Load(lm.lib, g.fanoutCap, x, y)
 }
 
 // commitCone freezes the mapping decisions of a finished cone: needed
@@ -1096,8 +1117,9 @@ func (lm *lily) commitCone(root logic.NodeID) error {
 		if lm.everDove[v] {
 			lm.stats.Reincarnations++
 		}
-		for j, vi := range lm.best[v].Inputs {
-			if slices.Contains(lm.best[v].Inputs[:j], vi) {
+		ins := lm.best[v].Inputs()
+		for j, vi := range ins {
+			if slices.Contains(ins[:j], vi) {
 				continue // a signal bound to several pins is one consumer
 			}
 			lm.hawkConsumers[vi] = append(lm.hawkConsumers[vi], hawkRef{hawk: v, gate: lm.best[v].Gate})
@@ -1107,7 +1129,7 @@ func (lm *lily) commitCone(root logic.NodeID) error {
 	}
 	// Doves: interior nodes of freshly committed matches.
 	for _, v := range fresh {
-		for _, u := range lm.committed[v].Merged[1:] {
+		for _, u := range lm.committed[v].Merged()[1:] {
 			if lm.state[u] == StateHawk {
 				continue // duplicated: exists as a gate and inside another
 			}

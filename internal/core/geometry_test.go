@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"lily/internal/bench"
+	"lily/internal/cut"
 	"lily/internal/geom"
 	"lily/internal/library"
 	"lily/internal/logic"
@@ -46,9 +49,10 @@ func fixture(t *testing.T) (*logic.Network, *lily) {
 
 func nand2MatchAt(t *testing.T, lm *lily, v logic.NodeID) *match.Match {
 	t.Helper()
-	for _, m := range lm.matchesAt(v) {
-		if m.Gate.Name == "nand2" {
-			return m
+	ms := lm.matchesAt(v)
+	for i := range ms {
+		if ms[i].Gate.Name == "nand2" {
+			return &ms[i]
 		}
 	}
 	t.Fatal("no nand2 match")
@@ -67,6 +71,7 @@ func TestFaninRectanglesConstruction(t *testing.T) {
 	x := sub.NodeByName("x").ID
 	lm.state[x] = StateNestling
 	m := nand2MatchAt(t, lm, x)
+	lm.fanoutGeometry(x)
 	g := lm.geometry(x, m)
 
 	if len(g.distinctIn) != 2 {
@@ -121,6 +126,7 @@ func TestWireIncrementAccounting(t *testing.T) {
 	x := sub.NodeByName("x").ID
 	lm.state[x] = StateNestling
 	m := nand2MatchAt(t, lm, x)
+	lm.fanoutGeometry(x)
 	// Build the geometry under an exact model so the explicit pin lists
 	// exist for the cross-check, then evaluate the increment with the
 	// default Steiner estimator; every other geometry field is
@@ -154,6 +160,7 @@ func TestWireIncrementSpanningTreeModel(t *testing.T) {
 	x := sub.NodeByName("x").ID
 	lm.state[x] = StateNestling
 	m := nand2MatchAt(t, lm, x)
+	lm.fanoutGeometry(x)
 	g := lm.geometry(x, m)
 	for i := range g.distinctIn {
 		pts := append(append([]geom.Point(nil), g.pts(i)...), g.gatePos)
@@ -171,6 +178,7 @@ func TestUpdateRulePositions(t *testing.T) {
 	x := sub.NodeByName("x").ID
 	lm.state[x] = StateNestling
 	m := nand2MatchAt(t, lm, x)
+	lm.fanoutGeometry(x)
 	span := geom.Enclosing([]geom.Point{{X: 0, Y: 0}, {X: 20, Y: 10}})
 	for _, rule := range []UpdateRule{CMOfFans, CMOfMerged, MedianFans} {
 		lm.opt.Update = rule
@@ -203,9 +211,10 @@ func TestTrueFanoutsUseHawkPositions(t *testing.T) {
 	}
 	// Commit y as a hawk consuming b at a new mapPosition.
 	var invMatch *match.Match
-	for _, m := range lm.matchesAt(yID) {
-		if m.Gate.Name == "inv" {
-			invMatch = m
+	ms := lm.matchesAt(yID)
+	for i := range ms {
+		if ms[i].Gate.Name == "inv" {
+			invMatch = &ms[i]
 		}
 	}
 	lm.state[yID] = StateHawk
@@ -281,5 +290,36 @@ func TestFanCacheVersionInvalidation(t *testing.T) {
 	fans := lm.cachedFans(bID)
 	if len(fans) != 1 || fans[0].node != yID {
 		t.Errorf("after x→dove, fanouts of b = %v, want just y", fans)
+	}
+}
+
+// TestMergedExcludesRootFanouts pins the invariant fanoutGeometry rests
+// on: over every paper circuit at the ASIC and 6-LUT targets, no
+// candidate match covers a fanout of its own root, so no candidate can
+// remove a point from the root's fanout rectangle.
+func TestMergedExcludesRootFanouts(t *testing.T) {
+	lib := library.Big()
+	for _, p := range bench.Profiles() {
+		_, sub := subjectFor(t, p.Name)
+		for _, be := range []Backend{match.NewMatcher(sub, lib), cut.NewEnumerator(sub, lib, TargetLUT6.LUTK())} {
+			checked := 0
+			for _, nd := range sub.Nodes {
+				if nd == nil || nd.Kind != logic.KindLogic {
+					continue
+				}
+				ms := be.MatchesAt(nd.ID)
+				for i := range ms {
+					for _, u := range ms[i].Merged() {
+						if slices.Contains(sub.Fanouts(nd.ID), u) {
+							t.Fatalf("%s: match %v covers %d, a fanout of its root", p.Name, &ms[i], u)
+						}
+					}
+					checked++
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("%s: no matches checked", p.Name)
+			}
+		}
 	}
 }

@@ -38,8 +38,9 @@ func (lm *lily) replaceGlobal() error {
 		switch lm.state[v] {
 		case StateHawk:
 			m := lm.committed[v]
-			for j, in := range m.Inputs {
-				if !slices.Contains(m.Inputs[:j], in) {
+			ins := m.Inputs()
+			for j, in := range ins {
+				if !slices.Contains(ins[:j], in) {
 					fanins = append(fanins, sig[in])
 				}
 			}

@@ -55,10 +55,10 @@ func BuildNetlist(sub *logic.Network, best func(logic.NodeID) *match.Match, name
 		// Reserve the cell slot before recursing (the subject is a DAG, so
 		// recursion cannot revisit v, but the slot keeps cell order stable).
 		ci := nl.AddCell(&netlist.Cell{Name: nd.Name, Gate: m.Gate,
-			Inputs: make([]netlist.Ref, len(m.Inputs))})
+			Inputs: make([]netlist.Ref, len(m.Inputs()))})
 		r := netlist.Ref{Index: ci}
 		refs[v] = r
-		for pin, in := range m.Inputs {
+		for pin, in := range m.Inputs() {
 			ir, err := build(in)
 			if err != nil {
 				return netlist.Ref{}, err
@@ -107,7 +107,7 @@ func NeededSet(sub *logic.Network, best func(logic.NodeID) *match.Match, roots [
 		if m == nil {
 			return nil, fmt.Errorf("cover: no match at node %q", nd.Name)
 		}
-		for _, in := range m.Inputs {
+		for _, in := range m.Inputs() {
 			stack = append(stack, in)
 		}
 	}

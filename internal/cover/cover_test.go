@@ -18,9 +18,10 @@ func baseCoverOracle(t *testing.T, sub *logic.Network, lib *library.Library) fun
 		if nd == nil || nd.Kind != logic.KindLogic {
 			continue
 		}
-		for _, m := range mt.AtNode(nd.ID) {
-			if m.Gate.Name == "nand2" || m.Gate.Name == "inv" {
-				table[nd.ID] = m
+		ms := mt.AtNode(nd.ID)
+		for i := range ms {
+			if ms[i].Gate.Name == "nand2" || ms[i].Gate.Name == "inv" {
+				table[nd.ID] = &ms[i]
 				break
 			}
 		}

@@ -59,7 +59,7 @@ type Enumerator struct {
 	cutsOK []bool
 	// memo holds the per-node MatchesAt results (nil for nodes that take
 	// no LUT, e.g. PIs); memoOK marks computed entries.
-	memo   [][]*match.Match
+	memo   [][]match.Match
 	memoOK []bool
 
 	// gates caches the synthesized LUT cell per (arity, truth table), so
@@ -76,12 +76,14 @@ type Enumerator struct {
 	stack     []logic.NodeID
 
 	// Per-node build scratch, reused across nodes: leafBuf holds merged
-	// candidate leaf sets back to back, cand indexes them, and coneBuf
-	// gathers the Merged lists of a node's matches. Survivors are copied
-	// out at exact size.
+	// candidate leaf sets back to back, cand indexes them, idsBuf gathers
+	// the ID lists of a node's matches (each cut's leaves, then its cone)
+	// and idsEnd marks where each list ends. Survivors are copied out at
+	// exact size.
 	leafBuf []logic.NodeID
 	cand    []leafSet
-	coneBuf []logic.NodeID
+	idsBuf  []logic.NodeID
+	idsEnd  []int
 }
 
 // leafSet is a candidate cut: its sorted leaves and their signature, the
@@ -120,7 +122,7 @@ func NewEnumerator(net *logic.Network, lib *library.Library, k int) *Enumerator 
 		k:         k,
 		cuts:      make([][][]logic.NodeID, n),
 		cutsOK:    make([]bool, n),
-		memo:      make([][]*match.Match, n),
+		memo:      make([][]match.Match, n),
 		memoOK:    make([]bool, n),
 		gates:     make(map[gateKey]*library.Gate),
 		leafStamp: make([]uint32, n),
@@ -135,7 +137,7 @@ func (e *Enumerator) K() int { return e.k }
 // MatchesAt returns the LUT matches rooted at v: one per non-trivial
 // K-feasible cut, in deterministic (leaf count, leaf IDs) order. Results
 // are memoized; callers must treat the returned slice as read-only.
-func (e *Enumerator) MatchesAt(v logic.NodeID) []*match.Match {
+func (e *Enumerator) MatchesAt(v logic.NodeID) []match.Match {
 	if e.memoOK[v] {
 		return e.memo[v]
 	}
@@ -145,10 +147,9 @@ func (e *Enumerator) MatchesAt(v logic.NodeID) []*match.Match {
 	return out
 }
 
-// matchesAt builds v's match list: one Match slab, one pointer list and
-// one shared backing for the Merged lists. Inputs alias the memoized cut
-// leaf sets, which are immutable once built.
-func (e *Enumerator) matchesAt(v logic.NodeID) []*match.Match {
+// matchesAt builds v's match list: one Match slab and one ID backing
+// that holds, per cut, its leaves (the match inputs) and then its cone.
+func (e *Enumerator) matchesAt(v logic.NodeID) []match.Match {
 	if t := e.cls.Type(v); t != match.TypeNand2 && t != match.TypeInv {
 		return nil
 	}
@@ -156,24 +157,20 @@ func (e *Enumerator) matchesAt(v logic.NodeID) []*match.Match {
 	if len(cuts) == 0 {
 		return nil
 	}
-	slab := make([]match.Match, len(cuts))
-	e.coneBuf = e.coneBuf[:0]
-	for i, leaves := range cuts {
-		slab[i].Gate = e.lutGate(len(leaves), e.truthTable(v, leaves))
-		slab[i].Inputs = leaves
-		e.coneBuf = e.cone(e.coneBuf, v, leaves)
+	e.idsBuf = e.idsBuf[:0]
+	e.idsEnd = e.idsEnd[:0]
+	for _, leaves := range cuts {
+		e.idsBuf = append(e.idsBuf, leaves...)
+		e.idsBuf = e.cone(e.idsBuf, v, leaves)
+		e.idsEnd = append(e.idsEnd, len(e.idsBuf))
 	}
-	merged := slices.Clone(e.coneBuf)
-	out := make([]*match.Match, len(cuts))
-	for i := range slab {
-		// Each cone is root first: v opens the next one.
-		n := 1 + slices.Index(merged[1:], v)
-		if n == 0 {
-			n = len(merged)
-		}
-		slab[i].Merged = merged[:n:n]
-		merged = merged[n:]
-		out[i] = &slab[i]
+	ids := slices.Clone(e.idsBuf)
+	out := make([]match.Match, len(cuts))
+	at := 0
+	for i, leaves := range cuts {
+		end := e.idsEnd[i]
+		out[i] = match.NewMatch(e.lutGate(len(leaves), e.truthTable(v, leaves)), ids[at:end:end])
+		at = end
 	}
 	return out
 }

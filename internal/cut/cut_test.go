@@ -65,41 +65,41 @@ func TestKFeasibilityProperties(t *testing.T) {
 				total += len(ms)
 				for i, m := range ms {
 					// K-feasibility and leaf-set hygiene.
-					if len(m.Inputs) == 0 || len(m.Inputs) > k {
-						t.Fatalf("%s K=%d node %s: cut width %d outside [1,%d]", name, k, nd.Name, len(m.Inputs), k)
+					if len(m.Inputs()) == 0 || len(m.Inputs()) > k {
+						t.Fatalf("%s K=%d node %s: cut width %d outside [1,%d]", name, k, nd.Name, len(m.Inputs()), k)
 					}
-					for j := 1; j < len(m.Inputs); j++ {
-						if m.Inputs[j-1] >= m.Inputs[j] {
-							t.Fatalf("%s K=%d node %s: leaves not strictly ascending: %v", name, k, nd.Name, m.Inputs)
+					for j := 1; j < len(m.Inputs()); j++ {
+						if m.Inputs()[j-1] >= m.Inputs()[j] {
+							t.Fatalf("%s K=%d node %s: leaves not strictly ascending: %v", name, k, nd.Name, m.Inputs())
 						}
 					}
-					for _, l := range m.Inputs {
+					for _, l := range m.Inputs() {
 						if l == v {
 							t.Fatalf("%s K=%d node %s: root appears as its own leaf", name, k, nd.Name)
 						}
 					}
-					if len(m.Merged) == 0 || m.Merged[0] != v {
-						t.Fatalf("%s K=%d node %s: cone must start at the root, got %v", name, k, nd.Name, m.Merged)
+					if len(m.Merged()) == 0 || m.Merged()[0] != v {
+						t.Fatalf("%s K=%d node %s: cone must start at the root, got %v", name, k, nd.Name, m.Merged())
 					}
 					// Deterministic (leaf count, leaf IDs) order.
-					if i > 0 && compareLeaves(ms[i-1].Inputs, m.Inputs) >= 0 {
+					if i > 0 && compareLeaves(ms[i-1].Inputs(), m.Inputs()) >= 0 {
 						t.Fatalf("%s K=%d node %s: match order violated at %d: %v !< %v",
-							name, k, nd.Name, i, ms[i-1].Inputs, m.Inputs)
+							name, k, nd.Name, i, ms[i-1].Inputs(), m.Inputs())
 					}
 					// Irredundance: no other cut's leaves contain this cut's.
 					for j, o := range ms {
-						if j != i && isSubset(m.Inputs, o.Inputs) {
+						if j != i && isSubset(m.Inputs(), o.Inputs()) {
 							t.Fatalf("%s K=%d node %s: cut %v dominates kept cut %v",
-								name, k, nd.Name, m.Inputs, o.Inputs)
+								name, k, nd.Name, m.Inputs(), o.Inputs())
 						}
 					}
 					// The synthesized LUT computes the cone function.
-					if err := match.Verify(sub, m); err != nil {
+					if err := match.Verify(sub, &m); err != nil {
 						t.Fatalf("%s K=%d node %s: %v", name, k, nd.Name, err)
 					}
-					if m.Gate.NumInputs != len(m.Inputs) {
+					if m.Gate.NumInputs != len(m.Inputs()) {
 						t.Fatalf("%s K=%d node %s: gate arity %d != cut width %d",
-							name, k, nd.Name, m.Gate.NumInputs, len(m.Inputs))
+							name, k, nd.Name, m.Gate.NumInputs, len(m.Inputs()))
 					}
 				}
 			}

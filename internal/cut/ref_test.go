@@ -22,20 +22,17 @@ type refEnum struct {
 	cuts map[logic.NodeID][][]logic.NodeID
 }
 
-func (r *refEnum) matchesAt(v logic.NodeID) []*match.Match {
+func (r *refEnum) matchesAt(v logic.NodeID) []match.Match {
 	if t := r.e.cls.Type(v); t != match.TypeNand2 && t != match.TypeInv {
 		return nil
 	}
-	var out []*match.Match
+	var out []match.Match
 	for _, leaves := range r.nodeCuts(v) {
 		if len(leaves) == 1 && leaves[0] == v {
 			continue
 		}
-		out = append(out, &match.Match{
-			Gate:   r.e.lutGate(len(leaves), r.truthTable(v, leaves)),
-			Inputs: leaves,
-			Merged: r.cone(v, leaves),
-		})
+		g := r.e.lutGate(len(leaves), r.truthTable(v, leaves))
+		out = append(out, match.NewMatch(g, append(slices.Clone(leaves), r.cone(v, leaves)...)))
 	}
 	return out
 }
@@ -206,8 +203,8 @@ func TestCutsMatchReference(t *testing.T) {
 					t.Fatalf("%s K=%d node %s: %d matches, reference %d", p.Name, k, nd.Name, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].Gate != want[i].Gate || !slices.Equal(got[i].Inputs, want[i].Inputs) ||
-						!slices.Equal(got[i].Merged, want[i].Merged) {
+					if got[i].Gate != want[i].Gate || !slices.Equal(got[i].Inputs(), want[i].Inputs()) ||
+						!slices.Equal(got[i].Merged(), want[i].Merged()) {
 						t.Fatalf("%s K=%d node %s match %d: %v, reference %v", p.Name, k, nd.Name, i, got[i], want[i])
 					}
 				}
@@ -218,7 +215,7 @@ func TestCutsMatchReference(t *testing.T) {
 
 // TestMatchesAtAllocsConstant pins the LUT backend's per-node
 // allocations once the scratch and the gate cache are warm: a Match
-// slab, a pointer list and one Merged backing.
+// slab and one ID backing.
 func TestMatchesAtAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -235,8 +232,8 @@ func TestMatchesAtAllocsConstant(t *testing.T) {
 			continue
 		}
 		seen[n] = true
-		if allocs := testing.AllocsPerRun(5, func() { e.matchesAt(nd.ID) }); allocs != 3 {
-			t.Errorf("node %s (%d matches): %v allocations, want 3", nd.Name, n, allocs)
+		if allocs := testing.AllocsPerRun(5, func() { e.matchesAt(nd.ID) }); allocs != 2 {
+			t.Errorf("node %s (%d matches): %v allocations, want 2", nd.Name, n, allocs)
 		}
 	}
 	if len(seen) < 3 {

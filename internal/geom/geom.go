@@ -46,8 +46,9 @@ func Centroid(pts []Point) Point {
 }
 
 // Rect is an axis-aligned rectangle given by lower-left and upper-right
-// corners. The zero Rect is the canonical "empty" rectangle whose Extend
-// starts fresh; use NewRect or EmptyRect to construct.
+// corners. The zero Rect is not empty: it is the degenerate rectangle at
+// the origin, and Extend grows it from there. EmptyRect returns the only
+// empty rectangle, which Extend starts fresh from the first point.
 type Rect struct {
 	LL, UR Point
 	empty  bool

@@ -121,3 +121,23 @@ func TestDegenerateRect(t *testing.T) {
 		t.Errorf("distance = %v", d)
 	}
 }
+
+// TestZeroRect pins the zero Rect as the point at the origin, not the
+// empty rectangle: it contains the origin, and extending it keeps the
+// origin inside, where extending EmptyRect does not.
+func TestZeroRect(t *testing.T) {
+	var r Rect
+	if r.IsEmpty() || !r.Contains(Point{}) || r != RectAround(Point{}) {
+		t.Fatalf("zero Rect = %+v, want the point at the origin", r)
+	}
+	p := Point{3, 4}
+	if got, want := r.Extend(p), Enclosing([]Point{{}, p}); got != want {
+		t.Errorf("zero Rect extended by %v = %v, want %v", p, got, want)
+	}
+	if got := EmptyRect().Extend(p); got != RectAround(p) {
+		t.Errorf("EmptyRect extended by %v = %v, want %v", p, got, RectAround(p))
+	}
+	if !EmptyRect().IsEmpty() || EmptyRect().Contains(Point{}) {
+		t.Error("EmptyRect must be empty and contain no point")
+	}
+}

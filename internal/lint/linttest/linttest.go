@@ -12,7 +12,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -144,24 +143,6 @@ func loadFixture(dir string) (*lint.Package, error) {
 	if len(pkg.Files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	conf := types.Config{
-		Importer: lint.StdImporter(),
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		},
-	}
-	pkg.Info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tpkg, err := conf.Check(pkg.Path, fset, pkg.Files, pkg.Info)
-	if err != nil && len(pkg.TypeErrors) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, err)
-	}
-	pkg.Types = tpkg
+	pkg.TypeCheck(lint.StdImporter())
 	return pkg, nil
 }

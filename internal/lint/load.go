@@ -256,28 +256,25 @@ func (l *Loader) loadPackage(importPath string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
-	conf := types.Config{
-		Importer: importerFunc(func(path, srcDir string) (*types.Package, error) {
-			return l.importPkg(path, srcDir)
-		}),
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		},
-	}
-	pkg.Info = newInfo()
-	// Check reports the first hard error; soft errors land in TypeErrors.
-	// Either way we keep the (possibly partial) package and info.
-	tpkg, err := conf.Check(importPath, l.Fset, pkg.Files, pkg.Info)
-	if err != nil && len(pkg.TypeErrors) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, err)
-	}
-	pkg.Types = tpkg
+	pkg.TypeCheck(importerFunc(l.importPkg))
 	l.pkgs[importPath] = pkg
 	return pkg, nil
 }
 
-func newInfo() *types.Info {
-	return &types.Info{
+// TypeCheck type-checks p's parsed Files under p.Path, resolving imports
+// through imp, and records the results in p.Types, p.Info and
+// p.TypeErrors. It is the one type-check set-up of module packages and
+// test fixtures alike, so both see the same type information. The checker
+// reports the first hard error and collects soft ones; either way the
+// (possibly partial) package and info are kept.
+func (p *Package) TypeCheck(imp types.Importer) {
+	conf := types.Config{
+		Importer: imp,
+		Error: func(err error) {
+			p.TypeErrors = append(p.TypeErrors, err)
+		},
+	}
+	p.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -285,6 +282,11 @@ func newInfo() *types.Info {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
+	tpkg, err := conf.Check(p.Path, p.Fset, p.Files, p.Info)
+	if err != nil && len(p.TypeErrors) == 0 {
+		p.TypeErrors = append(p.TypeErrors, err)
+	}
+	p.Types = tpkg
 }
 
 func (l *Loader) importPkg(path, srcDir string) (*types.Package, error) {

@@ -1,11 +1,16 @@
 package logic
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NodeID identifies a node inside one Network. IDs are dense indices into
 // Network.Nodes and are never reused within a network's lifetime; deleted
-// nodes leave a nil slot.
-type NodeID int
+// nodes leave a nil slot. Four bytes hold every ID a network can reach
+// (addNode refuses to pass math.MaxInt32) and halve the size of the
+// per-node ID lists the mappers keep, match lists above all.
+type NodeID int32
 
 // InvalidNode is the zero-value "no node" sentinel.
 const InvalidNode NodeID = -1
@@ -121,10 +126,19 @@ func (n *Network) addNode(name string, kind Kind, fanins []NodeID, cover SOP) *N
 	if _, dup := n.byName[name]; dup {
 		panic(fmt.Sprintf("logic: duplicate node name %q", name))
 	}
-	nd := &Node{ID: NodeID(len(n.Nodes)), Name: name, Kind: kind, Fanins: fanins, Cover: cover}
+	nd := &Node{ID: nextID(len(n.Nodes)), Name: name, Kind: kind, Fanins: fanins, Cover: cover}
 	n.Nodes = append(n.Nodes, nd)
 	n.byName[name] = nd.ID
 	return nd
+}
+
+// nextID returns the ID of a network's node number i. It panics rather
+// than let an ID pass math.MaxInt32 and wrap.
+func nextID(i int) NodeID {
+	if i > math.MaxInt32 {
+		panic(fmt.Sprintf("logic: node %d is past the NodeID range (at most %d)", i, math.MaxInt32))
+	}
+	return NodeID(i)
 }
 
 // MarkPO declares node id as a primary output under the given external name

@@ -1,7 +1,9 @@
 package logic
 
 import (
+	"math"
 	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -281,4 +283,25 @@ func numLive(n *Network) int {
 		}
 	}
 	return c
+}
+
+// TestNextIDRange: the last node number that fits a NodeID becomes
+// math.MaxInt32, and the one after it panics instead of wrapping
+// negative. The check runs on the number alone, so no network that large
+// is built.
+func TestNextIDRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot pass math.MaxInt32")
+	}
+	if got := nextID(math.MaxInt32); got != math.MaxInt32 {
+		t.Fatalf("nextID(MaxInt32) = %d", got)
+	}
+	past := math.MaxInt32
+	past++
+	defer func() {
+		if recover() == nil {
+			t.Error("nextID past math.MaxInt32 did not panic")
+		}
+	}()
+	nextID(past)
 }

@@ -60,29 +60,50 @@ func Classify(net *logic.Network) *Classifier {
 // Type returns the cached node type.
 func (c *Classifier) Type(id logic.NodeID) NodeType { return c.types[id] }
 
-// Match is one way to implement the subject node rooted at its last Merged
-// entry with a library gate.
+// Match is one way to implement the subject node at the root of its
+// Merged list with a library gate. Its one ID list holds the input
+// binding followed by the merged nodes, so a match costs a gate pointer
+// and a slice header; the matchers cut every match of a node from one
+// shared backing.
 type Match struct {
 	Gate *library.Gate
-	// Inputs lists the subject nodes bound to each gate input pin
-	// (positional; these are the paper's inputs(v, m)).
-	Inputs []logic.NodeID
-	// Merged lists the subject nodes covered by the pattern's internal
-	// NAND2/INV nodes, root first (the paper's merged(v, m) including v).
-	Merged []logic.NodeID
+	// ids is Inputs() followed by Merged().
+	ids []logic.NodeID
 }
+
+// NewMatch returns the match of gate g whose ID list ids holds the
+// g.NumInputs input bindings followed by the merged nodes, root first.
+// The match aliases ids, which must not change afterwards.
+func NewMatch(g *library.Gate, ids []logic.NodeID) Match {
+	if len(ids) <= g.NumInputs {
+		panic(fmt.Sprintf("match: %s needs %d inputs and a root, got %d IDs", g.Name, g.NumInputs, len(ids)))
+	}
+	return Match{Gate: g, ids: ids}
+}
+
+// Inputs lists the subject nodes bound to each gate input pin
+// (positional; these are the paper's inputs(v, m)).
+func (m *Match) Inputs() []logic.NodeID {
+	n := m.Gate.NumInputs
+	return m.ids[:n:n]
+}
+
+// Merged lists the subject nodes covered by the pattern's internal
+// NAND2/INV nodes, root first (the paper's merged(v, m) including v).
+func (m *Match) Merged() []logic.NodeID { return m.ids[m.Gate.NumInputs:] }
 
 // Root returns the subject node the match implements.
-func (m *Match) Root() logic.NodeID { return m.Merged[0] }
+func (m *Match) Root() logic.NodeID { return m.ids[m.Gate.NumInputs] }
 
 func (m *Match) String() string {
-	return fmt.Sprintf("%s@%d inputs=%v merged=%v", m.Gate.Name, m.Root(), m.Inputs, m.Merged)
+	return fmt.Sprintf("%s@%d inputs=%v merged=%v", m.Gate.Name, m.Root(), m.Inputs(), m.Merged())
 }
 
-// Matcher enumerates matches over one subject graph. Matching results are
-// memoized per node: the subject graph is immutable for the lifetime of a
-// cover run (only node lifecycle state changes, which matching never
-// reads), so AtNode computes each node's match list exactly once.
+// Matcher enumerates matches over one subject graph. AtNode memoizes
+// each node's match list: the subject graph is immutable for the
+// lifetime of a cover run (only node lifecycle state changes, which
+// matching never reads), so a mapper that revisits nodes computes each
+// list exactly once. Enumerate serves a mapper that reads each list once.
 type Matcher struct {
 	net *logic.Network
 	cls *Classifier
@@ -105,13 +126,14 @@ type Matcher struct {
 	// cand and ids gather one node's distinct candidates: candidate c
 	// binds ids[c.at:c.at+NumInputs] and merges the c.merged IDs after
 	// them. Both are reused across nodes; atNode copies the finished
-	// list out at exact size.
-	cand []candidate
-	ids  []logic.NodeID
+	// list out at exact size, and Enumerate returns it in scratch.
+	cand    []candidate
+	ids     []logic.NodeID
+	scratch []Match
 
 	// memo holds the per-node AtNode results; memoOK marks computed
 	// entries (a nil slice is a valid result for unmatchable nodes).
-	memo   [][]*Match
+	memo   [][]Match
 	memoOK []bool
 }
 
@@ -129,7 +151,7 @@ func NewMatcher(net *logic.Network, lib *library.Library) *Matcher {
 		cls:         Classify(net),
 		gates:       slices.Clone(lib.Gates),
 		mergedStamp: make([]uint32, n),
-		memo:        make([][]*Match, n),
+		memo:        make([][]Match, n),
 		memoOK:      make([]bool, n),
 	}
 	slices.SortStableFunc(mt.gates, func(a, b *library.Gate) int { return strings.Compare(a.Name, b.Name) })
@@ -144,7 +166,7 @@ func (mt *Matcher) Classifier() *Classifier { return mt.cls }
 // gate and pattern of the library. Matches are deduplicated by (gate,
 // bound inputs) and returned in a deterministic order. Results are memoized;
 // callers must treat the returned slice as read-only.
-func (mt *Matcher) AtNode(v logic.NodeID) []*Match {
+func (mt *Matcher) AtNode(v logic.NodeID) []Match {
 	if mt.memoOK[v] {
 		return mt.memo[v]
 	}
@@ -154,16 +176,51 @@ func (mt *Matcher) AtNode(v logic.NodeID) []*Match {
 	return out
 }
 
-// atNode enumerates v's matches into the scratch candidate list, one
-// gate at a time in name order, sorting each gate's candidates by
-// binding, and copies the list out: one Match slab, one pointer list
-// and one shared ID backing, whatever the match count.
-func (mt *Matcher) atNode(v logic.NodeID) []*Match {
-	if t := mt.cls.Type(v); t != TypeNand2 && t != TypeInv {
+// atNode copies v's enumerated matches out: one Match slab and one
+// shared ID backing, whatever the match count.
+func (mt *Matcher) atNode(v logic.NodeID) []Match {
+	mt.enumerate(v)
+	if len(mt.cand) == 0 {
 		return nil
 	}
+	out := make([]Match, len(mt.cand))
+	mt.fill(out, slices.Clone(mt.ids))
+	return out
+}
+
+// Enumerate returns the matches AtNode returns for v, in the same order,
+// without memoizing them: the slice and the matches' IDs live in the
+// matcher's scratch and stay valid only until the next Enumerate or
+// AtNode call. Once the scratch has grown it allocates nothing, so a
+// mapper that reads each node's candidates once keeps only the matches
+// it chooses, copied out.
+func (mt *Matcher) Enumerate(v logic.NodeID) []Match {
+	mt.enumerate(v)
+	if len(mt.cand) == 0 {
+		return nil
+	}
+	mt.scratch = slices.Grow(mt.scratch[:0], len(mt.cand))[:len(mt.cand)]
+	mt.fill(mt.scratch, mt.ids)
+	return mt.scratch
+}
+
+// fill sets out[i] to candidate i, cut from the ID backing ids.
+func (mt *Matcher) fill(out []Match, ids []logic.NodeID) {
+	for i, c := range mt.cand {
+		end := c.at + c.gate.NumInputs + c.merged
+		out[i] = Match{Gate: c.gate, ids: ids[c.at:end:end]}
+	}
+}
+
+// enumerate gathers v's distinct matches into the scratch candidate
+// list, one gate at a time in name order, sorting each gate's
+// candidates by binding.
+func (mt *Matcher) enumerate(v logic.NodeID) {
 	mt.cand = mt.cand[:0]
 	mt.ids = mt.ids[:0]
+	if t := mt.cls.Type(v); t != TypeNand2 && t != TypeInv {
+		return
+	}
 	for _, g := range mt.gates {
 		first := len(mt.cand)
 		mt.gate = g
@@ -185,19 +242,6 @@ func (mt *Matcher) atNode(v logic.NodeID) []*Match {
 			})
 		}
 	}
-	if len(mt.cand) == 0 {
-		return nil
-	}
-	ids := slices.Clone(mt.ids)
-	slab := make([]Match, len(mt.cand))
-	out := make([]*Match, len(mt.cand))
-	for i, c := range mt.cand {
-		in := c.at + c.gate.NumInputs
-		end := in + c.merged
-		slab[i] = Match{Gate: c.gate, Inputs: ids[c.at:in:in], Merged: ids[in:end:end]}
-		out[i] = &slab[i]
-	}
-	return out
 }
 
 // inputs returns a scratch candidate's input binding.
@@ -390,11 +434,12 @@ func (mt *Matcher) popMerged(v logic.NodeID) {
 // Cone-based covering (MIS, Lily) admits matches that violate it at the
 // price of logic duplication.
 func InternalFanoutFree(net *logic.Network, m *Match) bool {
-	inside := make(map[logic.NodeID]bool, len(m.Merged))
-	for _, id := range m.Merged {
+	merged := m.Merged()
+	inside := make(map[logic.NodeID]bool, len(merged))
+	for _, id := range merged {
 		inside[id] = true
 	}
-	for _, id := range m.Merged[1:] { // skip root
+	for _, id := range merged[1:] { // skip root
 		if net.IsPO(id) {
 			return false
 		}
@@ -413,16 +458,13 @@ func InternalFanoutFree(net *logic.Network, m *Match) bool {
 func Verify(net *logic.Network, m *Match) error {
 	// The match region forms a tree from inputs to root; evaluate the
 	// subject nodes in the region for all 2^k input assignments.
-	k := len(m.Inputs)
+	inputs := m.Inputs()
+	k := len(inputs)
 	if k > 10 {
 		return nil // too wide to enumerate; structural matching is trusted
 	}
-	region := make(map[logic.NodeID]bool, len(m.Merged))
-	for _, id := range m.Merged {
-		region[id] = true
-	}
 	// Topological order of region nodes (root first in Merged, so reverse).
-	val := make(map[logic.NodeID]bool, len(region)+k)
+	val := make(map[logic.NodeID]bool, len(m.Merged())+k)
 	var evalNode func(id logic.NodeID) bool
 	evalNode = func(id logic.NodeID) bool {
 		if v, ok := val[id]; ok {
@@ -443,7 +485,7 @@ func Verify(net *logic.Network, m *Match) error {
 			delete(val, id)
 		}
 		consistent := true
-		for i, in := range m.Inputs {
+		for i, in := range inputs {
 			pins[i] = r&(1<<i) != 0
 			if prev, ok := val[in]; ok && prev != pins[i] {
 				// Two pins bound to the same subject signal: only
@@ -468,4 +510,4 @@ func Verify(net *logic.Network, m *Match) error {
 
 // MatchesAt makes Matcher a covering-engine backend (core.Backend): it
 // is AtNode under the interface's name.
-func (mt *Matcher) MatchesAt(v logic.NodeID) []*Match { return mt.AtNode(v) }
+func (mt *Matcher) MatchesAt(v logic.NodeID) []Match { return mt.AtNode(v) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -70,14 +71,14 @@ func TestMatchAnd2(t *testing.T) {
 	matches := mt.AtNode(root)
 	var haveAnd2, haveInv bool
 	for _, m := range matches {
-		if err := Verify(sub, m); err != nil {
+		if err := Verify(sub, &m); err != nil {
 			t.Errorf("verify: %v", err)
 		}
 		switch m.Gate.Name {
 		case "and2":
 			haveAnd2 = true
-			if len(m.Merged) != 2 {
-				t.Errorf("and2 merged = %v", m.Merged)
+			if len(m.Merged()) != 2 {
+				t.Errorf("and2 merged = %v", m.Merged())
 			}
 		case "inv":
 			haveInv = true
@@ -108,17 +109,17 @@ func TestMatchWideNand(t *testing.T) {
 	for _, m := range matches {
 		if m.Gate.Name == "nand4" {
 			found = true
-			if len(m.Inputs) != 4 {
-				t.Errorf("nand4 inputs = %v", m.Inputs)
+			if len(m.Inputs()) != 4 {
+				t.Errorf("nand4 inputs = %v", m.Inputs())
 			}
 			pis := map[logic.NodeID]bool{}
-			for _, in := range m.Inputs {
+			for _, in := range m.Inputs() {
 				pis[in] = true
 			}
 			if len(pis) != 4 {
-				t.Errorf("nand4 inputs not distinct PIs: %v", m.Inputs)
+				t.Errorf("nand4 inputs not distinct PIs: %v", m.Inputs())
 			}
-			if err := Verify(sub, m); err != nil {
+			if err := Verify(sub, &m); err != nil {
 				t.Error(err)
 			}
 		}
@@ -147,7 +148,7 @@ func TestMatchCommutative(t *testing.T) {
 	for _, m := range matches {
 		if m.Gate.Name == "oai21" {
 			found = true
-			if err := Verify(sub, m); err != nil {
+			if err := Verify(sub, &m); err != nil {
 				t.Error(err)
 			}
 		}
@@ -173,7 +174,7 @@ func TestMatchesDeduplicated(t *testing.T) {
 	matches := mt.AtNode(sub.POs[0])
 	seen := map[string]bool{}
 	for _, m := range matches {
-		k := fmt.Sprintf("%s:%v", m.Gate.Name, m.Inputs)
+		k := fmt.Sprintf("%s:%v", m.Gate.Name, m.Inputs())
 		if seen[k] {
 			t.Errorf("duplicate match %s", k)
 		}
@@ -198,8 +199,8 @@ func TestAtNodeMemoized(t *testing.T) {
 		t.Fatalf("memoized call differs: %d vs %d matches", len(first), len(second))
 	}
 	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("match %d not memoized: %p vs %p", i, first[i], second[i])
+		if &first[i] != &second[i] {
+			t.Fatalf("match %d not memoized: %p vs %p", i, &first[i], &second[i])
 		}
 	}
 }
@@ -236,7 +237,7 @@ func TestDecimalLessMatchesStringOrder(t *testing.T) {
 		{{3, 4}, {3, 5}},
 		{{-1, 4}, {0, 4}}, // unbound sentinel renders as "-1"
 		{{-1}, {-10}},     // two negatives: magnitudes compare as strings
-		{{math.MinInt64, 0}, {math.MaxInt64, 0}},
+		{{math.MinInt32, 0}, {math.MaxInt32, 0}},
 		{{99999, 3}, {100000, 3}},
 	}
 	for _, c := range cases {
@@ -244,7 +245,49 @@ func TestDecimalLessMatchesStringOrder(t *testing.T) {
 	}
 }
 
-// randomID draws a node ID whose decimal length varies from 1 to 19
+// checkDecimalOrder fails t unless compareDecimal orders x and y, both
+// ways round and with either separator, exactly as their decimal
+// renderings followed by that separator compare.
+func checkDecimalOrder(t *testing.T, x, y int64) {
+	t.Helper()
+	for _, last := range []bool{false, true} {
+		sep := " "
+		if last {
+			sep = "]"
+		}
+		for _, p := range [][2]int64{{x, y}, {y, x}} {
+			want := strings.Compare(strconv.FormatInt(p[0], 10)+sep, strconv.FormatInt(p[1], 10)+sep)
+			if got := compareDecimal(p[0], p[1], last); got != want {
+				t.Errorf("compareDecimal(%d, %d, %v) = %d, want %d", p[0], p[1], last, got, want)
+			}
+		}
+	}
+}
+
+// TestCompareDecimalInt64Extremes checks compareDecimal across the whole
+// int64 range it takes, past the NodeID range: the extremes, whose
+// magnitudes need the two's-complement negation and the 19th power of
+// ten, against neighbours and decimal prefixes.
+func TestCompareDecimalInt64Extremes(t *testing.T) {
+	cases := [][2]int64{
+		{math.MinInt64, 0},
+		{math.MinInt64, math.MaxInt64},
+		{math.MinInt64, -1},
+		{math.MinInt64, -922337203685477580}, // a proper decimal prefix
+		{math.MinInt64 + 1, math.MinInt64},
+		{math.MaxInt64, 922337203685477580},
+		{math.MaxInt64, 9},
+		{math.MaxInt64, math.MaxInt64 - 1},
+		{math.MaxInt64, math.MaxInt32},
+		{1e18, 1e17},
+		{-1e18, 1},
+	}
+	for _, c := range cases {
+		checkDecimalOrder(t, c[0], c[1])
+	}
+}
+
+// randomID draws a node ID whose decimal length varies from 1 to 10
 // digits, with small values (and shared prefixes) over-represented, plus
 // the unbound sentinel -1.
 func randomID(rng *rand.Rand) logic.NodeID {
@@ -252,7 +295,7 @@ func randomID(rng *rand.Rand) logic.NodeID {
 	case 0:
 		return logic.InvalidNode
 	case 1:
-		return logic.NodeID(rng.Int63())
+		return logic.NodeID(rng.Int31())
 	default:
 		return logic.NodeID(rng.Int63n(int64(pow10[rng.Intn(7)+1])))
 	}
@@ -277,25 +320,36 @@ func TestCompareBindingsRandom(t *testing.T) {
 		}
 		if i := rng.Intn(n); rng.Intn(2) == 0 && a[i] >= 0 {
 			// Make b[i] extend a[i]'s decimal string by a few digits.
-			x := int64(a[i])
-			for d := rng.Intn(3) + 1; d > 0 && x < math.MaxInt64/10; d-- {
-				x = x*10 + rng.Int63n(10)
+			x := a[i]
+			for d := rng.Intn(3) + 1; d > 0 && x < math.MaxInt32/10; d-- {
+				x = x*10 + logic.NodeID(rng.Intn(10))
 			}
-			b[i] = logic.NodeID(x)
+			b[i] = x
 		}
 		checkBindingOrder(t, a, b)
 	}
 }
 
-// FuzzMatchOrder checks compareBindings against the %v string order on
-// arbitrary two-input bindings (the seeds replay in plain go test).
+// FuzzMatchOrder checks compareDecimal against the decimal string order
+// on arbitrary int64 pairs, and compareBindings against the %v string
+// order on the two-input bindings they form whenever every value is a
+// NodeID; values past the NodeID range are never narrowed into one (the
+// seeds replay in plain go test).
 func FuzzMatchOrder(f *testing.F) {
 	f.Add(int64(9), int64(1), int64(10), int64(1))
 	f.Add(int64(1), int64(9), int64(1), int64(10))
 	f.Add(int64(-1), int64(4), int64(0), int64(4))
 	f.Add(int64(12), int64(34), int64(12), int64(34))
+	f.Add(int64(math.MinInt32), int64(7), int64(-7), int64(math.MaxInt32))
 	f.Add(int64(math.MinInt64), int64(7), int64(-7), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, a0, a1, b0, b1 int64) {
+		checkDecimalOrder(t, a0, b0)
+		checkDecimalOrder(t, a1, b1)
+		for _, x := range []int64{a0, a1, b0, b1} {
+			if x != int64(logic.NodeID(x)) {
+				return
+			}
+		}
 		a := []logic.NodeID{logic.NodeID(a0), logic.NodeID(a1)}
 		b := []logic.NodeID{logic.NodeID(b0), logic.NodeID(b1)}
 		checkBindingOrder(t, a, b)
@@ -361,7 +415,7 @@ func TestAllMatchesVerifyOnRandomSubject(t *testing.T) {
 		}
 		for _, m := range mt.AtNode(nd.ID) {
 			total++
-			if err := Verify(sub, m); err != nil {
+			if err := Verify(sub, &m); err != nil {
 				t.Fatal(err)
 			}
 			if m.Root() != nd.ID {
@@ -396,12 +450,12 @@ func TestInternalFanoutFree(t *testing.T) {
 	invRoot := res.Root[x.ID]
 	for _, m := range mt.AtNode(invRoot) {
 		if m.Gate.Name == "and2" {
-			if InternalFanoutFree(sub, m) {
+			if InternalFanoutFree(sub, &m) {
 				t.Error("and2 over an observable NAND should not be fanout-free")
 			}
 		}
 		if m.Gate.Name == "inv" {
-			if !InternalFanoutFree(sub, m) {
+			if !InternalFanoutFree(sub, &m) {
 				t.Error("inv match must be fanout-free (no internal nodes)")
 			}
 		}

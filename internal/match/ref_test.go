@@ -12,15 +12,15 @@ import (
 )
 
 // refAtNode is the per-match reference for atNode: every candidate is
-// its own *Match with fresh Inputs and Merged, deduplicated by a scan
+// its own Match with a fresh ID list, deduplicated by a scan
 // over every earlier candidate, and the whole list is sorted by (gate
 // name, binding) at the end, gates visited in library order. It shares
 // only the backtracking search with atNode.
-func refAtNode(mt *Matcher, lib *library.Library, v logic.NodeID) []*Match {
+func refAtNode(mt *Matcher, lib *library.Library, v logic.NodeID) []Match {
 	if t := mt.cls.Type(v); t != TypeNand2 && t != TypeInv {
 		return nil
 	}
-	var out []*Match
+	var out []Match
 	for _, g := range lib.Gates {
 		for _, p := range g.Patterns {
 			mt.bind = make([]logic.NodeID, g.NumInputs)
@@ -36,32 +36,34 @@ func refAtNode(mt *Matcher, lib *library.Library, v logic.NodeID) []*Match {
 					}
 				}
 				for _, prev := range out {
-					if prev.Gate == g && slices.Equal(prev.Inputs, mt.bind) {
+					if prev.Gate == g && slices.Equal(prev.Inputs(), mt.bind) {
 						return
 					}
 				}
-				out = append(out, &Match{
-					Gate:   g,
-					Inputs: append([]logic.NodeID(nil), mt.bind...),
-					Merged: append([]logic.NodeID(nil), mt.merged...),
-				})
+				ids := append(slices.Clone(mt.bind), mt.merged...)
+				out = append(out, NewMatch(g, ids))
 			})
 		}
 	}
-	slices.SortFunc(out, func(a, b *Match) int {
+	slices.SortFunc(out, func(a, b Match) int {
 		if c := strings.Compare(a.Gate.Name, b.Gate.Name); c != 0 {
 			return c
 		}
-		return compareBindings(a.Inputs, b.Inputs)
+		return compareBindings(a.Inputs(), b.Inputs())
 	})
 	return out
 }
 
-// paperSubjects premaps the fifteen Table 1 circuits.
-func paperSubjects(t testing.TB) map[string]*logic.Network {
+// paperSubjects premaps the fifteen Table 1 circuits and any extra
+// named profiles.
+func paperSubjects(t testing.TB, extra ...string) map[string]*logic.Network {
 	t.Helper()
+	profiles := bench.Profiles()
+	for _, name := range extra {
+		profiles = append(profiles, mustProfile(t, name))
+	}
 	subs := make(map[string]*logic.Network)
-	for _, p := range bench.Profiles() {
+	for _, p := range profiles {
 		res, err := decomp.Premap(bench.Generate(p))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -74,13 +76,13 @@ func paperSubjects(t testing.TB) map[string]*logic.Network {
 // sameMatches reports where two match lists differ, element for element:
 // the same length (and nil-ness), and at each position the same gate,
 // inputs and merged nodes.
-func sameMatches(got, want []*Match) (int, bool) {
+func sameMatches(got, want []Match) (int, bool) {
 	if len(got) != len(want) || (got == nil) != (want == nil) {
 		return -1, false
 	}
 	for i := range got {
-		if got[i].Gate != want[i].Gate || !slices.Equal(got[i].Inputs, want[i].Inputs) ||
-			!slices.Equal(got[i].Merged, want[i].Merged) {
+		if got[i].Gate != want[i].Gate || !slices.Equal(got[i].Inputs(), want[i].Inputs()) ||
+			!slices.Equal(got[i].Merged(), want[i].Merged()) {
 			return i, false
 		}
 	}
@@ -105,9 +107,30 @@ func TestAtNodeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEnumerateMatchesAtNode: on every node of the fifteen paper
+// circuits and mid5k, the scratch-built Enumerate list holds the same
+// gates, bindings and merged lists, in the same order, as AtNode.
+// Enumerate runs on its own matcher first, so AtNode's memo cannot feed
+// it, and every node's list is compared before the next call reuses it.
+func TestEnumerateMatchesAtNode(t *testing.T) {
+	lib := library.Big()
+	for name, sub := range paperSubjects(t, "mid5k") {
+		mt, memo := NewMatcher(sub, lib), NewMatcher(sub, lib)
+		for _, nd := range sub.Nodes {
+			if nd == nil {
+				continue
+			}
+			got, want := mt.Enumerate(nd.ID), memo.AtNode(nd.ID)
+			if i, ok := sameMatches(got, want); !ok {
+				t.Fatalf("%s node %s: match lists differ at %d:\ngot  %v\nwant %v", name, nd.Name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestAtNodeAllocsConstant pins atNode's allocations per node: a Match
-// slab, a pointer list and one ID backing, whatever the match count,
-// once the scratch has grown.
+// slab and one ID backing, whatever the match count, once the scratch
+// has grown. Enumerate then allocates nothing.
 func TestAtNodeAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -128,8 +151,11 @@ func TestAtNodeAllocsConstant(t *testing.T) {
 			continue
 		}
 		seen[n] = true
-		if allocs := testing.AllocsPerRun(5, func() { mt.atNode(nd.ID) }); allocs != 3 {
-			t.Errorf("node %s (%d matches): %v allocations, want 3", nd.Name, n, allocs)
+		if allocs := testing.AllocsPerRun(5, func() { mt.atNode(nd.ID) }); allocs != 2 {
+			t.Errorf("node %s (%d matches): %v allocations, want 2", nd.Name, n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { mt.Enumerate(nd.ID) }); allocs != 0 {
+			t.Errorf("node %s (%d matches): Enumerate made %v allocations, want 0", nd.Name, n, allocs)
 		}
 	}
 	if len(seen) < 3 {

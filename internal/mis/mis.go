@@ -67,8 +67,11 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 
 	// Per subject node: the chosen match, the area of the cone it roots
 	// and, in delay mode, its output arrival. Primary inputs keep zero
-	// area and a zero arrival.
-	best := make([]*match.Match, len(sub.Nodes))
+	// area and a zero arrival. The cover reads each node's candidates
+	// once, so they come from the matcher's scratch unmemoized; only a
+	// winner's IDs are kept, copied into ids, one growing slab per run.
+	best := make([]match.Match, len(sub.Nodes))
+	var ids []logic.NodeID
 	area := make([]float64, len(sub.Nodes))
 	arr := make([]timing.Arrival, len(sub.Nodes))
 	// ins and ba hold one candidate's input and block arrivals; they are
@@ -81,7 +84,7 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 		if nd.Kind != logic.KindLogic {
 			continue
 		}
-		matches := mt.AtNode(v)
+		matches := mt.Enumerate(v)
 		if opt.TreeMode {
 			matches = filterTree(sub, matches)
 		}
@@ -99,12 +102,14 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 		var bm *match.Match
 		bArr := timing.Arrival{Rise: math.Inf(1), Fall: math.Inf(1)}
 		bArea := math.Inf(1)
-		for _, m := range matches {
+		for i := range matches {
+			m := &matches[i]
 			a := m.Gate.Area
-			ins = slices.Grow(ins[:0], len(m.Inputs))[:len(m.Inputs)]
-			for i, in := range m.Inputs {
+			inputs := m.Inputs()
+			ins = slices.Grow(ins[:0], len(inputs))[:len(inputs)]
+			for pin, in := range inputs {
 				a += area[in]
-				ins[i] = arr[in]
+				ins[pin] = arr[in]
 			}
 			switch opt.Mode {
 			case ModeArea:
@@ -121,18 +126,28 @@ func Map(sub *logic.Network, lib *library.Library, opt Options) (*netlist.Netlis
 		if bm == nil {
 			return nil, fmt.Errorf("mis: no feasible match at %q", nd.Name)
 		}
-		best[v], area[v], arr[v] = bm, bArea, bArr
+		at := len(ids)
+		ids = append(append(ids, bm.Inputs()...), bm.Merged()...)
+		best[v] = match.NewMatch(bm.Gate, ids[at:len(ids):len(ids)])
+		area[v], arr[v] = bArea, bArr
 	}
 
-	nl, _, err := cover.BuildNetlist(sub, func(v logic.NodeID) *match.Match { return best[v] }, sub.Name)
+	nl, _, err := cover.BuildNetlist(sub, func(v logic.NodeID) *match.Match {
+		if best[v].Gate == nil {
+			return nil
+		}
+		return &best[v]
+	}, sub.Name)
 	return nl, err
 }
 
-func filterTree(sub *logic.Network, ms []*match.Match) []*match.Match {
-	out := ms[:0:0]
-	for _, m := range ms {
-		if match.InternalFanoutFree(sub, m) {
-			out = append(out, m)
+// filterTree keeps the matches that swallow no multi-fanout node,
+// compacting ms in place.
+func filterTree(sub *logic.Network, ms []match.Match) []match.Match {
+	out := ms[:0]
+	for i := range ms {
+		if match.InternalFanoutFree(sub, &ms[i]) {
+			out = append(out, ms[i])
 		}
 	}
 	return out
