@@ -21,7 +21,6 @@ package cut
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"lily/internal/library"
@@ -446,47 +445,20 @@ func (e *Enumerator) truthTable(v logic.NodeID, leaves []logic.NodeID) uint64 {
 		e.ttStamp[u] = e.stamp
 	}
 	e.stack = stack
-	if rows := 1 << uint(len(leaves)); rows < 64 {
-		return e.tt[v] & (uint64(1)<<uint(rows) - 1)
-	}
-	return e.tt[v]
+	return e.tt[v] & logic.RowMask(len(leaves))
 }
 
 // lutGate returns the synthesized LUT cell for a k-input truth table in
 // this enumerator's K-LUT tile, cached per (arity, function) so equal
-// cuts share one gate instance. The cover is the table's minterm
-// expansion — exact, and at most 2^k cubes, all cut from one backing
-// array — and the name encodes arity plus the table in hex, so mapped
-// BLIF is self-describing and byte-stable.
+// cuts share one gate instance. The name encodes arity plus the table in
+// hex, so mapped BLIF is self-describing and byte-stable.
 func (e *Enumerator) lutGate(k int, tt uint64) *library.Gate {
 	key := gateKey{k: k, tt: tt}
 	if g, ok := e.gates[key]; ok {
 		return g
 	}
-	n := bits.OnesCount64(tt)
-	lits := make([]logic.Lit, n*k)
-	cover := logic.SOP{NumInputs: k, Cubes: make([]logic.Cube, 0, n)}
-	rows := 1 << uint(k)
-	for r := 0; r < rows; r++ {
-		if tt>>uint(r)&1 == 0 {
-			continue
-		}
-		cube := lits[:k:k]
-		lits = lits[k:]
-		for i := range cube {
-			if r>>uint(i)&1 == 1 {
-				cube[i] = logic.LitPos
-			} else {
-				cube[i] = logic.LitNeg
-			}
-		}
-		cover.Cubes = append(cover.Cubes, cube)
-	}
-	hexWidth := rows / 4
-	if hexWidth < 1 {
-		hexWidth = 1
-	}
-	g := library.NewLUT(fmt.Sprintf("lut%d_%0*x", k, hexWidth, tt), cover, e.k)
+	hexWidth := max(1, 1<<uint(k)/4)
+	g := library.NewLUTWord(fmt.Sprintf("lut%d_%0*x", k, hexWidth, tt), k, tt, e.k)
 	e.gates[key] = g
 	return g
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // subjectFor premaps a generated benchmark into its NAND2/INV subject graph.
-func subjectFor(t *testing.T, name string) *logic.Network {
+func subjectFor(t testing.TB, name string) *logic.Network {
 	t.Helper()
 	p, ok := bench.ProfileByName(name)
 	if !ok {
@@ -144,6 +144,37 @@ func TestGateCachePointerStability(t *testing.T) {
 			}
 			byName[m.Gate.Name] = m.Gate
 		}
+	}
+}
+
+// TestLUTGateAllocs pins the cost of synthesizing a LUT cell: a cache
+// miss allocates at most four times (the gate, its unateness, its name
+// and the table boxed for formatting the name), whatever the arity and
+// the table's popcount,
+// and LUTs of one tile K share one timing backing, across enumerators
+// too.
+func TestLUTGateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	sub := subjectFor(t, "b9")
+	e := NewEnumerator(sub, library.Big(), 6)
+	for k := 1; k <= 6; k++ {
+		mask := logic.RowMask(k)
+		for _, tt := range []uint64{1, 0x5a5a5a5a5a5a5a5a, mask &^ 1, mask} {
+			tt &= mask
+			if allocs := testing.AllocsPerRun(20, func() {
+				clear(e.gates)
+				e.lutGate(k, tt)
+			}); allocs > 4 {
+				t.Errorf("lutGate(%d, %#x): %v allocations, want at most 4", k, tt, allocs)
+			}
+		}
+	}
+	a := e.lutGate(6, 0x8000000000000000)
+	b := NewEnumerator(sub, library.Big(), 6).lutGate(2, 0x6)
+	if &a.Timing[0] != &b.Timing[0] {
+		t.Error("two 6-LUT tile gates have separate timing backings")
 	}
 }
 

@@ -118,7 +118,7 @@ func TestStatusExposesDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
+	if _, err := awaitJob(t, j); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	if st := j.Status(); st.Digest != want {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,40 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// waitTimeout bounds every blocking wait in this package's tests. It is
+// far above any wait's normal length: it makes a hang fail with a dump
+// of every goroutine instead of sitting until go test's own timeout.
+const waitTimeout = 2 * time.Minute
+
+// await blocks until ch is closed or sends and reports true. If
+// waitTimeout passes first, it fails t with the stack of every
+// goroutine, so the failure names the wait that hung, and reports false.
+// It fails through t.Errorf, which a fake runner's goroutine may call
+// too; on the test goroutine, stop the test when it reports false.
+func await(t *testing.T, what string, ch <-chan struct{}) bool {
+	t.Helper()
+	timer := time.NewTimer(waitTimeout)
+	defer timer.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-timer.C:
+	}
+	buf := make([]byte, 1<<20)
+	t.Errorf("timed out after %v waiting for %s; goroutines:\n%s", waitTimeout, what, buf[:runtime.Stack(buf, true)])
+	return false
+}
+
+// awaitJob is j.Wait under await's deadline: it stops the test if j is
+// not terminal within waitTimeout.
+func awaitJob(t *testing.T, j *Job) (*Outcome, error) {
+	t.Helper()
+	if !await(t, "job "+j.ID(), j.done) {
+		t.FailNow()
+	}
+	return j.Wait(context.Background())
 }
 
 func shutdown(t *testing.T, e *Engine) {
@@ -71,14 +106,14 @@ func TestCacheHitOnRepeatSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
-	if _, err := j1.Wait(ctx); err != nil {
+	if _, err := awaitJob(t, j1); err != nil {
 		t.Fatalf("wait 1: %v", err)
 	}
 	j2, err := e.Submit(ctx, req)
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
-	out, err := j2.Wait(ctx)
+	out, err := awaitJob(t, j2)
 	if err != nil {
 		t.Fatalf("wait 2: %v", err)
 	}
@@ -130,7 +165,7 @@ func TestSingleflightDedupesInflightRequests(t *testing.T) {
 	close(gate)
 
 	for _, j := range []*Job{j1, j2} {
-		out, err := j.Wait(ctx)
+		out, err := awaitJob(t, j)
 		if err != nil {
 			t.Fatalf("wait %s: %v", j.ID(), err)
 		}
@@ -159,9 +194,11 @@ func TestCancellationMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	<-started
+	if !await(t, "the runner to start", started) {
+		t.FailNow()
+	}
 	j.Cancel()
-	if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+	if _, err := awaitJob(t, j); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait error = %v, want context.Canceled", err)
 	}
 	if st := j.Status(); st.State != "canceled" {
@@ -189,7 +226,7 @@ func TestCancelRealFlowMidJob(t *testing.T) {
 	}
 	waitFor(t, "job running", func() bool { return j.Status().State == "running" })
 	cancel()
-	if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+	if _, err := awaitJob(t, j); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait error = %v, want context.Canceled", err)
 	}
 }
@@ -205,7 +242,7 @@ func TestPerJobTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := j.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := awaitJob(t, j); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wait error = %v, want context.DeadlineExceeded", err)
 	}
 	if st := j.Status(); st.State != "canceled" {
@@ -249,7 +286,7 @@ func TestPanicContainment(t *testing.T) {
 func TestWakeAfterAccounting(t *testing.T) {
 	release := make(chan struct{})
 	e := New(Config{Workers: 2, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
-		<-release
+		await(t, "the test to release the runner", release)
 		return fakeOutcome(req.Benchmark), nil
 	}})
 	defer shutdown(t, e)
@@ -275,7 +312,7 @@ func TestWakeAfterAccounting(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower woke its waiters before the engine counted it (Wait = %v)", err)
 	}
-	if _, err := follower.Wait(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := awaitJob(t, follower); !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower Wait = %v, want context.Canceled", err)
 	}
 	if st := e.Stats(); st.Canceled != 1 {
@@ -450,7 +487,7 @@ func TestJobsOrderedBySubmitSequence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if _, err := j.Wait(ctx); err != nil {
+		if _, err := awaitJob(t, j); err != nil {
 			t.Fatalf("wait %d: %v", i, err)
 		}
 		want = append(want, j.ID())

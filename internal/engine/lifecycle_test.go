@@ -45,7 +45,7 @@ func TestRegistryEvictsOldestTerminalFirst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %s: %v", n, err)
 		}
-		if _, err := j.Wait(ctx); err != nil {
+		if _, err := awaitJob(t, j); err != nil {
 			t.Fatalf("wait %s: %v", n, err)
 		}
 		ids = append(ids, j.ID())
@@ -103,7 +103,7 @@ func TestRemoveTerminalJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := j1.Wait(ctx); err != nil {
+	if _, err := awaitJob(t, j1); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 	if err := e.Remove(j1.ID()); err != nil {
@@ -128,7 +128,7 @@ func TestRemoveTerminalJob(t *testing.T) {
 		t.Fatalf("Remove(running) = %v, want ErrJobActive", err)
 	}
 	close(gate)
-	if _, err := j2.Wait(ctx); err != nil {
+	if _, err := awaitJob(t, j2); err != nil {
 		t.Fatalf("wait after gate: %v", err)
 	}
 	if err := e.Remove(j2.ID()); err != nil {
@@ -145,7 +145,7 @@ func TestRetainForGCDropsOldTerminalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := j.Wait(ctx); err != nil {
+	if _, err := awaitJob(t, j); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 	waitFor(t, "age GC to drop the job", func() bool { return len(e.Jobs()) == 0 })
@@ -182,7 +182,9 @@ func TestShutdownStopsGoroutines(t *testing.T) {
 	if _, err := e.Submit(ctx, Request{Benchmark: "b9"}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	<-running
+	if !await(t, "the first job to run", running) {
+		t.FailNow()
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -278,10 +280,10 @@ func TestFollowerRerunsAfterLeaderTimeout(t *testing.T) {
 	// leader's timeout fires, or there is nothing to regress.
 	waitFor(t, "follower deduped", func() bool { return e.Stats().Deduped == 1 })
 
-	if _, err := leader.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := awaitJob(t, leader); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader error = %v, want DeadlineExceeded", err)
 	}
-	out, err := follower.Wait(ctx)
+	out, err := awaitJob(t, follower)
 	if err != nil {
 		t.Fatalf("follower inherited the leader's cancellation: %v", err)
 	}
@@ -330,10 +332,10 @@ func TestFollowerStaysCanceledWithDeadContext(t *testing.T) {
 
 	cancelFollower()
 	cancelLeader()
-	if _, err := follower.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+	if _, err := awaitJob(t, follower); !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower error = %v, want context.Canceled", err)
 	}
-	if _, err := leader.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+	if _, err := awaitJob(t, leader); !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader error = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -384,11 +386,11 @@ func TestDedupCacheAccountingAgrees(t *testing.T) {
 		}
 		want := uint64((r + 1) * followers)
 		waitFor(t, "followers deduped", func() bool { return e.Stats().Deduped == want })
-		if _, err := leader.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := awaitJob(t, leader); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("round %d: leader error = %v, want DeadlineExceeded", r, err)
 		}
 		for _, j := range round[1:] {
-			if _, err := j.Wait(ctx); err != nil {
+			if _, err := awaitJob(t, j); err != nil {
 				t.Fatalf("round %d: follower %s: %v", r, j.ID(), err)
 			}
 			if st := j.Status(); st.CacheHit && st.Deduped {
@@ -432,7 +434,7 @@ func TestSoakRegistryStaysBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if _, err := j.Wait(ctx); err != nil {
+		if _, err := awaitJob(t, j); err != nil {
 			t.Fatalf("wait %d: %v", i, err)
 		}
 		ids = append(ids, j.ID())

@@ -27,7 +27,7 @@ func TestJobTraceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
+	if _, err := awaitJob(t, j); err != nil {
 		t.Fatal(err)
 	}
 	if !j.Traced() {
@@ -50,7 +50,7 @@ func TestJobTraceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j2.Wait(context.Background()); err != nil {
+	if _, err := awaitJob(t, j2); err != nil {
 		t.Fatal(err)
 	}
 	if !j2.Status().CacheHit {
@@ -83,7 +83,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
+	if _, err := awaitJob(t, j); err != nil {
 		t.Fatal(err)
 	}
 	if j.Traced() || j.Trace() != nil {
@@ -103,7 +103,7 @@ func TestEngineMetricsSharedRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := j.Wait(context.Background()); err != nil {
+		if _, err := awaitJob(t, j); err != nil {
 			t.Fatal(err)
 		}
 	}

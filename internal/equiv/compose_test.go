@@ -349,35 +349,19 @@ func lutNetlist(t *testing.T, name string) (*logic.Network, *netlist.Netlist) {
 }
 
 // flipLUTBit returns a copy of the LUT gate g with truth-table row r
-// inverted, as a minterm cover.
+// inverted.
 func flipLUTBit(g *library.Gate, r int) *library.Gate {
-	k := g.Cover.NumInputs
-	tt := g.Cover.TruthWord() ^ 1<<r
-	cover := logic.NewSOP(k)
-	for row := 0; row < 1<<k; row++ {
-		if tt>>row&1 == 0 {
-			continue
-		}
-		cube := make(logic.Cube, k)
-		for i := range cube {
-			cube[i] = logic.LitNeg
-			if row>>i&1 != 0 {
-				cube[i] = logic.LitPos
-			}
-		}
-		cover.AddCube(cube)
-	}
-	return library.NewLUT(g.Name+"_flipped", cover, 6)
+	return library.NewLUTWord(g.Name+"_flipped", g.NumInputs, g.Truth^1<<r, 6)
 }
 
 // symmetricPins reports whether swapping inputs i and j leaves the
-// cover's function unchanged, so a swap of those pins plants nothing.
-func symmetricPins(cover logic.SOP, i, j int) bool {
-	swapped := cover.Clone()
-	for _, cube := range swapped.Cubes {
-		cube[i], cube[j] = cube[j], cube[i]
-	}
-	return logic.EqualFunc(cover, swapped)
+// function of truth word tt unchanged, so a swap of those pins plants
+// nothing: the cofactors at (x_i, x_j) = (0, 1) and (1, 0) agree.
+func symmetricPins(tt uint64, i, j int) bool {
+	f0, f1 := logic.Cofactors(tt, i)
+	_, f01 := logic.Cofactors(f0, j)
+	f10, _ := logic.Cofactors(f1, j)
+	return f01 == f10
 }
 
 // requireFormalCounterexample checks a planted defect's verdict: not
@@ -440,7 +424,7 @@ func TestMutationsCaughtByBDD(t *testing.T) {
 			in := cell.Inputs
 			for i := 0; i < len(in); i++ {
 				for j := i + 1; j < len(in); j++ {
-					if in[i] == in[j] || symmetricPins(cell.Gate.Cover, i, j) {
+					if in[i] == in[j] || symmetricPins(cell.Gate.Truth, i, j) {
 						continue
 					}
 					in[i], in[j] = in[j], in[i]

@@ -276,7 +276,7 @@ func networkBDDs(c *composer, src *logic.Network, order []logic.NodeID, varOf ma
 	return out, nil
 }
 
-// netlistBDDs builds PO BDDs for a mapped netlist.
+// netlistBDDs builds PO BDDs for a mapped netlist, each cell from its truth word.
 func netlistBDDs(c *composer, nl *netlist.Netlist, order []int, varOf map[string]int) (map[string]bdd.Ref, error) {
 	piRef := make([]bdd.Ref, len(nl.PINames))
 	for i, name := range nl.PINames {
@@ -300,7 +300,8 @@ func netlistBDDs(c *composer, nl *netlist.Netlist, order []int, varOf map[string
 		for _, r := range cell.Inputs {
 			ins = append(ins, refOf(r))
 		}
-		r, err := c.cover(cell.Gate.Cover, ins)
+		c.ins = ins
+		r, err := c.word(cell.Gate.Truth, len(ins))
 		if err != nil {
 			return nil, err
 		}
@@ -417,7 +418,7 @@ func (c *composer) word(tt uint64, k int) (bdd.Ref, error) {
 	switch tt {
 	case 0:
 		return bdd.False, nil
-	case ^uint64(0) >> (64 - (1 << k)):
+	case logic.RowMask(k):
 		return bdd.True, nil
 	}
 	x := k - 1
@@ -507,7 +508,7 @@ func checkSim(src *logic.Network, nl *netlist.Netlist, srcOrder []logic.NodeID, 
 			for _, r := range c.Inputs {
 				ins = append(ins, nlVal(r))
 			}
-			cellVal[ci] = c.Gate.Cover.EvalWords(ins)
+			cellVal[ci] = logic.EvalTruthWords(c.Gate.Truth, ins)
 		}
 		valid := ^uint64(0) >> (64 - n)
 		var fail uint64

@@ -4,7 +4,7 @@ import "lily/internal/logic"
 
 // expr is the input DSL for gate functions: a tree of AND/OR/NOT over
 // positional pins. It exists only inside this package; gates expose their
-// function as a logic.SOP and their structure as Patterns.
+// function as a truth word and their structure as Patterns.
 type expr interface{ isExpr() }
 
 // in is a pin reference.
@@ -75,49 +75,26 @@ func exprDepth(e expr) int {
 	return 0
 }
 
-func evalExpr(e expr, inVals []bool) bool {
+// exprWord returns the expression's truth word in the logic.VarTT row
+// convention; rows at or above 2^numPins(e) are not cleared.
+func exprWord(e expr) uint64 {
 	switch t := e.(type) {
 	case in:
-		return inVals[t]
+		return logic.VarTT[t]
 	case not:
-		return !evalExpr(t.e, inVals)
+		return ^exprWord(t.e)
 	case and:
+		w := ^uint64(0)
 		for _, c := range t {
-			if !evalExpr(c, inVals) {
-				return false
-			}
+			w &= exprWord(c)
 		}
-		return true
+		return w
 	case or:
+		var w uint64
 		for _, c := range t {
-			if evalExpr(c, inVals) {
-				return true
-			}
+			w |= exprWord(c)
 		}
-		return false
+		return w
 	}
 	panic("library: unknown expr")
-}
-
-// exprToSOP enumerates the expression into a minterm cover over n pins.
-func exprToSOP(e expr, n int) logic.SOP {
-	s := logic.NewSOP(n)
-	vals := make([]bool, n)
-	for r := 0; r < 1<<n; r++ {
-		for j := 0; j < n; j++ {
-			vals[j] = r&(1<<j) != 0
-		}
-		if evalExpr(e, vals) {
-			c := make(logic.Cube, n)
-			for j := 0; j < n; j++ {
-				if vals[j] {
-					c[j] = logic.LitPos
-				} else {
-					c[j] = logic.LitNeg
-				}
-			}
-			s.AddCube(c)
-		}
-	}
-	return s
 }

@@ -43,10 +43,14 @@ type Gate struct {
 	// paper (and MIS 2.1) assume a constant load per pin; 0.25 pF for the
 	// 3µ MSU library.
 	InputCap float64
-	// Timing holds per-input delay parameters.
+	// Timing holds per-input delay parameters. LUT cells share it
+	// (NewLUTWord), so it is read-only.
 	Timing []PinTiming
-	// Cover is the gate function over its inputs (positional).
-	Cover logic.SOP
+	// Truth is the gate function over its inputs (positional) as a truth
+	// word in the logic.VarTT row convention: row r is the output when
+	// input i takes bit i of r. Rows at or above 2^NumInputs are clear;
+	// a gate has at most six inputs.
+	Truth uint64
 	// Unate records the unateness of the function in each input, used by
 	// the timing analyzer to route rising/falling arrivals through the
 	// gate correctly.
@@ -198,6 +202,9 @@ func build(name string, specs []gateSpec, maxPatternsPerGate int) *Library {
 	}
 	for _, sp := range specs {
 		n := numPins(sp.logic)
+		if n > len(logic.VarTT) {
+			panic(fmt.Sprintf("library: gate %s has %d pins, a truth word holds at most 6", sp.name, n))
+		}
 		g := &Gate{
 			Name:      sp.name,
 			NumInputs: n,
@@ -205,9 +212,9 @@ func build(name string, specs []gateSpec, maxPatternsPerGate int) *Library {
 			Height:    rowHeightUm,
 			Area:      sp.width * rowHeightUm,
 			InputCap:  inputCapPF,
-			Cover:     exprToSOP(sp.logic, n),
+			Truth:     exprWord(sp.logic) & logic.RowMask(n),
 		}
-		g.Unate = truthTableUnateness(g.Cover)
+		g.Unate = truthTableUnateness(g.Truth, n)
 		// Delay parameters: deeper/wider gates are intrinsically slower;
 		// stronger drive lowers output resistance. Rising transitions are
 		// slightly slower than falling, as in CMOS cells (p-stack).
@@ -250,51 +257,69 @@ const (
 	lutDrive       = 0.9  // output driver strength relative to a 1x cell
 )
 
-// NewLUT constructs a lookup-table cell implementing the given cover
-// inside a tileK-input LUT tile (cover.NumInputs <= tileK <= 6). The
-// footprint and delay are those of the tile, not the function: an FPGA
-// logic element is a fixed resource, so a 2-input function in a 6-LUT
-// occupies a whole 6-LUT — which is what makes minimizing LUT count the
-// area objective. LUT cells carry no pattern graphs (they are
-// synthesized on demand by the cut enumerator in internal/cut, not
-// matched structurally), and their delay model is pin-uniform: the
-// select tree gives every input the same path to the output, with
-// intrinsic delay growing in the tree depth tileK. Pin unateness comes
-// from the cover's truth table, a few word operations per pin.
-func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
-	k := cover.NumInputs
-	if tileK < k || tileK > len(logic.VarTT) {
-		panic(fmt.Sprintf("library: %d-input cover in a %d-LUT tile, want k <= tileK <= 6", k, tileK))
+// lutTiming[tileK] holds the pin timing of a LUT in a tileK-input tile,
+// one identical row per tile input: the select tree gives every input
+// the same path to the output, with intrinsic delay growing in the tree
+// depth tileK. LUT cells slice it to their input count and share it.
+var lutTiming = func() (rows [len(logic.VarTT) + 1][]PinTiming) {
+	for tileK := range rows {
+		for range tileK {
+			rows[tileK] = append(rows[tileK], PinTiming{
+				IntrinsicRise: baseIntr * (0.6 + 0.3*float64(tileK)) * 1.1,
+				IntrinsicFall: baseIntr * (0.6 + 0.3*float64(tileK)),
+				ResistRise:    baseResist / lutDrive * 1.15,
+				ResistFall:    baseResist / lutDrive,
+			})
+		}
+	}
+	return rows
+}()
+
+// NewLUTWord constructs a lookup-table cell implementing the k-input
+// truth word tt (logic.VarTT row convention, rows at or above 2^k clear)
+// inside a tileK-input LUT tile (k <= tileK <= 6). The footprint and
+// delay are those of the tile, not the function: an FPGA logic element
+// is a fixed resource, so a 2-input function in a 6-LUT occupies a whole
+// 6-LUT — which is what makes minimizing LUT count the area objective.
+// LUT cells carry no pattern graphs (they are synthesized on demand by
+// the cut enumerator in internal/cut, not matched structurally), and
+// their delay model is pin-uniform: every LUT of one tile K shares one
+// read-only timing row. Pin unateness is a few word operations per pin.
+func NewLUTWord(name string, k int, tt uint64, tileK int) *Gate {
+	if k < 0 || tileK < k || tileK > len(logic.VarTT) {
+		panic(fmt.Sprintf("library: %d-input LUT in a %d-LUT tile, want k <= tileK <= 6", k, tileK))
+	}
+	if tt&^logic.RowMask(k) != 0 {
+		panic(fmt.Sprintf("library: truth word %#x sets rows past a %d-input table", tt, k))
 	}
 	width := lutBaseWidthUm + lutBitWidthUm*float64(uint(1)<<tileK)
-	g := &Gate{
+	return &Gate{
 		Name:      name,
 		NumInputs: k,
 		Width:     width,
 		Height:    rowHeightUm,
 		Area:      width * rowHeightUm,
 		InputCap:  inputCapPF,
-		Cover:     cover,
-		Unate:     truthTableUnateness(cover),
+		Timing:    lutTiming[tileK][:k:k],
+		Truth:     tt,
+		Unate:     truthTableUnateness(tt, k),
 	}
-	for i := 0; i < k; i++ {
-		g.Timing = append(g.Timing, PinTiming{
-			IntrinsicRise: baseIntr * (0.6 + 0.3*float64(tileK)) * 1.1,
-			IntrinsicFall: baseIntr * (0.6 + 0.3*float64(tileK)),
-			ResistRise:    baseResist / lutDrive * 1.15,
-			ResistFall:    baseResist / lutDrive,
-		})
-	}
-	return g
 }
 
-// truthTableUnateness classifies each input of a cover of at most six
-// inputs from its truth word, one word operation per pin: the output can
-// rise with input i iff some row has cofactors f0 = 0 and f1 = 1, and fall
-// iff some row has f0 = 1 and f1 = 0.
-func truthTableUnateness(cover logic.SOP) []Unateness {
-	tt := cover.TruthWord()
-	out := make([]Unateness, cover.NumInputs)
+// NewLUT is NewLUTWord on the truth word of a cover of at most six
+// inputs. Nothing in the mapping path calls it: it stays only because
+// the _perfbench harness builds LUT cells from covers, and ROADMAP
+// item 6 deletes it when that harness moves to NewLUTWord.
+func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
+	return NewLUTWord(name, cover.NumInputs, cover.TruthWord(), tileK)
+}
+
+// truthTableUnateness classifies each input of a k-input function from
+// its truth word, one word operation per pin: the output can rise with
+// input i iff some row has cofactors f0 = 0 and f1 = 1, and fall iff some
+// row has f0 = 1 and f1 = 0.
+func truthTableUnateness(tt uint64, k int) []Unateness {
+	out := make([]Unateness, k)
 	for i := range out {
 		f0, f1 := logic.Cofactors(tt, i)
 		canRise := f1&^f0 != 0
@@ -322,9 +347,9 @@ func buildBuffer() *Gate {
 		Height:    rowHeightUm,
 		Area:      20 * rowHeightUm,
 		InputCap:  inputCapPF,
-		Cover:     logic.BufSOP(),
+		Truth:     0b10, // the output is the input: row 1 only
 	}
-	g.Unate = truthTableUnateness(g.Cover)
+	g.Unate = truthTableUnateness(g.Truth, 1)
 	g.Timing = []PinTiming{{
 		IntrinsicRise: baseIntr * 1.4 * 1.1,
 		IntrinsicFall: baseIntr * 1.4,

@@ -3,6 +3,7 @@ package library
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"lily/internal/logic"
@@ -71,7 +72,7 @@ func TestGateCoversFunctional(t *testing.T) {
 			for j := range in {
 				in[j] = r&(1<<j) != 0
 			}
-			if g.Cover.Eval(in) != fn(in) {
+			if (g.Truth>>r&1 == 1) != fn(in) {
 				t.Errorf("%s wrong at %v", name, in)
 				return
 			}
@@ -92,7 +93,7 @@ func TestAllPatternsImplementGate(t *testing.T) {
 	for _, lib := range []*Library{Tiny(), Big()} {
 		for _, g := range lib.Gates {
 			for _, p := range g.Patterns {
-				if !patternMatchesCover(g, p.Root) {
+				if !patternImplements(g, p.Root) {
 					t.Errorf("%s/%s pattern %s wrong", lib.Name, g.Name, p)
 				}
 				if p.Size != patternSize(p.Root) {
@@ -145,10 +146,8 @@ func TestExprHelpers(t *testing.T) {
 	if exprDepth(e) != 2 {
 		t.Errorf("exprDepth = %d", exprDepth(e))
 	}
-	s := exprToSOP(e, 3)
-	want := logic.AoiSOP([]int{2, 1})
-	if !logic.EqualFunc(s, want) {
-		t.Error("exprToSOP(aoi21) wrong")
+	if got, want := exprWord(e)&logic.RowMask(3), logic.AoiSOP([]int{2, 1}).TruthWord(); got != want {
+		t.Errorf("exprWord(aoi21) = %#x, want %#x", got, want)
 	}
 }
 
@@ -189,24 +188,19 @@ func TestDriveStrengthOrdersResistance(t *testing.T) {
 	}
 }
 
-// refUnateness classifies each input of a cover by scalar enumeration of
-// its 2^k rows: the reference for the word-parallel classification.
-func refUnateness(cover logic.SOP) []Unateness {
-	n := cover.NumInputs
-	out := make([]Unateness, n)
-	vals := make([]bool, n)
+// refUnateness classifies each input of a k-input truth word by scalar
+// enumeration of its 2^k rows, one row bit at a time: the reference for
+// the word-parallel classification.
+func refUnateness(tt uint64, k int) []Unateness {
+	out := make([]Unateness, k)
 	for i := range out {
 		canRise, canFall := false, false // output transition when input i rises
-		for r := 0; r < 1<<n; r++ {
+		for r := 0; r < 1<<k; r++ {
 			if r>>i&1 == 1 {
 				continue
 			}
-			for j := range vals {
-				vals[j] = r>>j&1 == 1
-			}
-			f0 := cover.Eval(vals)
-			vals[i] = true
-			f1 := cover.Eval(vals)
+			f0 := tt>>r&1 == 1
+			f1 := tt>>(r|1<<i)&1 == 1
 			canRise = canRise || !f0 && f1
 			canFall = canFall || f0 && !f1
 		}
@@ -220,9 +214,9 @@ func refUnateness(cover logic.SOP) []Unateness {
 	return out
 }
 
-// checkLUTUnateness builds the LUT cell for a cover and checks that the
-// cover's truth word agrees with the cover on every row and that the
-// word-parallel unateness equals the scalar reference.
+// checkLUTUnateness checks that a cover's truth word agrees with the
+// cover on every row, then builds the LUT cell for the word and checks
+// that its word-parallel unateness equals the scalar reference.
 func checkLUTUnateness(t *testing.T, cover logic.SOP) {
 	t.Helper()
 	k := cover.NumInputs
@@ -239,8 +233,8 @@ func checkLUTUnateness(t *testing.T, cover logic.SOP) {
 	if k < 6 && tt>>(1<<k) != 0 {
 		t.Fatalf("k=%d tt=%#x: rows above 2^k set", k, tt)
 	}
-	g := NewLUT("lut", cover, 6)
-	want := refUnateness(cover)
+	g := NewLUTWord("lut", k, tt, 6)
+	want := refUnateness(tt, k)
 	for i := range want {
 		if g.Unate[i] != want[i] {
 			t.Fatalf("k=%d tt=%#x: pin %d unateness %v, want %v", k, tt, i, g.Unate[i], want[i])
@@ -312,9 +306,33 @@ func TestLUTUnatenessRandom(t *testing.T) {
 func TestGateUnatenessMatchesReference(t *testing.T) {
 	lib := Big()
 	for _, g := range append(lib.Gates, lib.Buf) {
-		want := refUnateness(g.Cover)
+		want := refUnateness(g.Truth, g.NumInputs)
 		if !slices.Equal(g.Unate, want) {
 			t.Errorf("%s: unateness %v, want %v", g.Name, g.Unate, want)
 		}
 	}
+}
+
+// mustPanic reports whether f panics with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Errorf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestRejectsSevenPins: a gate function must fit one truth word, so
+// library construction rejects a seven-pin spec and NewLUT a seven-input
+// cover.
+func TestRejectsSevenPins(t *testing.T) {
+	nand7 := not{and{in(0), in(1), in(2), in(3), in(4), in(5), in(6)}}
+	mustPanic(t, "nand7 has 7 pins", func() {
+		build("wide", append([]gateSpec{{"nand7", 64, 0.7, nand7}}, tinySpecs()...), 8)
+	})
+	mustPanic(t, "7-input cover", func() { NewLUT("lut7", logic.NandSOP(7), 6) })
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"lily/internal/logic"
 )
 
 // Op is the node type of a pattern graph.
@@ -78,16 +80,23 @@ func patternSize(n *PatternNode) int {
 	}
 }
 
-// evalPattern computes the pattern function for verification.
-func evalPattern(n *PatternNode, pins []bool) bool {
+// patternWord returns the pattern's truth word in the logic.VarTT row
+// convention; rows at or above 2^k for a k-pin gate are not cleared.
+func patternWord(n *PatternNode) uint64 {
 	switch n.Op {
 	case OpLeaf:
-		return pins[n.Pin]
+		return logic.VarTT[n.Pin]
 	case OpInv:
-		return !evalPattern(n.Kids[0], pins)
+		return ^patternWord(n.Kids[0])
 	default:
-		return !(evalPattern(n.Kids[0], pins) && evalPattern(n.Kids[1], pins))
+		return ^(patternWord(n.Kids[0]) & patternWord(n.Kids[1]))
 	}
+}
+
+// patternImplements reports whether the pattern computes the gate's
+// function.
+func patternImplements(g *Gate, root *PatternNode) bool {
+	return patternWord(root)&logic.RowMask(g.NumInputs) == g.Truth
 }
 
 // ptree is the intermediate form between the expr DSL and NAND2/INV
@@ -118,7 +127,7 @@ func generatePatterns(g *Gate, e expr, maxPatterns int) []*Pattern {
 		}
 		seen[key] = true
 		// Verify the lowered pattern computes the gate function.
-		if !patternMatchesCover(g, root) {
+		if !patternImplements(g, root) {
 			panic(fmt.Sprintf("library: pattern %s does not implement %s", key, g.Name))
 		}
 		out = append(out, p)
@@ -135,20 +144,6 @@ func generatePatterns(g *Gate, e expr, maxPatterns int) []*Pattern {
 		return out[i].String() < out[j].String()
 	})
 	return out
-}
-
-func patternMatchesCover(g *Gate, root *PatternNode) bool {
-	n := g.NumInputs
-	pins := make([]bool, n)
-	for r := 0; r < 1<<n; r++ {
-		for j := 0; j < n; j++ {
-			pins[j] = r&(1<<j) != 0
-		}
-		if evalPattern(root, pins) != g.Cover.Eval(pins) {
-			return false
-		}
-	}
-	return true
 }
 
 // enumerate lists ptree variants of an expression, capped.

@@ -155,6 +155,29 @@ func (s SOP) TruthWord() uint64 {
 	return s.ttWord(0)
 }
 
+// RowMask returns the rows of a truth word that a function of k <= 6
+// inputs uses: bits 0 to 2^k-1.
+func RowMask(k int) uint64 { return ^uint64(0) >> (64 - (1 << k)) }
+
+// EvalTruthWords evaluates the function of len(ins) <= 6 inputs whose
+// truth word, in the VarTT row convention, is tt on 64 input vectors at
+// once: bit k of ins[i] is input i in vector k, bit k of the result the
+// output. It muxes the Shannon cofactors from the last input down,
+// f = x ? f|x=1 : f|x=0, and skips an input whose cofactors agree. Rows
+// at or above 2^len(ins) are ignored.
+func EvalTruthWords(tt uint64, ins []uint64) uint64 {
+	x := len(ins) - 1
+	if x < 0 {
+		return -(tt & 1)
+	}
+	f0, f1 := Cofactors(tt, x)
+	lo := EvalTruthWords(f0, ins[:x])
+	if f0 == f1 {
+		return lo
+	}
+	return lo ^ (lo^EvalTruthWords(f1, ins[:x]))&ins[x]
+}
+
 // Cofactors returns the negative and positive cofactors of a truth word
 // with respect to input i, both placed on the rows where input i is
 // clear (every other row is zero): f0 = f|x_i=0 and f1 = f|x_i=1.
@@ -178,7 +201,7 @@ func (s SOP) ttWord(w int) uint64 {
 	}
 	out := s.EvalWords(ins[:n])
 	if n < len(VarTT) {
-		out &= uint64(1)<<(uint(1)<<uint(n)) - 1
+		out &= RowMask(n)
 	}
 	return out
 }

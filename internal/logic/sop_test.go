@@ -232,3 +232,50 @@ func TestEqualFuncAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalTruthWordsMatchesEvalWords: on the minterm cover of a random
+// table, EvalTruthWords on the table equals EvalWords on the cover for
+// random input words, k = 0 to 6. Constant and single-input tables are
+// mixed in so the cofactor skip is exercised.
+func TestEvalTruthWordsMatchesEvalWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for k := 0; k <= len(VarTT); k++ {
+		for trial := 0; trial < 200; trial++ {
+			var tt uint64
+			switch trial % 4 {
+			case 0:
+				tt = rng.Uint64()
+			case 1:
+				tt = ^uint64(0)
+			case 2:
+				if k > 0 {
+					tt = VarTT[rng.Intn(k)]
+				}
+			case 3:
+				tt = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			tt &= RowMask(k)
+			cover := NewSOP(k)
+			for r := 0; r < 1<<k; r++ {
+				if tt>>r&1 == 0 {
+					continue
+				}
+				cube := make(Cube, k)
+				for i := range cube {
+					cube[i] = LitNeg
+					if r>>i&1 == 1 {
+						cube[i] = LitPos
+					}
+				}
+				cover.AddCube(cube)
+			}
+			ins := make([]uint64, k)
+			for i := range ins {
+				ins[i] = rng.Uint64()
+			}
+			if got, want := EvalTruthWords(tt, ins), cover.EvalWords(ins); got != want {
+				t.Fatalf("k=%d tt=%#x ins=%#x: EvalTruthWords %#x, EvalWords %#x", k, tt, ins, got, want)
+			}
+		}
+	}
+}

@@ -452,17 +452,14 @@ func InternalFanoutFree(net *logic.Network, m *Match) bool {
 	return true
 }
 
-// Verify checks a match functionally: simulating the gate cover over the
-// bound input values must reproduce the subject root's value for every
-// assignment of the inputs. Used by tests and the mapper's paranoia mode.
+// Verify checks a match functionally: the gate's truth-word row for the
+// bound input values must equal the subject root's value for every
+// assignment of the inputs. Only tests call it.
 func Verify(net *logic.Network, m *Match) error {
 	// The match region forms a tree from inputs to root; evaluate the
 	// subject nodes in the region for all 2^k input assignments.
 	inputs := m.Inputs()
 	k := len(inputs)
-	if k > 10 {
-		return nil // too wide to enumerate; structural matching is trusted
-	}
 	// Topological order of region nodes (root first in Merged, so reverse).
 	val := make(map[logic.NodeID]bool, len(m.Merged())+k)
 	var evalNode func(id logic.NodeID) bool
@@ -499,7 +496,7 @@ func Verify(net *logic.Network, m *Match) error {
 			continue
 		}
 		want := evalNode(m.Root())
-		got := m.Gate.Cover.Eval(pins)
+		got := m.Gate.Truth>>r&1 == 1
 		if got != want {
 			return fmt.Errorf("match %s: gate says %v, subject says %v for pins %v",
 				m, got, want, pins)

@@ -166,14 +166,15 @@ func (nl *Netlist) Eval(in map[string]bool) (map[string]bool, error) {
 		}
 		return cellVal[r.Index]
 	}
-	buf := make([]bool, 0, 8)
 	for _, ci := range order {
 		c := nl.Cells[ci]
-		buf = buf[:0]
-		for _, r := range c.Inputs {
-			buf = append(buf, refVal(r))
+		row := 0
+		for i, r := range c.Inputs {
+			if refVal(r) {
+				row |= 1 << i
+			}
 		}
-		cellVal[ci] = c.Gate.Cover.Eval(buf)
+		cellVal[ci] = c.Gate.Truth>>row&1 == 1
 	}
 	out := make(map[string]bool, len(nl.POs))
 	for _, po := range nl.POs {
