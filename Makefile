@@ -54,8 +54,9 @@ scale-smoke:
 # Single-iteration pass over the engine, obs, equivalence-check and
 # candidate-generator benchmarks so they keep compiling and running
 # (BenchmarkDisabledTracer reports allocs/op; BenchmarkCheck covers the
-# BDD budget-exhaustion path on C5315 and BDD proofs on duke2 and on
-# C1908, which needs the Shannon-composed, depth-first-ordered BDDs; the
+# compositional proof of C5315 the flow runs, the BDD budget-exhaustion
+# path on C5315 and BDD proofs on duke2 and on C1908, which needs the
+# Shannon-composed, depth-first-ordered BDDs, with allocs/op; the
 # structural matcher, the LUT cut enumerator over every node of C5315
 # at K = 6 (fresh enumerator per iteration, so LUT cell synthesis is
 # paid), the MIS cover of C5315 in area and delay mode, the LUT cut
@@ -67,7 +68,7 @@ scale-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineSuite -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/obs/
-	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x ./internal/equiv/
+	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime=1x -benchmem ./internal/equiv/
 	$(GO) test -run '^$$' -bench BenchmarkMatcherAllNodes -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -run '^$$' -bench '^BenchmarkEnumeratorAllNodes$$' -benchtime=1x -benchmem ./internal/cut/
 	$(GO) test -run '^$$' -bench '^BenchmarkMISMapC5315$$' -benchtime=1x -benchmem ./internal/mis/
@@ -104,13 +105,16 @@ cover:
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
 # Short fuzz smoke over the two BLIF dialects, cover-algebra,
-# BDD-manager, match-order and submit-options targets; the seed corpora
-# (internal/logic/testdata/fuzz, FuzzManager's generated seeds and the
-# f.Add seeds of FuzzParseMappedBLIF, FuzzMatchOrder and
-# FuzzSubmitOptions) always replay in plain `go test`, this target
+# BDD-manager, match-order, compositional-proof and submit-options
+# targets; the seed corpora (internal/logic/testdata/fuzz,
+# internal/equiv/testdata/fuzz, FuzzManager's generated seeds and the
+# f.Add seeds of FuzzParseMappedBLIF, FuzzMatchOrder, FuzzCompositional
+# and FuzzSubmitOptions) always replay in plain `go test`, this target
 # additionally explores for a few seconds. FuzzParseMappedBLIF requires
 # every accepted .gate netlist to survive WriteBLIF -> ParseBLIF ->
 # WriteBLIF byte for byte.
+# FuzzCompositional maps random networks with Lily at every target and
+# with MIS and requires equiv.Compositional to prove each mapping.
 # FuzzSubmitOptions feeds hostile JSON options through the server's
 # option boundary and checks FlowOptions.Normalize against the digest.
 fuzz:
@@ -119,6 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSOP -fuzztime 10s ./internal/logic/
 	$(GO) test -run '^$$' -fuzz FuzzManager -fuzztime 10s ./internal/bdd/
 	$(GO) test -run '^$$' -fuzz FuzzMatchOrder -fuzztime 10s ./internal/match/
+	$(GO) test -run '^$$' -fuzz FuzzCompositional -fuzztime 10s ./internal/equiv/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitOptions -fuzztime 10s ./internal/server/
 
 $(BIN)/lilylint: FORCE

@@ -8,7 +8,8 @@
 // byte-identical — while the metric goldens catch cost regressions that a
 // purely functional check would miss. The wire-cost evaluation and cone
 // counts pin how much work the cover DP did to get there, and the
-// verification method pins whether the output was proved or only sampled.
+// verification method pins how the output was proved: cone by cone
+// through the subject graph, or by whole-circuit BDDs.
 //
 // Refresh the goldens (only after an intentional mapper change) with
 //
@@ -51,8 +52,9 @@ type goldenEntry struct {
 	// lower bound skipped; it is deterministic, so it is pinned exactly
 	// too (absent, i.e. 0, for delay mode).
 	Pruned uint64 `json:"pruned,omitempty"`
-	// VerifyMethod is how equivalence was established: "bdd" (proved)
-	// or "simulation" (sampled after the BDD budget ran out).
+	// VerifyMethod is how equivalence was established: "compositional"
+	// (proved cone by cone) or "bdd" (proved by whole-circuit BDDs after
+	// a local check failed).
 	VerifyMethod string `json:"verify_method,omitempty"`
 	// The paper's cost metrics, asserted to 1e-9.
 	ActiveAreaMM2 float64 `json:"active_area_mm2"`
@@ -149,7 +151,7 @@ func mapGolden(t *testing.T, circuit string, gc goldenCase) goldenEntry {
 		Mapper:            gc.mapper,
 		Objective:         gc.obj,
 		Target:            gc.tgt,
-		VerifyEquivalence: true, // internal/equiv: BDD with simulation fallback
+		VerifyEquivalence: true, // internal/equiv: compositional proof, BDD where a local check fails
 	}, &buf)
 	if err != nil {
 		t.Fatalf("%s: %v", gc.key, err)

@@ -1,11 +1,21 @@
 // Package equiv checks functional equivalence between a source Boolean
-// network and a mapped netlist. The primary engine is formal — BDDs
-// (package bdd) over one primary-input order shared by both sides, the
-// order in which a depth-first walk from the source's outputs first
-// reaches each input, with every node's or cell's cover composed over
-// its fanins by Shannon expansion — under a node budget; when a circuit
-// blows the budget the checker degrades to randomized simulation and
-// reports that the verdict is only statistical.
+// network and a mapped netlist. It has two formal engines.
+//
+// Compositional, the one mapping flows run (through Prove), follows the
+// pipeline's own stages: it proves each source node equal to its
+// NAND2/INV tree in the subject graph, each cell equal to the subject
+// cone it covers, and the netlist's wiring equal to the cover's, one
+// local check per node or cell with every cut point a free variable.
+// Its cost is linear in the circuits' size.
+//
+// Check compares the whole circuits: BDDs (package bdd) over one
+// primary-input order shared by both sides, the order in which a
+// depth-first walk from the source's outputs first reaches each input,
+// with every node's or cell's cover composed over its fanins by Shannon
+// expansion, under a node budget. When a circuit blows the budget the
+// checker degrades to randomized simulation and reports that the verdict
+// is only statistical. Prove falls back to it where a local check fails,
+// and treats a sampled verdict as an error.
 package equiv
 
 import (
@@ -29,11 +39,17 @@ const (
 	MethodBDD Method = iota
 	// MethodSimulation means only randomized simulation was feasible.
 	MethodSimulation
+	// MethodCompositional means Compositional proved the equivalence
+	// cone by cone through the subject graph.
+	MethodCompositional
 )
 
 func (m Method) String() string {
-	if m == MethodSimulation {
+	switch m {
+	case MethodSimulation:
 		return "simulation"
+	case MethodCompositional:
+		return "compositional"
 	}
 	return "bdd"
 }

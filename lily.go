@@ -470,8 +470,10 @@ type FlowResult struct {
 	ViolatingCells      int     // cells with negative slack (when set)
 	EstimatorDivergence float64 // |constructive - routed| / routed wirelength (Lily only)
 	// VerifyMethod records how VerifyEquivalence reached its verdict:
-	// "bdd" (proved) or "simulation" (sampled after the BDD budget ran
-	// out). Empty when verification is off.
+	// "compositional" (proved cone by cone through the subject graph),
+	// "bdd" (proved by whole-circuit BDDs, where a local check failed or
+	// PreOptimize ran) or, with PreOptimize only, "simulation" (sampled
+	// after the BDD budget ran out). Empty when verification is off.
 	VerifyMethod string
 }
 
@@ -647,6 +649,9 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		return nil, nil, err
 	}
 	lib := libraries[opt.Library]()
+	// original is the caller's network: verification checks the mapping
+	// against it, not against the optimized copy.
+	original := c.net
 	if opt.PreOptimize {
 		// Optimize a copy so the caller's Circuit is untouched.
 		var srcNet *logic.Network
@@ -748,7 +753,7 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 	var verifyMethod string
 	if opt.VerifyEquivalence {
 		if err := phase(ctx, "verify", func(context.Context, *obs.Span) (err error) {
-			verifyMethod, err = verifyEquivalent(c.net, nl)
+			verifyMethod, err = verifyEquivalent(original, c.net, pre, nl)
 			return err
 		}); err != nil {
 			return nil, nil, err
@@ -860,11 +865,23 @@ func placedPremap(ctx context.Context, net *logic.Network, lib *library.Library)
 	return decomp.PremapPlaced(net, pr.Pos)
 }
 
-// verifyEquivalent checks the mapped netlist against the source formally
-// (BDD, with a simulation fallback for circuits that blow the node budget)
-// and returns the method that reached the verdict.
-func verifyEquivalent(src *logic.Network, nl *netlist.Netlist) (string, error) {
-	res, err := equiv.Check(src, nl, equiv.DefaultOptions())
+// verifyEquivalent checks the mapped netlist nl against the caller's
+// network original and returns the method that reached the verdict. nl
+// was mapped from src through the premap pre. When src is original, the
+// check is equiv.Prove: cone by cone through the subject graph, with the
+// monolithic BDD check only where a local check fails, and an error where
+// only sampling could decide. When src is an optimized copy, the local
+// proof would only cover the optimizer's output, so the whole netlist is
+// checked against original by equiv.Check (BDD, with a simulation
+// fallback for circuits that blow the node budget).
+func verifyEquivalent(original, src *logic.Network, pre *decomp.Result, nl *netlist.Netlist) (string, error) {
+	var res *equiv.Result
+	var err error
+	if src == original {
+		res, err = equiv.Prove(src, pre, nl)
+	} else {
+		res, err = equiv.Check(original, nl, equiv.DefaultOptions())
+	}
 	if err != nil {
 		return "", err
 	}

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"lily/internal/decomp"
+	"lily/internal/library"
+	"lily/internal/logic"
+	"lily/internal/mis"
 )
 
 func TestGenerateBenchmarkNames(t *testing.T) {
@@ -229,6 +234,66 @@ func TestPreOptimizeFlow(t *testing.T) {
 	// The caller's circuit must be untouched by the optimizing copy.
 	if c.Stats().Nodes != nodesBefore {
 		t.Error("PreOptimize mutated the caller's circuit")
+	}
+}
+
+// With PreOptimize on, the flow maps an optimized copy of the caller's
+// network. Verification must check the netlist against the caller's
+// network: checked against the copy, an optimizer that changed the
+// function would go unnoticed. The planted optimizer bug complements
+// one output's cover in the copy.
+func TestPreOptimizeVerifiesCallerNetwork(t *testing.T) {
+	c, err := GenerateBenchmark("misex1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimized := c.net.Clone()
+	for _, po := range optimized.POs {
+		if nd := optimized.Nodes[po]; nd.Kind == logic.KindLogic {
+			nd.Cover = logic.Complement(nd.Cover)
+			break
+		}
+	}
+	pre, err := decomp.Premap(optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := mis.Map(pre.Inchoate, library.Big(), mis.DefaultOptions(mis.ModeArea))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if method, err := verifyEquivalent(optimized, optimized, pre, nl); err != nil || method != "compositional" {
+		t.Fatalf("netlist against the network it was mapped from: method %q, error %v; want a compositional proof", method, err)
+	}
+	if _, err := verifyEquivalent(c.net, optimized, pre, nl); err == nil || !strings.Contains(err.Error(), "differs from source") {
+		t.Fatalf("netlist of a changed optimized copy against the caller's network: error %v, want a difference", err)
+	}
+}
+
+// The goldens pin the compositional proof for the flow defaults; the
+// options that change the premap (layout-driven decomposition), add
+// cells (fanout buffers) or restrict the cover (MIS tree mode) must keep
+// it too, without a fallback to whole-circuit BDDs.
+func TestVerifyCompositionalAcrossOptions(t *testing.T) {
+	c, err := GenerateBenchmark("C432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []FlowOptions{
+		{LayoutDrivenDecomposition: true},
+		{FanoutOptimize: true, MaxFanout: 3},
+		{FanoutOptimize: true, MaxFanout: 3, Target: TargetLUT4},
+		{Mapper: MapperMIS, FanoutOptimize: true, MaxFanout: 3},
+		{Mapper: MapperMIS, TreeMode: true, Objective: ObjectiveDelay},
+	} {
+		opt.VerifyEquivalence = true
+		res, err := RunFlow(c, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		if res.VerifyMethod != "compositional" {
+			t.Errorf("%+v: verify_method %q, want compositional", opt, res.VerifyMethod)
+		}
 	}
 }
 

@@ -2,7 +2,8 @@
 // pipeline — premap, layout-driven mapping, multilevel placement, layout,
 // timing — twice, asserting the two runs produce byte-identical mapped
 // BLIF and, when a budget is set, that each run fits the wall-clock
-// budget. This is the frontier gate behind the ROADMAP's "production
+// budget. The second run also verifies equivalence and must prove it
+// compositionally. This is the frontier gate behind the ROADMAP's "production
 // scale" yardstick: the CI scale-smoke job runs it at gen100k with a
 // 60-second budget (LILY_SCALE_PROFILE=gen100k LILY_SCALE_BUDGET_S=60),
 // while the default tier-1 run covers gen50k with no budget so slow or
@@ -46,8 +47,8 @@ func TestScaleSmoke(t *testing.T) {
 	st := c.Stats()
 	t.Logf("%s: %d PIs, %d POs, %d nodes, depth %d", profile, st.PIs, st.POs, st.Nodes, st.Depth)
 
-	run := func(i int) []byte {
-		opt := lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea}
+	run := func(i int, verify bool) []byte {
+		opt := lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea, VerifyEquivalence: verify}
 		var buf bytes.Buffer
 		start := time.Now()
 		// Clone: a flow mutates nothing in the circuit, but the isolation
@@ -62,12 +63,16 @@ func TestScaleSmoke(t *testing.T) {
 		if budget > 0 && elapsed > budget {
 			t.Errorf("run %d took %v, budget %v", i, elapsed, budget)
 		}
+		if verify && res.VerifyMethod != "compositional" {
+			t.Errorf("run %d: verify_method %q, want a compositional proof", i, res.VerifyMethod)
+		}
 		return buf.Bytes()
 	}
 	// Run-to-run determinism at frontier scale: the GOMAXPROCS soak's
-	// property, extended to a ≥50k-gate circuit.
-	first := run(1)
-	second := run(2)
+	// property, extended to a ≥50k-gate circuit. Verification reads the
+	// netlist and must leave it as it is.
+	first := run(1, false)
+	second := run(2, true)
 	if !bytes.Equal(first, second) {
 		t.Fatal("two runs of the same scale pipeline produced different mapped BLIF")
 	}
