@@ -23,7 +23,7 @@ race:
 # Job-lifecycle soak: registry-bound + eviction tests under -race,
 # repeated to surface scheduling-order flakes (see DESIGN.md §8).
 soak:
-	$(GO) test -race -count=5 -run 'Soak|Retain|Evict|LoadShed|QueueFull|Follower' \
+	$(GO) test -race -count=5 -run 'Soak|Retain|Evict|LoadShed|QueueFull' \
 		./internal/engine/ ./internal/server/
 
 # Observability smoke test: boots lilyd, runs a job, validates the

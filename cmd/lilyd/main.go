@@ -2,8 +2,8 @@
 // (benchmark name or uploaded BLIF plus flow options), poll its status,
 // fetch the FlowResult, and download the layout SVG. Jobs execute on the
 // concurrent flow engine (worker pool, per-job timeouts, content-addressed
-// result cache, singleflight dedup); SIGINT/SIGTERM trigger a graceful
-// shutdown that drains in-flight jobs.
+// result cache); SIGINT/SIGTERM trigger a graceful shutdown that drains
+// in-flight jobs.
 //
 // The daemon is built for sustained job streams: terminal jobs are
 // retained boundedly (-max-jobs, oldest evicted first) and aged out
@@ -114,7 +114,6 @@ func main() {
 				slog.String("state", st.State),
 				slog.String("benchmark", st.Benchmark),
 				slog.Bool("cache_hit", st.CacheHit),
-				slog.Bool("deduped", st.Deduped),
 				slog.Duration("queue_wait", st.QueueWait),
 				slog.Duration("run_time", st.RunTime),
 			)

@@ -263,6 +263,58 @@ func (b *builder) decomposeNode(src *logic.Network, nd *logic.Node,
 	return b.tree(cubeLeaves, b.Or2), nil
 }
 
+// WiresOnly reports whether premapping src leaves no logic node: every
+// primary output folds into a primary input. It applies the builder's
+// folds (Inv(Inv(x)) is x, Nand2(x, x) is Inv(x)) without building: a
+// node folds only when all its literals stand for one input in one
+// phase. A constant or any other node leaves logic behind.
+func WiresOnly(src *logic.Network) bool {
+	// A fold is the input a node premaps to, in its phase; pi is
+	// InvalidNode where logic remains.
+	type fold struct {
+		pi  logic.NodeID
+		neg bool
+	}
+	none := fold{pi: logic.InvalidNode}
+	memo := make(map[logic.NodeID]fold)
+	var eval func(id logic.NodeID) fold
+	eval = func(id logic.NodeID) fold {
+		nd := src.Nodes[id]
+		if nd.Kind == logic.KindPI {
+			return fold{pi: id}
+		}
+		if f, ok := memo[id]; ok {
+			return f
+		}
+		memo[id] = none // also ends a cycle, which premap rejects
+		out := none
+		for _, c := range nd.Cover.Cubes {
+			lits := 0
+			for i, l := range c {
+				if l != logic.LitDC {
+					f := eval(nd.Fanins[i])
+					f.neg = f.neg != (l == logic.LitNeg)
+					if f.pi == logic.InvalidNode || (out != none && f != out) {
+						return none
+					}
+					out, lits = f, lits+1
+				}
+			}
+			if lits == 0 {
+				return none // constant 1
+			}
+		}
+		memo[id] = out
+		return out
+	}
+	for _, po := range src.POs {
+		if f := eval(po); f == none || f.neg {
+			return false
+		}
+	}
+	return true
+}
+
 // The reference covers IsNand2 and IsInv compare against, built once.
 var (
 	nand2Cover = logic.NandSOP(2)

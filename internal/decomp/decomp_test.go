@@ -232,3 +232,83 @@ func TestIsNand2IsInvAllocs(t *testing.T) {
 		t.Errorf("IsInv: %v allocations, want 0", allocs)
 	}
 }
+
+// TestWiresOnlyAgreesWithPremap: WiresOnly says true exactly when the
+// premapped subject graph has no logic node.
+func TestWiresOnlyAgreesWithPremap(t *testing.T) {
+	type build func(n *logic.Network, a, b logic.NodeID) logic.NodeID
+	one := func(n *logic.Network, name string, fanin logic.NodeID, f logic.SOP) logic.NodeID {
+		return n.AddLogic(name, []logic.NodeID{fanin}, f).ID
+	}
+	cases := []struct {
+		name string
+		out  build
+		want bool
+	}{
+		{"input", func(n *logic.Network, a, b logic.NodeID) logic.NodeID { return a }, true},
+		{"buffer", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			return one(n, "y", a, logic.BufSOP())
+		}, true},
+		{"double inversion", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			return one(n, "y", one(n, "na", a, logic.NotSOP()), logic.NotSOP())
+		}, true},
+		{"or of two buffers of one input", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			w1, w2 := one(n, "w1", a, logic.BufSOP()), one(n, "w2", a, logic.BufSOP())
+			return n.AddLogic("y", []logic.NodeID{w1, w2}, logic.OrSOP(2)).ID
+		}, true},
+		{"inverter", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			return one(n, "y", a, logic.NotSOP())
+		}, false},
+		{"input and its complement", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			na := one(n, "na", a, logic.NotSOP())
+			return n.AddLogic("y", []logic.NodeID{a, na}, logic.AndSOP(2)).ID
+		}, false},
+		{"input or constant 1", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			f := logic.NewSOP(1)
+			f.AddCube(logic.Cube{logic.LitPos})
+			f.AddCube(logic.Cube{logic.LitDC})
+			return one(n, "y", a, f)
+		}, false},
+		{"constant", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			return n.AddLogic("y", nil, logic.ConstSOP(false)).ID
+		}, false},
+		{"and", func(n *logic.Network, a, b logic.NodeID) logic.NodeID {
+			return n.AddLogic("y", []logic.NodeID{a, b}, logic.AndSOP(2)).ID
+		}, false},
+	}
+	check := func(name string, src *logic.Network) bool {
+		t.Helper()
+		res, err := Premap(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := res.Inchoate.NumLogic() == 0
+		if got := WiresOnly(src); got != want {
+			t.Errorf("%s: WiresOnly = %v, subject graph has %d logic nodes", name, got, res.Inchoate.NumLogic())
+		}
+		return want
+	}
+	for _, c := range cases {
+		src := logic.New("t")
+		a, b := src.AddPI("a").ID, src.AddPI("b").ID
+		src.MarkPO(c.out(src, a, b), "y")
+		if got := check(c.name, src); got != c.want {
+			t.Errorf("%s: subject graph logic-free = %v, want %v", c.name, got, c.want)
+		}
+		// A second output wired to b leaves the verdict to the first.
+		src.MarkPO(b, "z")
+		check(c.name+" with a wire output", src)
+	}
+	// Random single-input networks are chains of buffers and inverters,
+	// some of which fold away entirely.
+	var wires int
+	for seed := int64(1); seed <= 200; seed++ {
+		src := bench.Random(seed, 1+int(seed%3), 1+int(seed%2), 1+int(seed%5), 1)
+		if check(src.Name, src) {
+			wires++
+		}
+	}
+	if wires == 0 || wires == 200 {
+		t.Errorf("%d of 200 random networks premap to wires only; the draw tests one side", wires)
+	}
+}

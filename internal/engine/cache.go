@@ -15,7 +15,7 @@ import (
 // options (lily.FlowOptions.Normalize), and the output-artifact flags. Two
 // submissions with structurally identical circuits and semantically
 // identical options collide on the same key, so repeats are served from
-// cache and identical in-flight runs are deduped. Options Normalize
+// cache. Options Normalize
 // rejects have no key. Clients correlate jobs on it (Status.Digest), so
 // the format is pinned by TestRequestDigestFormat.
 func requestKey(blif []byte, opt lily.FlowOptions, renderSVG, emitBLIF bool) (string, error) {

@@ -1,11 +1,11 @@
 // Package engine is the concurrent flow engine: a worker-pool job
 // scheduler that executes FlowOptions-parameterized pipeline runs
 // concurrently with context cancellation and per-job timeouts, panic
-// containment (a crashing flow fails its job, not the process), a
+// containment (a crashing flow fails its job, not the process), and a
 // content-addressed result cache (SHA-256 of canonical circuit BLIF +
-// normalized options) with LRU eviction, and singleflight deduplication of
-// identical in-flight requests. It is the substrate under cmd/lilyd (the
-// network-facing mapping service) and cmd/tables (suite fan-out).
+// normalized options) with LRU eviction. It is the substrate under
+// cmd/lilyd (the network-facing mapping service) and cmd/tables (suite
+// fan-out).
 package engine
 
 import (
@@ -99,19 +99,10 @@ type Stats struct {
 	Evicted      uint64        `json:"evicted"`
 	CacheHits    uint64        `json:"cache_hits"`
 	CacheMisses  uint64        `json:"cache_misses"`
-	Deduped      uint64        `json:"deduped"`
-	DedupReruns  uint64        `json:"dedup_reruns"`
 	Panics       uint64        `json:"panics"`
 	CacheEntries int           `json:"cache_entries"`
 	QueueWait    time.Duration `json:"queue_wait_total_ns"`
 	RunTime      time.Duration `json:"run_time_total_ns"`
-}
-
-// flight tracks one in-flight execution for singleflight deduplication.
-type flight struct {
-	done chan struct{}
-	out  *Outcome
-	err  error
 }
 
 // Engine is a concurrent, cancellable, cache-backed flow scheduler.
@@ -125,13 +116,12 @@ type Engine struct {
 	metrics *engineMetrics
 	flow    *obs.FlowMetrics
 
-	mu       sync.Mutex
-	byID     map[string]*Job
-	retired  *list.List // terminal jobs in finish order (retainedEntry)
-	inflight map[string]*flight
-	closed   bool
-	running  int
-	stats    Stats
+	mu      sync.Mutex
+	byID    map[string]*Job
+	retired *list.List // terminal jobs in finish order (retainedEntry)
+	closed  bool
+	running int
+	stats   Stats
 
 	closing  chan struct{} // closed when Shutdown begins
 	stop     chan struct{} // closed to terminate idle workers
@@ -158,15 +148,14 @@ func New(cfg Config) *Engine {
 		cfg.MaxRetainedJobs = DefaultMaxRetainedJobs
 	}
 	e := &Engine{
-		cfg:      cfg,
-		run:      cfg.Run,
-		queue:    make(chan *Job, cfg.QueueDepth),
-		cache:    newLRU(cacheCap),
-		byID:     make(map[string]*Job),
-		retired:  list.New(),
-		inflight: make(map[string]*flight),
-		closing:  make(chan struct{}),
-		stop:     make(chan struct{}),
+		cfg:     cfg,
+		run:     cfg.Run,
+		queue:   make(chan *Job, cfg.QueueDepth),
+		cache:   newLRU(cacheCap),
+		byID:    make(map[string]*Job),
+		retired: list.New(),
+		closing: make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
 	if e.run == nil {
 		e.run = runPipeline
@@ -464,7 +453,7 @@ func (e *Engine) worker() {
 }
 
 // execute runs one job to a terminal state: cancellation check, cache
-// lookup, singleflight deduplication, then the guarded pipeline run.
+// lookup, then the guarded pipeline run.
 func (e *Engine) execute(j *Job) {
 	defer e.jobWG.Done()
 	queueWait := j.start(time.Now())
@@ -492,90 +481,36 @@ func (e *Engine) execute(j *Job) {
 	e.mu.Unlock()
 	e.metrics.cacheMisses.Inc()
 
-	// Singleflight. A follower piggybacks on the in-flight leader for its
-	// key — but a leader that dies of its *own* cancellation or timeout
-	// produced a verdict about that job's deadline, not about this
-	// request. A follower whose context is still live must not inherit
-	// StateCanceled; it loops back and either joins a newer leader or
-	// takes over and executes itself.
-	deduped := false
-	for {
-		if deduped {
-			// A concurrent leader may have completed and populated the
-			// cache between rounds.
-			if e.serveFromCache(j) {
-				return
-			}
-		}
-		e.mu.Lock()
-		f, ok := e.inflight[j.key]
-		if ok {
-			if !deduped {
-				deduped = true
-				e.stats.Deduped++
-				e.metrics.deduped.Inc()
-			}
-			e.mu.Unlock()
-			j.markDeduped()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					e.markTrivialTrace(j, "deduped")
-					e.finishJob(j, StateDone, f.out, nil)
-					return
-				}
-				if classify(f.err) == StateCanceled && j.ctx.Err() == nil {
-					continue // leader-only cancellation: re-execute
-				}
-				e.finishJob(j, classify(f.err), nil, f.err)
-				return
-			case <-j.ctx.Done():
-				e.finishJob(j, StateCanceled, nil, j.ctx.Err())
-				return
-			}
-		}
-		f = &flight{done: make(chan struct{})}
-		e.inflight[j.key] = f
-		if deduped {
-			e.stats.DedupReruns++
-			e.metrics.dedupReruns.Inc()
-		}
-		e.mu.Unlock()
-
-		out, err := e.runGuarded(j)
-		if err == nil && len(out.MappedBLIF) > 0 {
-			// Hash once, before the outcome is shared with followers or
-			// the cache: every job served by it reports the same hash.
-			sum := sha256.Sum256(out.MappedBLIF)
-			out.blifSHA256 = hex.EncodeToString(sum[:])
-		}
-		f.out, f.err = out, err
-		e.mu.Lock()
-		delete(e.inflight, j.key)
-		e.mu.Unlock()
-		close(f.done)
-
-		if err != nil {
-			e.finishJob(j, classify(err), nil, err)
-			return
-		}
-		e.cache.add(j.key, out)
-		e.finishJob(j, StateDone, out, nil)
+	out, err := e.runGuarded(j)
+	if err != nil {
+		e.finishJob(j, classify(err), nil, err)
 		return
 	}
+	if len(out.MappedBLIF) > 0 {
+		// Hash once, before the outcome is cached: every job the cache
+		// serves it to reports the same hash.
+		sum := sha256.Sum256(out.MappedBLIF)
+		out.blifSHA256 = hex.EncodeToString(sum[:])
+	}
+	e.cache.add(j.key, out)
+	e.finishJob(j, StateDone, out, nil)
 }
 
-// serveFromCache finishes j from the result cache if its key is there.
-// Both cache-hit sites in execute (the first lookup and a dedup
-// follower's re-check) go through here, so the stats counter, the
-// metric and the job's trace always agree.
+// serveFromCache finishes j from the result cache if its key is there,
+// counting the hit. A traced job gets a one-span trace, so its /trace
+// endpoint still explains where the result came from.
 func (e *Engine) serveFromCache(j *Job) bool {
 	out, ok := e.cache.get(j.key)
 	if !ok {
 		return false
 	}
 	j.markCacheHit()
-	e.markTrivialTrace(j, "cache_hit")
+	if j.tracer != nil {
+		_, root := j.tracer.StartRoot(context.Background(), "job")
+		root.SetStr("id", j.id)
+		root.SetStr("source", "cache_hit")
+		root.End()
+	}
 	e.mu.Lock()
 	e.stats.CacheHits++
 	e.mu.Unlock()
@@ -590,19 +525,6 @@ func classify(err error) State {
 		return StateCanceled
 	}
 	return StateFailed
-}
-
-// markTrivialTrace records a one-span trace for a job that never ran the
-// pipeline (cache hit or dedup follower), so its /trace endpoint still
-// explains where the result came from.
-func (e *Engine) markTrivialTrace(j *Job, how string) {
-	if j.tracer == nil {
-		return
-	}
-	_, root := j.tracer.StartRoot(context.Background(), "job")
-	root.SetStr("id", j.id)
-	root.SetStr("source", how)
-	root.End()
 }
 
 // runGuarded executes the job body under its timeout with panic recovery:

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -135,22 +136,28 @@ func TestCacheHitOnRepeatSubmission(t *testing.T) {
 	}
 }
 
-func TestSingleflightDedupesInflightRequests(t *testing.T) {
+// TestConcurrentIdenticalJobsBothRun: two identical requests in flight
+// together each run the pipeline and end with equal outcomes, a third
+// submission is a cache hit, and the cache counters in Stats agree with
+// the metrics registry.
+func TestConcurrentIdenticalJobsBothRun(t *testing.T) {
 	gate := make(chan struct{})
 	var runs atomic.Int64
-	e := New(Config{Workers: 2, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
+	e := New(Config{Workers: 2, Trace: true, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
 		runs.Add(1)
 		select {
 		case <-gate:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return fakeOutcome(req.Benchmark), nil
+		out := fakeOutcome(req.Benchmark)
+		out.MappedBLIF = []byte(".model " + req.Benchmark + "\n.end\n")
+		return out, nil
 	}})
 	defer shutdown(t, e)
 
 	ctx := context.Background()
-	req := Request{Benchmark: "b9"}
+	req := Request{Benchmark: "b9", EmitBLIF: true}
 	j1, err := e.Submit(ctx, req)
 	if err != nil {
 		t.Fatalf("submit 1: %v", err)
@@ -159,25 +166,56 @@ func TestSingleflightDedupesInflightRequests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
-	// Both jobs must be picked up (one executing, one dedup-waiting)
-	// before the gate opens, or this would just be a cache hit.
-	waitFor(t, "dedup registered", func() bool { return e.Stats().Deduped == 1 })
+	// Both jobs must be in the runner before the gate opens, or the
+	// second would just be a cache hit.
+	waitFor(t, "both jobs running", func() bool { return runs.Load() == 2 })
 	close(gate)
 
-	for _, j := range []*Job{j1, j2} {
-		out, err := awaitJob(t, j)
-		if err != nil {
+	var outs [2]*Outcome
+	for i, j := range []*Job{j1, j2} {
+		if outs[i], err = awaitJob(t, j); err != nil {
 			t.Fatalf("wait %s: %v", j.ID(), err)
 		}
-		if out.Result.Circuit != "b9" {
-			t.Fatalf("job %s: bad result %+v", j.ID(), out.Result)
+		if st := j.Status(); st.State != "done" || st.CacheHit {
+			t.Fatalf("job %s: state %s cache_hit %v, want done from its own run", j.ID(), st.State, st.CacheHit)
 		}
 	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("runner invoked %d times, want 1 (singleflight)", got)
+	if outs[0].Result.Circuit != outs[1].Result.Circuit || !bytes.Equal(outs[0].MappedBLIF, outs[1].MappedBLIF) {
+		t.Fatalf("identical requests produced different outcomes: %+v vs %+v", outs[0], outs[1])
 	}
-	if !j2.Status().Deduped && !j1.Status().Deduped {
-		t.Fatalf("neither job marked deduped")
+	h1, h2 := j1.Status().BLIFSHA256, j2.Status().BLIFSHA256
+	if h1 == "" || h1 != h2 {
+		t.Fatalf("blif_sha256 = %q and %q, want equal and set", h1, h2)
+	}
+
+	j3, err := e.Submit(ctx, req)
+	if err != nil {
+		t.Fatalf("submit 3: %v", err)
+	}
+	if _, err := awaitJob(t, j3); err != nil {
+		t.Fatalf("wait %s: %v", j3.ID(), err)
+	}
+	if st := j3.Status(); !st.CacheHit || st.BLIFSHA256 != h1 {
+		t.Fatalf("third submission: cache_hit %v blif_sha256 %q, want a hit with %q", st.CacheHit, st.BLIFSHA256, h1)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("runner invoked %d times, want 2", got)
+	}
+
+	st := e.Stats()
+	if st.CacheHits != 1 || st.CacheMisses != 2 {
+		t.Errorf("stats hits/misses = %d/%d, want 1/2", st.CacheHits, st.CacheMisses)
+	}
+	if got := e.metrics.cacheHits.Value(); got != st.CacheHits {
+		t.Errorf("lily_cache_hits_total = %d, Stats().CacheHits = %d", got, st.CacheHits)
+	}
+	if got := e.metrics.cacheMisses.Value(); got != st.CacheMisses {
+		t.Errorf("lily_cache_misses_total = %d, Stats().CacheMisses = %d", got, st.CacheMisses)
+	}
+	for _, j := range []*Job{j1, j2, j3} {
+		if len(j.Trace()) == 0 {
+			t.Errorf("done job %s (cache_hit=%v) has no trace", j.ID(), j.Status().CacheHit)
+		}
 	}
 }
 
@@ -280,46 +318,51 @@ func TestPanicContainment(t *testing.T) {
 
 // TestWakeAfterAccounting: a job wakes its waiters only after the engine
 // has counted it, so a caller woken by Wait or Run always finds its
-// own job in Stats. The test holds the engine lock while a deduped
-// follower is canceled: the follower can mark itself terminal, but it
-// must not wake its waiters before it can take the lock and count itself.
+// own job in Stats. The test holds the engine lock while a running job
+// is canceled: the job can mark itself terminal, but it must not wake
+// its waiters before it can take the lock and count itself.
 func TestWakeAfterAccounting(t *testing.T) {
-	release := make(chan struct{})
-	e := New(Config{Workers: 2, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
-		await(t, "the test to release the runner", release)
-		return fakeOutcome(req.Benchmark), nil
+	started := make(chan struct{})
+	e := New(Config{Workers: 1, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
 	}})
 	defer shutdown(t, e)
-	defer close(release)
 
 	ctx := context.Background()
-	leader, err := e.Submit(ctx, Request{Benchmark: "b9"})
+	j, err := e.Submit(ctx, Request{Benchmark: "b9"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := e.Submit(ctx, Request{Benchmark: "b9"})
-	if err != nil {
-		t.Fatal(err)
+	if !await(t, "the runner to start", started) {
+		t.FailNow()
 	}
-	waitFor(t, "the follower to join the leader", func() bool { return e.Stats().Deduped == 1 })
 
 	e.mu.Lock()
-	follower.Cancel()
+	j.Cancel()
+	// Wait until the job is terminal without failing the test while the
+	// lock is held: a deferred shutdown would block on it.
+	terminal := false
+	for deadline := time.Now().Add(5 * time.Second); !terminal && time.Now().Before(deadline); {
+		terminal = j.Status().State == "canceled"
+		time.Sleep(time.Millisecond)
+	}
 	early, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
-	_, err = follower.Wait(early)
+	_, err = j.Wait(early)
 	cancel()
 	e.mu.Unlock()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("follower woke its waiters before the engine counted it (Wait = %v)", err)
+	if !terminal {
+		t.Fatalf("canceled job never became terminal: %+v", j.Status())
 	}
-	if _, err := awaitJob(t, follower); !errors.Is(err, context.Canceled) {
-		t.Fatalf("follower Wait = %v, want context.Canceled", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("job woke its waiters before the engine counted it (Wait = %v)", err)
+	}
+	if _, err := awaitJob(t, j); !errors.Is(err, context.Canceled) {
+		t.Fatalf("job Wait = %v, want context.Canceled", err)
 	}
 	if st := e.Stats(); st.Canceled != 1 {
-		t.Fatalf("woken follower not counted: stats = %+v, want 1 canceled", st)
-	}
-	if st := leader.Status(); st.State != "running" {
-		t.Fatalf("leader state = %s, want running", st.State)
+		t.Fatalf("woken job not counted: stats = %+v, want 1 canceled", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"sync"
 	"time"
@@ -16,7 +15,7 @@ type State int32
 const (
 	// StateQueued means the job is waiting for a worker.
 	StateQueued State = iota
-	// StateRunning means a worker is executing (or dedup-waiting on) the job.
+	// StateRunning means a worker is executing the job.
 	StateRunning
 	// StateDone means the job finished with a result.
 	StateDone
@@ -105,20 +104,14 @@ type Job struct {
 	// tracer records the job's phase-span tree when the engine runs with
 	// tracing enabled; nil otherwise. It lives and dies with the job:
 	// retained while the job is in the registry, dropped with it on
-	// eviction, age GC, or DELETE.
+	// eviction or age GC.
 	tracer *obs.Tracer
-
-	// retireEl is the job's slot in the engine's terminal-retention
-	// queue; nil while the job is non-terminal (or after it has been
-	// dropped). Guarded by Engine.mu, not j.mu.
-	retireEl *list.Element
 
 	mu        sync.Mutex
 	state     State
 	outcome   *Outcome
 	err       error
 	cacheHit  bool
-	deduped   bool
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -166,13 +159,12 @@ type Status struct {
 	State string `json:"state"`
 	// Digest is the content-addressed request digest (SHA-256 of the
 	// canonical BLIF + normalized options + artifact flags): the cache
-	// key and the singleflight key. Clients correlate work on it — two
-	// jobs with equal digests have byte-identical outcomes.
+	// key. Clients correlate work on it — two jobs with equal digests
+	// have byte-identical outcomes.
 	Digest      string        `json:"digest"`
 	Benchmark   string        `json:"benchmark,omitempty"`
 	Circuit     string        `json:"circuit,omitempty"`
 	CacheHit    bool          `json:"cache_hit,omitempty"`
-	Deduped     bool          `json:"deduped,omitempty"`
 	SubmittedAt time.Time     `json:"submitted_at"`
 	StartedAt   time.Time     `json:"started_at"`
 	FinishedAt  time.Time     `json:"finished_at"`
@@ -194,7 +186,6 @@ func (j *Job) Status() Status {
 		Digest:      j.key,
 		Benchmark:   j.req.Benchmark,
 		CacheHit:    j.cacheHit,
-		Deduped:     j.deduped,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
@@ -256,11 +247,5 @@ func (j *Job) wake() { close(j.done) }
 func (j *Job) markCacheHit() {
 	j.mu.Lock()
 	j.cacheHit = true
-	j.mu.Unlock()
-}
-
-func (j *Job) markDeduped() {
-	j.mu.Lock()
-	j.deduped = true
 	j.mu.Unlock()
 }

@@ -1,15 +1,13 @@
 package engine
 
 // Job-lifecycle tests: bounded terminal-job retention (eviction order,
-// age GC, explicit Remove, soak), goroutines stopped by Shutdown,
-// load-shed admission control, and the singleflight
-// leader-only-cancellation semantics.
+// age GC, soak), goroutines stopped by Shutdown, and load-shed
+// admission control.
 
 import (
 	"context"
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,58 +79,6 @@ func TestRegistryEvictsOldestTerminalFirst(t *testing.T) {
 	}
 	if st := e.Stats(); st.Evicted != 3 {
 		t.Fatalf("stats.Evicted = %d, want 3", st.Evicted)
-	}
-}
-
-func TestRemoveTerminalJob(t *testing.T) {
-	gate := make(chan struct{})
-	e := New(Config{Workers: 1, CacheEntries: -1, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
-		if req.Benchmark == "b9" {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		return fakeOutcome(req.Benchmark), nil
-	}})
-	defer shutdown(t, e)
-
-	ctx := context.Background()
-	j1, err := e.Submit(ctx, Request{Benchmark: "misex1"})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if _, err := awaitJob(t, j1); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if err := e.Remove(j1.ID()); err != nil {
-		t.Fatalf("Remove(terminal) = %v", err)
-	}
-	if _, ok := e.Job(j1.ID()); ok {
-		t.Fatalf("removed job still resolvable")
-	}
-	if !e.Forgotten(j1.ID()) {
-		t.Fatalf("removed job not Forgotten")
-	}
-	if err := e.Remove(j1.ID()); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("second Remove = %v, want ErrUnknownJob", err)
-	}
-
-	j2, err := e.Submit(ctx, Request{Benchmark: "b9"})
-	if err != nil {
-		t.Fatalf("submit blocked job: %v", err)
-	}
-	waitFor(t, "job running", func() bool { return j2.Status().State == "running" })
-	if err := e.Remove(j2.ID()); !errors.Is(err, ErrJobActive) {
-		t.Fatalf("Remove(running) = %v, want ErrJobActive", err)
-	}
-	close(gate)
-	if _, err := awaitJob(t, j2); err != nil {
-		t.Fatalf("wait after gate: %v", err)
-	}
-	if err := e.Remove(j2.ID()); err != nil {
-		t.Fatalf("Remove after finish = %v", err)
 	}
 }
 
@@ -246,172 +192,6 @@ func TestLoadShedReturnsErrQueueFull(t *testing.T) {
 	}
 	if st.QueueLen != 1 || st.QueueCap != 1 {
 		t.Fatalf("queue len/cap = %d/%d, want 1/1", st.QueueLen, st.QueueCap)
-	}
-}
-
-// TestFollowerRerunsAfterLeaderTimeout is the singleflight-correctness
-// regression: a deduped follower whose own context is live must not
-// inherit the leader's deadline-exceeded verdict — it re-executes and
-// produces a real Outcome.
-func TestFollowerRerunsAfterLeaderTimeout(t *testing.T) {
-	var calls atomic.Int64
-	e := New(Config{Workers: 2, CacheEntries: -1, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
-		if calls.Add(1) == 1 {
-			<-ctx.Done() // leader: hang until its per-job timeout fires
-			return nil, ctx.Err()
-		}
-		return fakeOutcome(req.Benchmark), nil
-	}})
-	defer shutdown(t, e)
-
-	ctx := context.Background()
-	// The timeout must outlast follower submission + dedup registration
-	// (waited on below) but stay short enough to keep the test quick.
-	leader, err := e.Submit(ctx, Request{Benchmark: "misex1", Timeout: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("submit leader: %v", err)
-	}
-	waitFor(t, "leader running", func() bool { return leader.Status().State == "running" })
-	follower, err := e.Submit(ctx, Request{Benchmark: "misex1"})
-	if err != nil {
-		t.Fatalf("submit follower: %v", err)
-	}
-	// The follower must be dedup-waiting on the leader before the
-	// leader's timeout fires, or there is nothing to regress.
-	waitFor(t, "follower deduped", func() bool { return e.Stats().Deduped == 1 })
-
-	if _, err := awaitJob(t, leader); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("leader error = %v, want DeadlineExceeded", err)
-	}
-	out, err := awaitJob(t, follower)
-	if err != nil {
-		t.Fatalf("follower inherited the leader's cancellation: %v", err)
-	}
-	if out == nil || out.Result == nil || out.Result.Circuit != "misex1" {
-		t.Fatalf("follower got no real outcome: %+v", out)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("runner invoked %d times, want 2 (leader + re-run)", got)
-	}
-	st := e.Stats()
-	if st.DedupReruns != 1 {
-		t.Fatalf("stats.DedupReruns = %d, want 1", st.DedupReruns)
-	}
-	if st.Canceled != 1 || st.Completed != 1 {
-		t.Fatalf("stats canceled/completed = %d/%d, want 1/1", st.Canceled, st.Completed)
-	}
-}
-
-// TestFollowerStaysCanceledWithDeadContext pins the other half of the
-// semantics: when the follower's own context is also cancelled, it must
-// finish canceled without looping into a re-run.
-func TestFollowerStaysCanceledWithDeadContext(t *testing.T) {
-	var calls atomic.Int64
-	e := New(Config{Workers: 2, CacheEntries: -1, Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
-		calls.Add(1)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}})
-	defer shutdown(t, e)
-
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	defer cancelLeader()
-	followerCtx, cancelFollower := context.WithCancel(context.Background())
-	defer cancelFollower()
-
-	leader, err := e.Submit(leaderCtx, Request{Benchmark: "misex1"})
-	if err != nil {
-		t.Fatalf("submit leader: %v", err)
-	}
-	waitFor(t, "leader running", func() bool { return leader.Status().State == "running" })
-	follower, err := e.Submit(followerCtx, Request{Benchmark: "misex1"})
-	if err != nil {
-		t.Fatalf("submit follower: %v", err)
-	}
-	waitFor(t, "follower deduped", func() bool { return e.Stats().Deduped == 1 })
-
-	cancelFollower()
-	cancelLeader()
-	if _, err := awaitJob(t, follower); !errors.Is(err, context.Canceled) {
-		t.Fatalf("follower error = %v, want context.Canceled", err)
-	}
-	if _, err := awaitJob(t, leader); !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader error = %v, want context.Canceled", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("runner invoked %d times, want 1 (no re-run for a dead follower)", got)
-	}
-	if st := e.Stats(); st.DedupReruns != 0 {
-		t.Fatalf("stats.DedupReruns = %d, want 0", st.DedupReruns)
-	}
-}
-
-// TestDedupCacheAccountingAgrees: however a job ends up served — first
-// cache lookup, a dedup follower's cache re-check after its leader timed
-// out, piggybacking on a rerun leader, or rerunning itself — the cache
-// counters in Stats and in the metrics registry must agree, and every
-// finished job must have a trace explaining where its result came from.
-// Which path each follower takes after the leader's timeout depends on
-// scheduling, so the scenario runs several rounds on distinct keys.
-func TestDedupCacheAccountingAgrees(t *testing.T) {
-	const rounds, followers = 5, 4
-	e := New(Config{Workers: followers + 1, CacheEntries: 16, Trace: true,
-		Run: func(ctx context.Context, c *lily.Circuit, req Request) (*Outcome, error) {
-			if _, leader := ctx.Deadline(); leader {
-				<-ctx.Done() // leader: hang until its per-job timeout fires
-				return nil, ctx.Err()
-			}
-			return fakeOutcome(req.Benchmark), nil
-		}})
-	defer shutdown(t, e)
-
-	ctx := context.Background()
-	var jobs []*Job
-	recheckHits := 0
-	for r := 0; r < rounds; r++ {
-		// WireWeight is part of the digest, so each round has its own key.
-		opt := lily.FlowOptions{WireWeight: float64(r + 2)}
-		leader, err := e.Submit(ctx, Request{Benchmark: "misex1", Options: opt, Timeout: 250 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("round %d: submit leader: %v", r, err)
-		}
-		waitFor(t, "leader running", func() bool { return leader.Status().State == "running" })
-		round := []*Job{leader}
-		for i := 0; i < followers; i++ {
-			j, err := e.Submit(ctx, Request{Benchmark: "misex1", Options: opt})
-			if err != nil {
-				t.Fatalf("round %d: submit follower: %v", r, err)
-			}
-			round = append(round, j)
-		}
-		want := uint64((r + 1) * followers)
-		waitFor(t, "followers deduped", func() bool { return e.Stats().Deduped == want })
-		if _, err := awaitJob(t, leader); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("round %d: leader error = %v, want DeadlineExceeded", r, err)
-		}
-		for _, j := range round[1:] {
-			if _, err := awaitJob(t, j); err != nil {
-				t.Fatalf("round %d: follower %s: %v", r, j.ID(), err)
-			}
-			if st := j.Status(); st.CacheHit && st.Deduped {
-				recheckHits++
-			}
-		}
-		jobs = append(jobs, round...)
-	}
-	t.Logf("%d of %d followers served by the cache re-check", recheckHits, rounds*followers)
-
-	st := e.Stats()
-	if got := e.metrics.cacheHits.Value(); got != st.CacheHits {
-		t.Errorf("lily_cache_hits_total = %d, Stats().CacheHits = %d", got, st.CacheHits)
-	}
-	if got := e.metrics.cacheMisses.Value(); got != st.CacheMisses {
-		t.Errorf("lily_cache_misses_total = %d, Stats().CacheMisses = %d", got, st.CacheMisses)
-	}
-	for _, j := range jobs {
-		if st := j.Status(); st.State == "done" && len(j.Trace()) == 0 {
-			t.Errorf("done job %s (cache_hit=%v deduped=%v) has no trace", j.ID(), st.CacheHit, st.Deduped)
-		}
 	}
 }
 

@@ -19,8 +19,6 @@ const (
 	metricQueueWait     = "lily_queue_wait_seconds"
 	metricCacheHits     = "lily_cache_hits_total"
 	metricCacheMisses   = "lily_cache_misses_total"
-	metricDeduped       = "lily_dedup_total"
-	metricDedupReruns   = "lily_dedup_reruns_total"
 	metricShed          = "lily_shed_total"
 	metricEvicted       = "lily_evicted_total"
 	metricPanics        = "lily_panics_total"
@@ -40,8 +38,6 @@ type engineMetrics struct {
 	submitted    *obs.Counter
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
-	deduped      *obs.Counter
-	dedupReruns  *obs.Counter
 	shed         *obs.Counter
 	evicted      *obs.Counter
 	panics       *obs.Counter
@@ -63,12 +59,9 @@ func (e *Engine) registerMetrics(r *obs.Registry) *engineMetrics {
 		submitted:   r.Counter(metricSubmitted, "Jobs accepted by Submit."),
 		cacheHits:   r.Counter(metricCacheHits, "Jobs answered from the local result cache."),
 		cacheMisses: r.Counter(metricCacheMisses, "Jobs that missed the local result cache."),
-		deduped:     r.Counter(metricDeduped, "Jobs that piggybacked on an in-flight leader."),
-		dedupReruns: r.Counter(metricDedupReruns,
-			"Dedup followers that re-executed after a leader-only cancellation."),
-		shed:    r.Counter(metricShed, "Submissions shed with ErrQueueFull (load-shed mode)."),
-		evicted: r.Counter(metricEvicted, "Terminal jobs evicted from the bounded registry."),
-		panics:  r.Counter(metricPanics, "Pipeline panics contained by runGuarded."),
+		shed:        r.Counter(metricShed, "Submissions shed with ErrQueueFull (load-shed mode)."),
+		evicted:     r.Counter(metricEvicted, "Terminal jobs evicted from the bounded registry."),
+		panics:      r.Counter(metricPanics, "Pipeline panics contained by runGuarded."),
 	}
 	r.GaugeFunc(metricJobsRunning, "Jobs currently executing on workers.", func() float64 {
 		e.mu.Lock()

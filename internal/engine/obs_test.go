@@ -18,9 +18,9 @@ func spanNames(nodes []*obs.SpanNode, into map[string]int) {
 
 // TestJobTraceLifecycle asserts a traced engine records a per-job span
 // tree rooted at "job", that a cache-hit repeat gets its own trivial
-// trace, and that the trace dies with the job when it is Removed.
+// trace, and that the trace dies with the job when it is evicted.
 func TestJobTraceLifecycle(t *testing.T) {
-	e := New(Config{Workers: 2, Trace: true, CacheEntries: 8})
+	e := New(Config{Workers: 2, Trace: true, CacheEntries: 8, MaxRetainedJobs: 1})
 	defer shutdown(t, e)
 
 	j, err := e.Submit(context.Background(), Request{Benchmark: "misex1"})
@@ -61,16 +61,14 @@ func TestJobTraceLifecycle(t *testing.T) {
 		t.Fatalf("cache-hit trace = %+v, want one job span with source=cache_hit", tree)
 	}
 
-	// Removing the job drops the trace with it: the handle is gone from
-	// the registry, so nothing serves it anymore.
-	if err := e.Remove(j.ID()); err != nil {
-		t.Fatal(err)
-	}
+	// The repeat's finish evicted the first job past the one-job
+	// retention bound, and its trace went with it: the handle is gone
+	// from the registry, so nothing serves it anymore.
 	if _, ok := e.Job(j.ID()); ok {
-		t.Fatal("removed job still resolvable")
+		t.Fatal("evicted job still resolvable")
 	}
 	if !e.Forgotten(j.ID()) {
-		t.Fatal("removed job not reported Forgotten")
+		t.Fatal("evicted job not reported Forgotten")
 	}
 }
 

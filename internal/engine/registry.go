@@ -4,12 +4,12 @@ package engine
 // so clients can fetch status/results after the fact, but boundedly: at
 // most Config.MaxRetainedJobs terminal jobs are retained (oldest-finished
 // evicted first), and jobs older than Config.RetainFor are garbage
-// collected by a background goroutine that Shutdown stops. Evicted or
-// explicitly Remove()d IDs remain recognizable through Forgotten, so the
-// HTTP layer can answer 410 Gone instead of 404 for IDs it once issued.
+// collected by a background goroutine that Shutdown stops. Evicted IDs
+// remain recognizable through Forgotten, so the HTTP layer can answer
+// 410 Gone instead of 404 for IDs it once issued.
 
 import (
-	"errors"
+	"container/list"
 	"fmt"
 	"strconv"
 	"strings"
@@ -19,14 +19,6 @@ import (
 // DefaultMaxRetainedJobs bounds the registry when Config.MaxRetainedJobs
 // is zero.
 const DefaultMaxRetainedJobs = 1024
-
-var (
-	// ErrUnknownJob is returned by Remove for IDs not in the registry.
-	ErrUnknownJob = errors.New("engine: unknown job")
-	// ErrJobActive is returned by Remove for queued/running jobs; cancel
-	// the job and wait for it to terminate first.
-	ErrJobActive = errors.New("engine: job is not terminal")
-)
 
 // retainedEntry is one terminal job in the retention queue, stamped with
 // its retirement time so age-based GC never needs the job's own lock.
@@ -41,7 +33,7 @@ func (e *Engine) retireLocked(j *Job, now time.Time) {
 	if _, ok := e.byID[j.id]; !ok {
 		return // already dropped (abandoned submission)
 	}
-	j.retireEl = e.retired.PushBack(retainedEntry{j: j, at: now})
+	e.retired.PushBack(retainedEntry{j: j, at: now})
 	e.evictExcessLocked()
 }
 
@@ -53,20 +45,16 @@ func (e *Engine) evictExcessLocked() {
 		return
 	}
 	for e.retired.Len() > max {
-		e.dropRetainedLocked(e.retired.Front().Value.(retainedEntry).j)
-		e.stats.Evicted++
-		e.metrics.evicted.Inc()
+		e.evictLocked(e.retired.Front())
 	}
 }
 
-// dropRetainedLocked removes a retained terminal job from both the
-// registry map and the retention queue; requires e.mu.
-func (e *Engine) dropRetainedLocked(j *Job) {
-	delete(e.byID, j.id)
-	if j.retireEl != nil {
-		e.retired.Remove(j.retireEl)
-		j.retireEl = nil
-	}
+// evictLocked drops the retained terminal job at el from both the
+// retention queue and the registry map, and counts it; requires e.mu.
+func (e *Engine) evictLocked(el *list.Element) {
+	delete(e.byID, e.retired.Remove(el).(retainedEntry).j.id)
+	e.stats.Evicted++
+	e.metrics.evicted.Inc()
 }
 
 // gcRetained drops retained terminal jobs that finished before cutoff.
@@ -76,13 +64,10 @@ func (e *Engine) gcRetained(cutoff time.Time) int {
 	defer e.mu.Unlock()
 	n := 0
 	for el := e.retired.Front(); el != nil; el = e.retired.Front() {
-		ent := el.Value.(retainedEntry)
-		if !ent.at.Before(cutoff) {
+		if !el.Value.(retainedEntry).at.Before(cutoff) {
 			break // queue is ordered by retirement time
 		}
-		e.dropRetainedLocked(ent.j)
-		e.stats.Evicted++
-		e.metrics.evicted.Inc()
+		e.evictLocked(el)
 		n++
 	}
 	return n
@@ -117,28 +102,8 @@ func gcInterval(retainFor time.Duration) time.Duration {
 	return iv
 }
 
-// Remove deletes a terminal job from the registry so its memory can be
-// reclaimed before eviction or age GC would get to it. Queued or running
-// jobs are refused with ErrJobActive (cancel and wait first); unknown IDs
-// return ErrUnknownJob.
-func (e *Engine) Remove(id string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.byID[id]
-	if !ok {
-		return ErrUnknownJob
-	}
-	if j.retireEl == nil {
-		// Only terminal jobs are enrolled in the retention queue, so a
-		// registered job without an entry is still queued or running.
-		return ErrJobActive
-	}
-	e.dropRetainedLocked(j)
-	return nil
-}
-
 // Forgotten reports whether id names a job this engine once issued that
-// is no longer retained (evicted, removed, or abandoned at submission).
+// is no longer retained (evicted, aged out, or abandoned at submission).
 // It is the 404-vs-410 distinction for the HTTP layer and needs no
 // per-ID tombstone state: IDs are dense ("job-%06d" over a monotone
 // sequence), so any well-formed ID at or below the current sequence that

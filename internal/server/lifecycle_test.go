@@ -1,8 +1,8 @@
 package server
 
 // HTTP-level lifecycle tests: load-shed 429 with Retry-After on the
-// submit route, DELETE + 410 Gone for evicted/deleted IDs, long-poll
-// clamping, and timeout_ms validation.
+// submit route, 410 Gone for evicted IDs, long-poll clamping, and
+// timeout_ms validation.
 
 import (
 	"context"
@@ -155,6 +155,9 @@ func TestQueueFullAnswers429(t *testing.T) {
 	}
 }
 
+// TestDeleteAndEvictionAnswerGone: jobs leave the registry only by
+// eviction, so DELETE on a job answers 405 Method Not Allowed; evicted
+// IDs answer 410 Gone and never-issued IDs 404.
 func TestDeleteAndEvictionAnswerGone(t *testing.T) {
 	ts, _ := newFakeServer(t, engine.Config{
 		Workers: 1, MaxRetainedJobs: 2, CacheEntries: -1,
@@ -183,74 +186,30 @@ func TestDeleteAndEvictionAnswerGone(t *testing.T) {
 		}
 	}
 
-	// Deleting a retained terminal job frees its slot and makes the ID Gone.
-	r := doRequest(t, http.MethodDelete, ts.URL+subs[3].Status)
-	r.Body.Close()
-	if r.StatusCode != http.StatusNoContent {
-		t.Fatalf("DELETE status = %d, want 204", r.StatusCode)
+	// There is no delete route: a retained job stays retained.
+	for _, url := range []string{subs[0].Status, subs[3].Status, "/v1/jobs/job-999999"} {
+		r := doRequest(t, http.MethodDelete, ts.URL+url)
+		r.Body.Close()
+		if r.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("DELETE %s status = %d, want 405", url, r.StatusCode)
+		}
 	}
 	r, err := http.Get(ts.URL + subs[3].Status)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if r.StatusCode != http.StatusGone {
-		t.Fatalf("GET after DELETE status = %d, want 410", r.StatusCode)
-	}
-	r = doRequest(t, http.MethodDelete, ts.URL+subs[3].Status)
-	r.Body.Close()
-	if r.StatusCode != http.StatusGone {
-		t.Fatalf("second DELETE status = %d, want 410", r.StatusCode)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("GET after DELETE status = %d, want 200", r.StatusCode)
 	}
 
 	// Never-issued IDs stay 404.
 	for _, id := range []string{"job-999999", "bogus"} {
-		r = doRequest(t, http.MethodDelete, ts.URL+"/v1/jobs/"+id)
+		r = doRequest(t, http.MethodGet, ts.URL+"/v1/jobs/"+id)
 		r.Body.Close()
 		if r.StatusCode != http.StatusNotFound {
-			t.Errorf("DELETE unknown %s status = %d, want 404", id, r.StatusCode)
+			t.Errorf("GET unknown %s status = %d, want 404", id, r.StatusCode)
 		}
-	}
-}
-
-func TestDeleteActiveJobConflicts(t *testing.T) {
-	gate := make(chan struct{})
-	ts, eng := newFakeServer(t, engine.Config{
-		Workers: 1, CacheEntries: -1,
-		Run: func(ctx context.Context, c *lily.Circuit, req engine.Request) (*engine.Outcome, error) {
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return &engine.Outcome{Result: &lily.FlowResult{Circuit: req.Benchmark, Gates: 1}}, nil
-		},
-	})
-
-	resp := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Benchmark: "misex1"})
-	sub := decode[SubmitResponse](t, resp)
-	deadline := time.Now().Add(5 * time.Second)
-	for eng.Stats().Running != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	r := doRequest(t, http.MethodDelete, ts.URL+sub.Status)
-	r.Body.Close()
-	if r.StatusCode != http.StatusConflict {
-		t.Fatalf("DELETE running job status = %d, want 409", r.StatusCode)
-	}
-	close(gate)
-	r, err := http.Get(ts.URL + sub.Status + "?wait=10s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	r = doRequest(t, http.MethodDelete, ts.URL+sub.Status)
-	r.Body.Close()
-	if r.StatusCode != http.StatusNoContent {
-		t.Fatalf("DELETE finished job status = %d, want 204", r.StatusCode)
 	}
 }
 

@@ -7,7 +7,6 @@
 //	GET    /v1/jobs/{id}/result  fetch the FlowResult of a finished job
 //	GET    /v1/jobs/{id}/svg     download the rendered layout SVG
 //	GET    /v1/jobs/{id}/trace   phase-span tree recorded for the job
-//	DELETE /v1/jobs/{id}       drop a terminal job from the registry
 //	GET    /v1/benchmarks      list the built-in benchmark suite
 //	GET    /v1/stats           engine counters (engine.Stats)
 //	GET    /metrics            Prometheus text exposition (engine + flow + HTTP)
@@ -15,7 +14,7 @@
 //
 // Lifecycle semantics: the engine retains only a bounded number of
 // terminal jobs, so an ID that was once issued but has since been
-// evicted (or DELETEd) answers 410 Gone rather than 404. When the
+// evicted answers 410 Gone rather than 404. When the
 // engine runs in load-shed mode a full queue answers 429 Too Many
 // Requests with a Retry-After hint instead of blocking the connection.
 package server
@@ -116,7 +115,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	s.route("POST /v1/jobs", s.handleSubmit)
 	s.route("GET /v1/jobs", s.handleList)
 	s.route("GET /v1/jobs/{id}", s.handleStatus)
-	s.route("DELETE /v1/jobs/{id}", s.handleDelete)
 	s.route("GET /v1/jobs/{id}/result", s.handleResult)
 	s.route("GET /v1/jobs/{id}/svg", s.handleSVG)
 	s.route("GET /v1/jobs/{id}/trace", s.handleTrace)
@@ -351,8 +349,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookupJob resolves {id}, distinguishing IDs that were never issued
-// (404) from IDs the engine once issued but no longer retains — evicted,
-// aged out, or DELETEd — which answer 410 Gone.
+// (404) from IDs the engine once issued but no longer retains — evicted
+// or aged out — which answer 410 Gone.
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*engine.Job, bool) {
 	id := r.PathValue("id")
 	if j, ok := s.eng.Job(id); ok {
@@ -360,7 +358,7 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*engine.Job,
 	}
 	if s.eng.Forgotten(id) {
 		writeError(w, http.StatusGone,
-			fmt.Errorf("job %s is no longer retained (evicted or deleted)", id))
+			fmt.Errorf("job %s is no longer retained (evicted)", id))
 	} else {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 	}
@@ -390,28 +388,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	}
 	writeJSON(w, http.StatusOK, j.Status())
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	if err := s.eng.Remove(j.ID()); err != nil {
-		switch {
-		case errors.Is(err, engine.ErrJobActive):
-			writeError(w, http.StatusConflict, fmt.Errorf(
-				"job %s is still %s; cancel it or wait for it to terminate", j.ID(), j.Status().State))
-		case errors.Is(err, engine.ErrUnknownJob):
-			// Raced with eviction between lookup and removal: same outcome.
-			writeError(w, http.StatusGone,
-				fmt.Errorf("job %s is no longer retained (evicted or deleted)", j.ID()))
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -463,8 +439,8 @@ func (s *Server) finishedJob(w http.ResponseWriter, r *http.Request) (*engine.Jo
 // TraceResponse is the GET /v1/jobs/{id}/trace body: the job's span
 // forest as recorded so far. Running spans carry duration_ns = -1, so a
 // live job serves a partial trace that fills in as phases complete. The
-// trace shares the job's retention lifecycle: evicted or DELETEd jobs
-// answer 410 Gone here exactly as on the status endpoint.
+// trace shares the job's retention lifecycle: evicted jobs answer 410
+// Gone here exactly as on the status endpoint.
 type TraceResponse struct {
 	ID    string          `json:"id"`
 	State string          `json:"state"`

@@ -443,3 +443,32 @@ func TestStatsBenchmarksHealth(t *testing.T) {
 		t.Fatalf("fresh server lists %d jobs, want 0", len(got))
 	}
 }
+
+// TestWireOnlyBLIFJobFails: a job on a circuit with no logic to map ends
+// failed with the flow's own error.
+func TestWireOnlyBLIFJobFails(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const blif = ".model wire\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
+	c, err := lily.LoadBLIF(strings.NewReader(blif))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := lily.RunFlow(c, lily.FlowOptions{})
+	if want == nil {
+		t.Fatal("RunFlow mapped a circuit with no logic")
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{BLIF: blif})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	sub := decode[SubmitResponse](t, resp)
+	r, err := http.Get(ts.URL + sub.Status + "?wait=30s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := decode[engine.Status](t, r)
+	if status.State != "failed" || status.Error != want.Error() {
+		t.Fatalf("job state %s, error %q; want failed with %q", status.State, status.Error, want)
+	}
+}

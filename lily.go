@@ -346,10 +346,12 @@ type FlowOptions struct {
 	AutoTune bool
 	// TreeMode restricts the MIS baseline to DAGON tree covering.
 	TreeMode bool
-	// VerifyEquivalence checks the mapped netlist against the source
-	// circuit — formally with BDDs, falling back to randomized simulation
-	// when the formal engine's node budget is exceeded — and fails the
-	// flow on any mismatch.
+	// VerifyEquivalence proves the mapped netlist equivalent to the
+	// source circuit with equiv.Prove (compositional, cone by cone, with
+	// the BDD check where a local check fails; a sampled verdict is an
+	// error) and fails the flow on any mismatch. With PreOptimize it
+	// checks against the caller's network with equiv.Check instead,
+	// which falls back to randomized simulation past its BDD budget.
 	VerifyEquivalence bool
 	// FanoutOptimize enables the buffer-tree postprocessing pass the
 	// paper lists as future work (§5): after mapping, nets with more
@@ -663,6 +665,10 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 			return nil, nil, err
 		}
 		c = &Circuit{net: srcNet}
+	}
+	// Before premap: the layout-driven one places the source network.
+	if decomp.WiresOnly(c.net) {
+		return nil, nil, fmt.Errorf("lily: circuit %s has no logic to map: every output is wired to an input", c.net.Name)
 	}
 
 	var pre *decomp.Result

@@ -333,3 +333,25 @@ func TestAnnealPlacementFlow(t *testing.T) {
 		t.Error("degenerate annealed flow")
 	}
 }
+
+// wireBLIF is a circuit whose only output is a wire from its input.
+const wireBLIF = ".model wire\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
+
+// TestWireOnlyCircuitRejected: a circuit with no logic to map fails with
+// one error naming the cause, for both mappers and both premaps (the
+// layout-driven one would otherwise fail placing the source network).
+func TestWireOnlyCircuitRejected(t *testing.T) {
+	c, err := LoadBLIF(strings.NewReader(wireBLIF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "lily: circuit wire has no logic to map: every output is wired to an input"
+	for _, mapper := range []Mapper{MapperLily, MapperMIS} {
+		for _, layoutDriven := range []bool{false, true} {
+			_, err := RunFlow(c, FlowOptions{Mapper: mapper, LayoutDrivenDecomposition: layoutDriven})
+			if err == nil || err.Error() != want {
+				t.Errorf("%v, layout-driven premap %v: err = %v, want %q", mapper, layoutDriven, err, want)
+			}
+		}
+	}
+}
