@@ -59,8 +59,9 @@ scale-smoke:
 # Shannon-composed, depth-first-ordered BDDs, with allocs/op; the
 # structural matcher, the LUT cut enumerator over every node of C5315
 # at K = 6 (fresh enumerator per iteration, so LUT cell synthesis is
-# paid), the MIS cover of C5315 in area and delay mode, the LUT cut
-# pipeline and the BLIF reader — .names
+# paid), the MIS cover of C5315 in area and delay mode, the Lily
+# pipeline on C5315 in area and delay mode and at lut6 (the cover DP's
+# cross-cone reuse shows in the first two) and the BLIF reader — .names
 # on C5315 and gen50k, .gate on mapped C5315 — print allocs/op via
 # -benchmem, as do static timing analysis of mapped C5315,
 # Network.Check where one input feeds 40,000 nodes and two FM passes
@@ -72,7 +73,7 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkMatcherAllNodes -benchtime=1x -benchmem ./internal/match/
 	$(GO) test -run '^$$' -bench '^BenchmarkEnumeratorAllNodes$$' -benchtime=1x -benchmem ./internal/cut/
 	$(GO) test -run '^$$' -bench '^BenchmarkMISMapC5315$$' -benchtime=1x -benchmem ./internal/mis/
-	$(GO) test -run '^$$' -bench '^BenchmarkPipelineC5315LUT6$$' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkPipelineC5315(Delay|LUT6)?$$' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkParseBLIF$$' -benchtime=1x -benchmem ./internal/logic/ ./internal/netlist/
 	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime=1x -benchmem ./internal/timing/
 	$(GO) test -run '^$$' -bench '^BenchmarkNetworkCheck$$' -benchtime=1x -benchmem ./internal/logic/

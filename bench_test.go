@@ -193,6 +193,24 @@ func BenchmarkPipelineC5315(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineC5315Delay is the same pipeline in delay mode (Table
+// 2), whose cover DP has no bound and costs every candidate's input
+// arrivals under its load.
+func BenchmarkPipelineC5315Delay(b *testing.B) {
+	c, err := GenerateBenchmark("C5315")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := RunFlow(c, FlowOptions{Mapper: MapperLily, Objective: ObjectiveDelay})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.SubjectNodes), "inchoate-nodes")
+		b.ReportMetric(float64(res.Gates), "mapped-gates")
+	}
+}
+
 // BenchmarkPipelineC5315LUT4 and ...LUT6 measure the same pipeline on
 // the K-LUT backend: cut enumeration replaces library matching inside
 // the identical covering DP, so the ASIC/LUT ns-per-op ratio tracks the

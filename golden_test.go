@@ -52,6 +52,11 @@ type goldenEntry struct {
 	// lower bound skipped; it is deterministic, so it is pinned exactly
 	// too (absent, i.e. 0, for delay mode).
 	Pruned uint64 `json:"pruned,omitempty"`
+	// Reused counts the candidates among WireEvals whose exact cost the
+	// DP took from an earlier evaluation with unchanged inputs (absent,
+	// i.e. 0, for MIS); neither pruned nor computed, so it never exceeds
+	// WireEvals - Pruned.
+	Reused uint64 `json:"reused,omitempty"`
 	// VerifyMethod is how equivalence was established: "compositional"
 	// (proved cone by cone) or "bdd" (proved by whole-circuit BDDs after
 	// a local check failed).
@@ -162,6 +167,7 @@ func mapGolden(t *testing.T, circuit string, gc goldenCase) goldenEntry {
 		Gates:         res.Gates,
 		WireEvals:     fm.WireEvals.Value(),
 		Pruned:        fm.Pruned.Value(),
+		Reused:        fm.Reused.Value(),
 		Cones:         res.LilyConesProcessed,
 		VerifyMethod:  res.VerifyMethod,
 		ActiveAreaMM2: res.ActiveAreaMM2,
@@ -258,6 +264,13 @@ func compareGolden(t *testing.T, key string, got, want goldenEntry) {
 	if got.Pruned != want.Pruned {
 		t.Errorf("%s: pruned = %d, want %d (the cover DP's lower bound skipped a different number of candidates)",
 			key, got.Pruned, want.Pruned)
+	}
+	if got.Reused != want.Reused {
+		t.Errorf("%s: reused = %d, want %d (the cover DP reused a different number of candidate costs)",
+			key, got.Reused, want.Reused)
+	}
+	if got.Reused > got.WireEvals-got.Pruned {
+		t.Errorf("%s: reused = %d exceeds wire_evals - pruned = %d", key, got.Reused, got.WireEvals-got.Pruned)
 	}
 	if got.Cones != want.Cones {
 		t.Errorf("%s: cones = %d, want %d", key, got.Cones, want.Cones)

@@ -8,9 +8,13 @@
 //
 // Hot-path engineering (DESIGN.md §11): the cover DP evaluates a wire cost
 // for every candidate match of every node, so its inner loop is built
-// around three invariants — match lists are memoized once per node inside
-// internal/match, the per-signal true-fanout lists are cached under a
-// lifecycle epoch that setState/replaceGlobal advance, and all per-match
+// around four invariants — match lists are memoized once per node inside
+// internal/match; every signal carries a content stamp (reuse.go) that
+// moves whenever anything a candidate reads from it changes, and both the
+// per-signal true-fanout lists and the per-node memos are valid exactly
+// while the stamps they were built under hold; a node whose candidates
+// read no moved stamp keeps its result, and a candidate whose inputs kept
+// their stamps keeps its exact cost, across cones; and all per-match
 // geometry lives in reusable scratch buffers (matchGeometry, wire.Scratch,
 // timing.BlockArrival.Fill) so steady-state evaluation performs no
 // allocations. Every fast path is bit-identical to the straightforward
@@ -249,6 +253,7 @@ func mapPlaced(ctx context.Context, sub *logic.Network, lib *library.Library, pl
 	}
 	res, err := lm.run()
 	lm.fm.Pruned.Add(lm.pruned)
+	lm.fm.Reused.Add(lm.reused)
 	if err != nil {
 		span.SetError(err)
 		return nil, err
@@ -260,6 +265,7 @@ func mapPlaced(ctx context.Context, sub *logic.Network, lib *library.Library, pl
 		span.SetInt("reincarnations", int64(res.Stats.Reincarnations))
 		span.SetInt("replacements", int64(res.Stats.Replacements))
 		span.SetInt("pruned", int64(lm.pruned))
+		span.SetInt("reused", int64(lm.reused))
 	}
 	return res, nil
 }
@@ -301,30 +307,28 @@ func newLily(ctx context.Context, sub *logic.Network, lib *library.Library, pl *
 		backend:       be,
 		state:         make([]State, n),
 		best:          make([]*match.Match, n),
-		cost:          make([]float64, n),
 		wCost:         make([]float64, n),
 		areaSum:       make([]float64, n),
 		mapPos:        make([]geom.Point, n),
 		blockA:        make([]*timing.BlockArrival, n),
-		committed:     make([]*match.Match, n),
-		hawkPos:       make([]geom.Point, n),
-		hawkBlock:     make([]*timing.BlockArrival, n),
 		hawkConsumers: make([][]hawkRef, n),
 		everDove:      make([]bool, n),
 		loadHints:     loadHints,
 		posArr:        posArr,
 		poPadPts:      poPadPts,
-		mergedStamp:   make([]uint32, n),
-		fanVer:        make([]uint64, n),
-		fanStamp:      make([]uint64, n),
+		merged:        newMarkSet(n),
+		changed:       newMarkSet(n),
+		stamps:        make([]sigStamp, n),
+		memos:         make([]*nodeMemo, n),
+		fanKey:        make([]sigStamp, n),
 		fanLists:      make([][]trueFanout, n),
 		fanHawkCnt:    make([]int32, n),
 		fanHawkRect:   make([]geom.Rect, n),
 		evalBlock:     new(timing.BlockArrival),
 		bestBlock:     new(timing.BlockArrival),
 	}
-	for i := range lm.fanVer {
-		lm.fanVer[i] = 1 // fanStamp starts at 0: first read rebuilds
+	for i := range lm.stamps {
+		lm.stamps[i].ver = 1 // fanKey starts at version 0: the first read builds
 	}
 	return lm
 }
@@ -360,18 +364,15 @@ type lily struct {
 	pl      *place.Result
 
 	state []State
-	// Tentative (nestling) dynamic-programming values.
+	// Dynamic-programming values. A nestling's are tentative; a hawk is
+	// never evaluated again, so at a hawk they are the committed match,
+	// its mapPosition and its block arrivals.
 	best    []*match.Match
-	cost    []float64 // combined layout cost (area mode)
 	wCost   []float64 // accumulated wire length (µm)
 	areaSum []float64 // accumulated gate area (both modes)
 	mapPos  []geom.Point
 	blockA  []*timing.BlockArrival
 
-	// Committed (hawk) values.
-	committed []*match.Match
-	hawkPos   []geom.Point
-	hawkBlock []*timing.BlockArrival
 	// hawkConsumers[vi] lists the committed gates consuming signal vi.
 	hawkConsumers [][]hawkRef
 
@@ -405,23 +406,21 @@ type lily struct {
 	rects []geom.Rect
 	// ptsWork is a reusable pin-list buffer for the net estimators.
 	ptsWork []geom.Point
-	// mergedStamp/mergedEpoch implement the O(1)-clear membership set for
-	// the current match's covered nodes (v is merged iff
-	// mergedStamp[v] == mergedEpoch).
-	mergedStamp []uint32
-	mergedEpoch uint32
-	// fanVer/fanStamp/fanLists cache the per-signal true-fanout lists.
-	// fanVer[v] counts the changes to signal v's list content: a lifecycle
-	// transition of a consumer c (other than egg→nestling — both count as
-	// live consumers at unchanged positions) bumps fanVer of every fanin
-	// of c, a commit bumps fanVer of the hawk's match inputs when their
-	// hawk-consumer entries are appended, and a global re-placement bumps
-	// every signal (all positions moved). A cached list is valid iff
-	// fanStamp[v] == fanVer[v], so transitions leave the lists of
-	// untouched signals warm — under the old whole-cache epoch, every
-	// reawakened dove invalidated every list in the run.
-	fanVer   []uint64
-	fanStamp []uint64
+	// merged holds the current match's covered nodes (markMerged).
+	merged markSet
+	// stamps[u] is signal u's content stamp: it changes whenever anything
+	// a candidate reads from u changes (see sigStamp).
+	stamps []sigStamp
+	// memos[v] records node v's last evaluation from its second one on;
+	// changed marks the memo inputs whose stamps moved since then, and
+	// insBuf gathers a new memo's inputs before they are copied out.
+	memos   []*nodeMemo
+	changed markSet
+	insBuf  []memoIn
+	// fanKey/fanLists cache the per-signal true-fanout lists: fanLists[v]
+	// is current iff fanKey[v] == stamps[v], so one invalidation rule
+	// serves the lists and the memos.
+	fanKey   []sigStamp
 	fanLists [][]trueFanout
 	// fanHawkCnt/fanHawkRect cache, per signal, the length of the hawk
 	// prefix of fanLists[v] and the enclosing rectangle of its positions
@@ -439,8 +438,10 @@ type lily struct {
 	arrBuf    []timing.Arrival
 	evalBlock *timing.BlockArrival
 	bestBlock *timing.BlockArrival
-	// pruned counts the candidates the area bound let evaluateArea skip.
+	// pruned counts the candidates the area bound let evaluateArea skip,
+	// reused the ones whose cost came from a memo.
 	pruned uint64
+	reused uint64
 
 	stats LifecycleStats
 	trace []Transition
@@ -452,7 +453,10 @@ func (lm *lily) run() (*Result, error) {
 	}
 
 	nl, refs, err := cover.BuildNetlist(lm.sub, func(v logic.NodeID) *match.Match {
-		return lm.committed[v]
+		if lm.state[v] != StateHawk {
+			return nil
+		}
+		return lm.best[v]
 	}, lm.sub.Name)
 	if err != nil {
 		return nil, err
@@ -461,7 +465,7 @@ func (lm *lily) run() (*Result, error) {
 	//lint:sorted each ref targets a distinct cell slot; writes are disjoint
 	for id, ref := range refs {
 		if !ref.IsPI {
-			nl.Cells[ref.Index].Pos = lm.hawkPos[id]
+			nl.Cells[ref.Index].Pos = lm.mapPos[id]
 		}
 	}
 	for _, pi := range lm.sub.PIs {
@@ -587,35 +591,77 @@ func (lm *lily) matchesAt(v logic.NodeID) []match.Match {
 	return lm.backend.MatchesAt(v)
 }
 
-// evaluateNode picks the best match at a nestling.
+// evaluateNode picks the best match at a nestling. From a node's second
+// evaluation on, its memo lets it skip what has not changed (reuse.go):
+// the whole evaluation when no candidate input's stamp moved, otherwise
+// the exact cost of every candidate whose own inputs kept their stamps.
 func (lm *lily) evaluateNode(v logic.NodeID) error {
-	lm.fanoutGeometry(v)
 	matches := lm.matchesAt(v)
 	if len(matches) == 0 {
 		return fmt.Errorf("core: node %q has no matches", lm.sub.Nodes[v].Name)
 	}
 	// One wire-cost evaluation per candidate match considered by the DP.
 	lm.fm.WireEvals.Add(uint64(len(matches)))
-	switch lm.opt.Mode {
-	case ModeArea:
-		return lm.evaluateArea(v, matches)
-	default:
-		return lm.evaluateDelay(v, matches)
+	memo := lm.memos[v]
+	switch {
+	case memo != nil:
+		if !lm.refresh(memo) {
+			// Nothing any candidate reads has changed: the last result
+			// stands, and so does its prune count.
+			lm.pruned += uint64(memo.pruned)
+			lm.reused += uint64(len(matches)) - uint64(memo.pruned)
+			if checkReuse {
+				return lm.checkNode(v, matches, memo)
+			}
+			return nil
+		}
+	case lm.best[v] != nil:
+		memo = lm.newMemo(matches)
+		lm.memos[v] = memo
 	}
+	r, err := lm.evaluate(v, matches, memo)
+	if err != nil {
+		return err
+	}
+	lm.pruned += uint64(r.pruned)
+	lm.reused += uint64(r.reused)
+	if memo != nil {
+		memo.pruned = r.pruned
+	}
+	lm.record(v, r)
+	return nil
 }
 
-// inputPos returns the best-known position of a match input: the committed
-// mapPosition for hawks, the tentative mapPosition for nestlings, the pad
-// position for PIs.
-func (lm *lily) inputPos(vi logic.NodeID) geom.Point {
-	switch {
-	case lm.sub.Nodes[vi].Kind == logic.KindPI:
-		return lm.posArr[vi]
-	case lm.state[vi] == StateHawk:
-		return lm.hawkPos[vi]
-	default:
-		return lm.mapPos[vi]
+// dpResult is one evaluation's outcome at a node: the winning match with
+// the values the DP records for it, and the evaluation's candidate counts.
+// In delay mode the winner's block arrivals are in lm.bestBlock.
+type dpResult struct {
+	best   *match.Match
+	wlen   float64 // accumulated wire length (area mode)
+	area   float64 // accumulated gate area
+	pos    geom.Point
+	pruned uint32
+	reused uint32
+}
+
+// evaluate costs the candidates at v in the run's mode. A nil memo
+// computes every candidate; otherwise the memo supplies the cost of each
+// candidate that reads no changed input, and takes every computed one.
+func (lm *lily) evaluate(v logic.NodeID, matches []match.Match, memo *nodeMemo) (dpResult, error) {
+	lm.fanoutGeometry(v)
+	if lm.opt.Mode == ModeArea {
+		return lm.evaluateArea(v, matches, memo)
 	}
+	return lm.evaluateDelay(v, matches, memo)
+}
+
+// inputPos returns the best-known position of a match input: the pad
+// position for PIs, the mapPosition (committed at hawks) otherwise.
+func (lm *lily) inputPos(vi logic.NodeID) geom.Point {
+	if lm.sub.Nodes[vi].Kind == logic.KindPI {
+		return lm.posArr[vi]
+	}
+	return lm.mapPos[vi]
 }
 
 // trueFanout is one gate-level consumer of a signal (§3.3).
@@ -630,19 +676,18 @@ type trueFanout struct {
 // stopped now: committed hawks whose match inputs include vi, plus
 // egg/nestling subject fanouts of vi. The list is unfiltered — callers
 // drop non-hawk entries covered by the current match (they are about to
-// disappear into gate(m)) via the merged-set stamp. Lists are cached per
-// signal and invalidated per signal: a list is rebuilt only after an
-// event that changes its own content bumped fanVer[vi] (see the field
-// comment). The rebuild also refreshes the hawk-prefix summaries the
-// area-mode geometry fast path folds in O(1).
+// disappear into gate(m)) via the merged set. Lists are cached per signal
+// under its content stamp, which every change to the list's content moves
+// (see sigStamp). The rebuild also refreshes the hawk-prefix summaries
+// the area-mode geometry fast path folds in O(1).
 func (lm *lily) cachedFans(vi logic.NodeID) []trueFanout {
-	if lm.fanStamp[vi] == lm.fanVer[vi] {
+	if lm.fanKey[vi] == lm.stamps[vi] {
 		return lm.fanLists[vi]
 	}
 	out := lm.fanLists[vi][:0]
 	hr := geom.EmptyRect()
 	for _, h := range lm.hawkConsumers[vi] {
-		p := lm.hawkPos[h.hawk]
+		p := lm.mapPos[h.hawk]
 		out = append(out, trueFanout{
 			node: h.hawk, pos: p, cap: h.gate.InputCap, hawk: true,
 		})
@@ -660,30 +705,42 @@ func (lm *lily) cachedFans(vi logic.NodeID) []trueFanout {
 		})
 	}
 	lm.fanLists[vi] = out
-	lm.fanStamp[vi] = lm.fanVer[vi]
+	lm.fanKey[vi] = lm.stamps[vi]
 	return out
 }
 
-// markMerged loads the current match's covered nodes into the O(1)-clear
-// membership set.
-func (lm *lily) markMerged(ids []logic.NodeID) {
-	lm.mergedEpoch++
-	if lm.mergedEpoch == 0 { // wrapped: reset the backing array once per 2^32 clears
-		for i := range lm.mergedStamp {
-			lm.mergedStamp[i] = 0
-		}
-		lm.mergedEpoch = 1
+// markSet is a set of node IDs that clears in O(1): u is a member iff
+// stamp[u] == epoch, so clearing is one increment. Clear before first use.
+type markSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+func newMarkSet(n int) markSet { return markSet{stamp: make([]uint32, n)} }
+
+func (s *markSet) clear() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: reset the backing array once per 2^32 clears
+		clear(s.stamp)
+		s.epoch = 1
 	}
+}
+
+func (s *markSet) add(u logic.NodeID) { s.stamp[u] = s.epoch }
+
+func (s *markSet) has(u logic.NodeID) bool { return s.stamp[u] == s.epoch }
+
+// markMerged loads the current match's covered nodes into the merged set.
+func (lm *lily) markMerged(ids []logic.NodeID) {
+	lm.merged.clear()
 	for _, u := range ids {
-		lm.mergedStamp[u] = lm.mergedEpoch
+		lm.merged.add(u)
 	}
 }
 
 // inMerged reports whether u is covered by the match currently being
 // evaluated (set by markMerged).
-func (lm *lily) inMerged(u logic.NodeID) bool {
-	return lm.mergedStamp[u] == lm.mergedEpoch
-}
+func (lm *lily) inMerged(u logic.NodeID) bool { return lm.merged.has(u) }
 
 // matchGeometry holds the candidate gate position and the per-input fanin
 // geometry of one match. It is a scratch structure: geometry() rebuilds it
@@ -916,31 +973,53 @@ func (lm *lily) areaBound(m *match.Match) float64 {
 // running best cannot win — a later candidate needs a strictly lower cost
 // — so it is skipped without building its geometry. The winner is the
 // first minimum of the match list, exactly as a full strict-< scan picks.
-func (lm *lily) evaluateArea(v logic.NodeID, matches []match.Match) error {
+// The bound runs on every candidate, memoized or not, so the prune count
+// does not depend on the memo; a winner whose cost came from the memo is
+// positioned again once at the end.
+func (lm *lily) evaluateArea(v logic.NodeID, matches []match.Match, memo *nodeMemo) (dpResult, error) {
+	var r dpResult
 	bestCost := math.Inf(1)
-	var bm *match.Match
-	var bmPos geom.Point
-	var bmW, bmA float64
+	bi, memoWin := -1, false
 	for i := range matches {
 		m := &matches[i]
+		current := memo != nil && !lm.readsChanged(m)
 		if lm.areaBound(m) >= bestCost {
-			lm.pruned++
+			r.pruned++
+			if memo != nil && !current {
+				memo.vals[i] = math.NaN()
+			}
+			continue
+		}
+		if current && !math.IsNaN(memo.vals[i]) {
+			cost := memo.vals[i]
+			r.reused++
+			if checkReuse {
+				if c, _, _, _ := lm.areaMatchCost(v, m); !sameBits(c, cost) {
+					return r, lm.reuseMismatch(v, m)
+				}
+			}
+			if cost < bestCost {
+				bestCost, bi, memoWin = cost, i, true
+			}
 			continue
 		}
 		cost, wlen, area, pos := lm.areaMatchCost(v, m)
+		if memo != nil {
+			memo.vals[i] = cost
+		}
 		if cost < bestCost {
-			bestCost, bm, bmPos, bmW, bmA = cost, m, pos, wlen, area
+			bestCost, bi, memoWin = cost, i, false
+			r.wlen, r.area, r.pos = wlen, area, pos
 		}
 	}
-	if bm == nil {
-		return fmt.Errorf("core: no feasible match at %q", lm.sub.Nodes[v].Name)
+	if bi < 0 {
+		return r, fmt.Errorf("core: no feasible match at %q", lm.sub.Nodes[v].Name)
 	}
-	lm.best[v] = bm
-	lm.cost[v] = bestCost
-	lm.wCost[v] = bmW
-	lm.areaSum[v] = bmA
-	lm.mapPos[v] = bmPos
-	return nil
+	r.best = &matches[bi]
+	if memoWin {
+		_, r.wlen, r.area, r.pos = lm.areaMatchCost(v, r.best)
+	}
+	return r, nil
 }
 
 // areaMatchCost positions a feasible match m at v and returns its exact
@@ -965,73 +1044,96 @@ func (lm *lily) areaMatchCost(v logic.NodeID, m *match.Match) (cost, wlen, area 
 // arrival times of its inputs are recomputed under the now-known load
 // (gate type and position of the match), block arrival times are formed at
 // the match, its output load is estimated from the base-function fanouts,
-// and the match with the earliest output arrival wins.
-func (lm *lily) evaluateDelay(v logic.NodeID, matches []match.Match) error {
+// and the match with the earliest output arrival wins. A winner whose
+// arrival came from the memo is costed again once at the end, to refill
+// its block arrivals and position.
+func (lm *lily) evaluateDelay(v logic.NodeID, matches []match.Match, memo *nodeMemo) (dpResult, error) {
+	var r dpResult
 	bestArr := timing.Arrival{Rise: math.Inf(1), Fall: math.Inf(1)}
 	bestArea := math.Inf(1)
-	var bm *match.Match
-	var bmPos geom.Point
+	bi, memoWin := -1, false
 	for i := range matches {
 		m := &matches[i]
-		g := lm.geometry(v, m)
-		// Step 1: recompute input arrivals under the current load.
-		// arrBuf[i] is the arrival of distinctIn[i].
-		ins := m.Inputs()
-		if cap(lm.inArr) < len(ins) {
-			lm.inArr = make([]timing.Arrival, len(ins))
-		}
-		inArr := lm.inArr[:len(ins)]
-		arrBuf := lm.arrBuf[:0]
-		area := m.Gate.Area
-		feasible := true
-		for i, vi := range g.distinctIn {
-			if lm.sub.Nodes[vi].Kind == logic.KindPI {
-				arrBuf = append(arrBuf, timing.Arrival{})
-				continue
-			}
-			var block *timing.BlockArrival
-			switch lm.state[vi] {
-			case StateHawk:
-				block = lm.hawkBlock[vi]
-			default:
-				block = lm.blockA[vi]
-				if lm.best[vi] == nil {
-					feasible = false
+		if memo != nil && !lm.readsChanged(m) && !math.IsNaN(memo.vals[3*i+2]) {
+			out := timing.Arrival{Rise: memo.vals[3*i], Fall: memo.vals[3*i+1]}
+			area := memo.vals[3*i+2]
+			r.reused++
+			if checkReuse {
+				if o, a, _, _ := lm.delayMatchCost(v, m); !sameBits(o.Rise, out.Rise) ||
+					!sameBits(o.Fall, out.Fall) || !sameBits(a, area) {
+					return r, lm.reuseMismatch(v, m)
 				}
-				area += lm.areaSum[vi]
 			}
-			if !feasible || block == nil {
-				feasible = false
-				break
+			if timing.Better(out, area, bestArr, bestArea) {
+				bestArr, bestArea, bi, memoWin = out, area, i, true
 			}
-			load := lm.inputLoad(g, i, m)
-			arrBuf = append(arrBuf, block.Output(load))
-		}
-		lm.arrBuf = arrBuf
-		if !feasible {
 			continue
 		}
-		for pin, vi := range ins {
-			inArr[pin] = arrBuf[g.inputIndex(vi)]
+		out, area, pos, ok := lm.delayMatchCost(v, m)
+		if memo != nil {
+			memo.vals[3*i], memo.vals[3*i+1], memo.vals[3*i+2] = out.Rise, out.Fall, area
+			if !ok {
+				memo.vals[3*i+2] = math.NaN()
+			}
 		}
-		// Steps 2–4: block arrivals at gate(m), output load from the base
-		// fanouts, output arrival.
-		lm.evalBlock.Fill(m.Gate, inArr)
-		outLoad := lm.outputLoad(v, g)
-		out := lm.evalBlock.Output(outLoad)
-		if timing.Better(out, area, bestArr, bestArea) {
-			bestArr, bestArea, bm, bmPos = out, area, m, g.gatePos
+		if ok && timing.Better(out, area, bestArr, bestArea) {
+			bestArr, bestArea, bi, memoWin = out, area, i, false
+			r.pos = pos
 			lm.evalBlock, lm.bestBlock = lm.bestBlock, lm.evalBlock
 		}
 	}
-	if bm == nil {
-		return fmt.Errorf("core: no feasible match at %q", lm.sub.Nodes[v].Name)
+	if bi < 0 {
+		return r, fmt.Errorf("core: no feasible match at %q", lm.sub.Nodes[v].Name)
 	}
-	lm.best[v] = bm
-	lm.areaSum[v] = bestArea
-	lm.mapPos[v] = bmPos
-	lm.blockA[v] = lm.bestBlock.Clone()
-	return nil
+	r.best, r.area = &matches[bi], bestArea
+	if memoWin {
+		_, _, r.pos, _ = lm.delayMatchCost(v, r.best)
+		lm.evalBlock, lm.bestBlock = lm.bestBlock, lm.evalBlock
+	}
+	return r, nil
+}
+
+// delayMatchCost positions match m at v and returns its output arrival,
+// accumulated gate area and gate position, with its block arrivals in
+// lm.evalBlock; ok is false when an input has no match yet.
+func (lm *lily) delayMatchCost(v logic.NodeID, m *match.Match) (out timing.Arrival, area float64, pos geom.Point, ok bool) {
+	g := lm.geometry(v, m)
+	// Step 1: recompute input arrivals under the current load.
+	// arrBuf[i] is the arrival of distinctIn[i].
+	ins := m.Inputs()
+	if cap(lm.inArr) < len(ins) {
+		lm.inArr = make([]timing.Arrival, len(ins))
+	}
+	inArr := lm.inArr[:len(ins)]
+	arrBuf := lm.arrBuf[:0]
+	area = m.Gate.Area
+	for i, vi := range g.distinctIn {
+		if lm.sub.Nodes[vi].Kind == logic.KindPI {
+			arrBuf = append(arrBuf, timing.Arrival{})
+			continue
+		}
+		if lm.state[vi] != StateHawk {
+			if lm.best[vi] == nil {
+				return out, area, pos, false
+			}
+			area += lm.areaSum[vi]
+		}
+		block := lm.blockA[vi]
+		if block == nil {
+			return out, area, pos, false
+		}
+		load := lm.inputLoad(g, i, m)
+		arrBuf = append(arrBuf, block.Output(load))
+	}
+	lm.arrBuf = arrBuf
+	for pin, vi := range ins {
+		inArr[pin] = arrBuf[g.inputIndex(vi)]
+	}
+	// Steps 2–4: block arrivals at gate(m), output load from the base
+	// fanouts, output arrival.
+	lm.evalBlock.Fill(m.Gate, inArr)
+	outLoad := lm.outputLoad(v, g)
+	return lm.evalBlock.Output(outLoad), area, g.gatePos, true
 }
 
 // inputLoad computes the load seen at distinct input i's driver when match
@@ -1110,9 +1212,6 @@ func (lm *lily) commitCone(root logic.NodeID) error {
 		if err := lm.setState(v, StateHawk); err != nil {
 			return err
 		}
-		lm.committed[v] = lm.best[v]
-		lm.hawkPos[v] = lm.mapPos[v]
-		lm.hawkBlock[v] = lm.blockA[v]
 		lm.stats.Hawks++
 		if lm.everDove[v] {
 			lm.stats.Reincarnations++
@@ -1123,13 +1222,13 @@ func (lm *lily) commitCone(root logic.NodeID) error {
 				continue // a signal bound to several pins is one consumer
 			}
 			lm.hawkConsumers[vi] = append(lm.hawkConsumers[vi], hawkRef{hawk: v, gate: lm.best[v].Gate})
-			// Signal vi gained a hawk consumer: its cached list is stale.
-			lm.fanVer[vi]++
+			// Signal vi gained a hawk consumer: every reader sees a new list.
+			lm.stamps[vi].ver++
 		}
 	}
 	// Doves: interior nodes of freshly committed matches.
 	for _, v := range fresh {
-		for _, u := range lm.committed[v].Merged()[1:] {
+		for _, u := range lm.best[v].Merged()[1:] {
 			if lm.state[u] == StateHawk {
 				continue // duplicated: exists as a gate and inside another
 			}

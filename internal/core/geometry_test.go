@@ -198,8 +198,8 @@ func TestUpdateRulePositions(t *testing.T) {
 
 // cachedFans must switch from placePositions to mapPositions when a
 // consumer becomes a hawk (§3.3). The fixture mutates lifecycle state by
-// hand, so it advances the fan epoch explicitly — the invalidation that
-// setState performs for real runs.
+// hand, so it moves the signal's stamp explicitly — the invalidation that
+// commitCone performs for real runs.
 func TestTrueFanoutsUseHawkPositions(t *testing.T) {
 	sub, lm := fixture(t)
 	bID := sub.NodeByName("b").ID
@@ -218,10 +218,10 @@ func TestTrueFanoutsUseHawkPositions(t *testing.T) {
 		}
 	}
 	lm.state[yID] = StateHawk
-	lm.committed[yID] = invMatch
-	lm.hawkPos[yID] = geom.Point{X: 3, Y: 3}
+	lm.best[yID] = invMatch
+	lm.mapPos[yID] = geom.Point{X: 3, Y: 3}
 	lm.hawkConsumers[bID] = append(lm.hawkConsumers[bID], hawkRef{hawk: yID, gate: invMatch.Gate})
-	lm.fanVer[bID]++ // manual state mutation: invalidate like a commit would
+	lm.stamps[bID].ver++ // manual state mutation: invalidate like a commit would
 	fans = lm.cachedFans(bID)
 	foundHawk := false
 	for _, tf := range fans {
@@ -240,10 +240,11 @@ func TestTrueFanoutsUseHawkPositions(t *testing.T) {
 	}
 }
 
-// The fan cache returns the memoized list while the signal's version is
-// unchanged and rebuilds after a consumer transition bumps it;
-// egg→nestling keeps the cache warm, and transitions leave the versions
-// of unrelated signals untouched.
+// The fan cache returns the memoized list while the signal's stamp is
+// unchanged and rebuilds after a consumer transition moves it;
+// egg→nestling keeps the cache warm, transitions leave the stamps of
+// unrelated signals untouched, and a consumer that returns to the live
+// pair restores the stamp it left.
 func TestFanCacheVersionInvalidation(t *testing.T) {
 	sub, lm := fixture(t)
 	bID := sub.NodeByName("b").ID
@@ -255,41 +256,61 @@ func TestFanCacheVersionInvalidation(t *testing.T) {
 	if len(first) != 2 {
 		t.Fatalf("fanouts of b = %d, want 2", len(first))
 	}
-	ver := lm.fanVer[bID]
-	// Egg→nestling must not bump any version: both states are live
+	stampB := lm.stamps[bID]
+	// Egg→nestling must not move any stamp: both states are live
 	// consumers at unchanged positions.
 	if err := lm.setState(xID, StateNestling); err != nil {
 		t.Fatal(err)
 	}
-	if lm.fanVer[bID] != ver {
-		t.Fatalf("egg→nestling bumped fanVer[b] %d -> %d", ver, lm.fanVer[bID])
+	if lm.stamps[bID] != stampB {
+		t.Fatalf("egg→nestling moved stamps[b] %v -> %v", stampB, lm.stamps[bID])
 	}
 	again := lm.cachedFans(bID)
 	if &again[0] != &first[0] || len(again) != len(first) {
-		t.Error("cache rebuilt despite unchanged version")
+		t.Error("cache rebuilt despite unchanged stamp")
 	}
-	// Nestling→dove must invalidate exactly the dove's fanins: x stops
+	// Nestling→dove must move exactly the dove's fanins' stamps: x stops
 	// being a consumer of b (and of a), while signals x does not read
-	// keep their versions and stay warm.
+	// keep their stamps and stay warm.
 	if err := lm.setState(yID, StateNestling); err != nil {
 		t.Fatal(err)
 	}
-	verA, verX := lm.fanVer[aID], lm.fanVer[xID]
+	stampA, stampX := lm.stamps[aID], lm.stamps[xID]
 	if err := lm.setState(xID, StateDove); err != nil {
 		t.Fatal(err)
 	}
-	if lm.fanVer[bID] == ver {
-		t.Fatal("nestling→dove did not bump the dove's fanin version")
+	if lm.stamps[bID] == stampB {
+		t.Fatal("nestling→dove did not move the dove's fanin stamp")
 	}
-	if lm.fanVer[aID] == verA {
-		t.Fatal("nestling→dove did not bump fanin a's version")
+	if lm.stamps[aID] == stampA {
+		t.Fatal("nestling→dove did not move fanin a's stamp")
 	}
-	if lm.fanVer[xID] != verX {
-		t.Fatalf("nestling→dove of x bumped x's own signal version %d -> %d", verX, lm.fanVer[xID])
+	if lm.stamps[xID] != stampX {
+		t.Fatalf("nestling→dove of x moved x's own stamp %v -> %v", stampX, lm.stamps[xID])
 	}
 	fans := lm.cachedFans(bID)
 	if len(fans) != 1 || fans[0].node != yID {
 		t.Errorf("after x→dove, fanouts of b = %v, want just y", fans)
+	}
+	// Dove→nestling (a reincarnation) makes x live again: b's list has
+	// its old contents, and b's stamp its old value.
+	if err := lm.setState(xID, StateNestling); err != nil {
+		t.Fatal(err)
+	}
+	if lm.stamps[bID] != stampB || lm.stamps[aID] != stampA {
+		t.Errorf("dove→nestling left stamps a=%v b=%v, want the live-pair stamps a=%v b=%v",
+			lm.stamps[aID], lm.stamps[bID], stampA, stampB)
+	}
+	if fans := lm.cachedFans(bID); len(fans) != 2 {
+		t.Errorf("after x→nestling, fanouts of b = %v, want x and y", fans)
+	}
+	// Becoming a hawk moves the hawk's own stamp: its readers stop
+	// charging its area and wire.
+	if err := lm.setState(yID, StateHawk); err != nil {
+		t.Fatal(err)
+	}
+	if lm.stamps[yID].ver == 1 {
+		t.Error("nestling→hawk did not move the hawk's own stamp")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lily/internal/logic"
 )
@@ -80,17 +81,20 @@ func (lm *lily) setState(v logic.NodeID, to State) error {
 		return fmt.Errorf("core: illegal life-cycle transition %v -> %v at node %d", from, to, v)
 	}
 	lm.state[v] = to
-	// Every transition except egg→nestling changes v's membership in the
-	// true-fanout lists of its direct fanins (and nothing else's: a
-	// signal's list reads only its consumers' states), so bump exactly
-	// those signals' fan versions. Egg and nestling are both "live"
-	// consumers at state-independent positions and capacitances, so that
-	// one transition keeps the caches warm across a cone's reverse-DFS
-	// sweep.
-	if from != StateEgg || to != StateNestling {
-		for _, f := range lm.sub.Nodes[v].Fanins {
-			lm.fanVer[f]++
+	// v is a live consumer (§3.3) of its direct fanins while it is an egg
+	// or a nestling, at a state-independent position and capacitance.
+	// Entering or leaving that pair flips v's bit in each fanin's stamp;
+	// egg→nestling and dove→hawk flip nothing.
+	if wasLive := from == StateEgg || from == StateNestling; wasLive != (to == StateNestling) {
+		fanins := lm.sub.Nodes[v].Fanins
+		for j, f := range fanins {
+			if !slices.Contains(fanins[:j], f) {
+				lm.stamps[f].flipLive(lm.sub.Fanouts(f), v)
+			}
 		}
+	}
+	if to == StateHawk {
+		lm.stamps[v].ver++ // readers of v now take it as paid for
 	}
 	if lm.trace != nil {
 		lm.trace = append(lm.trace, Transition{Node: v, From: from, To: to})

@@ -37,7 +37,7 @@ func (lm *lily) replaceGlobal() error {
 		var width float64
 		switch lm.state[v] {
 		case StateHawk:
-			m := lm.committed[v]
+			m := lm.best[v]
 			ins := m.Inputs()
 			for j, in := range ins {
 				if !slices.Contains(ins[:j], in) {
@@ -91,15 +91,16 @@ func (lm *lily) replaceGlobal() error {
 		}
 		pos := pr.Pos[h]
 		if lm.state[v] == StateHawk {
-			lm.hawkPos[v] = pos
+			lm.mapPos[v] = pos
 		}
 		lm.pl.Pos[v] = pos
 		lm.posArr[v] = pos
 	}
-	// placePositions and mapPositions moved: every cached true-fanout
-	// list is stale, bump every signal's fan version.
-	for i := range lm.fanVer {
-		lm.fanVer[i]++
+	// placePositions and mapPositions moved: bump every signal's stamp,
+	// which stales every cached true-fanout list and every memo entry
+	// (each candidate reads at least one input signal).
+	for i := range lm.stamps {
+		lm.stamps[i].ver++
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ const (
 	MetricConesMapped   = "lily_cones_mapped_total"
 	MetricWireEvals     = "lily_wire_cost_evaluations_total"
 	MetricPruned        = "lily_cover_candidates_pruned_total"
+	MetricReused        = "lily_cover_candidates_reused_total"
 	MetricCGIterations  = "lily_place_cg_iterations_total"
 	MetricReplacements  = "lily_place_replacements_total"
 )
@@ -41,6 +42,10 @@ type FlowMetrics struct {
 	// Pruned counts the candidates among WireEvals that the area-mode
 	// lower bound ruled out before their wire cost was computed.
 	Pruned *Counter
+	// Reused counts the candidates among WireEvals that were neither
+	// pruned nor costed: the cover DP took their exact cost from an
+	// earlier evaluation whose inputs had not changed.
+	Reused *Counter
 	// CGIterations counts conjugate-gradient solver iterations.
 	CGIterations *Counter
 	// Replacements counts §3.2 periodic global re-placements.
@@ -59,6 +64,8 @@ func RegisterFlowMetrics(r *Registry) *FlowMetrics {
 			"Wire-cost evaluations performed by the mapper DP."),
 		Pruned: r.Counter(MetricPruned,
 			"Candidate matches the area-mode cover DP skipped by its lower bound."),
+		Reused: r.Counter(MetricReused,
+			"Candidate matches whose cost the cover DP reused from an earlier evaluation."),
 		CGIterations: r.Counter(MetricCGIterations,
 			"Conjugate-gradient iterations spent in global placement."),
 		Replacements: r.Counter(MetricReplacements,
@@ -73,6 +80,7 @@ var noopFlow = &FlowMetrics{
 	ConesMapped:  &Counter{},
 	WireEvals:    &Counter{},
 	Pruned:       &Counter{},
+	Reused:       &Counter{},
 	CGIterations: &Counter{},
 	Replacements: &Counter{},
 }

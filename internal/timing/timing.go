@@ -263,6 +263,25 @@ func (b *BlockArrival) Clone() *BlockArrival {
 	}
 }
 
+// Equal reports whether b and o hold the same per-pin values, bit for
+// bit.
+func (b *BlockArrival) Equal(o *BlockArrival) bool {
+	return sameFloats(b.RiseB, o.RiseB) && sameFloats(b.FallB, o.FallB) &&
+		sameFloats(b.RiseR, o.RiseR) && sameFloats(b.FallR, o.FallR)
+}
+
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Output computes the output arrival for a given load from the block
 // arrival times: t_y = max_i { b_i + R_i·C_L }.
 func (b *BlockArrival) Output(cl float64) Arrival {

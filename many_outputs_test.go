@@ -61,13 +61,14 @@ func manyOutputsBLIF(n int) string {
 }
 
 // manyOutputsWork is what the shape test pins for one size: the hash of
-// the mapped BLIF, the cover DP's candidate and pruned counts, the
+// the mapped BLIF, the cover DP's candidate, pruned and reused counts, the
 // committed cones and reincarnations, and the sum of the subject
 // graph's exit-line matrix.
 type manyOutputsWork struct {
 	blifSHA256     string
 	wireEvals      uint64
 	pruned         uint64
+	reused         uint64
 	cones          int
 	reincarnations int
 	exitLines      int
@@ -80,13 +81,13 @@ func TestManyOutputsWork(t *testing.T) {
 	}{
 		{250, manyOutputsWork{
 			blifSHA256: "9419ea5029df6ba5723200b4a54f2bd895cde13ee382cbc5c35caeafbdbb8b16",
-			wireEvals:  300515, pruned: 142147,
+			wireEvals:  300515, pruned: 142147, reused: 84882,
 			cones: 250, reincarnations: 96,
 			exitLines: 918870,
 		}},
 		{500, manyOutputsWork{
 			blifSHA256: "2df45961293b6ceff02efbae2289013e77618a348f731431444d5dea143dd638",
-			wireEvals:  2007376, pruned: 985019,
+			wireEvals:  2007376, pruned: 985019, reused: 622432,
 			cones: 500, reincarnations: 172,
 			exitLines: 5214446,
 		}},
@@ -116,9 +117,13 @@ func TestManyOutputsWork(t *testing.T) {
 				blifSHA256:     hex.EncodeToString(sum[:]),
 				wireEvals:      fm.WireEvals.Value(),
 				pruned:         fm.Pruned.Value(),
+				reused:         fm.Reused.Value(),
 				cones:          res.LilyConesProcessed,
 				reincarnations: res.LilyReincarnations,
 				exitLines:      exitLines,
+			}
+			if got.reused > got.wireEvals-got.pruned {
+				t.Errorf("n = %d: reused %d exceeds wire_evals - pruned = %d", tc.n, got.reused, got.wireEvals-got.pruned)
 			}
 			if got != tc.want {
 				t.Errorf("n = %d: work drifted:\n got %+v\nwant %+v", tc.n, got, tc.want)

@@ -154,7 +154,7 @@ func findSpan(nodes []*obs.SpanNode, name string) *obs.SpanNode {
 
 // TestFlowMetricsCount asserts the mapper feeds the flow counters when a
 // FlowMetrics bundle is installed in the context, and that the cover
-// span's pruned attribute matches the pruned counter.
+// span's pruned and reused attributes match their counters.
 func TestFlowMetricsCount(t *testing.T) {
 	c, err := GenerateBenchmark("misex1")
 	if err != nil {
@@ -183,6 +183,13 @@ func TestFlowMetricsCount(t *testing.T) {
 	}
 	if got := cover.Attrs["pruned"]; got != int64(fm.Pruned.Value()) {
 		t.Errorf("cover span pruned = %v, want %d", got, fm.Pruned.Value())
+	}
+	if fm.Reused.Value() == 0 || fm.Reused.Value() > fm.WireEvals.Value()-fm.Pruned.Value() {
+		t.Errorf("reused = %d of %d unpruned candidates, want a nonzero share",
+			fm.Reused.Value(), fm.WireEvals.Value()-fm.Pruned.Value())
+	}
+	if got := cover.Attrs["reused"]; got != int64(fm.Reused.Value()) {
+		t.Errorf("cover span reused = %v, want %d", got, fm.Reused.Value())
 	}
 	if fm.CGIterations.Value() == 0 {
 		t.Error("no CG iterations counted")
